@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .expression import (Chart, EvalDomainError, ExprError, eval_at,
+from .expression import (Chart, EvalDomainError, ExprError, evaluate,
                          parse_exclusion, parse_expr, sample_points, to_string,
                          ONE)
 from .exterior import FormArityError
@@ -142,10 +142,11 @@ def load_config(data: Mapping) -> Config:
     mode = samples.get("mode", "random")
     _require(mode in ("random", "grid"), "samples.mode must be 'random' or 'grid'")
     count = samples.get("count", 50)
-    _require(isinstance(count, int) and count > 0, "samples.count must be a positive integer")
+    _require(type(count) is int and count > 0, "samples.count must be a positive integer")
     seed = samples.get("seed")
-    if mode == "random":
-        _require(isinstance(seed, int), "samples.seed is mandatory for random sampling")
+    if mode == "random" or seed is not None:
+        _require(type(seed) is int and seed >= 0, "samples.seed must be a non-negative "
+                 "integer (mandatory for random sampling)")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in (data.get("tolerances") or {}).items():
@@ -256,44 +257,30 @@ def _curvature_section(fd: FrameData, metric: Metric, points, tol, checks: _Chec
 
     n = fd.n
     eta = fd.eta
-    sym_res = 0.0
+    vals = fd.curvature_values(points)
+    r = vals["riemann"]                 # axes: point, i, j, k, l
+    sym_res = max(float(np.max(np.abs(t))) for t in (
+        r + np.swapaxes(r, 1, 2), r + np.swapaxes(r, 3, 4),
+        r - np.transpose(r, (0, 3, 4, 1, 2)),
+        r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
     weyl_res = None
-    for p in points:
-        r = fd.riemann_at(p)
-        sym_res = max(sym_res, float(np.max(np.abs(r + np.swapaxes(r, 0, 1)))))
-        sym_res = max(sym_res, float(np.max(np.abs(r + np.swapaxes(r, 2, 3)))))
-        sym_res = max(sym_res, float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1))))))
-        bianchi = r + np.transpose(r, (0, 2, 3, 1)) + np.transpose(r, (0, 3, 1, 2))
-        sym_res = max(sym_res, float(np.max(np.abs(bianchi))))
-        if fd.weyl is not None:
-            w = fd.weyl_at(p)
-            em = np.diag(eta).astype(float)
-            traces = [
-                np.einsum("ik,ijkl->jl", em, w),
-                np.einsum("jl,ijkl->ik", em, w),
-                np.einsum("il,ijkl->jk", em, w),
-            ]
-            wres = max(float(np.max(np.abs(t))) for t in traces)
-            weyl_res = wres if weyl_res is None else max(weyl_res, wres)
+    if "weyl" in vals:
+        w = vals["weyl"]
+        em = np.diag(eta).astype(float)
+        weyl_res = max(float(np.max(np.abs(t))) for t in (
+            np.einsum("ik,pijkl->pjl", em, w),
+            np.einsum("jl,pijkl->pik", em, w),
+            np.einsum("il,pijkl->pjk", em, w)))
     checks.record("curvature", "riemann_symmetries", sym_res, tol["curvature_symmetry"])
     if weyl_res is not None:
         checks.record("curvature", "weyl_trace_free", weyl_res, tol["curvature_symmetry"])
 
-    reps = _representative_points(points)
     comp = []
-    for p in reps:
-        entry = {"point": [p[c] for c in fd.chart.coords]}
-        vals = {}
-        memo: dict = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        if (i, j) <= (k, l):
-                            vals[f"R_{i+1}{j+1}{k+1}{l+1}"] = eval_at(
-                                fd.riemann[i][j][k][l], p, memo)
-        entry["riemann"] = vals
-        comp.append(entry)
+    for q, p in enumerate(_representative_points(points)):
+        comp.append({"point": [p[c] for c in fd.chart.coords], "riemann": {
+            f"R_{i+1}{j+1}{k+1}{l+1}": float(r[q, i, j, k, l])
+            for i in range(n) for j in range(i + 1, n)
+            for k in range(n) for l in range(k + 1, n) if (i, j) <= (k, l)}})
     return {
         "frame": "coordinate Gram-Schmidt",
         "eta": list(eta),
@@ -342,19 +329,21 @@ def _flow_section(flow_data, constraints, points, tol, checks: _Checks):
 
     h = flow_data.horizontal
     reps = _representative_points(points)
+    v = evaluate({"m": flow_data.m, "k": flow_data.k, "rq": constraints.quotient_riemann,
+                  "scalar": constraints.quotient_scalar}, reps)
     inv = []
-    for p in reps:
-        memo: dict = {}
-        entry = {"point": [p[c] for c in flow_data.chart.coords]}
-        entry["M"] = {f"M_{i+1}{j+1}": eval_at(flow_data.m[i][j], p, memo)
-                      for i in range(h) for j in range(i + 1, h)}
-        entry["K"] = {f"K_{i+1}": eval_at(flow_data.k[i], p, memo) for i in range(h)}
-        entry["quotient_riemann"] = {
-            f"Rq_{i+1}{j+1}{k+1}{l+1}": eval_at(constraints.quotient_riemann[i][j][k][l], p, memo)
-            for i in range(h) for j in range(i + 1, h)
-            for k in range(h) for l in range(k + 1, h) if (i, j) <= (k, l)}
-        entry["quotient_scalar"] = eval_at(constraints.quotient_scalar, p, memo)
-        inv.append(entry)
+    for q, p in enumerate(reps):
+        inv.append({
+            "point": [p[c] for c in flow_data.chart.coords],
+            "M": {f"M_{i+1}{j+1}": float(v["m"][i, j, q])
+                  for i in range(h) for j in range(i + 1, h)},
+            "K": {f"K_{i+1}": float(v["k"][i, q]) for i in range(h)},
+            "quotient_riemann": {
+                f"Rq_{i+1}{j+1}{k+1}{l+1}": float(v["rq"][i, j, k, l, q])
+                for i in range(h) for j in range(i + 1, h)
+                for k in range(h) for l in range(k + 1, h) if (i, j) <= (k, l)},
+            "quotient_scalar": float(v["scalar"][q]),
+        })
     norm2 = flow_data.adapted.norm2
     section = {
         "rigid": rigid,

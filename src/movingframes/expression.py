@@ -44,7 +44,7 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call",
     "num", "sym", "add", "mul", "pow_", "call",
-    "parse_expr", "diff", "simplify", "eval_at", "to_string",
+    "parse_expr", "diff", "simplify", "eval_at", "evaluate", "sup_abs", "to_string",
     "Chart", "Exclusion", "parse_exclusion", "sample_points",
     "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
@@ -73,6 +73,12 @@ class UndeclaredSymbolError(ParseError):
 class EvalDomainError(ExprError):
     """Evaluation hit a domain fault (log of non-positive, sqrt of negative,
     division by zero, non-integer power of a negative base, overflow)."""
+
+    def __init__(self, message: str, point: Mapping[str, float] | None = None):
+        if point is not None:
+            message += f" at point {dict(point)}"
+        super().__init__(message)
+        self.point = dict(point) if point is not None else None
 
 
 class UnboundCoordinateError(ExprError):
@@ -521,12 +527,13 @@ def _eval_call(fn: str, v: float) -> float:
 
 
 def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> float:
-    """Evaluate to a float at a coordinate binding.
+    """Evaluate to a float at a coordinate binding (the scalar reference).
 
     Raises :class:`EvalDomainError` on domain faults and
     :class:`UnboundCoordinateError` when a symbol is missing from ``point``.
     An explicit ``memo`` dict may be shared by evaluations at one point so
-    common subtrees are computed once.
+    common subtrees are computed once.  Sums run left to right in term
+    order, as in :func:`evaluate`.
     """
     if memo is None:
         memo = {}
@@ -543,7 +550,9 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
             except KeyError:
                 raise UnboundCoordinateError(x.name) from None
         elif isinstance(x, Add):
-            out = math.fsum(rec(t) for t in x.terms)
+            out = rec(x.terms[0])
+            for t in x.terms[1:]:
+                out += rec(t)
         elif isinstance(x, Mul):
             out = 1.0
             for f in x.factors:
@@ -551,23 +560,11 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
         elif isinstance(x, Pow):
             b = rec(x.base)
             ex = x.exponent
-            if ex.denominator == 1:
-                if b == 0.0 and ex < 0:
-                    raise EvalDomainError("division by zero")
-                try:
-                    out = b ** int(ex)
-                except OverflowError as exc:
-                    raise EvalDomainError("overflow in power") from exc
-            else:
-                if b < 0.0:
-                    raise EvalDomainError(
-                        f"non-integer power {ex} of negative base {b!r}")
-                if b == 0.0 and ex < 0:
-                    raise EvalDomainError("division by zero")
-                try:
-                    out = b ** float(ex)
-                except OverflowError as exc:
-                    raise EvalDomainError("overflow in power") from exc
+            if ex.denominator != 1 and b < 0.0:
+                raise EvalDomainError(f"non-integer power {ex} of negative base {b!r}")
+            if b == 0.0 and ex < 0:
+                raise EvalDomainError("division by zero")
+            out = b ** (int(ex) if ex.denominator == 1 else float(ex))
         elif isinstance(x, Call):
             out = _eval_call(x.fn, rec(x.arg))
         else:  # pragma: no cover
@@ -577,7 +574,120 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
         memo[x] = out
         return out
 
-    return rec(e)
+    try:
+        return rec(e)
+    except OverflowError as exc:     # a constant or a power beyond float range
+        raise EvalDomainError(f"overflow: {exc}") from exc
+
+
+def _schedule(roots: Sequence[Expr]):
+    """Post-order (node, children) of the union DAG of ``roots``, and the
+    position of each node's last consumer."""
+    order: list = []
+    seen: set = set()
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            x, kids = stack.pop()
+            if kids is not None:
+                order.append((x, kids))
+            elif x not in seen:
+                seen.add(x)
+                kids = (x.terms if isinstance(x, Add) else x.factors if isinstance(x, Mul)
+                        else (x.base,) if isinstance(x, Pow)
+                        else (x.arg,) if isinstance(x, Call) else ())
+                stack.append((x, kids))
+                stack.extend((c, None) for c in kids if c not in seen)
+    last: dict = {}
+    for i, (_, kids) in enumerate(order):
+        for c in kids:
+            last[c] = i
+    return order, last
+
+
+def _run_program(roots: list, points, n: int) -> np.ndarray:
+    """Each DAG node as one numpy operation over all points, in post-order;
+    an intermediate is dropped after its last consumer."""
+    order, last = _schedule(roots)
+    rows: dict = {}
+    for r, x in enumerate(roots):
+        rows.setdefault(x, []).append(r)
+    out = np.empty((len(roots), n))
+    vals: dict = {}
+    for i, (x, kids) in enumerate(order):
+        if isinstance(x, Num):
+            v = np.float64(float(x.value))
+        elif isinstance(x, Sym):
+            try:
+                v = (np.asarray(points[x.name], dtype=float) if isinstance(points, Mapping)
+                     else np.fromiter((p[x.name] for p in points), float, n))
+            except KeyError:
+                raise UnboundCoordinateError(x.name) from None
+            if not np.isfinite(v).all():
+                raise FloatingPointError("non-finite coordinate")
+        elif isinstance(x, Add):
+            v = vals[kids[0]] + vals[kids[1]]
+            for t in kids[2:]:
+                v += vals[t]
+        elif isinstance(x, Mul):
+            v = vals[kids[0]] * vals[kids[1]]
+            for f in kids[2:]:
+                v *= vals[f]
+        elif isinstance(x, Pow):
+            v = vals[kids[0]] ** float(x.exponent)
+        else:
+            v = getattr(np, x.fn)(vals[kids[0]])       # numpy names every FUNCTIONS entry
+        if x in rows:
+            out[rows[x]] = v
+        if x in last:
+            vals[x] = v
+        for c in kids:
+            if last[c] == i:
+                vals.pop(c, None)
+    return out
+
+
+def evaluate(exprs, points):
+    """Values of expressions at every sample point, as one numpy program.
+
+    ``exprs``: a rectangular nested sequence of shape S (result: S + (N,)),
+    or a mapping of names to such sequences (result: a dict of arrays from
+    one walk of the union DAG, so shared subexpressions run once).
+    ``points``: N coordinate mappings, or coordinate name -> length-N array.
+    After a floating-point fault the points are re-run in order through
+    :func:`eval_at`, whose :class:`EvalDomainError` names the first bad point.
+    """
+    groups = exprs if isinstance(exprs, Mapping) else {None: exprs}
+    grids = {k: np.array(v, dtype=object) for k, v in groups.items()}
+    roots = [e for g in grids.values() for e in g.ravel()]
+    n = len(next(iter(points.values()))) if isinstance(points, Mapping) else len(points)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            flat = _run_program(roots, points, n)
+    except (FloatingPointError, OverflowError):
+        flat = _reference(roots, points, n)
+    parts = np.split(flat, np.cumsum([g.size for g in grids.values()])[:-1])
+    out = {k: v.reshape(g.shape + (n,)) for (k, g), v in zip(grids.items(), parts)}
+    return out if isinstance(exprs, Mapping) else out[None]
+
+
+def _reference(roots: list, points, n: int) -> np.ndarray:
+    """The scalar walk point by point; raises at the first faulting point."""
+    out = np.empty((len(roots), n))
+    for k in range(n):
+        p = ({c: float(col[k]) for c, col in points.items()}
+             if isinstance(points, Mapping) else points[k])
+        memo: dict = {}
+        try:
+            out[:, k] = [eval_at(e, p, memo) for e in roots]
+        except EvalDomainError as exc:
+            raise EvalDomainError(str(exc), p) from exc
+    return out
+
+
+def sup_abs(exprs, points) -> float:
+    """max |e(p)| over a nested sequence of expressions and all points (0 if none)."""
+    return float(np.max(np.abs(evaluate(exprs, points)), initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -807,7 +917,11 @@ class Exclusion:
         self.text = text or f"{to_string(expr)} {op} {bound}"
 
     def excludes(self, point: Mapping[str, float]) -> bool:
-        return self._OPS[self.op](eval_at(self.expr, point), self.bound)
+        return self.compare(eval_at(self.expr, point))
+
+    def compare(self, value):
+        """Whether a value (or each of an array of values) of ``expr`` is excluded."""
+        return self._OPS[self.op](value, self.bound)
 
     def __repr__(self):
         return f"Exclusion({self.text!r})"

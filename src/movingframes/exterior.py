@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, diff, eval_at, mul, num, ZERO
+from .expression import Chart, Expr, add, diff, evaluate, mul, num, ZERO
 
 __all__ = [
     "PForm", "MatrixForm", "wedge", "ext_d", "form_eval", "contract",
@@ -217,12 +217,12 @@ def form_eval(a: PForm, vectors: Sequence[Sequence[float]], point: Mapping[str, 
     if len(vectors) != a.degree:
         raise FormArityError(f"{a.degree}-form needs {a.degree} vectors, got {len(vectors)}")
     vs = [np.asarray(v, dtype=float) for v in vectors]
-    memo: dict = {}
+    values = evaluate(list(a.coeffs.values()), [point])[:, 0]
     total = 0.0
-    for idx, c in a.coeffs.items():
+    for idx, val in zip(a.coeffs, values):
         minor = np.array([[v[i] for i in idx] for v in vs])
         det = float(np.linalg.det(minor)) if idx else 1.0
-        total += eval_at(c, point, memo) * det
+        total += float(val) * det
     return total
 
 
@@ -262,19 +262,20 @@ class MatrixForm:
         """max |eta_i w^i_j + eta_j w^j_i| over entries, basis slots and points."""
         if self.eta is None or self.rows != self.cols:
             raise FormArityError("eta-antisymmetry check needs a tagged square matrix")
-        worst = 0.0
-        for p in points:
-            memo: dict = {}
-            for i in range(self.rows):
-                for j in range(i, self.cols):
-                    lhs = self.entries[i][j]
-                    rhs = self.entries[j][i]
-                    keys = set(lhs.coeffs) | set(rhs.coeffs)
-                    for k in keys:
-                        v = (self.eta[i] * eval_at(lhs.coefficient(k), p, memo)
-                             + self.eta[j] * eval_at(rhs.coefficient(k), p, memo))
-                        worst = max(worst, abs(v))
-        return worst
+        pairs, signs = [], []
+        for i in range(self.rows):
+            for j in range(i, self.cols):
+                lhs = self.entries[i][j]
+                rhs = self.entries[j][i]
+                for k in set(lhs.coeffs) | set(rhs.coeffs):
+                    pairs.append((lhs.coefficient(k), rhs.coefficient(k)))
+                    signs.append((self.eta[i], self.eta[j]))
+        if not pairs:
+            return 0.0
+        vals = evaluate(pairs, list(points))
+        signs = np.array(signs, dtype=float)[:, :, None]
+        return float(np.max(np.abs(signs[:, 0] * vals[:, 0] + signs[:, 1] * vals[:, 1]),
+                            initial=0.0))
 
 
 def matrix_curvature(omega: MatrixForm) -> MatrixForm:

@@ -21,10 +21,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, eval_at, mul, num, pow_, simplify,
-                         ZERO)
-from .exterior import (MatrixForm, PForm, contract, ext_d, pform_add,
-                       pform_scale, wedge, zero_form)
+from .expression import (Chart, Expr, add, evaluate, mul, num, pow_, simplify,
+                         sup_abs, ZERO)
+from .exterior import (MatrixForm, PForm, contract, ext_d, matrix_curvature,
+                       pform_add, pform_scale, wedge, zero_form)
 
 __all__ = [
     "Metric", "Coframe", "FrameData", "SpaceClassification",
@@ -78,10 +78,6 @@ class Metric:
         return [add(*[mul(self.entries[mu][nu], v[nu]) for nu in range(n)
                       if not self.entries[mu][nu].is_zero()]) for mu in range(n)]
 
-    def matrix_at(self, point: Mapping[str, float]):
-        memo: dict = {}
-        return np.array([[eval_at(e, point, memo) for e in row] for row in self.entries])
-
 
 @dataclass(frozen=True)
 class Coframe:
@@ -98,8 +94,7 @@ class Coframe:
         return len(self.theta)
 
     def vectors_at(self, point: Mapping[str, float]):
-        memo: dict = {}
-        return np.array([[eval_at(c, point, memo) for c in row] for row in self.vectors])
+        return evaluate(self.vectors, [point])[..., 0]
 
 
 def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
@@ -133,21 +128,19 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
             raise SingularMetricError("metric pivot vanishes identically",
                                       samples[0] if samples else None)
         if samples:
-            memo_vals = []
-            for p in samples:
-                memo_vals.append(eval_at(pivot, p, {}))
-            absvals = [abs(x) for x in memo_vals]
-            if allow_skip and max(absvals) < 1e-10:
+            vals = evaluate([pivot], samples)[0]
+            absvals = np.abs(vals)
+            if allow_skip and absvals.max() < 1e-10:
                 continue
-            worst = min(range(len(absvals)), key=lambda k: absvals[k])
+            worst = int(np.argmin(absvals))
             if absvals[worst] < pivot_tol:
                 raise SingularMetricError(
                     f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
                     samples[worst])
-            sign = 1 if memo_vals[worst] > 0 else -1
-            for val, p in zip(memo_vals, samples):
-                if (1 if val > 0 else -1) != sign:
-                    raise SingularMetricError("metric pivot changes sign", p)
+            sign = 1 if vals[worst] > 0 else -1
+            flipped = np.flatnonzero((vals > 0) != (sign > 0))
+            if flipped.size:
+                raise SingularMetricError("metric pivot changes sign", samples[flipped[0]])
             expected = want[len(frame)]
             if sign != expected:
                 raise SignatureError(
@@ -253,36 +246,17 @@ class FrameData:
         return self.coframe.n
 
     def riemann_at(self, point: Mapping[str, float]):
-        memo: dict = {}
-        n = self.n
-        out = np.zeros((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        e = self.riemann[i][j][k][l]
-                        if not e.is_zero():
-                            out[i, j, k, l] = eval_at(e, point, memo)
-        return out
-
-    def ricci_at(self, point: Mapping[str, float]):
-        memo: dict = {}
-        return np.array([[eval_at(e, point, memo) for e in row] for row in self.ricci])
+        return evaluate(self.riemann, [point])[..., 0]
 
     def weyl_at(self, point: Mapping[str, float]):
-        if self.weyl is None:
-            return None
-        memo: dict = {}
-        n = self.n
-        out = np.zeros((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        e = self.weyl[i][j][k][l]
-                        if not e.is_zero():
-                            out[i, j, k, l] = eval_at(e, point, memo)
-        return out
+        return None if self.weyl is None else evaluate(self.weyl, [point])[..., 0]
+
+    def curvature_values(self, points: Sequence[Mapping[str, float]]) -> dict:
+        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first."""
+        tensors = {"riemann": self.riemann, "ricci": self.ricci}
+        if self.weyl is not None:
+            tensors["weyl"] = self.weyl
+        return {k: np.moveaxis(v, -1, 0) for k, v in evaluate(tensors, points).items()}
 
 
 def curvature_package(coframe: Coframe, alpha: MatrixForm | None = None,
@@ -292,16 +266,7 @@ def curvature_package(coframe: Coframe, alpha: MatrixForm | None = None,
     eta = coframe.eta
     if alpha is None:
         alpha, structure = solve_connection(coframe)
-    omega_entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ext_d(alpha[i, j])
-            for k in range(n):
-                acc = pform_add(acc, wedge(alpha[i, k], alpha[k, j]))
-            row.append(acc)
-        omega_entries.append(row)
-    omega = MatrixForm(omega_entries, eta=eta)
+    omega = matrix_curvature(alpha)
 
     riemann = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -355,37 +320,23 @@ def curvature_package(coframe: Coframe, alpha: MatrixForm | None = None,
 def torsion_residual(fd: FrameData, points: Iterable[Mapping[str, float]]) -> float:
     """max |d theta^i + alpha^i_j ^ theta^j| over coefficients and points."""
     n = fd.n
-    worst = 0.0
-    residuals = []
+    coeffs = []
     for i in range(n):
         acc = ext_d(fd.coframe.theta[i])
         for j in range(n):
             acc = pform_add(acc, wedge(fd.alpha[i, j], fd.coframe.theta[j]))
-        residuals.append(acc)
-    for p in points:
-        memo: dict = {}
-        for form in residuals:
-            for c in form.coeffs.values():
-                worst = max(worst, abs(eval_at(c, p, memo)))
-    return worst
+        coeffs.extend(acc.coeffs.values())
+    return sup_abs(coeffs, list(points))
 
 
 def reconstruction_residual(metric: Metric, coframe: Coframe,
                             points: Iterable[Mapping[str, float]]) -> float:
     """max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over points."""
     n = metric.chart.n
-    worst = 0.0
-    for p in points:
-        memo: dict = {}
-        theta_vals = [[eval_at(t.coefficient((mu,)), p, memo) for mu in range(n)]
-                      for t in coframe.theta]
-        g = metric.matrix_at(p)
-        for mu in range(n):
-            for nu in range(n):
-                s = sum(coframe.eta[k] * theta_vals[k][mu] * theta_vals[k][nu]
-                        for k in range(n))
-                worst = max(worst, abs(s - g[mu, nu]))
-    return worst
+    theta = [[t.coefficient((mu,)) for mu in range(n)] for t in coframe.theta]
+    th, g = evaluate([theta, metric.entries], list(points))
+    s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
+    return float(np.max(np.abs(s - g), initial=0.0))
 
 
 @dataclass
@@ -423,36 +374,19 @@ def classify_space(fd: FrameData, points: Sequence[Mapping[str, float]],
     if not points:
         raise ValueError("classification needs at least one sample point")
 
-    max_riemann = 0.0
-    max_ricci = 0.0
-    max_weyl = 0.0 if fd.weyl is not None else None
-    kappa_samples = []
-    const_resid = 0.0
+    em = np.diag(eta).astype(float)
+    unit = np.einsum("ik,jl->ijkl", em, em) - np.einsum("il,jk->ijkl", em, em)
 
-    unit = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    unit[i, j, k, l] = (eta[i] * (i == k) * eta[j] * (j == l)
-                                        - eta[i] * (i == l) * eta[j] * (j == k))
-
-    riem_vals = []
-    for p in points:
-        r = fd.riemann_at(p)
-        riem_vals.append(r)
-        max_riemann = max(max_riemann, float(np.max(np.abs(r))))
-        ric = fd.ricci_at(p)
-        max_ricci = max(max_ricci, float(np.max(np.abs(ric))))
-        if fd.weyl is not None:
-            w = fd.weyl_at(p)
-            max_weyl = max(max_weyl, float(np.max(np.abs(w))))
-        for i in range(n):
-            for j in range(i + 1, n):
-                kappa_samples.append(r[i, j, i, j] * eta[i] * eta[j])
-    kappa = float(np.mean(kappa_samples))
-    for r in riem_vals:
-        const_resid = max(const_resid, float(np.max(np.abs(r - kappa * unit))))
+    vals = fd.curvature_values(points)
+    r = vals["riemann"]
+    max_riemann = float(np.max(np.abs(r)))
+    max_ricci = float(np.max(np.abs(vals["ricci"])))
+    max_weyl = float(np.max(np.abs(vals["weyl"]))) if "weyl" in vals else None
+    # sample-major order, as the mean's pairwise summation sees it
+    kappa_samples = np.stack([r[:, i, j, i, j] * eta[i] * eta[j]
+                              for i in range(n) for j in range(i + 1, n)], axis=1)
+    kappa = float(np.mean(kappa_samples.ravel()))
+    const_resid = float(np.max(np.abs(r - kappa * unit)))
 
     flat = max_riemann < tol
     constant = const_resid < tol

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, eval_at, mul, num, simplify
+from .expression import Chart, Expr, add, evaluate, mul, num, simplify
 from .frames import Metric, SpaceClassification
-from .submersion import (FlowData, covariant_derivative, directional,
-                         lie_derivative_metric)
+from .submersion import (FlowData, _sup, covariant_derivative, directional,
+                         lie_derivative_metric, quotient_curvature)
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
@@ -90,21 +90,15 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
                      tol: float = 1e-7,
                      rotational_threshold: float = 1e-6) -> HypothesisReport:
     """Gate the isometry theorem: rigidity, rotation, closedness, basicness."""
-    h = flow.horizontal
-    max_m = flow.invariants.max_m(points)
     mc = covariant_derivative(flow.m, flow, rank=2)
     kc = covariant_derivative(flow.k, flow, rank=1)
-    closed = 0.0
-    basic_m = 0.0
-    basic_k = 0.0
-    for p in points:
-        memo: dict = {}
-        for i in range(h):
-            basic_k = max(basic_k, abs(eval_at(kc[i][0], p, memo)))
-            for j in range(h):
-                basic_m = max(basic_m, abs(eval_at(mc[i][j][0], p, memo)))
-                closed = max(closed, 0.5 * abs(eval_at(kc[i][j + 1], p, memo)
-                                               - eval_at(kc[j][i + 1], p, memo)))
+    v = evaluate({"m": flow.m, "mc0": [[c[0] for c in row] for row in mc], "kc": kc},
+                 points)
+    max_m = _sup(v["m"])
+    basic_m = _sup(v["mc0"])
+    basic_k = _sup(v["kc"][:, 0])
+    kh = v["kc"][:, 1:]
+    closed = float(np.max(0.5 * np.abs(kh - np.swapaxes(kh, 0, 1)), initial=0.0))
     if ambient.flat:
         reason = "flat"
     elif ambient.constant_curvature:
@@ -130,27 +124,6 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
     )
 
 
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                      tol: float, depth: int = 24) -> float:
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) < 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-                + rec(m, b, fm, frm, fb, right, tol / 2.0, depth - 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, depth)
-
-
 @dataclass
 class LambdaReconstruction:
     basepoint: dict
@@ -159,7 +132,9 @@ class LambdaReconstruction:
     path_independence_residual: float  # max relative gap between the two paths
     leaf_derivative_residual: float    # |u(lambda)| estimate via a flow step
     quadrature_tol: float
-    log_lambda: Callable = field(default=None, repr=False)  # point -> log lambda
+    # (starts, ends) coordinate rows -> integrals of K along the straight
+    # segments between them, each path checked against the domain first
+    line_integral: Callable = field(default=None, repr=False)
 
 
 def _k_coordinate_form(flow: FlowData) -> list:
@@ -177,28 +152,98 @@ def _k_coordinate_form(flow: FlowData) -> list:
     return out
 
 
-def _segment_integral(k_eval, start: np.ndarray, end: np.ndarray, tol: float) -> float:
-    delta = end - start
-    if not np.any(delta):
-        return 0.0
+def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarray,
+                    tol: float, depth: int = 24) -> np.ndarray:
+    """Integral of K along each straight segment start -> end.
 
-    def f(t: float) -> float:
-        return float(k_eval(start + t * delta) @ delta)
+    Adaptive Simpson in t in [0, 1]: an interval is accepted when
+    |left + right - whole| < 15 tol and is otherwise halved with tol halved,
+    down to ``depth`` levels.  The open intervals of all segments are refined
+    together, one :func:`evaluate` call per level, and each integral is summed
+    over its interval tree in the order the recursive rule adds.
+    """
+    deltas = ends - starts
+    out = np.zeros(len(starts))
+    roots = seg = np.flatnonzero(deltas.any(axis=1))
 
-    return _adaptive_simpson(f, 0.0, 1.0, tol)
+    def f(seg, t):
+        x = starts[seg] + t[:, None] * deltas[seg]
+        k = evaluate(k_mu, dict(zip(chart.coords, x.T)))
+        return sum(k[mu] * deltas[seg, mu] for mu in range(chart.n))
+
+    m = len(seg)
+    if not m:
+        return out
+    fa, fm, fb = f(np.tile(seg, 3), np.repeat([0.0, 0.5, 1.0], m)).reshape(3, m)
+    a, b = np.zeros(m), np.ones(m)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    levels = []
+    for level in range(depth + 1):
+        mid = 0.5 * (a + b)
+        fl, fr = f(np.tile(seg, 2), np.concatenate([0.5 * (a + mid), 0.5 * (mid + b)])
+                   ).reshape(2, -1)
+        left = (mid - a) / 6.0 * (fa + 4.0 * fl + fm)
+        right = (b - mid) / 6.0 * (fm + 4.0 * fr + fb)
+        err = left + right - whole
+        split = ~(np.abs(err) < 15.0 * tol) & (level < depth)
+        levels.append((split, left + right + err / 15.0))
+        if not split.any():
+            break
+
+        def halves(u, v):
+            return np.column_stack([u[split], v[split]]).ravel()
+
+        a, b = halves(a, mid), halves(mid, b)
+        fa, fm, fb = halves(fa, fm), halves(fl, fr), halves(fm, fb)
+        whole = halves(left, right)
+        seg = np.repeat(seg[split], 2)
+        tol /= 2.0
+    value = levels[-1][1]
+    for split, own in reversed(levels[:-1]):
+        own[split] = value[0::2] + value[1::2]
+        value = own
+    out[roots] = value
+    return out
 
 
-def _check_path(chart: Chart, pts: Iterable[np.ndarray]):
-    for q in pts:
-        p = chart.point(q)
-        for c, (lo, hi) in chart.domain.items():
-            pad = 1e-9 * (1.0 + abs(hi) + abs(lo))
-            if not lo - pad <= p[c] <= hi + pad:
-                raise PathError(f"integration path leaves the domain box at {p}")
-        for ex in chart.exclusions:
-            if ex.excludes(p):
-                raise PathError(f"integration path crosses excluded region "
-                                f"({ex.text}) at {p}")
+def _along(starts: np.ndarray, ends: np.ndarray, count: int) -> np.ndarray:
+    """``count`` equally spaced points on each segment, as rows."""
+    t = np.linspace(0.0, 1.0, count)[None, :, None]
+    return (starts[:, None, :] + t * (ends - starts)[:, None, :]).reshape(-1, starts.shape[1])
+
+
+def _path_faults(chart: Chart, pts: np.ndarray) -> np.ndarray:
+    """Per row: -1 admissible, 0 outside the (padded) box, 1 + e inside exclusion e."""
+    lo = np.array([chart.domain[c][0] for c in chart.coords])
+    hi = np.array([chart.domain[c][1] for c in chart.coords])
+    pad = 1e-9 * (1.0 + np.abs(hi) + np.abs(lo))
+    inside = np.all((lo - pad <= pts) & (pts <= hi + pad), axis=1)
+    fails = [~inside]
+    if chart.exclusions:
+        vals = evaluate([ex.expr for ex in chart.exclusions],
+                        dict(zip(chart.coords, pts[inside].T)))
+        for ex, v in zip(chart.exclusions, vals):
+            hit = np.zeros(len(pts), dtype=bool)
+            hit[inside] = ex.compare(v)
+            fails.append(hit)
+    fails = np.array(fails)
+    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
+
+
+def _check_path(chart: Chart, pts: np.ndarray):
+    """PathError naming the first row that leaves the admissible region."""
+    faults = _path_faults(chart, pts)
+    if np.any(faults >= 0):
+        k = int(np.argmax(faults >= 0))
+        where = ("leaves the domain box" if faults[k] == 0 else "crosses excluded region "
+                 f"({chart.exclusions[faults[k] - 1].text})")
+        raise PathError(f"integration path {where} at {chart.point(pts[k])}")
+
+
+def _segments_fit(chart: Chart, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each segment's 17-point path stays admissible."""
+    faults = _path_faults(chart, _along(starts, ends, 17))
+    return np.all(faults.reshape(len(starts), 17) < 0, axis=1)
 
 
 def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
@@ -219,79 +264,62 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     if not chart.simply_connected:
         raise PathError("sampling domain is not declared simply connected; "
                         "the Poincare-lemma step is only local")
+    n = chart.n
     k_mu = _k_coordinate_form(flow)
 
-    def k_eval(arr: np.ndarray) -> np.ndarray:
-        p = chart.point(arr)
-        memo: dict = {}
-        return np.array([eval_at(c, p, memo) for c in k_mu])
+    def line_integral(starts, ends) -> np.ndarray:
+        starts = np.asarray(starts, dtype=float).reshape(-1, n)
+        ends = np.asarray(ends, dtype=float).reshape(-1, n)
+        _check_path(chart, _along(starts, ends, 17))
+        return _line_integrals(k_mu, chart, starts, ends, quadrature_tol)
 
     base = np.array([basepoint[c] for c in chart.coords], dtype=float)
+    targets = np.array([[p[c] for c in chart.coords] for p in points],
+                       dtype=float).reshape(-1, n)
+    count = len(targets)
+    bases = np.broadcast_to(base, targets.shape)
+    # staircase corner mu + 1 takes the first mu + 1 coordinates of the target
+    corners = np.empty((count, n + 1, n))
+    corners[:, 0] = base
+    for mu in range(n):
+        corners[:, mu + 1] = corners[:, mu]
+        corners[:, mu + 1, mu] = targets[:, mu]
+    stair_starts = corners[:, :-1].reshape(-1, n)
+    stair_ends = corners[:, 1:].reshape(-1, n)
+    _check_path(chart, np.concatenate(
+        [_along(bases, targets, 17).reshape(count, -1, n),
+         _along(stair_starts, stair_ends, 9).reshape(count, -1, n)], axis=1).reshape(-1, n))
 
-    def log_lambda_direct(arr: np.ndarray) -> float:
-        steps = np.linspace(0.0, 1.0, 17)[:, None]
-        _check_path(chart, base + steps * (arr - base))
-        return _segment_integral(k_eval, base, arr, quadrature_tol)
+    # |u(lambda)| via a short flow step: both endpoints are reconstructed
+    # independently, so quadrature consistency enters the estimate; a step
+    # that leaves the domain is skipped
+    step = 0.01
+    lead = targets[:8]
+    moved = _rk4_step(lambda x: evaluate(flow.adapted.u, dict(zip(chart.coords, x.T))).T,
+                      lead, step)
+    ok = _segments_fit(chart, bases[:len(lead)], moved)
 
-    def log_lambda_staircase(arr: np.ndarray) -> float:
-        total = 0.0
-        cur = base.copy()
-        for mu in range(chart.n):
-            nxt = cur.copy()
-            nxt[mu] = arr[mu]
-            steps = np.linspace(0.0, 1.0, 9)[:, None]
-            _check_path(chart, cur + steps * (nxt - cur))
-            total += _segment_integral(k_eval, cur, nxt, quadrature_tol)
-            cur = nxt
-        return total
-
-    values = []
-    worst_gap = 0.0
-    for p in points:
-        arr = np.array([p[c] for c in chart.coords], dtype=float)
-        direct = log_lambda_direct(arr)
-        stair = log_lambda_staircase(arr)
-        gap = abs(direct - stair) / max(1.0, abs(direct))
-        worst_gap = max(worst_gap, gap)
-        values.append(math.exp(direct))
+    ints = _line_integrals(k_mu, chart,
+                           np.concatenate([bases, stair_starts, bases[:len(lead)][ok]]),
+                           np.concatenate([targets, stair_ends, moved[ok]]), quadrature_tol)
+    direct = ints[:count]
+    stair = sum(ints[count:count * (n + 1)].reshape(count, n)[:, mu] for mu in range(n))
+    gaps = np.abs(direct - stair) / np.maximum(1.0, np.abs(direct))
+    worst_gap = float(np.max(gaps, initial=0.0))
     if worst_gap >= path_tol:
         raise PathError(f"path-independence violated: relative gap {worst_gap:.3e} "
                         f"exceeds {path_tol:g}")
-
-    # |u(lambda)| via a short flow step: both endpoints are reconstructed
-    # independently, so quadrature consistency enters the estimate.
-    u_eval = _vector_evaluator(chart, flow.adapted.u)
-    step = 0.01
-    leaf = 0.0
-    for p in list(points)[:8]:
-        arr = np.array([p[c] for c in chart.coords], dtype=float)
-        moved = _rk4_step(u_eval, arr, step)
-        try:
-            l0 = log_lambda_direct(arr)
-            l1 = log_lambda_direct(moved)
-        except PathError:
-            continue
-        leaf = max(leaf, abs(l1 - l0) / step)
+    leaf = _sup((ints[count * (n + 1):] - direct[:len(lead)][ok]) / step)
 
     return LambdaReconstruction(
         basepoint=dict(basepoint),
         points=[dict(p) for p in points],
-        values=values,
+        values=[math.exp(d) for d in direct],
         path_independence_residual=worst_gap,
         leaf_derivative_residual=leaf,
         quadrature_tol=quadrature_tol,
-        log_lambda=lambda target: log_lambda_direct(
-            np.array([target[c] for c in chart.coords], dtype=float)),
+        line_integral=line_integral,
     )
-
-
-def _vector_evaluator(chart: Chart, components: Sequence[Expr]):
-    def ev(arr: np.ndarray) -> np.ndarray:
-        p = chart.point(arr)
-        memo: dict = {}
-        return np.array([eval_at(c, p, memo) for c in components])
-
-    return ev
 
 
 def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
@@ -310,19 +338,12 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
     Components are taken in the supplied orthonormal frame, or in the
     coordinate basis when no frame is given.
     """
-    chart = metric.chart
-    n = chart.n
     lie = lie_derivative_metric(metric, list(vector))
-    worst = 0.0
-    for p in points:
-        memo: dict = {}
-        lmat = np.array([[eval_at(lie[a][b], p, memo) for b in range(n)]
-                         for a in range(n)])
-        if frame_vectors is not None:
-            e = np.array([[eval_at(c, p, memo) for c in row] for row in frame_vectors])
-            lmat = e @ lmat @ e.T
-        worst = max(worst, float(np.max(np.abs(lmat))))
-    return worst
+    lmat = np.moveaxis(evaluate(lie, points), -1, 0)
+    if frame_vectors is not None:
+        e = np.moveaxis(evaluate(frame_vectors, points), -1, 0)
+        lmat = e @ lmat @ np.swapaxes(e, 1, 2)
+    return _sup(lmat)
 
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
@@ -331,37 +352,49 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
     """Killing residual of V = lambda u assembled at sample points.
 
     Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the symbolic
-    L_u g frame components and a central-difference gradient of the
-    reconstructed log(lambda), so reconstruction error shows up here.
+    L_u g frame components and a finite-difference gradient of the
+    reconstructed log(lambda).  Each difference of log(lambda) is the
+    integral of K along the short segment between its stencil points:
+    central, or second-order one-sided along an axis where the central
+    stencil leaves the domain.  The check sees the quadrature error of
+    lambda(p) and of these short integrals (not the far larger error of a
+    difference of two long-path integrals) plus the O(fd_step^2) stencil
+    error.
     """
     chart = flow.chart
     n = chart.n
-    worst = 0.0
-    for p in points:
-        arr = np.array([p[c] for c in chart.coords], dtype=float)
-        logl = lam.log_lambda(p)
-        lval = math.exp(logl)
-        grad = np.zeros(n)
-        for mu in range(n):
-            hi, lo = arr.copy(), arr.copy()
-            hi[mu] += fd_step
-            lo[mu] -= fd_step
-            grad[mu] = (lam.log_lambda(chart.point(hi))
-                        - lam.log_lambda(chart.point(lo))) / (2.0 * fd_step)
-        grad *= lval  # d lambda = lambda d log lambda
-        memo: dict = {}
-        evec = np.array([[eval_at(c, p, memo) for c in row]
-                         for row in flow.adapted.coframe.vectors])
-        dlam_frame = evec @ grad  # d lambda on the frame vectors
-        for a in range(n):
-            for b in range(a, n):
-                val = lval * eval_at(flow.lie_frame[a][b], p, memo)
-                if b == 0:
-                    val += dlam_frame[a]
-                if a == 0:
-                    val += dlam_frame[b]
-                worst = max(worst, abs(val))
-    return worst
+    pts = np.array([[p[c] for c in chart.coords] for p in points],
+                   dtype=float).reshape(-1, n)
+    count = len(pts)
+    p = np.repeat(pts, n, axis=0)                    # row (point, axis)
+    e = np.tile(np.eye(n) * fd_step, (count, 1))
+    # segments A and B of each stencil: gradient = (w_A I_A - w_B I_B) / 2h
+    stencils = [(p - e, p + e, p, p),                # central, w = (1, 0)
+                (p, p + e, p, p + 2 * e),            # forward, w = (4, 1)
+                (p - e, p, p - 2 * e, p)]            # backward, w = (4, 1)
+    fits = np.array([_segments_fit(chart, a0, a1) & _segments_fit(chart, b0, b1)
+                     for a0, a1, b0, b1 in stencils])
+    if not fits.any(axis=0).all():
+        row = int(np.flatnonzero(~fits.any(axis=0))[0])
+        raise PathError(f"finite-difference stencil at {chart.point(p[row])} leaves the "
+                        f"domain along {chart.coords[row % n]}")
+    choice = fits.argmax(axis=0)                     # the first stencil that fits
+    parts = [np.choose(choice[:, None], [st[k] for st in stencils]) for k in range(4)]
+    wa = np.where(choice == 0, 1.0, 4.0)
+    wb = np.where(choice == 0, 0.0, 1.0)
+    ints = lam.line_integral(np.concatenate([np.broadcast_to(
+        [lam.basepoint[c] for c in chart.coords], pts.shape), parts[0], parts[2]]),
+        np.concatenate([pts, parts[1], parts[3]]))
+    logl = ints[:count]
+    ia, ib = ints[count:count * (n + 1)], ints[count * (n + 1):]
+    lval = np.exp(logl)
+    grad = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n) * lval[:, None]
+    v = evaluate({"e": flow.adapted.coframe.vectors, "lie": flow.lie_frame}, points)
+    dlam_frame = np.einsum("amp,pm->ap", v["e"], grad)  # d lambda on the frame vectors
+    val = lval * v["lie"]
+    val[0, 0] += dlam_frame[0]
+    val[0, :] += dlam_frame
+    return _sup(val[np.triu_indices(n)])
 
 
 @dataclass
@@ -397,6 +430,7 @@ def ricci_flat_check(flow: FlowData, ambient: SpaceClassification,
     m_sq = simplify(add(*[mul(m[i][j], m[i][j]) for i in range(h) for j in range(h)]))
     k_sq = simplify(add(*[mul(k[i], k[i]) for i in range(h)]))
     div_k = simplify(add(*[kc[i][i + 1] for i in range(h)]))
+    _, rq_ricci, rq_scalar = quotient_curvature(flow)
 
     rows = {
         "R_00": [simplify(add(ricci[0][0], div_k, k_sq, mul(num(-1), m_sq)))],
@@ -405,45 +439,19 @@ def ricci_flat_check(flow: FlowData, ambient: SpaceClassification,
                               mul(num(2), add(*[mul(k[j], m[i][j]) for j in range(h)]))))
                  for i in range(h)],
         "R_ij": [simplify(add(ricci[i + 1][j + 1],
-                              mul(num(-1), _quotient_ricci_expr(flow, i, j)),
+                              mul(num(-1), rq_ricci[i][j]),
                               mul(num(-2), mm[i][j]),
                               mul(k[i], k[j]),
                               mul(num(Fraction(1, 2)),
                                   add(kc[i][j + 1], kc[j][i + 1]))))
                  for i in range(h) for j in range(h)],
-        "R": [simplify(add(scalar, mul(num(-1), _quotient_scalar_expr(flow)),
+        "R": [simplify(add(scalar, mul(num(-1), rq_scalar),
                            m_sq, mul(num(2), k_sq), mul(num(2), div_k)))],
     }
-    residuals = {}
-    for name, exprs in rows.items():
-        worst = 0.0
-        for p in points:
-            memo: dict = {}
-            for e in exprs:
-                worst = max(worst, abs(eval_at(e, p, memo)))
-        residuals[name] = worst
     m2_leaf_expr = directional(m_sq, flow.adapted.coframe.vectors[0], flow.chart)
-    m2_leaf = max(abs(eval_at(m2_leaf_expr, p, {})) for p in points)
-    return RicciFlatReport(True, "ambient is Ricci flat", residuals, m2_leaf)
-
-
-def _quotient_riemann_expr(flow: FlowData, i, j, kk, l) -> Expr:
-    m = flow.m
-    R = flow.frame_data.riemann
-    return simplify(add(R[i + 1][j + 1][kk + 1][l + 1],
-                        mul(m[i][kk], m[j][l]),
-                        mul(num(-1), m[i][l], m[j][kk]),
-                        mul(num(2), m[i][j], m[kk][l])))
-
-
-def _quotient_ricci_expr(flow: FlowData, j, l) -> Expr:
-    h = flow.horizontal
-    return simplify(add(*[_quotient_riemann_expr(flow, i, j, i, l) for i in range(h)]))
-
-
-def _quotient_scalar_expr(flow: FlowData) -> Expr:
-    h = flow.horizontal
-    return simplify(add(*[_quotient_ricci_expr(flow, j, j) for j in range(h)]))
+    v = evaluate({**rows, "m2_leaf": m2_leaf_expr}, points)
+    residuals = {name: _sup(v[name]) for name in rows}
+    return RicciFlatReport(True, "ambient is Ricci flat", residuals, _sup(v["m2_leaf"]))
 
 
 @dataclass
@@ -484,9 +492,12 @@ def run_herglotz(flow: FlowData, ambient: SpaceClassification,
                               f"u(lambda) estimate {lam.leaf_derivative_residual:.3e} "
                               f"exceeds {tol:g}", lam)
     # the assembled residual needs a gradient of the reconstructed lambda at
-    # each point (4n quadratures); a bounded representative set keeps large
-    # sample counts affordable
-    killing = scaled_flow_killing_residual(flow, lam, list(points)[:12])
+    # each point (up to 2n short quadratures); a bounded representative set
+    # keeps large sample counts affordable
+    try:
+        killing = scaled_flow_killing_residual(flow, lam, list(points)[:12])
+    except PathError as exc:
+        return HerglotzReport(hyp, "inconsistent", str(exc), lam)
     if killing >= killing_tol:
         return HerglotzReport(hyp, "inconsistent",
                               f"Killing residual {killing:.3e} exceeds {killing_tol:g}",

@@ -41,8 +41,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .expression import (Chart, Expr, add, diff, eval_at, mul, num, pow_,
-                         simplify, ONE, ZERO)
+import numpy as np
+
+from .expression import (Chart, Expr, add, diff, evaluate, mul, num, pow_,
+                         simplify, sup_abs, ONE, ZERO)
 from .exterior import FormArityError, MatrixForm, PForm, contract, ext_d
 from .frames import (Coframe, FrameData, Metric, curvature_package,
                      gram_schmidt_frame, solve_connection)
@@ -52,7 +54,7 @@ __all__ = [
     "ConstraintReport", "FlowData",
     "adapted_coframe", "flow_invariants", "rigidity_test",
     "covariant_derivative", "constraint_residuals", "analyze_flow",
-    "lie_derivative_metric", "directional",
+    "lie_derivative_metric", "directional", "quotient_curvature",
 ]
 
 
@@ -142,8 +144,8 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     n = chart.n
     flow = tuple(simplify(c) for c in flow)
     norm2 = simplify(metric.inner(list(flow), list(flow)))
-    for p in samples:
-        val = eval_at(norm2, p, {})
+    norms = evaluate([norm2], samples)[0]
+    for val, p in zip(norms, samples):
         if val < flow_tol * flow_tol:
             raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                      f"below {flow_tol:g}", p)
@@ -176,37 +178,16 @@ class FlowInvariants:
     k_beta: list
 
     def two_path_residual(self, points: Iterable[Mapping[str, float]]) -> float:
-        worst = 0.0
-        h = len(self.k)
-        for p in points:
-            memo: dict = {}
-            for i in range(h):
-                worst = max(worst, abs(eval_at(self.k[i], p, memo)
-                                       - eval_at(self.k_beta[i], p, memo)))
-                for j in range(h):
-                    worst = max(worst, abs(eval_at(self.m[i][j], p, memo)
-                                           - eval_at(self.m_beta[i][j], p, memo)))
-        return worst
+        v = evaluate({"k": [self.k, self.k_beta], "m": [self.m, self.m_beta]},
+                     list(points))
+        return max(_sup(v["k"][0] - v["k"][1]), _sup(v["m"][0] - v["m"][1]))
 
     def skewness_residual(self, points: Iterable[Mapping[str, float]]) -> float:
-        worst = 0.0
-        h = len(self.k)
-        for p in points:
-            memo: dict = {}
-            for i in range(h):
-                for j in range(i, h):
-                    worst = max(worst, abs(eval_at(self.m[i][j], p, memo)
-                                           + eval_at(self.m[j][i], p, memo)))
-        return worst
+        m = evaluate(self.m, list(points))
+        return _sup(m + np.swapaxes(m, 0, 1))
 
     def max_m(self, points: Iterable[Mapping[str, float]]) -> float:
-        worst = 0.0
-        for p in points:
-            memo: dict = {}
-            for row in self.m:
-                for e in row:
-                    worst = max(worst, abs(eval_at(e, p, memo)))
-        return worst
+        return sup_abs(self.m, list(points))
 
 
 def flow_invariants(adapted: AdaptedFlow, alpha: MatrixForm) -> FlowInvariants:
@@ -237,12 +218,8 @@ def rigidity_test(adapted: AdaptedFlow, points: Sequence[Mapping[str, float]],
     if lie_frame is None:
         lie_frame = _lie_u_frame_components(adapted)
     h = adapted.horizontal
-    worst = 0.0
-    for p in points:
-        memo: dict = {}
-        for i in range(1, h + 1):
-            for j in range(i, h + 1):
-                worst = max(worst, abs(eval_at(lie_frame[i][j], p, memo)))
+    worst = sup_abs([lie_frame[i][j] for i in range(1, h + 1) for j in range(i, h + 1)],
+                    points)
     return RigidityResult(worst < tol, worst, tol)
 
 
@@ -294,19 +271,6 @@ class FlowData:
     @property
     def k(self) -> list:
         return self.invariants.k
-
-    @property
-    def leaf_connection(self) -> Expr:
-        """The leaf-group connection gamma; identically zero in codimension 1."""
-        return ZERO
-
-    def m_derivatives(self) -> list:
-        """M_ij;g with the absorbed connection (slot 0 = leaf direction)."""
-        return covariant_derivative(self.m, self, rank=2)
-
-    def k_derivatives(self) -> list:
-        """K_i;g with the absorbed connection (slot 0 = leaf direction)."""
-        return covariant_derivative(self.k, self, rank=1)
 
     def abar(self, l: int, i: int, g: int) -> Expr:
         """Absorbed-connection slot abar^l_i(e_g); horizontal l, i (0-based)."""
@@ -409,6 +373,19 @@ class ConstraintReport:
         return max(self.tilde_free.values())
 
 
+def quotient_curvature(flow: FlowData):
+    """Rq_ijkl solved from the tilde-bearing rows, its Ricci contraction and scalar."""
+    h = flow.horizontal
+    m = flow.m
+    R = flow.frame_data.riemann          # adapted-frame ambient curvature
+    rq = [[[[simplify(add(R[i + 1][j + 1][kk + 1][l + 1], mul(m[i][kk], m[j][l]),
+                          mul(num(-1), m[i][l], m[j][kk]), mul(num(2), m[i][j], m[kk][l])))
+             for l in range(h)] for kk in range(h)] for j in range(h)] for i in range(h)]
+    rq_ricci = [[simplify(add(*[rq[i][j][i][l] for i in range(h)]))
+                 for l in range(h)] for j in range(h)]
+    return rq, rq_ricci, simplify(add(*[rq_ricci[j][j] for j in range(h)]))
+
+
 def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
                          tol: float = 1e-7) -> ConstraintReport:
     """Evaluate the tilde-free identities and solve for quotient curvature.
@@ -458,60 +435,25 @@ def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
             mul(num(-1), add(*[mc[j][i][hz(j)] for j in range(h)])),
             mul(num(2), add(*[mul(k[j], m[i][j]) for j in range(h)])))))
 
-    tilde_free: dict = {}
-    for name, exprs in fam.items():
-        worst = 0.0
-        for p in points:
-            memo: dict = {}
-            for e in exprs:
-                worst = max(worst, abs(eval_at(e, p, memo)))
-        tilde_free[name] = worst
-
-    # quotient curvature solved from the tilde-bearing rows
-    rq = [[[[ZERO] * h for _ in range(h)] for _ in range(h)] for _ in range(h)]
-    for i in range(h):
-        for j in range(h):
-            for kk in range(h):
-                for l in range(h):
-                    rq[i][j][kk][l] = simplify(add(
-                        R[hz(i)][hz(j)][hz(kk)][hz(l)],
-                        mul(m[i][kk], m[j][l]),
-                        mul(num(-1), m[i][l], m[j][kk]),
-                        mul(num(2), m[i][j], m[kk][l])))
-    rq_ricci = [[simplify(add(*[rq[i][j][i][l] for i in range(h)]))
-                 for l in range(h)] for j in range(h)]
-    rq_scalar = simplify(add(*[rq_ricci[j][j] for j in range(h)]))
-
-    # cross-checks: contracted quotient curvature against the direct solves
-    ricci_cross = 0.0
-    scalar_cross = 0.0
-    for p in points:
-        memo: dict = {}
-        for i in range(h):
-            for j in range(h):
-                direct = (eval_at(ricci[hz(i)][hz(j)], p, memo)
-                          - 2.0 * eval_at(mm[i][j], p, memo)
-                          + eval_at(k[i], p, memo) * eval_at(k[j], p, memo)
-                          + 0.5 * (eval_at(kc[i][hz(j)], p, memo)
-                                   + eval_at(kc[j][hz(i)], p, memo)))
-                ricci_cross = max(ricci_cross, abs(eval_at(rq_ricci[i][j], p, memo) - direct))
-        direct_scalar = (eval_at(scalar, p, memo) + eval_at(m_sq, p, memo)
-                         + 2.0 * eval_at(k_sq, p, memo) + 2.0 * eval_at(div_k, p, memo))
-        scalar_cross = max(scalar_cross, abs(eval_at(rq_scalar, p, memo) - direct_scalar))
-
+    rq, rq_ricci, rq_scalar = quotient_curvature(flow)
     rqc = covariant_derivative(rq, flow, rank=4)
-    leaf = 0.0
-    for p in points:
-        memo: dict = {}
-        for i in range(h):
-            for j in range(h):
-                for kk in range(h):
-                    for l in range(h):
-                        leaf = max(leaf, abs(eval_at(rqc[i][j][kk][l][0], p, memo)))
     m2_leaf_expr = directional(m_sq, flow.adapted.coframe.vectors[0], flow.chart)
-    m2_leaf = 0.0
-    for p in points:
-        m2_leaf = max(m2_leaf, abs(eval_at(m2_leaf_expr, p, {})))
+
+    v = evaluate({**fam, "ricci": [row[1:] for row in ricci[1:]], "mm": mm, "k": k,
+                  "kc": [row[1:] for row in kc], "rq_ricci": rq_ricci,
+                  "scalars": [scalar, m_sq, k_sq, div_k, rq_scalar],
+                  "leaf": [[[[c[0] for c in row] for row in b] for b in a] for a in rqc],
+                  "m2_leaf": m2_leaf_expr}, points)
+    tilde_free = {name: _sup(v[name]) for name in fam}
+    # cross-checks: contracted quotient curvature against the direct solves
+    kv, kcv = v["k"], v["kc"]
+    direct = (v["ricci"] - 2.0 * v["mm"] + kv[:, None] * kv[None, :]
+              + 0.5 * (kcv + np.swapaxes(kcv, 0, 1)))
+    ricci_cross = _sup(v["rq_ricci"] - direct)
+    s, msq, ksq, divk, rqs = v["scalars"]
+    scalar_cross = _sup(rqs - (s + msq + 2.0 * ksq + 2.0 * divk))
+    leaf = _sup(v["leaf"])
+    m2_leaf = _sup(v["m2_leaf"])
 
     return ConstraintReport(
         tilde_free=tilde_free,
@@ -524,3 +466,7 @@ def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
         m2_leaf_residual=m2_leaf,
         advisory=not flow.rigidity.rigid,
     )
+
+
+def _sup(values: np.ndarray) -> float:
+    return float(np.max(np.abs(values), initial=0.0))

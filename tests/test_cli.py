@@ -39,6 +39,22 @@ def twist_config():
     }
 
 
+def conformal4_config(seed):
+    """g = exp((x^2 + y^2)/5) delta_4 with the Killing flow (-y, x, 1, 0)."""
+    factor = "exp(4*(x^2 + y^2)/20)"
+    return {
+        "schema_version": "1",
+        "chart": {"coordinates": ["x", "y", "z", "w"],
+                  "domain": {"x": [0.5, 1.5], "y": [-0.5, 0.5],
+                             "z": [-1.0, 1.0], "w": [-1.0, 1.0]}},
+        "metric": [[factor if i == j else "0" for j in range(4)] for i in range(4)],
+        "flow": ["-y", "x", "1", "0"],
+        "samples": {"mode": "random", "count": 8, "seed": seed},
+        "tasks": ["curvature", "classify", "flow", "herglotz", "ricci-flat"],
+        "basepoint": [1.0, 0.0, 0.0, 0.0],
+    }
+
+
 def write(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -94,6 +110,15 @@ class TestConfigValidation:
     def test_unknown_tolerance(self):
         with pytest.raises(ConfigError):
             load_config(screw_config(tolerances={"bogus": 1e-3}))
+
+    @pytest.mark.parametrize("samples", [
+        {"mode": "random", "count": True, "seed": 4},
+        {"mode": "random", "count": 5, "seed": True},
+        {"mode": "random", "count": 5, "seed": -1}])
+    def test_non_integer_or_negative_samples_exit_two(self, tmp_path, capsys, samples):
+        path = write(tmp_path, "cfg.json", screw_config(samples=samples))
+        assert main(["run", "--config", path]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -226,3 +251,33 @@ class TestCommandLine:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("entry, domain", [
+        ("x + y", [1.4e308, 1.6e308]),      # the sum overflows
+        ("10^400*x", [0.5, 1.0]),           # the constant overflows a float
+        ("log(x)", [-2.0, -1.0])])          # log of a negative value
+    def test_evaluation_fault_exit_two(self, tmp_path, capsys, entry, domain):
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": ["x", "y"], "domain": {"x": domain, "y": domain}},
+               "metric": [[entry, "0"], ["0", "1"]],
+               "samples": {"mode": "random", "count": 3, "seed": 1},
+               "tasks": ["curvature"]}
+        path = write(tmp_path, "cfg.json", cfg)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and "at point" in err
+
+
+class TestHerglotzRegressions:
+    """Conformal-4D configs whose Killing check once failed for a Killing flow."""
+
+    @pytest.mark.parametrize("seed", [
+        843326373,      # a sample at w = 0.999914: the central stencil leaves the box
+        1383479879])    # long-path quadrature noise once read 4.8e-7 > killing tol
+    def test_conformal_killing_flow_verified(self, tmp_path, seed):
+        path = write(tmp_path, "cfg.json", conformal4_config(seed))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        herglotz = json.loads(out.read_text())["tasks"]["herglotz"]
+        assert herglotz["verdict"] == "isometric-verified"
+        assert herglotz["killing_residual"] < 1e-8

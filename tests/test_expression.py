@@ -11,9 +11,10 @@ from movingframes.expression import (Add, Call, Chart, EvalDomainError, Mul,
                                      Num, ParseError, Pow, Sym,
                                      UnboundCoordinateError,
                                      UndeclaredSymbolError, add, call, diff,
-                                     eval_at, mul, num, parse_exclusion,
-                                     parse_expr, pow_, sample_points, simplify,
-                                     sym, to_string)
+                                     eval_at, evaluate, mul, num,
+                                     parse_exclusion, parse_expr, pow_,
+                                     sample_points, simplify, sup_abs, sym,
+                                     to_string)
 
 from helpers import random_expr, random_point
 
@@ -226,6 +227,80 @@ def test_eval_agrees_with_unsimplified_tree():
         except EvalDomainError:
             continue
         assert abs(eval_at(s, p) - ve) <= 1e-12 * max(1.0, abs(ve))
+
+
+# -- batch evaluation ----------------------------------------------------------
+
+class TestEvaluate:
+    POINTS = [{"x": 0.3, "y": -1.2, "z": 2.0}, {"x": -0.7, "y": 0.4, "z": 1.5}]
+
+    def test_shape_follows_nesting(self):
+        e = parse_expr("sin(x)*y^2 + exp(z)/y", CHART)
+        vals = evaluate([[e, X], [num(3), e]], self.POINTS)
+        assert vals.shape == (2, 2, 2)
+        for k, p in enumerate(self.POINTS):
+            assert vals[0, 0, k] == pytest.approx(eval_at(e, p), rel=1e-14)
+            assert vals[0, 1, k] == p["x"] and vals[1, 0, k] == 3.0
+
+    def test_groups_and_coordinate_columns(self):
+        e = parse_expr("x*y - z^3", CHART)
+        columns = {c: np.array([p[c] for p in self.POINTS]) for c in CHART.coords}
+        out = evaluate({"a": [e, Y], "b": e}, columns)
+        assert out["a"].shape == (2, 2) and out["b"].shape == (2,)
+        assert list(out["b"]) == [eval_at(e, p) for p in self.POINTS]
+        assert sup_abs([e, Y], self.POINTS) == np.max(np.abs(out["a"]))
+
+    def test_no_points_and_unbound(self):
+        assert evaluate([X, Y], []).shape == (2, 0)
+        assert sup_abs([], self.POINTS) == 0.0
+        with pytest.raises(UnboundCoordinateError):
+            evaluate([X + Y], [{"x": 1.0}])
+
+    @pytest.mark.parametrize("text, point", [
+        ("x + y", {"x": 1.5e308, "y": 1.5e308, "z": 0.0}),
+        ("10^400*x", {"x": 1.0, "y": 0.0, "z": 0.0}),
+        ("log(x)", {"x": -2.0, "y": 0.0, "z": 0.0})])
+    def test_domain_fault_names_first_point(self, text, point):
+        e = parse_expr(text, CHART)
+        with pytest.raises(EvalDomainError):
+            eval_at(e, point)
+        fine = {"x": 0.5, "y": 0.5, "z": 0.5}
+        if text == "10^400*x":   # the constant faults everywhere
+            fine = point
+        with pytest.raises(EvalDomainError) as err:
+            evaluate([X, e], [fine, point, dict(point, z=1.0)])
+        assert err.value.point == (fine if text == "10^400*x" else point)
+
+
+_COORD = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e120, 1e120))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.tuples(_COORD, _COORD, _COORD),
+                                          min_size=1, max_size=6))
+def test_evaluate_matches_eval_at(seed, coords):
+    """evaluate agrees with the scalar walk, and faults exactly where it does."""
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, CHART.coords, depth=4) for _ in range(3)]
+    points = [dict(zip(CHART.coords, c)) for c in coords]
+    first_fault = None
+    expected = []
+    for p in points:
+        memo = {}
+        try:
+            expected.append([eval_at(e, p, memo) for e in exprs])
+        except EvalDomainError:
+            first_fault = p
+            break
+    if first_fault is not None:
+        with pytest.raises(EvalDomainError) as err:
+            evaluate(exprs, points)
+        assert err.value.point == first_fault
+        return
+    got = evaluate(exprs, points)
+    for k, row in enumerate(expected):
+        for i, want in enumerate(row):
+            assert abs(got[i, k] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 # -- charts, sampling, exclusions ---------------------------------------------
