@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .expression import (Chart, EvalDomainError, Exclusion, Expr, ExprError,
                          ParseError, UndeclaredSymbolError, diff, eval_at,
-                         evaluate, parse_exclusion, parse_expr, sample_points,
-                         simplify, sup_abs, to_string)
+                         evaluate, evaluate_along, parse_exclusion, parse_expr,
+                         sample_points, simplify, sup_abs, to_string)
 from .exterior import (ChartMismatchError, FormArityError, MatrixForm, PForm,
                        ext_d, form_eval, matrix_curvature, wedge)
 from .frames import (Coframe, FrameData, Metric, SingularMetricError,
@@ -31,7 +31,8 @@ from .submersion import (FlowData, VanishingFlowError, adapted_coframe,
 __all__ = [
     "__version__",
     "Chart", "Exclusion", "Expr", "parse_expr", "parse_exclusion", "diff",
-    "simplify", "eval_at", "evaluate", "sup_abs", "to_string", "sample_points",
+    "simplify", "eval_at", "evaluate", "evaluate_along", "sup_abs", "to_string",
+    "sample_points",
     "PForm", "MatrixForm", "wedge", "ext_d", "form_eval", "matrix_curvature",
     "Metric", "Coframe", "FrameData", "SpaceClassification",
     "build_coframe", "solve_connection", "curvature_package", "classify_space",

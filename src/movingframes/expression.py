@@ -44,7 +44,8 @@ import numpy as np
 __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call",
     "num", "sym", "add", "mul", "pow_", "call",
-    "parse_expr", "diff", "simplify", "eval_at", "evaluate", "sup_abs", "to_string",
+    "parse_expr", "diff", "simplify", "eval_at", "evaluate", "evaluate_along",
+    "sup_abs", "to_string",
     "Chart", "Exclusion", "parse_exclusion", "sample_points",
     "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
@@ -343,10 +344,13 @@ def mul(*factors) -> Expr:
 
 
 def _int_root(n: int, q: int):
-    """Exact integer q-th root of n >= 0, or None."""
+    """Exact integer q-th root of n >= 0, or None (also beyond float range)."""
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / q))
+    try:
+        r = round(n ** (1.0 / q))
+    except OverflowError:
+        return None
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** q == n:
             return cand
@@ -362,8 +366,8 @@ def _fold_num_pow(base: Fraction, exp: Fraction):
                 return None  # division by zero surfaces at evaluation
             return Fraction(0) if e > 0 else Fraction(1)
         return base ** e
-    if base < 0:
-        return None
+    if base < 0 or (base == 0 and exp < 0):
+        return None  # as above, the fault surfaces at evaluation
     p, q = exp.numerator, exp.denominator
     rn = _int_root(base.numerator, q)
     rd = _int_root(base.denominator, q)
@@ -605,15 +609,83 @@ def _schedule(roots: Sequence[Expr]):
     return order, last
 
 
-def _run_program(roots: list, points, n: int) -> np.ndarray:
+_TANGENT = {                 # d fn(a)/da from the argument a and the value v
+    "sin": lambda a, v: np.cos(a),
+    "cos": lambda a, v: -np.sin(a),
+    "tan": lambda a, v: 1.0 + v ** 2.0,
+    "sinh": lambda a, v: np.cosh(a),
+    "cosh": lambda a, v: np.sinh(a),
+    "tanh": lambda a, v: 1.0 - v ** 2.0,
+    "exp": lambda a, v: v,
+    "log": lambda a, v: a ** -1.0,
+}
+
+
+def _sum(terms: list):
+    """Left-to-right sum of the arrays in ``terms``; None when there are none."""
+    if not terms:
+        return None
+    out = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    for t in terms[2:]:
+        out += t
+    return out
+
+
+def _product_rule(values: list, tangents: list):
+    """Tangent of a product: sum over factors i of (prod before i) t_i (prod
+    after i), from prefix and suffix products, so no value is divided out."""
+    live = [i for i, t in enumerate(tangents) if t is not None]
+    if not live:
+        return None
+    pre = [None]                     # pre[i]: product of the first i factors
+    for f in values[:live[-1]]:
+        pre.append(f if pre[-1] is None else pre[-1] * f)
+    suf = [None]                     # suf[j]: product of the last j factors
+    for f in reversed(values[live[0] + 1:]):
+        suf.append(f if suf[-1] is None else f * suf[-1])
+    terms = []
+    for i in live:
+        t = tangents[i] if pre[i] is None else pre[i] * tangents[i]
+        after = suf[len(values) - 1 - i]
+        terms.append(t if after is None else t * after)
+    return _sum(terms)
+
+
+def _tangent(x: Expr, kids: tuple, v, vals: dict, tans: dict, seeds: Mapping):
+    """Directional derivative of node ``x`` from its children's values and
+    tangents; None when it is structurally zero, so the derivative terms that
+    :func:`diff` skips are skipped here too."""
+    if isinstance(x, Sym):
+        return seeds.get(x.name)
+    if isinstance(x, Add):
+        return _sum([tans[c] for c in kids if c in tans])
+    if isinstance(x, Mul):
+        return _product_rule([vals[c] for c in kids], [tans.get(c) for c in kids])
+    t = tans.get(kids[0]) if kids else None
+    if t is None:
+        return None
+    a = vals[kids[0]]
+    if isinstance(x, Pow):          # e a^(e-1) a', as diff writes it
+        return float(x.exponent) * a ** float(x.exponent - 1) * t
+    return _TANGENT[x.fn](a, v) * t
+
+
+def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
     """Each DAG node as one numpy operation over all points, in post-order;
-    an intermediate is dropped after its last consumer."""
+    an intermediate is dropped after its last consumer.
+
+    With ``seeds`` (coordinate name -> tangent column) every node also
+    carries its directional derivative (forward mode), and the result is the
+    pair (values, derivatives).
+    """
     order, last = _schedule(roots)
     rows: dict = {}
     for r, x in enumerate(roots):
         rows.setdefault(x, []).append(r)
     out = np.empty((len(roots), n))
+    dout = None if seeds is None else np.zeros((len(roots), n))
     vals: dict = {}
+    tans: dict = {}
     for i, (x, kids) in enumerate(order):
         if isinstance(x, Num):
             v = np.float64(float(x.value))
@@ -637,6 +709,13 @@ def _run_program(roots: list, points, n: int) -> np.ndarray:
             v = vals[kids[0]] ** float(x.exponent)
         else:
             v = getattr(np, x.fn)(vals[kids[0]])       # numpy names every FUNCTIONS entry
+        if seeds is not None:
+            t = _tangent(x, kids, v, vals, tans, seeds)
+            if t is not None:
+                if x in rows:
+                    dout[rows[x]] = t
+                if x in last:
+                    tans[x] = t
         if x in rows:
             out[rows[x]] = v
         if x in last:
@@ -644,7 +723,28 @@ def _run_program(roots: list, points, n: int) -> np.ndarray:
         for c in kids:
             if last[c] == i:
                 vals.pop(c, None)
-    return out
+                tans.pop(c, None)
+    return out if seeds is None else (out, dout)
+
+
+_FAULTS = dict(divide="raise", over="raise", invalid="raise", under="ignore")
+
+
+def _flatten(exprs):
+    """Named groups of object arrays, and their expressions in one flat list."""
+    groups = exprs if isinstance(exprs, Mapping) else {None: exprs}
+    grids = {k: np.array(v, dtype=object) for k, v in groups.items()}
+    return grids, [e for g in grids.values() for e in g.ravel()]
+
+
+def _unflatten(exprs, grids: dict, flat: np.ndarray, n: int):
+    parts = np.split(flat, np.cumsum([g.size for g in grids.values()])[:-1])
+    out = {k: v.reshape(g.shape + (n,)) for (k, g), v in zip(grids.items(), parts)}
+    return out if isinstance(exprs, Mapping) else out[None]
+
+
+def _count(points) -> int:
+    return len(next(iter(points.values()))) if isinstance(points, Mapping) else len(points)
 
 
 def evaluate(exprs, points):
@@ -657,18 +757,40 @@ def evaluate(exprs, points):
     After a floating-point fault the points are re-run in order through
     :func:`eval_at`, whose :class:`EvalDomainError` names the first bad point.
     """
-    groups = exprs if isinstance(exprs, Mapping) else {None: exprs}
-    grids = {k: np.array(v, dtype=object) for k, v in groups.items()}
-    roots = [e for g in grids.values() for e in g.ravel()]
-    n = len(next(iter(points.values()))) if isinstance(points, Mapping) else len(points)
+    grids, roots = _flatten(exprs)
+    n = _count(points)
     try:
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        with np.errstate(**_FAULTS):
             flat = _run_program(roots, points, n)
     except (FloatingPointError, OverflowError):
         flat = _reference(roots, points, n)
-    parts = np.split(flat, np.cumsum([g.size for g in grids.values()])[:-1])
-    out = {k: v.reshape(g.shape + (n,)) for (k, g), v in zip(grids.items(), parts)}
-    return out if isinstance(exprs, Mapping) else out[None]
+    return _unflatten(exprs, grids, flat, n)
+
+
+def evaluate_along(exprs, vector: Mapping, points):
+    """Values of expressions and their derivatives along a vector field.
+
+    ``vector`` maps coordinate names to component expressions; the
+    derivative of e is sum_c vector[c] de/dc, taken by forward-mode tangent
+    propagation through the walk of :func:`evaluate` (sums in the same
+    order), so no derivative expression is built.  Returns (values,
+    derivatives), each shaped as :func:`evaluate` shapes its result.  After a
+    floating-point fault the roots and their symbolic derivatives go through
+    the scalar reference, so the fault names the first bad point as
+    ``evaluate`` of both would.
+    """
+    grids, roots = _flatten(exprs)
+    n = _count(points)
+    live = {c: e for c, e in vector.items() if not e.is_zero()}
+    try:
+        with np.errstate(**_FAULTS):
+            seeds = dict(zip(live, _run_program(list(live.values()), points, n)))
+            flat, dflat = _run_program(roots, points, n, seeds)
+    except (FloatingPointError, OverflowError):
+        derivs = [add(*[mul(v, diff(e, c)) for c, v in live.items()]) for e in roots]
+        both = _reference(roots + derivs, points, n)
+        flat, dflat = both[:len(roots)], both[len(roots):]
+    return _unflatten(exprs, grids, flat, n), _unflatten(exprs, grids, dflat, n)
 
 
 def _reference(roots: list, points, n: int) -> np.ndarray:
@@ -890,7 +1012,10 @@ def parse_expr(text: str, chart: "Chart") -> Expr:
     """Parse an expression string over the chart's coordinates."""
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(text, chart).parse()
+    try:
+        return _Parser(text, chart).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
 
 
 # --------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 
 from .expression import Chart, Expr, add, evaluate, mul, num, simplify
 from .frames import Metric, SpaceClassification
-from .submersion import (FlowData, _sup, covariant_derivative, directional,
-                         lie_derivative_metric, quotient_curvature)
+from .submersion import (FlowData, _sup, directional, lie_derivative_metric,
+                         quotient_curvature)
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
@@ -90,8 +90,7 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
                      tol: float = 1e-7,
                      rotational_threshold: float = 1e-6) -> HypothesisReport:
     """Gate the isometry theorem: rigidity, rotation, closedness, basicness."""
-    mc = covariant_derivative(flow.m, flow, rank=2)
-    kc = covariant_derivative(flow.k, flow, rank=1)
+    mc, kc = flow.derived[:2]
     v = evaluate({"m": flow.m, "mc0": [[c[0] for c in row] for row in mc], "kc": kc},
                  points)
     max_m = _sup(v["m"])
@@ -102,7 +101,7 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
     if ambient.flat:
         reason = "flat"
     elif ambient.constant_curvature:
-        reason = f"constant curvature (kappa = {ambient.kappa})"
+        reason = f"constant curvature (kappa = {ambient.kappa:.12g})"
     elif ambient.conformally_flat is True:
         reason = "conformally flat"
     elif ambient.ricci_flat:
@@ -423,13 +422,7 @@ def ricci_flat_check(flow: FlowData, ambient: SpaceClassification,
     k = flow.k
     ricci = flow.frame_data.ricci
     scalar = flow.frame_data.scalar
-    kc = covariant_derivative(flow.k, flow, rank=1)
-    mc = covariant_derivative(flow.m, flow, rank=2)
-    mm = [[simplify(add(*[mul(m[i][l], m[l][j]) for l in range(h)]))
-           for j in range(h)] for i in range(h)]
-    m_sq = simplify(add(*[mul(m[i][j], m[i][j]) for i in range(h) for j in range(h)]))
-    k_sq = simplify(add(*[mul(k[i], k[i]) for i in range(h)]))
-    div_k = simplify(add(*[kc[i][i + 1] for i in range(h)]))
+    mc, kc, mm, m_sq, k_sq, div_k = flow.derived
     _, rq_ricci, rq_scalar = quotient_curvature(flow)
 
     rows = {

@@ -38,13 +38,14 @@ Gauss curvature +3 M_12^2, matching the transversal-metric oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, diff, evaluate, mul, num, pow_,
-                         simplify, sup_abs, ONE, ZERO)
+from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
+                         num, pow_, simplify, sup_abs, ONE, ZERO)
 from .exterior import FormArityError, MatrixForm, PForm, contract, ext_d
 from .frames import (Coframe, FrameData, Metric, curvature_package,
                      gram_schmidt_frame, solve_connection)
@@ -55,6 +56,7 @@ __all__ = [
     "adapted_coframe", "flow_invariants", "rigidity_test",
     "covariant_derivative", "constraint_residuals", "analyze_flow",
     "lie_derivative_metric", "directional", "quotient_curvature",
+    "quotient_leaf_derivative",
 ]
 
 
@@ -279,6 +281,18 @@ class FlowData:
             return add(base, mul(num(-1), self.m[l][i]))
         return base
 
+    @cached_property
+    def derived(self) -> tuple:
+        """(M_ij;g, K_i;g, (M^2)_ij, |M|^2, |K|^2, div K), built once for every check."""
+        h, m, k = self.horizontal, self.m, self.k
+        mc = covariant_derivative(m, self, rank=2)
+        kc = covariant_derivative(k, self, rank=1)
+        return (mc, kc, [[simplify(add(*[mul(m[i][l], m[l][j]) for l in range(h)]))
+                          for j in range(h)] for i in range(h)],
+                simplify(add(*[mul(m[i][j], m[i][j]) for i in range(h) for j in range(h)])),
+                simplify(add(*[mul(k[i], k[i]) for i in range(h)])),
+                simplify(add(*[kc[i][i + 1] for i in range(h)])))
+
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  samples: Sequence[Mapping[str, float]],
@@ -386,6 +400,25 @@ def quotient_curvature(flow: FlowData):
     return rq, rq_ricci, simplify(add(*[rq_ricci[j][j] for j in range(h)]))
 
 
+def quotient_leaf_derivative(flow: FlowData, rq: list,
+                             points: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """Leaf slot Rq_ijkl;0 of the covariant derivative at every point, shape
+    (h, h, h, h, N), as in slot 0 of ``covariant_derivative(rq, flow, rank=4)``:
+
+        Rq_ijkl;0 = u(Rq_ijkl) - sum_m (abar^m_i(u) Rq_mjkl + abar^m_j(u) Rq_imkl
+                                        + abar^m_k(u) Rq_ijml + abar^m_l(u) Rq_ijkm)
+
+    u(Rq) comes from forward-mode evaluation, so no derivative expression of
+    Rq is built; the corrections are numpy contractions.
+    """
+    h = flow.horizontal
+    u = flow.adapted.coframe.vectors[0]
+    r, du = evaluate_along(rq, dict(zip(flow.chart.coords, u)), points)
+    a = evaluate([[flow.abar(m, i, 0) for i in range(h)] for m in range(h)], points)
+    return (du - np.einsum("mip,mjklp->ijklp", a, r) - np.einsum("mjp,imklp->ijklp", a, r)
+            - np.einsum("mkp,ijmlp->ijklp", a, r) - np.einsum("mlp,ijkmp->ijklp", a, r))
+
+
 def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
                          tol: float = 1e-7) -> ConstraintReport:
     """Evaluate the tilde-free identities and solve for quotient curvature.
@@ -399,15 +432,7 @@ def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
     R = flow.frame_data.riemann          # adapted-frame ambient curvature
     ricci = flow.frame_data.ricci
     scalar = flow.frame_data.scalar
-
-    mc = covariant_derivative(m, flow, rank=2)     # M_ij;g
-    kc = covariant_derivative(k, flow, rank=1)     # K_i;g
-
-    mm = [[simplify(add(*[mul(m[i][l], m[l][j]) for l in range(h)]))
-           for j in range(h)] for i in range(h)]
-    m_sq = simplify(add(*[mul(m[i][j], m[i][j]) for i in range(h) for j in range(h)]))
-    k_sq = simplify(add(*[mul(k[i], k[i]) for i in range(h)]))
-    div_k = simplify(add(*[kc[i][i + 1] for i in range(h)]))
+    mc, kc, mm, m_sq, k_sq, div_k = flow.derived
 
     def hz(i):
         return i + 1   # horizontal index into full frame labels
@@ -436,13 +461,11 @@ def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
             mul(num(2), add(*[mul(k[j], m[i][j]) for j in range(h)])))))
 
     rq, rq_ricci, rq_scalar = quotient_curvature(flow)
-    rqc = covariant_derivative(rq, flow, rank=4)
     m2_leaf_expr = directional(m_sq, flow.adapted.coframe.vectors[0], flow.chart)
 
     v = evaluate({**fam, "ricci": [row[1:] for row in ricci[1:]], "mm": mm, "k": k,
                   "kc": [row[1:] for row in kc], "rq_ricci": rq_ricci,
                   "scalars": [scalar, m_sq, k_sq, div_k, rq_scalar],
-                  "leaf": [[[[c[0] for c in row] for row in b] for b in a] for a in rqc],
                   "m2_leaf": m2_leaf_expr}, points)
     tilde_free = {name: _sup(v[name]) for name in fam}
     # cross-checks: contracted quotient curvature against the direct solves
@@ -452,7 +475,7 @@ def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
     ricci_cross = _sup(v["rq_ricci"] - direct)
     s, msq, ksq, divk, rqs = v["scalars"]
     scalar_cross = _sup(rqs - (s + msq + 2.0 * ksq + 2.0 * divk))
-    leaf = _sup(v["leaf"])
+    leaf = _sup(quotient_leaf_derivative(flow, rq, points))
     m2_leaf = _sup(v["m2_leaf"])
 
     return ConstraintReport(

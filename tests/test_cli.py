@@ -268,6 +268,34 @@ class TestCommandLine:
         assert "input error" in err and "at point" in err
 
 
+    @pytest.mark.parametrize("entry, code", [
+        ("1+(10^400)^(1/2)*0", 0),        # the product folds to 0: metric entry 1
+        ("1+0^(-1/2)*0", 0),
+        ("1+x^2*(10^400)^(1/2)", 2),      # the constant survives and overflows
+        ("1+x^2*0^(-1/2)", 2)])           # division by zero at every point
+    def test_unfoldable_constant_powers(self, tmp_path, capsys, entry, code):
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": ["x", "y"]},
+               "metric": [[entry, "0"], ["0", "1"]],
+               "samples": {"mode": "random", "count": 3, "seed": 1},
+               "tasks": ["curvature"]}
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == code
+        if code == 2:
+            assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        "(" * 3000 + "x" + ")" * 3000,
+        "1+0*" + "sin(" * 3000 + "x" + ")" * 3000])
+    def test_deep_nesting_exit_two(self, tmp_path, capsys, entry):
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": ["x", "y"]},
+               "metric": [[entry, "0"], ["0", "1"]],
+               "samples": {"mode": "random", "count": 3, "seed": 1},
+               "tasks": ["curvature"]}
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert "expression nested too deeply" in capsys.readouterr().err
+
+
 class TestHerglotzRegressions:
     """Conformal-4D configs whose Killing check once failed for a Killing flow."""
 

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from movingframes.expression import (Add, Call, Chart, EvalDomainError, Mul,
+from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Mul,
                                      Num, ParseError, Pow, Sym,
                                      UnboundCoordinateError,
                                      UndeclaredSymbolError, add, call, diff,
-                                     eval_at, evaluate, mul, num,
+                                     eval_at, evaluate, evaluate_along, mul, num,
                                      parse_exclusion, parse_expr, pow_,
                                      sample_points, simplify, sup_abs, sym,
                                      to_string)
+
+from movingframes.submersion import directional
 
 from helpers import random_expr, random_point
 
@@ -301,6 +303,79 @@ def test_evaluate_matches_eval_at(seed, coords):
     for k, row in enumerate(expected):
         for i, want in enumerate(row):
             assert abs(got[i, k] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# -- forward-mode derivatives ----------------------------------------------------
+
+class TestEvaluateAlong:
+    POINTS = TestEvaluate.POINTS
+
+    def test_matches_the_symbolic_derivative(self):
+        e = parse_expr("sin(x)*y^2 + exp(z)/y - sqrt(tan(x*z)^2 + 1) + log(2 + x^2)", CHART)
+        vector = {"x": parse_expr("y*z", CHART), "y": num(2), "z": ZERO}
+        vals, ders = evaluate_along([[e, X], [num(3), Y]], vector, self.POINTS)
+        want = evaluate([[directional(e, [vector[c] for c in CHART.coords], CHART),
+                          vector["x"]], [ZERO, num(2)]], self.POINTS)
+        assert vals.shape == ders.shape == (2, 2, 2)
+        assert np.array_equal(vals, evaluate([[e, X], [num(3), Y]], self.POINTS))
+        assert np.allclose(ders, want, rtol=1e-12, atol=1e-12)
+
+    def test_groups_and_a_zero_vector(self):
+        e = parse_expr("x*y*z", CHART)
+        vals, ders = evaluate_along({"a": [e], "b": e}, {"x": ZERO}, self.POINTS)
+        assert vals["a"].shape == (1, 2) and ders["b"].shape == (2,)
+        assert not ders["a"].any() and not ders["b"].any()
+
+    def test_product_rule_needs_no_division(self):
+        # d(x*y*z)/dx at x = 0 is y*z: no value is divided out of the product
+        e = parse_expr("x*y*z", CHART)
+        _, ders = evaluate_along([e], {"x": num(1)}, [{"x": 0.0, "y": 2.0, "z": 3.0}])
+        assert ders[0, 0] == 6.0
+
+    def test_fault_names_first_point(self):
+        # sqrt(x) has a finite value at 0 but its derivative x^(-1/2)/2 does not
+        e = parse_expr("sqrt(x) + y", CHART)
+        good, bad = {"x": 1.0, "y": 0.0, "z": 0.0}, {"x": 0.0, "y": 0.0, "z": 0.0}
+        assert np.array_equal(evaluate([e], [bad]), [[0.0]])
+        _, ders = evaluate_along([e], {"y": num(1)}, [good, bad])
+        assert list(ders[0]) == [1.0, 1.0]
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_along([e], {"x": num(1)}, [good, bad, dict(bad, z=1.0)])
+        assert err.value.point == bad
+
+
+_BOX = st.floats(-2.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.tuples(_BOX, _BOX, _BOX), min_size=1, max_size=6))
+def test_evaluate_along_matches_symbolic_directional(seed, coords):
+    """Forward mode agrees with evaluating the symbolic directional derivative,
+    and faults exactly where that evaluation does.
+
+    The faults come from square roots and logarithms of random expressions
+    that change sign in the box.  Overflow is left out: where it sets in
+    depends on how the symbolic derivative groups factors (y*y^2 is folded
+    to y^3), so near the float limit the two can differ by design.
+    """
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, CHART.coords, depth=4),
+             pow_(add(num(1), random_expr(rng, CHART.coords, depth=3)), Fraction(1, 2)),
+             call("log", add(num(1), random_expr(rng, CHART.coords, depth=3)))]
+    vector = [ZERO if rng.random() < 0.25 else random_expr(rng, CHART.coords, depth=2)
+              for _ in CHART.coords]
+    derivs = [directional(e, vector, CHART) for e in exprs]
+    points = [dict(zip(CHART.coords, c)) for c in coords]
+    try:
+        want = evaluate({"v": exprs, "d": derivs}, points)
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_along(exprs, dict(zip(CHART.coords, vector)), points)
+        assert err.value.point == exc.point
+        return
+    vals, ders = evaluate_along(exprs, dict(zip(CHART.coords, vector)), points)
+    for got, ref in ((vals, want["v"]), (ders, want["d"])):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 # -- charts, sampling, exclusions ---------------------------------------------

@@ -1,11 +1,13 @@
 """Hypothesis gates, Killing-magnitude reconstruction and isometry checks."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from movingframes.cli import _round12
 from movingframes.expression import (Chart, call, eval_at, mul, num,
                                      sample_points, sym)
 from movingframes.frames import (Metric, build_coframe, classify_space,
@@ -43,6 +45,15 @@ class TestHypotheses:
         hyp = check_hypotheses(fl, screw["classification"], pts)
         assert hyp.rigid and not hyp.rotational
         assert "non-rotational" in hyp.failure_reason()
+
+    def test_kappa_reported_to_twelve_digits(self, screw, sphere2_frame):
+        """The reason string carries kappa as the report rounds numbers, so
+        round-off below 12 digits cannot change report bytes."""
+        cls = sphere2_frame["classification"]
+        assert cls.constant_curvature
+        hyp = check_hypotheses(screw["flow_data"], cls, screw["points"])
+        digits = re.fullmatch(r"constant curvature \(kappa = (\S+)\)", hyp.ambient_reason)
+        assert float(digits.group(1)) == _round12(cls.kappa) == 0.25
 
     def test_translation_non_rotational(self, flat3):
         chart, metric = flat3

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from movingframes.expression import (Chart, call, eval_at, num,
+from movingframes import expression
+from movingframes.expression import (Chart, call, eval_at, evaluate, num,
                                      sample_points, sym)
 from movingframes.frames import Metric
 from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      analyze_flow, constraint_residuals,
-                                     covariant_derivative, rigidity_test)
+                                     covariant_derivative, quotient_curvature,
+                                     quotient_leaf_derivative, rigidity_test)
 
 import oracle
 from helpers import metric_fn, vector_fn
@@ -310,3 +312,43 @@ class TestConstraintSystem:
     def test_advisory_for_non_rigid(self, twist):
         rep = constraint_residuals(twist["flow_data"], twist["points"][:6])
         assert rep.advisory
+
+    def test_quotient_leaf_derivative_matches_symbolic_slot(self):
+        """Forward-mode Rq_ijkl;0 against slot 0 of the symbolic rank-4
+        covariant derivative, component by component, on a non-rigid flow
+        of the round 3-sphere whose leaf derivatives do not vanish."""
+        chart = Chart(["eta", "xi1", "xi2"],
+                      domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+        eta = sym("eta")
+        metric = Metric(chart, [[num(1), num(0), num(0)],
+                                [num(0), call("cos", eta) ** 2, num(0)],
+                                [num(0), num(0), call("sin", eta) ** 2]])
+        pts = sample_points(chart, "random", 6, seed=43)
+        fl = analyze_flow(metric, [call("sin", eta), num(1), call("cos", sym("xi1"))], pts)
+        assert not fl.rigidity.rigid
+        rq = quotient_curvature(fl)[0]
+        got = quotient_leaf_derivative(fl, rq, pts)
+        slot0 = [[[[c[0] for c in row] for row in b] for b in a]
+                 for a in covariant_derivative(rq, fl, rank=4)]
+        want = evaluate(slot0, pts)
+        assert got.shape == (2, 2, 2, 2, 6)
+        assert np.max(np.abs(want)) > 1.0
+        # both readings differ from a 60-digit complex-step derivative by up
+        # to 2e-11 here (u(Rq) sums many cancelling terms); a wrong sign in
+        # one correction moves components by O(1)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+    def test_no_symbolic_leaf_derivative_is_built(self, screw):
+        """The leaf check evaluates u(Rq) instead of differentiating Rq: the
+        symbolic rank-4 derivative added about 3.7k derivative-cache entries
+        here, the numeric check adds 63."""
+        saved = dict(expression._DIFF_CACHE)
+        expression._DIFF_CACHE.clear()     # count from a cold cache
+        try:
+            fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
+            before = len(expression._DIFF_CACHE)
+            constraint_residuals(fl, screw["points"][:12])
+            added = len(expression._DIFF_CACHE) - before
+        finally:
+            expression._DIFF_CACHE.update(saved)
+        assert added <= 100
