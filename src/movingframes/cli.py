@@ -449,7 +449,7 @@ def run_pipeline(config: Config):
                               tol["lambda_path"], tol["killing"])
         tasks_out["herglotz"] = _herglotz_section(report, tol, checks)
     if "ricci-flat" in config.tasks:
-        rf = ricci_flat_check(flow_data, classification, points, tol["constraint"])
+        rf = ricci_flat_check(constraints, classification)
         tasks_out["ricci-flat"] = _ricci_flat_section(rf, tol, checks)
 
     report = {

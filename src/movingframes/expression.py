@@ -94,6 +94,7 @@ class UnboundCoordinateError(ExprError):
 
 _TABLE: dict = {}
 _UIDS = itertools.count()
+_REPR_TREE_NODES = 1000      # repr prints an expression in full below this tree size
 
 
 def _intern(key, factory):
@@ -144,7 +145,15 @@ class Expr:
         return mul(NEG_ONE, self)
 
     def __repr__(self):
-        return to_string(self)
+        # to_string expands shared subexpressions, so a large DAG would print
+        # (and take) time exponential in its depth; summarise those instead
+        order, _ = _schedule([self])
+        size: dict = {}
+        for x, kids in order:
+            size[x] = 1 + sum(size[c] for c in kids)
+        if size[self] < _REPR_TREE_NODES:
+            return to_string(self)
+        return f"<Expr: {size[self]} tree nodes, {len(order)} DAG nodes>"
 
     def is_zero(self) -> bool:
         return self is ZERO

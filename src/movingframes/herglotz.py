@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, evaluate, mul, num, simplify
+from .expression import Chart, Expr, add, evaluate, mul, simplify
 from .frames import Metric, SpaceClassification
-from .submersion import (FlowData, _sup, directional, lie_derivative_metric,
-                         quotient_curvature)
+from .submersion import ConstraintReport, FlowData, _sup, lie_derivative_metric
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
@@ -289,17 +287,17 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
         [_along(bases, targets, 17).reshape(count, -1, n),
          _along(stair_starts, stair_ends, 9).reshape(count, -1, n)], axis=1).reshape(-1, n))
 
-    # |u(lambda)| via a short flow step: both endpoints are reconstructed
-    # independently, so quadrature consistency enters the estimate; a step
-    # that leaves the domain is skipped
+    # |u(log lambda)| at every target: the integral of K along the short
+    # segment from p to its flow step phi_step(p), over step (K is closed, so
+    # the straight segment stands for the flow line); a segment that leaves
+    # the domain is skipped
     step = 0.01
-    lead = targets[:8]
     moved = _rk4_step(lambda x: evaluate(flow.adapted.u, dict(zip(chart.coords, x.T))).T,
-                      lead, step)
-    ok = _segments_fit(chart, bases[:len(lead)], moved)
+                      targets, step)
+    ok = _segments_fit(chart, targets, moved)
 
     ints = _line_integrals(k_mu, chart,
-                           np.concatenate([bases, stair_starts, bases[:len(lead)][ok]]),
+                           np.concatenate([bases, stair_starts, targets[ok]]),
                            np.concatenate([targets, stair_ends, moved[ok]]), quadrature_tol)
     direct = ints[:count]
     stair = sum(ints[count:count * (n + 1)].reshape(count, n)[:, mu] for mu in range(n))
@@ -308,7 +306,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     if worst_gap >= path_tol:
         raise PathError(f"path-independence violated: relative gap {worst_gap:.3e} "
                         f"exceeds {path_tol:g}")
-    leaf = _sup((ints[count * (n + 1):] - direct[:len(lead)][ok]) / step)
+    leaf = _sup(ints[count * (n + 1):] / step)
 
     return LambdaReconstruction(
         basepoint=dict(basepoint),
@@ -346,23 +344,21 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
 
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
-                                 points: Sequence[Mapping[str, float]],
                                  fd_step: float = 1e-4) -> float:
-    """Killing residual of V = lambda u assembled at sample points.
+    """Killing residual of V = lambda u, the max over every point of ``lam``.
 
     Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the symbolic
-    L_u g frame components and a finite-difference gradient of the
-    reconstructed log(lambda).  Each difference of log(lambda) is the
-    integral of K along the short segment between its stencil points:
-    central, or second-order one-sided along an axis where the central
-    stencil leaves the domain.  The check sees the quadrature error of
-    lambda(p) and of these short integrals (not the far larger error of a
-    difference of two long-path integrals) plus the O(fd_step^2) stencil
-    error.
+    L_u g frame components, the reconstructed lambda and a finite-difference
+    gradient of log(lambda).  Each difference of log(lambda) is the integral
+    of K along the short segment between its stencil points: central, or
+    second-order one-sided along an axis where the central stencil leaves
+    the domain.  The check sees the quadrature error of lambda(p) and of
+    these short integrals (not the far larger error of a difference of two
+    long-path integrals) plus the O(fd_step^2) stencil error.
     """
     chart = flow.chart
     n = chart.n
-    pts = np.array([[p[c] for c in chart.coords] for p in points],
+    pts = np.array([[p[c] for c in chart.coords] for p in lam.points],
                    dtype=float).reshape(-1, n)
     count = len(pts)
     p = np.repeat(pts, n, axis=0)                    # row (point, axis)
@@ -381,14 +377,12 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
     parts = [np.choose(choice[:, None], [st[k] for st in stencils]) for k in range(4)]
     wa = np.where(choice == 0, 1.0, 4.0)
     wb = np.where(choice == 0, 0.0, 1.0)
-    ints = lam.line_integral(np.concatenate([np.broadcast_to(
-        [lam.basepoint[c] for c in chart.coords], pts.shape), parts[0], parts[2]]),
-        np.concatenate([pts, parts[1], parts[3]]))
-    logl = ints[:count]
-    ia, ib = ints[count:count * (n + 1)], ints[count * (n + 1):]
-    lval = np.exp(logl)
+    ints = lam.line_integral(np.concatenate([parts[0], parts[2]]),
+                             np.concatenate([parts[1], parts[3]]))
+    ia, ib = ints[:count * n], ints[count * n:]
+    lval = np.array(lam.values, dtype=float)
     grad = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n) * lval[:, None]
-    v = evaluate({"e": flow.adapted.coframe.vectors, "lie": flow.lie_frame}, points)
+    v = evaluate({"e": flow.adapted.coframe.vectors, "lie": flow.lie_frame}, lam.points)
     dlam_frame = np.einsum("amp,pm->ap", v["e"], grad)  # d lambda on the frame vectors
     val = lval * v["lie"]
     val[0, 0] += dlam_frame[0]
@@ -407,44 +401,21 @@ class RicciFlatReport:
         return max(self.residuals.values()) if self.residuals else 0.0
 
 
-def ricci_flat_check(flow: FlowData, ambient: SpaceClassification,
-                     points: Sequence[Mapping[str, float]],
-                     tol: float = 1e-7) -> RicciFlatReport:
+def ricci_flat_check(constraints: ConstraintReport,
+                     ambient: SpaceClassification) -> RicciFlatReport:
     """The Ricci-flat constraint rows plus leaf-constancy of |M|^2.
 
-    Inapplicable (not a failure) when the ambient space is not Ricci flat.
+    The rows are read from the constraint report, which evaluated them:
+    R_00 and R_0i are its tilde-free rows, R_ij and R its Ricci and scalar
+    cross-checks of the quotient curvature.  Inapplicable (not a failure)
+    when the ambient space is not Ricci flat.
     """
     if not ambient.ricci_flat:
         return RicciFlatReport(False, f"ambient is not Ricci flat "
                                       f"(max |Ricci| = {ambient.max_ricci:.3e})")
-    h = flow.horizontal
-    m = flow.m
-    k = flow.k
-    ricci = flow.frame_data.ricci
-    scalar = flow.frame_data.scalar
-    mc, kc, mm, m_sq, k_sq, div_k = flow.derived
-    _, rq_ricci, rq_scalar = quotient_curvature(flow)
-
-    rows = {
-        "R_00": [simplify(add(ricci[0][0], div_k, k_sq, mul(num(-1), m_sq)))],
-        "R_0i": [simplify(add(ricci[0][i + 1],
-                              mul(num(-1), add(*[mc[j][i][j + 1] for j in range(h)])),
-                              mul(num(2), add(*[mul(k[j], m[i][j]) for j in range(h)]))))
-                 for i in range(h)],
-        "R_ij": [simplify(add(ricci[i + 1][j + 1],
-                              mul(num(-1), rq_ricci[i][j]),
-                              mul(num(-2), mm[i][j]),
-                              mul(k[i], k[j]),
-                              mul(num(Fraction(1, 2)),
-                                  add(kc[i][j + 1], kc[j][i + 1]))))
-                 for i in range(h) for j in range(h)],
-        "R": [simplify(add(scalar, mul(num(-1), rq_scalar),
-                           m_sq, mul(num(2), k_sq), mul(num(2), div_k)))],
-    }
-    m2_leaf_expr = directional(m_sq, flow.adapted.coframe.vectors[0], flow.chart)
-    v = evaluate({**rows, "m2_leaf": m2_leaf_expr}, points)
-    residuals = {name: _sup(v[name]) for name in rows}
-    return RicciFlatReport(True, "ambient is Ricci flat", residuals, _sup(v["m2_leaf"]))
+    rows = {"R_00": constraints.tilde_free["R_00"], "R_0i": constraints.tilde_free["R_0i"],
+            "R_ij": constraints.ricci_cross_residual, "R": constraints.scalar_cross_residual}
+    return RicciFlatReport(True, "ambient is Ricci flat", rows, constraints.m2_leaf_residual)
 
 
 @dataclass
@@ -484,11 +455,8 @@ def run_herglotz(flow: FlowData, ambient: SpaceClassification,
         return HerglotzReport(hyp, "inconsistent",
                               f"u(lambda) estimate {lam.leaf_derivative_residual:.3e} "
                               f"exceeds {tol:g}", lam)
-    # the assembled residual needs a gradient of the reconstructed lambda at
-    # each point (up to 2n short quadratures); a bounded representative set
-    # keeps large sample counts affordable
     try:
-        killing = scaled_flow_killing_residual(flow, lam, list(points)[:12])
+        killing = scaled_flow_killing_residual(flow, lam)
     except PathError as exc:
         return HerglotzReport(hyp, "inconsistent", str(exc), lam)
     if killing >= killing_tol:

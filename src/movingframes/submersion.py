@@ -192,8 +192,9 @@ class FlowInvariants:
         return sup_abs(self.m, list(points))
 
 
-def flow_invariants(adapted: AdaptedFlow, alpha: MatrixForm) -> FlowInvariants:
-    """Extract M, K from d psi0 and, independently, from the connection block."""
+def flow_invariants(adapted: AdaptedFlow, conn: list) -> FlowInvariants:
+    """Extract M, K from d psi0 and, independently, from the connection slots
+    conn[a][b][g] = alpha^a_b(e_g)."""
     vec = adapted.coframe.vectors
     h = adapted.horizontal
     dpsi0 = ext_d(adapted.psi0)
@@ -201,9 +202,8 @@ def flow_invariants(adapted: AdaptedFlow, alpha: MatrixForm) -> FlowInvariants:
           for j in range(h)] for i in range(h)]
     k = [simplify(mul(num(-1), contract(dpsi0, [vec[0], vec[i + 1]])))
          for i in range(h)]
-    m_beta = [[simplify(contract(alpha[i + 1, 0], [vec[j + 1]])) for j in range(h)]
-              for i in range(h)]
-    k_beta = [simplify(contract(alpha[0, i + 1], [vec[0]])) for i in range(h)]
+    m_beta = [[conn[i + 1][0][j + 1] for j in range(h)] for i in range(h)]
+    k_beta = [conn[0][i + 1][0] for i in range(h)]
     return FlowInvariants(m, k, m_beta, k_beta)
 
 
@@ -301,13 +301,13 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
     adapted = adapted_coframe(metric, flow, samples, flow_tol, order)
     alpha, structure = solve_connection(adapted.coframe)
     frame_data = curvature_package(adapted.coframe, alpha, structure)
-    invariants = flow_invariants(adapted, alpha)
-    lie_frame = _lie_u_frame_components(adapted)
-    rigidity = rigidity_test(adapted, samples, rigidity_tol, lie_frame)
     n = adapted.chart.n
     vec = adapted.coframe.vectors
     conn = [[[simplify(contract(alpha[a, b], [vec[g]])) for g in range(n)]
              for b in range(n)] for a in range(n)]
+    invariants = flow_invariants(adapted, conn)
+    lie_frame = _lie_u_frame_components(adapted)
+    rigidity = rigidity_test(adapted, samples, rigidity_tol, lie_frame)
     two_path = invariants.two_path_residual(samples)
     skewness = invariants.skewness_residual(samples)
     return FlowData(adapted, alpha, frame_data, invariants, rigidity, conn,

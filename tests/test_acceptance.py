@@ -157,7 +157,7 @@ def test_criterion_6_herglotz_end_to_end(screw, tmp_path):
         assert lam.leaf_derivative_residual < 1e-7
         # basepoint sits at r = 1, the second point at r = 2
         assert lam.values[1] / lam.values[0] == pytest.approx(1.5811, abs=1e-4)
-        killing = scaled_flow_killing_residual(fl, lam, screw["points"][:8])
+        killing = scaled_flow_killing_residual(fl, lam)
         assert killing < 1e-7
         # CLI: verdict isometric-verified, exit 0
         path = _cli_config(tmp_path, "screw.json", SCREW_CLI)
@@ -173,8 +173,7 @@ def test_criterion_7_constraint_system(screw):
         rep = screw["constraints"]
         for name, value in rep.tilde_free.items():
             assert value < 1e-7, name
-        rf = ricci_flat_check(screw["flow_data"], screw["classification"],
-                              screw["points"][:10])
+        rf = ricci_flat_check(rep, screw["classification"])
         assert rf.applicable and rf.max_residual() < 1e-7
         assert rep.m2_leaf_residual < 1e-7
         val = eval_at(rep.quotient_riemann[0][1][0][1], BASE)

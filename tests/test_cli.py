@@ -297,7 +297,22 @@ class TestCommandLine:
 
 
 class TestHerglotzRegressions:
-    """Conformal-4D configs whose Killing check once failed for a Killing flow."""
+    """Killing flows whose Herglotz check once failed."""
+
+    def test_screw_leaf_estimate_verified(self, tmp_path):
+        """The leaf estimate once differenced two long-path integrals and read
+        1.3e-7 > 1e-7 here."""
+        cfg = screw_config(
+            chart={"coordinates": ["x", "y", "z"], "signature": [1, 1, 1],
+                   "domain": {"x": [0.4, 1.6], "y": [-0.6, 0.6], "z": [-1.0, 1.0]},
+                   "exclusions": ["x^2 + y^2 < 0.04"], "simply_connected": True},
+            samples={"mode": "random", "count": 32, "seed": 12345},
+            tolerances={"killing": 1e-7}, coframe_order=["x", "y", "z"])
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+        herglotz = json.loads(out.read_text())["tasks"]["herglotz"]
+        assert herglotz["verdict"] == "isometric-verified"
 
     @pytest.mark.parametrize("seed", [
         843326373,      # a sample at w = 0.999914: the central stencil leaves the box

@@ -153,6 +153,26 @@ class TestEval:
             eval_at(X + Y, {"x": 1.0})
 
 
+class TestRepr:
+    def test_small_expression_prints_in_full(self):
+        e = X ** 2 + call("sin", Y)
+        assert repr(e) == to_string(e)
+
+    def test_shared_dag_is_summarised(self):
+        """Each level doubles the tree and adds three DAG nodes."""
+        e = X
+        for _ in range(60):
+            e = call("sin", e) + call("cos", e)
+        text = repr(e)
+        assert text.startswith("<Expr: ") and "181 DAG nodes" in text
+
+    def test_report_holding_quotient_curvature(self, screw):
+        """pytest reprs a failing test's arguments; this must not expand Rq."""
+        text = repr(screw["constraints"])
+        assert len(text) < 5000
+        assert "tree nodes" in text
+
+
 # -- randomized properties ---------------------------------------------------
 
 @settings(max_examples=80, deadline=None)

@@ -16,7 +16,7 @@ from movingframes.herglotz import (ClosednessError, check_hypotheses,
                                    reconstruct_lambda, ricci_flat_check,
                                    run_herglotz, scaled_flow_killing_residual,
                                    verify_killing)
-from movingframes.submersion import analyze_flow
+from movingframes.submersion import analyze_flow, constraint_residuals
 
 import oracle
 from helpers import metric_fn, vector_fn
@@ -81,6 +81,20 @@ class TestLambda:
         for p, v in zip(lam.points, lam.values):
             expect = math.sqrt((1 + p["x"] ** 2 + p["y"] ** 2) / 2.0)
             assert v == pytest.approx(expect, rel=1e-8)
+
+    @pytest.mark.parametrize("seed", [None, 12345])
+    def test_leaf_estimate_short_segment(self, screw, seed):
+        """The flow is Killing, so u(log lambda) = 0; the integral of K from each
+        sample to its flow step leaves only quadrature round-off.  On the
+        seed-12345 samples a difference of two long-path integrals once read
+        1.3e-7."""
+        pts = screw["points"]
+        if seed is not None:
+            box = Chart(["x", "y", "z"],
+                        domain={"x": (0.4, 1.6), "y": (-0.6, 0.6), "z": (-1.0, 1.0)})
+            pts = sample_points(box, "random", 32, seed=seed)
+        lam = reconstruct_lambda(screw["flow_data"], screw["basepoint"], pts, 0.0)
+        assert lam.leaf_derivative_residual < 1e-12
 
     def test_zero_k_gives_constant_lambda(self, flat3):
         chart, metric = flat3
@@ -159,7 +173,7 @@ class TestKilling:
         hyp = check_hypotheses(fl, screw["classification"], screw["points"])
         lam = reconstruct_lambda(fl, screw["basepoint"], screw["points"][:6],
                                  hyp.closedness_residual)
-        res = scaled_flow_killing_residual(fl, lam, screw["points"][:6])
+        res = scaled_flow_killing_residual(fl, lam)
         assert res < 1e-7
 
     def test_killing_oracle_agreement(self, screw):
@@ -283,23 +297,32 @@ class TestEndToEnd:
 
 class TestRicciFlat:
     def test_screw_in_flat_space(self, screw):
-        rep = ricci_flat_check(screw["flow_data"], screw["classification"],
-                               screw["points"][:10])
+        rep = ricci_flat_check(screw["constraints"], screw["classification"])
         assert rep.applicable
         assert rep.max_residual() < 1e-7
         assert rep.m2_leaf_residual < 1e-7
+
+    def test_rows_read_from_constraint_report(self, screw):
+        """No expression is built; R_00, R_0i and u(|M|^2) are the report's own."""
+        from movingframes import expression
+        rep = screw["constraints"]
+        nodes = len(expression._TABLE)
+        rf = ricci_flat_check(rep, screw["classification"])
+        assert len(expression._TABLE) == nodes
+        assert rf.residuals["R_00"] == rep.tilde_free["R_00"]
+        assert rf.residuals["R_0i"] == rep.tilde_free["R_0i"]
+        assert rf.m2_leaf_residual == rep.m2_leaf_residual
+        assert list(rf.residuals) == ["R_00", "R_0i", "R_ij", "R"]
 
     def test_translation_trivial(self, flat3):
         chart, metric = flat3
         pts = sample_points(chart, "random", 6, seed=39)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = ricci_flat_check(fl, classify_space(fd, pts), pts)
+        rep = ricci_flat_check(constraint_residuals(fl, pts), classify_space(fd, pts))
         assert rep.applicable and rep.max_residual() == 0.0
 
     def test_sphere_ambient_inapplicable(self, sphere2_frame, screw):
-        rep = ricci_flat_check(screw["flow_data"],
-                               sphere2_frame["classification"],
-                               screw["points"][:4])
+        rep = ricci_flat_check(screw["constraints"], sphere2_frame["classification"])
         assert not rep.applicable
         assert "not Ricci flat" in rep.reason
