@@ -329,8 +329,8 @@ def _flow_section(flow_data, constraints, points, tol, checks: _Checks):
 
     h = flow_data.horizontal
     reps = _representative_points(points)
-    v = evaluate({"m": flow_data.m, "k": flow_data.k, "rq": constraints.quotient_riemann,
-                  "scalar": constraints.quotient_scalar}, reps)
+    v = evaluate({"m": flow_data.m, "k": flow_data.k}, reps)
+    rq, rq_scalar = constraints.quotient_riemann, constraints.quotient_scalar
     inv = []
     for q, p in enumerate(reps):
         inv.append({
@@ -339,10 +339,10 @@ def _flow_section(flow_data, constraints, points, tol, checks: _Checks):
                   for i in range(h) for j in range(i + 1, h)},
             "K": {f"K_{i+1}": float(v["k"][i, q]) for i in range(h)},
             "quotient_riemann": {
-                f"Rq_{i+1}{j+1}{k+1}{l+1}": float(v["rq"][i, j, k, l, q])
+                f"Rq_{i+1}{j+1}{k+1}{l+1}": float(rq[i, j, k, l, q])
                 for i in range(h) for j in range(i + 1, h)
                 for k in range(h) for l in range(k + 1, h) if (i, j) <= (k, l)},
-            "quotient_scalar": float(v["scalar"][q]),
+            "quotient_scalar": float(rq_scalar[q]),
         })
     norm2 = flow_data.adapted.norm2
     section = {
@@ -419,15 +419,9 @@ def run_pipeline(config: Config):
     checks = _Checks()
     tasks_out: dict = {}
 
-    needs_frame = any(t in config.tasks for t in ("curvature", "classify",
-                                                  "herglotz", "ricci-flat"))
-    frame_data = None
-    classification = None
-    if needs_frame:
-        order = config.coframe_order
-        coframe = build_coframe(config.metric, order, points, tol["pivot"])
-        frame_data = curvature_package(coframe)
-        classification = classify_space(frame_data, points, tol["classification"])
+    coframe = build_coframe(config.metric, config.coframe_order, points, tol["pivot"])
+    frame_data = curvature_package(coframe)
+    classification = classify_space(frame_data, points, tol["classification"])
     if "curvature" in config.tasks:
         tasks_out["curvature"] = _curvature_section(frame_data, config.metric,
                                                     points, tol, checks)
@@ -439,7 +433,7 @@ def run_pipeline(config: Config):
     if needs_flow:
         flow_data = analyze_flow(config.metric, config.flow, points,
                                  tol["rigidity"], tol["flow_norm"])
-        constraints = constraint_residuals(flow_data, points, tol["constraint"])
+        constraints = constraint_residuals(flow_data, frame_data, points, tol["constraint"])
     if "flow" in config.tasks:
         tasks_out["flow"] = _flow_section(flow_data, constraints, points, tol, checks)
     if "herglotz" in config.tasks:

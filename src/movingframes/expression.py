@@ -366,8 +366,16 @@ def _int_root(n: int, q: int):
     return None
 
 
+# largest exact power folded to a constant, in bits of numerator or denominator
+_FOLD_BITS = 4096
+
+
 def _fold_num_pow(base: Fraction, exp: Fraction):
-    """Exact value of base**exp, or None if it stays symbolic."""
+    """Exact value of base**exp, or None if it stays symbolic (also when the
+    value would pass ``_FOLD_BITS``)."""
+    bits = max(base.numerator.bit_length(), base.denominator.bit_length())
+    if abs(exp) * (bits - 1) > _FOLD_BITS:
+        return None
     if exp.denominator == 1:
         e = exp.numerator
         if base == 0:
@@ -528,15 +536,21 @@ def diff(e: Expr, coord: str, chart: "Chart | None" = None) -> Expr:
     return rec(e)
 
 
-def _eval_call(fn: str, v: float) -> float:
-    try:
-        if fn == "log":
-            if v <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {v!r}")
-            return math.log(v)
-        return getattr(math, fn)(v)
-    except OverflowError as exc:
-        raise EvalDomainError(f"overflow in {fn}({v!r})") from exc
+def _as_walked(op, v: float, constant: bool) -> float:
+    """``op`` applied as :func:`evaluate` applies it: to a numpy scalar when
+    the operand is a constant, else to a one-element array, so the scalar
+    reference and the batch walk round alike."""
+    with np.errstate(all="ignore"):
+        return float(op(np.float64(v)) if constant else op(np.array([v]))[0])
+
+
+def _eval_call(x: Call, v: float) -> float:
+    if x.fn == "log" and v <= 0.0:
+        raise EvalDomainError(f"log of non-positive value {v!r}")
+    out = _as_walked(getattr(np, x.fn), v, isinstance(x.arg, Num))
+    if not math.isfinite(out):
+        raise EvalDomainError(f"overflow in {x.fn}({v!r})")
+    return out
 
 
 def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> float:
@@ -577,9 +591,10 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
                 raise EvalDomainError(f"non-integer power {ex} of negative base {b!r}")
             if b == 0.0 and ex < 0:
                 raise EvalDomainError("division by zero")
-            out = b ** (int(ex) if ex.denominator == 1 else float(ex))
+            power = float(ex)
+            out = _as_walked(lambda a: a ** power, b, isinstance(x.base, Num))
         elif isinstance(x, Call):
-            out = _eval_call(x.fn, rec(x.arg))
+            out = _eval_call(x, rec(x.arg))
         else:  # pragma: no cover
             raise TypeError(type(x))
         if out != out or out in (math.inf, -math.inf):
@@ -909,19 +924,21 @@ def _tokenize(text: str):
     return tokens
 
 
-def _number_value(text: str) -> Fraction:
-    mantissa, exp = text, 0
-    for e in ("e", "E"):
-        if e in text:
-            mantissa, _, tail = text.partition(e)
-            exp = int(tail)
-            break
-    if "." in mantissa:
-        whole, _, frac = mantissa.partition(".")
-        value = Fraction(int(whole + frac), 10 ** len(frac))
-    else:
-        value = Fraction(int(mantissa))
-    return value * Fraction(10) ** exp
+# A float carries 17 significant digits and decimal exponents up to 308, so
+# longer literals hold nothing evaluation can use; the caps keep the exact
+# rational of a literal small.
+_LITERAL_DIGITS = 1000
+_LITERAL_EXPONENT = 1000
+
+
+def _number_value(text: str, pos: int) -> Fraction:
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    if (len(whole + frac) > _LITERAL_DIGITS or len(exp.lstrip("+-0")) > 4
+            or abs(int(exp or 0)) > _LITERAL_EXPONENT):
+        raise ParseError(f"number literal beyond {_LITERAL_DIGITS} digits or "
+                         f"exponent {_LITERAL_EXPONENT}", pos)
+    return Fraction(int(whole + frac), 10 ** len(frac)) * Fraction(10) ** int(exp or 0)
 
 
 class _Parser:
@@ -995,7 +1012,7 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, pos = self.advance()
         if kind == "num":
-            return Num(_number_value(value))
+            return Num(_number_value(value, pos))
         if kind == "ident":
             nkind, nvalue, _ = self.peek()
             if nkind == "op" and nvalue == "(":

@@ -181,12 +181,12 @@ def build_coframe(metric: Metric, order: Sequence[str] | None = None,
     return Coframe(chart, eta, tuple(theta), tuple(vectors), perm)
 
 
-def solve_connection(coframe: Coframe):
+def solve_connection(coframe: Coframe) -> MatrixForm:
     """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
 
     Expands d theta^i = (1/2) c^i_{jk} theta^j ^ theta^k and solves the cyclic
     combination Gamma_{ijk} = (c_{ijk} + c_{jki} - c_{kij}) / 2, lowering with
-    eta.  Returns (alpha, structure) where structure[i][j][k] = c^i_{jk}.
+    eta.
     """
     n = coframe.n
     eta = coframe.eta
@@ -215,8 +215,7 @@ def solve_connection(coframe: Coframe):
                     acc = pform_add(acc, pform_scale(gamma, coframe.theta[k]))
             row.append(acc.map_coefficients(simplify))
         entries.append(row)
-    alpha = MatrixForm(entries, eta=eta)
-    return alpha, c_up
+    return MatrixForm(entries, eta=eta)
 
 
 @dataclass
@@ -225,7 +224,6 @@ class FrameData:
 
     coframe: Coframe
     alpha: MatrixForm
-    structure: list                 # c^i_{jk}
     omega: MatrixForm               # curvature 2-forms
     riemann: list                   # R_{ijkl}, all indices down
     ricci: list                     # R_{ij}
@@ -259,13 +257,11 @@ class FrameData:
         return {k: np.moveaxis(v, -1, 0) for k, v in evaluate(tensors, points).items()}
 
 
-def curvature_package(coframe: Coframe, alpha: MatrixForm | None = None,
-                      structure: list | None = None) -> FrameData:
+def curvature_package(coframe: Coframe) -> FrameData:
     """Curvature 2-forms, Riemann/Ricci/scalar and the trace-adjusted tensors."""
     n = coframe.n
     eta = coframe.eta
-    if alpha is None:
-        alpha, structure = solve_connection(coframe)
+    alpha = solve_connection(coframe)
     omega = matrix_curvature(alpha)
 
     riemann = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
@@ -313,7 +309,7 @@ def curvature_package(coframe: Coframe, alpha: MatrixForm | None = None,
                             terms.append(mul(num(-etad(j, l)), schouten[i][k]))
                         weyl[i][j][k][l] = simplify(add(*terms))
 
-    return FrameData(coframe, alpha, structure, omega, riemann, ricci, scalar,
+    return FrameData(coframe, alpha, omega, riemann, ricci, scalar,
                      schouten, weyl)
 
 

@@ -88,7 +88,7 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
                      tol: float = 1e-7,
                      rotational_threshold: float = 1e-6) -> HypothesisReport:
     """Gate the isometry theorem: rigidity, rotation, closedness, basicness."""
-    mc, kc = flow.derived[:2]
+    mc, kc = flow.derived
     v = evaluate({"m": flow.m, "mc0": [[c[0] for c in row] for row in mc], "kc": kc},
                  points)
     max_m = _sup(v["m"])

@@ -32,7 +32,9 @@ and the tilde-bearing rows are solved for the quotient curvature:
     Rq      = R + |M|^2 + 2 |K|^2 + 2 sum_i K_i;i
 
 The signs are fixed so that the quotient of the screw flow in flat space has
-Gauss curvature +3 M_12^2, matching the transversal-metric oracle.
+Gauss curvature +3 M_12^2, matching the transversal-metric oracle.  The
+ambient curvature R is built once, in the ambient coframe, and read in the
+adapted frame by a numeric frame change (see ``constraint_rows``).
 """
 
 from __future__ import annotations
@@ -45,18 +47,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
-                         num, pow_, simplify, sup_abs, ONE, ZERO)
+                         num, pow_, simplify, sup_abs, ZERO)
 from .exterior import FormArityError, MatrixForm, PForm, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, curvature_package,
-                     gram_schmidt_frame, solve_connection)
+from .frames import Coframe, FrameData, Metric, gram_schmidt_frame, solve_connection
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
     "ConstraintReport", "FlowData",
     "adapted_coframe", "flow_invariants", "rigidity_test",
-    "covariant_derivative", "constraint_residuals", "analyze_flow",
-    "lie_derivative_metric", "directional", "quotient_curvature",
-    "quotient_leaf_derivative",
+    "covariant_derivative", "constraint_rows", "constraint_residuals", "analyze_flow",
+    "lie_derivative_metric", "directional",
 ]
 
 
@@ -137,11 +137,9 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     or ``order`` order) onto the orthogonal complement of u; directions that
     project to zero are skipped, a projection degenerating at isolated sample
     points is an error naming the point.  Non-unit flows are normalized
-    automatically (with a warning); the discarded magnitude is exactly the
-    scale a Killing reconstruction recovers.
+    automatically (``norm2`` keeps the squared norm); the discarded magnitude
+    is exactly the scale a Killing reconstruction recovers.
     """
-    import warnings
-
     chart = metric.chart
     n = chart.n
     flow = tuple(simplify(c) for c in flow)
@@ -151,8 +149,6 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
         if val < flow_tol * flow_tol:
             raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                      f"below {flow_tol:g}", p)
-    if norm2 is not ONE:
-        warnings.warn(f"flow normalized: |V|^2 = {norm2!r}", stacklevel=2)
     scale = pow_(norm2, Fraction(-1, 2))
     u = tuple(simplify(mul(scale, c)) for c in flow)
     seeds: list = [list(u)]
@@ -215,10 +211,9 @@ class RigidityResult:
 
 
 def rigidity_test(adapted: AdaptedFlow, points: Sequence[Mapping[str, float]],
-                  tol: float = 1e-9, lie_frame: list | None = None) -> RigidityResult:
-    """Horizontal sup-norm of L_u g at the samples; rigid iff below tol."""
-    if lie_frame is None:
-        lie_frame = _lie_u_frame_components(adapted)
+                  tol: float, lie_frame: list) -> RigidityResult:
+    """Horizontal sup-norm of L_u g (adapted-frame components ``lie_frame``)
+    at the samples; rigid iff below tol."""
     h = adapted.horizontal
     worst = sup_abs([lie_frame[i][j] for i in range(1, h + 1) for j in range(i, h + 1)],
                     points)
@@ -250,7 +245,6 @@ class FlowData:
 
     adapted: AdaptedFlow
     alpha: MatrixForm               # full adapted-frame connection
-    frame_data: FrameData           # ambient curvature in the adapted frame
     invariants: FlowInvariants
     rigidity: RigidityResult
     conn: list                      # conn[a][b][g] = alpha^a_b(e_g)
@@ -283,15 +277,9 @@ class FlowData:
 
     @cached_property
     def derived(self) -> tuple:
-        """(M_ij;g, K_i;g, (M^2)_ij, |M|^2, |K|^2, div K), built once for every check."""
-        h, m, k = self.horizontal, self.m, self.k
-        mc = covariant_derivative(m, self, rank=2)
-        kc = covariant_derivative(k, self, rank=1)
-        return (mc, kc, [[simplify(add(*[mul(m[i][l], m[l][j]) for l in range(h)]))
-                          for j in range(h)] for i in range(h)],
-                simplify(add(*[mul(m[i][j], m[i][j]) for i in range(h) for j in range(h)])),
-                simplify(add(*[mul(k[i], k[i]) for i in range(h)])),
-                simplify(add(*[kc[i][i + 1] for i in range(h)])))
+        """(M_ij;g, K_i;g), built once for every check."""
+        return (covariant_derivative(self.m, self, rank=2),
+                covariant_derivative(self.k, self, rank=1))
 
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
@@ -299,8 +287,7 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8,
                  order: Sequence[str] | None = None) -> FlowData:
     adapted = adapted_coframe(metric, flow, samples, flow_tol, order)
-    alpha, structure = solve_connection(adapted.coframe)
-    frame_data = curvature_package(adapted.coframe, alpha, structure)
+    alpha = solve_connection(adapted.coframe)
     n = adapted.chart.n
     vec = adapted.coframe.vectors
     conn = [[[simplify(contract(alpha[a, b], [vec[g]])) for g in range(n)]
@@ -310,7 +297,7 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
     rigidity = rigidity_test(adapted, samples, rigidity_tol, lie_frame)
     two_path = invariants.two_path_residual(samples)
     skewness = invariants.skewness_residual(samples)
-    return FlowData(adapted, alpha, frame_data, invariants, rigidity, conn,
+    return FlowData(adapted, alpha, invariants, rigidity, conn,
                     lie_frame, two_path, skewness)
 
 
@@ -374,9 +361,9 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
 @dataclass
 class ConstraintReport:
     tilde_free: dict
-    quotient_riemann: list            # Rq_ijkl (Expr)
-    quotient_ricci: list              # contracted from quotient_riemann
-    quotient_scalar: Expr
+    quotient_riemann: np.ndarray      # Rq_ijkl at every point, shape (h, h, h, h, N)
+    quotient_ricci: np.ndarray        # Rq_jl, contracted from quotient_riemann
+    quotient_scalar: np.ndarray       # Rq, shape (N,)
     ricci_cross_residual: float
     scalar_cross_residual: float
     quotient_leaf_residual: float
@@ -387,106 +374,92 @@ class ConstraintReport:
         return max(self.tilde_free.values())
 
 
-def quotient_curvature(flow: FlowData):
-    """Rq_ijkl solved from the tilde-bearing rows, its Ricci contraction and scalar."""
-    h = flow.horizontal
-    m = flow.m
-    R = flow.frame_data.riemann          # adapted-frame ambient curvature
-    rq = [[[[simplify(add(R[i + 1][j + 1][kk + 1][l + 1], mul(m[i][kk], m[j][l]),
-                          mul(num(-1), m[i][l], m[j][kk]), mul(num(2), m[i][j], m[kk][l])))
-             for l in range(h)] for kk in range(h)] for j in range(h)] for i in range(h)]
-    rq_ricci = [[simplify(add(*[rq[i][j][i][l] for i in range(h)]))
-                 for l in range(h)] for j in range(h)]
-    return rq, rq_ricci, simplify(add(*[rq_ricci[j][j] for j in range(h)]))
+def _frame_change(e: list, r: np.ndarray) -> np.ndarray:
+    """r_abcd = e[0]_a^i e[1]_b^j e[2]_c^k e[3]_d^l r_ijkl at every point."""
+    return np.einsum("aip,bjp,ckp,dlp,ijklp->abcdp", *e, r, optimize=True)
 
 
-def quotient_leaf_derivative(flow: FlowData, rq: list,
-                             points: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Leaf slot Rq_ijkl;0 of the covariant derivative at every point, shape
-    (h, h, h, h, N), as in slot 0 of ``covariant_derivative(rq, flow, rank=4)``:
+def _quadratic_m(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """m1_ik m2_jl - m1_il m2_jk + 2 m1_ij m2_kl (the M terms of Rq_ijkl)."""
+    return (np.einsum("ikp,jlp->ijklp", m1, m2) - np.einsum("ilp,jkp->ijklp", m1, m2)
+            + 2.0 * np.einsum("ijp,klp->ijklp", m1, m2))
 
-        Rq_ijkl;0 = u(Rq_ijkl) - sum_m (abar^m_i(u) Rq_mjkl + abar^m_j(u) Rq_imkl
-                                        + abar^m_k(u) Rq_ijml + abar^m_l(u) Rq_ijkm)
 
-    u(Rq) comes from forward-mode evaluation, so no derivative expression of
-    Rq is built; the corrections are numpy contractions.
+def constraint_rows(flow: FlowData, ambient: FrameData,
+                    points: Sequence[Mapping[str, float]]) -> dict:
+    """Every row of the constraint system at every point, point axis last.
+
+    The ambient curvature is read through the frame change
+    E_a^i = theta^i(e_a) from the ambient coframe to the adapted one,
+    R_abcd = E_a^i E_b^j E_c^k E_d^l R_ijkl, with u(R_abcd) by the product
+    rule; one forward-mode walk gives every value and u-derivative.  Keys:
+    ``R`` (R_abcd), the five tilde-free rows by name (``R_0i0j`` ...
+    ``R_0i``), ``rq``/``rq_ricci``/``rq_scalar``
+    (quotient curvature), ``ricci_cross``/``scalar_cross`` (its cross-checks),
+    ``leaf`` (Rq_ijkl;0) and ``m2_leaf`` (u(|M|^2) = 2 sum M_ij u(M_ij)).
     """
     h = flow.horizontal
-    u = flow.adapted.coframe.vectors[0]
-    r, du = evaluate_along(rq, dict(zip(flow.chart.coords, u)), points)
-    a = evaluate([[flow.abar(m, i, 0) for i in range(h)] for m in range(h)], points)
-    return (du - np.einsum("mip,mjklp->ijklp", a, r) - np.einsum("mjp,imklp->ijklp", a, r)
-            - np.einsum("mkp,ijmlp->ijklp", a, r) - np.einsum("mlp,ijkmp->ijklp", a, r))
+    vec = flow.adapted.coframe.vectors
+    mc, kc = flow.derived
+    v, dv = evaluate_along(
+        {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec],
+         "r": ambient.riemann, "m": flow.m, "k": flow.k, "mc": mc, "kc": kc,
+         "a": [[flow.abar(l, i, 0) for i in range(h)] for l in range(h)]},
+        dict(zip(flow.chart.coords, vec[0])), points)
+    e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], v["k"], v["a"]
+    r = _frame_change([e] * 4, v["r"])
+    dr = _frame_change([e] * 4, dv["r"])
+    for slot in range(4):
+        dr += _frame_change([de if s == slot else e for s in range(4)], v["r"])
+    mch, kch = v["mc"][:, :, 1:], v["kc"][:, 1:]
+    ricci = np.einsum("cacbp->abp", r)
+    mm = np.einsum("ilp,ljp->ijp", m, m)
+    m_sq, k_sq, div_k = np.sum(m * m, axis=(0, 1)), np.sum(k * k, axis=0), np.trace(kch)
+    rq = r[1:, 1:, 1:, 1:] + _quadratic_m(m, m)
+    drq = dr[1:, 1:, 1:, 1:] + _quadratic_m(dm, m) + _quadratic_m(m, dm)
+    rq_ricci = np.einsum("ijilp->jlp", rq)
+    rq_scalar = np.trace(rq_ricci)
+    return {
+        "R": r,
+        "R_0i0j": r[0, 1:, 0, 1:] + v["mc"][:, :, 0] + kch + k[:, None] * k[None] + mm,
+        "R_0ijk": (r[0, 1:, 1:, 1:] + np.einsum("ikjp->ijkp", mch) - mch
+                   + 2.0 * np.einsum("ip,jkp->ijkp", k, m)),
+        "R_ij0k": (r[1:, 1:, 0, 1:] - np.einsum("kijp->ijkp", mch)
+                   + np.einsum("kjip->ijkp", mch) + 2.0 * np.einsum("ijp,kp->ijkp", m, k)),
+        "R_00": ricci[0, 0] + div_k + k_sq - m_sq,
+        "R_0i": (ricci[0, 1:] - np.einsum("jijp->ip", mch)
+                 + 2.0 * np.einsum("jp,ijp->ip", k, m)),
+        "rq": rq, "rq_ricci": rq_ricci, "rq_scalar": rq_scalar,
+        "ricci_cross": rq_ricci - (ricci[1:, 1:] - 2.0 * mm + k[:, None] * k[None]
+                                   + 0.5 * (kch + np.swapaxes(kch, 0, 1))),
+        "scalar_cross": rq_scalar - (np.trace(ricci) + m_sq + 2.0 * k_sq + 2.0 * div_k),
+        # Rq_ijkl;0 = u(Rq_ijkl) - sum_m abar^m_i(u) Rq_mjkl - ... (all four slots)
+        "leaf": (drq - np.einsum("mip,mjklp->ijklp", a, rq) - np.einsum("mjp,imklp->ijklp", a, rq)
+                 - np.einsum("mkp,ijmlp->ijklp", a, rq) - np.einsum("mlp,ijkmp->ijklp", a, rq)),
+        "m2_leaf": 2.0 * np.sum(m * dm, axis=(0, 1)),
+    }
 
 
-def constraint_residuals(flow: FlowData, points: Sequence[Mapping[str, float]],
+def constraint_residuals(flow: FlowData, ambient: FrameData,
+                         points: Sequence[Mapping[str, float]],
                          tol: float = 1e-7) -> ConstraintReport:
-    """Evaluate the tilde-free identities and solve for quotient curvature.
+    """Sup-norms of the constraint rows, and the quotient curvature, at the points.
 
-    Results carry an advisory flag when the flow failed the rigidity test
-    (the identities assume a rigid flow).
+    ``ambient`` is the curvature package of an orthonormal coframe of the
+    flow's metric.  Results carry an advisory flag when the flow failed the
+    rigidity test (the identities assume a rigid flow).
     """
-    h = flow.horizontal
-    m = flow.m
-    k = flow.k
-    R = flow.frame_data.riemann          # adapted-frame ambient curvature
-    ricci = flow.frame_data.ricci
-    scalar = flow.frame_data.scalar
-    mc, kc, mm, m_sq, k_sq, div_k = flow.derived
-
-    def hz(i):
-        return i + 1   # horizontal index into full frame labels
-
-    fam: dict = {"R_0i0j": [], "R_0ijk": [], "R_ij0k": [], "R_00": [], "R_0i": []}
-    for i in range(h):
-        for j in range(h):
-            fam["R_0i0j"].append(simplify(add(
-                R[0][hz(i)][0][hz(j)], mc[i][j][0], kc[i][hz(j)],
-                mul(k[i], k[j]), mm[i][j])))
-    for i in range(h):
-        for j in range(h):
-            for kk in range(h):
-                fam["R_0ijk"].append(simplify(add(
-                    R[0][hz(i)][hz(j)][hz(kk)], mc[i][kk][hz(j)],
-                    mul(num(-1), mc[i][j][hz(kk)]), mul(num(2), k[i], m[j][kk]))))
-                fam["R_ij0k"].append(simplify(add(
-                    R[hz(i)][hz(j)][0][hz(kk)], mul(num(-1), mc[kk][i][hz(j)]),
-                    mc[kk][j][hz(i)], mul(num(2), m[i][j], k[kk]))))
-    fam["R_00"].append(simplify(add(ricci[0][0], div_k, k_sq,
-                                    mul(num(-1), m_sq))))
-    for i in range(h):
-        fam["R_0i"].append(simplify(add(
-            ricci[0][hz(i)],
-            mul(num(-1), add(*[mc[j][i][hz(j)] for j in range(h)])),
-            mul(num(2), add(*[mul(k[j], m[i][j]) for j in range(h)])))))
-
-    rq, rq_ricci, rq_scalar = quotient_curvature(flow)
-    m2_leaf_expr = directional(m_sq, flow.adapted.coframe.vectors[0], flow.chart)
-
-    v = evaluate({**fam, "ricci": [row[1:] for row in ricci[1:]], "mm": mm, "k": k,
-                  "kc": [row[1:] for row in kc], "rq_ricci": rq_ricci,
-                  "scalars": [scalar, m_sq, k_sq, div_k, rq_scalar],
-                  "m2_leaf": m2_leaf_expr}, points)
-    tilde_free = {name: _sup(v[name]) for name in fam}
-    # cross-checks: contracted quotient curvature against the direct solves
-    kv, kcv = v["k"], v["kc"]
-    direct = (v["ricci"] - 2.0 * v["mm"] + kv[:, None] * kv[None, :]
-              + 0.5 * (kcv + np.swapaxes(kcv, 0, 1)))
-    ricci_cross = _sup(v["rq_ricci"] - direct)
-    s, msq, ksq, divk, rqs = v["scalars"]
-    scalar_cross = _sup(rqs - (s + msq + 2.0 * ksq + 2.0 * divk))
-    leaf = _sup(quotient_leaf_derivative(flow, rq, points))
-    m2_leaf = _sup(v["m2_leaf"])
-
+    v = constraint_rows(flow, ambient, points)
     return ConstraintReport(
-        tilde_free=tilde_free,
-        quotient_riemann=rq,
-        quotient_ricci=rq_ricci,
-        quotient_scalar=rq_scalar,
-        ricci_cross_residual=ricci_cross,
-        scalar_cross_residual=scalar_cross,
-        quotient_leaf_residual=leaf,
-        m2_leaf_residual=m2_leaf,
+        tilde_free={name: _sup(v[name])
+                    for name in ("R_0i0j", "R_0ijk", "R_ij0k", "R_00", "R_0i")},
+        quotient_riemann=v["rq"],
+        quotient_ricci=v["rq_ricci"],
+        quotient_scalar=v["rq_scalar"],
+        ricci_cross_residual=_sup(v["ricci_cross"]),
+        scalar_cross_residual=_sup(v["scalar_cross"]),
+        quotient_leaf_residual=_sup(v["leaf"]),
+        m2_leaf_residual=_sup(v["m2_leaf"]),
         advisory=not flow.rigidity.rigid,
     )
 

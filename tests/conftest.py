@@ -123,7 +123,7 @@ def screw():
     return {
         "chart": chart, "metric": metric, "points": points,
         "basepoint": base, "far": far, "flow": flow,
-        "flow_data": flow_data,
-        "constraints": constraint_residuals(flow_data, points[:12]),
+        "flow_data": flow_data, "frame": fd,
+        "constraints": constraint_residuals(flow_data, fd, points[:12]),
         "classification": classify_space(fd, points),
     }

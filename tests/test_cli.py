@@ -1,10 +1,12 @@
 """Config validation, pipeline exit codes, report determinism."""
 
 import json
+import sys
 
 import pytest
 
-from movingframes.cli import (ConfigError, load_config, load_config_file,
+import movingframes
+from movingframes.cli import (TASKS, ConfigError, load_config, load_config_file,
                               main, run_pipeline, serialize_report)
 
 
@@ -166,6 +168,36 @@ class TestPipeline:
         assert statuses["rigidity"] == "pass"
         assert statuses["herglotz_verdict"] == "fail"
 
+    def test_one_curvature_package_per_run(self, monkeypatch):
+        """The flow stage reads the ambient curvature through a frame change
+        instead of building a second curvature package in the adapted frame."""
+        calls = {"curvature_package": 0, "matrix_curvature": 0}
+        for name in calls:
+            real = getattr(movingframes, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("movingframes")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, counting)
+        report, code = run_pipeline(load_config(screw_config()))
+        assert code == 0 and set(report["tasks"]) == set(TASKS)
+        assert calls == {"curvature_package": 1, "matrix_curvature": 1}
+
+    def test_coframe_order_orders_only_the_ambient_frame(self):
+        """coframe_order reorders the ambient Gram-Schmidt; the adapted frame
+        of the flow keeps chart order, so the flow, herglotz and ricci-flat
+        sections equal those of the chart-order run."""
+        chart_order, code = run_pipeline(load_config(screw_config()))
+        reordered, code2 = run_pipeline(load_config(
+            screw_config(coframe_order=["z", "x", "y"])))
+        assert code == code2 == 0
+        for task in ("flow", "herglotz", "ricci-flat"):
+            assert reordered["tasks"][task] == chart_order["tasks"][task]
+
     def test_report_roundtrip(self):
         report, _ = run_pipeline(load_config(screw_config()))
         text = serialize_report(report)
@@ -282,6 +314,20 @@ class TestCommandLine:
         assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == code
         if code == 2:
             assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, text", [
+        ("flow", "1" * 5001),          # int() refused it: exit 1, traceback
+        ("exclusion", "1" * 5001),
+        ("flow", "1e999999")])         # a million-digit rational
+    def test_oversized_number_literal_exit_two(self, tmp_path, capsys, where, text):
+        cfg = screw_config(tasks=["flow"])
+        if where == "flow":
+            cfg["flow"] = ["-y", "x", text]
+        else:
+            cfg["chart"]["exclusions"] = [f"x^2 < {text}"]
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "number literal" in err
 
     @pytest.mark.parametrize("entry", [
         "(" * 3000 + "x" + ")" * 3000,

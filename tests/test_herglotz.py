@@ -256,12 +256,10 @@ class TestEndToEnd:
             assert abs(eval_at(fl.k[0], p)) < 1e-12
             assert abs(eval_at(fl.k[1], p)) < 1e-12
         # constraint identities hold in the curved ambient too
-        from movingframes.submersion import constraint_residuals
-        rep = constraint_residuals(fl, pts[:8])
+        rep = constraint_residuals(fl, fd, pts[:8])
         assert rep.max_tilde_free() < 1e-9
-        for p in pts[:6]:
-            assert eval_at(rep.quotient_riemann[0][1][0][1], p) == pytest.approx(
-                4.0, rel=1e-9)
+        for q in range(6):
+            assert rep.quotient_riemann[0, 1, 0, 1, q] == pytest.approx(4.0, rel=1e-9)
         verdict = run_herglotz(fl, cls, pts[0], pts)
         assert verdict.verdict == "isometric-verified"
         assert verdict.hypotheses.ambient_reason.startswith("constant curvature")
@@ -319,7 +317,7 @@ class TestRicciFlat:
         pts = sample_points(chart, "random", 6, seed=39)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = ricci_flat_check(constraint_residuals(fl, pts), classify_space(fd, pts))
+        rep = ricci_flat_check(constraint_residuals(fl, fd, pts), classify_space(fd, pts))
         assert rep.applicable and rep.max_residual() == 0.0
 
     def test_sphere_ambient_inapplicable(self, sphere2_frame, screw):

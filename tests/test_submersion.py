@@ -1,16 +1,18 @@
 """Adapted coframes, flow invariants, rigidity and the constraint system."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from movingframes import expression
-from movingframes.expression import (Chart, call, eval_at, evaluate, num,
-                                     sample_points, sym)
-from movingframes.frames import Metric
+from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul,
+                                     num, sample_points, simplify, sym)
+from movingframes.frames import Metric, build_coframe, curvature_package
 from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      analyze_flow, constraint_residuals,
-                                     covariant_derivative, quotient_curvature,
-                                     quotient_leaf_derivative, rigidity_test)
+                                     constraint_rows, covariant_derivative,
+                                     rigidity_test)
 
 import oracle
 from helpers import metric_fn, vector_fn
@@ -44,7 +46,8 @@ def twist():
     points = sample_points(chart, "random", 15, seed=22)
     flow = [call("cos", sym("z")), call("sin", sym("z")), num(0)]
     return {"chart": chart, "metric": metric, "points": points, "flow": flow,
-            "flow_data": analyze_flow(metric, flow, points)}
+            "flow_data": analyze_flow(metric, flow, points),
+            "frame": curvature_package(build_coframe(metric, samples=points))}
 
 
 class TestAdaptedCoframe:
@@ -263,16 +266,18 @@ class TestConstraintSystem:
         chart, metric = flat3
         pts = sample_points(chart, "random", 8, seed=28)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        rep = constraint_residuals(fl, pts)
+        rep = constraint_residuals(fl, curvature_package(build_coframe(metric, samples=pts)),
+                                   pts)
         assert rep.max_tilde_free() == 0.0
-        assert eval_at(rep.quotient_scalar, pts[0]) == 0.0
+        assert np.all(rep.quotient_scalar == 0.0)
 
     def test_quotient_curvature_value_and_sign(self, screw):
         """Rq_1212 = +3 M_12^2 = 0.75 at r = 1, sign fixed by the
         transversal-metric Gauss-curvature oracle."""
         rep = screw["constraints"]
         fl = screw["flow_data"]
-        val = eval_at(rep.quotient_riemann[0][1][0][1], BASE)
+        assert screw["points"][0] == BASE
+        val = rep.quotient_riemann[0, 1, 0, 1, 0]
         m12 = eval_at(fl.m[0][1], BASE)
         assert val == pytest.approx(0.75, abs=1e-5)
         assert val == pytest.approx(3.0 * m12 * m12, abs=1e-9)
@@ -297,9 +302,9 @@ class TestConstraintSystem:
     def test_quotient_profile(self, screw):
         """Gauss curvature of the quotient is 3/(1+r^2)^2 everywhere."""
         rep = screw["constraints"]
-        for p in screw["points"][:8]:
+        for q, p in enumerate(screw["points"][:8]):
             r2 = p["x"] ** 2 + p["y"] ** 2
-            assert eval_at(rep.quotient_riemann[0][1][0][1], p) == pytest.approx(
+            assert rep.quotient_riemann[0, 1, 0, 1, q] == pytest.approx(
                 3.0 / (1.0 + r2) ** 2, rel=1e-9)
 
     def test_quotient_consistency_and_basicness(self, screw):
@@ -310,45 +315,100 @@ class TestConstraintSystem:
         assert rep.m2_leaf_residual < 1e-7
 
     def test_advisory_for_non_rigid(self, twist):
-        rep = constraint_residuals(twist["flow_data"], twist["points"][:6])
+        rep = constraint_residuals(twist["flow_data"], twist["frame"], twist["points"][:6])
         assert rep.advisory
 
+    @staticmethod
+    def _symbolic_route(fl, pts):
+        """The constraint system built symbolically in the adapted frame: a
+        second curvature package, Rq from its Riemann tensor, slot 0 of the
+        rank-4 covariant derivative of Rq, and the five tilde-free rows."""
+        h = fl.horizontal
+        m, k = fl.m, fl.k
+        fd = curvature_package(fl.adapted.coframe)
+        R, ricci = fd.riemann, fd.ricci
+        mc = covariant_derivative(m, fl, rank=2)
+        kc = covariant_derivative(k, fl, rank=1)
+        mm = [[add(*[mul(m[i][l], m[l][j]) for l in range(h)]) for j in range(h)]
+              for i in range(h)]
+        rq = [[[[simplify(add(R[i + 1][j + 1][kk + 1][l + 1], mul(m[i][kk], m[j][l]),
+                              mul(num(-1), m[i][l], m[j][kk]), mul(num(2), m[i][j], m[kk][l])))
+                 for l in range(h)] for kk in range(h)] for j in range(h)] for i in range(h)]
+        leaf = [[[[c[0] for c in row] for row in b] for b in a]
+                for a in covariant_derivative(rq, fl, rank=4)]
+        H = range(h)
+        rows = {
+            "R_0i0j": [[add(R[0][i + 1][0][j + 1], mc[i][j][0], kc[i][j + 1],
+                            mul(k[i], k[j]), mm[i][j]) for j in H] for i in H],
+            "R_0ijk": [[[add(R[0][i + 1][j + 1][kk + 1], mc[i][kk][j + 1],
+                             mul(num(-1), mc[i][j][kk + 1]), mul(num(2), k[i], m[j][kk]))
+                         for kk in H] for j in H] for i in H],
+            "R_ij0k": [[[add(R[i + 1][j + 1][0][kk + 1], mul(num(-1), mc[kk][i][j + 1]),
+                             mc[kk][j][i + 1], mul(num(2), m[i][j], k[kk]))
+                         for kk in H] for j in H] for i in H],
+            "R_00": add(ricci[0][0], *[kc[i][i + 1] for i in H], *[mul(c, c) for c in k],
+                        *[mul(num(-1), m[i][j], m[i][j]) for i in H for j in H]),
+            "R_0i": [add(ricci[0][i + 1], *[mul(num(-1), mc[j][i][j + 1]) for j in H],
+                         *[mul(num(2), k[j], m[i][j]) for j in H]) for i in H],
+        }
+        return evaluate({"R": R, "rq": rq, "leaf": leaf, **rows}, pts)
+
     def test_quotient_leaf_derivative_matches_symbolic_slot(self):
-        """Forward-mode Rq_ijkl;0 against slot 0 of the symbolic rank-4
-        covariant derivative, component by component, on a non-rigid flow
-        of the round 3-sphere whose leaf derivatives do not vanish."""
-        chart = Chart(["eta", "xi1", "xi2"],
-                      domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+        """The frame-change route against the symbolic adapted-frame route,
+        component by component: R_abcd, Rq_ijkl, Rq_ijkl;0 and the five
+        tilde-free rows.  Non-rigid flows with vorticity M and leaf
+        derivatives that do not vanish: on the round 3-sphere in Hopf
+        coordinates, on a conformally flat 4-space, and on flat 4-space with
+        an M whose u-derivative is not proportional to M (the other two have
+        one independent M_ij, so they cannot tell the product rule's two M
+        terms apart)."""
         eta = sym("eta")
-        metric = Metric(chart, [[num(1), num(0), num(0)],
-                                [num(0), call("cos", eta) ** 2, num(0)],
-                                [num(0), num(0), call("sin", eta) ** 2]])
-        pts = sample_points(chart, "random", 6, seed=43)
-        fl = analyze_flow(metric, [call("sin", eta), num(1), call("cos", sym("xi1"))], pts)
-        assert not fl.rigidity.rigid
-        rq = quotient_curvature(fl)[0]
-        got = quotient_leaf_derivative(fl, rq, pts)
-        slot0 = [[[[c[0] for c in row] for row in b] for b in a]
-                 for a in covariant_derivative(rq, fl, rank=4)]
-        want = evaluate(slot0, pts)
-        assert got.shape == (2, 2, 2, 2, 6)
-        assert np.max(np.abs(want)) > 1.0
-        # both readings differ from a 60-digit complex-step derivative by up
-        # to 2e-11 here (u(Rq) sums many cancelling terms); a wrong sign in
-        # one correction moves components by O(1)
-        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+        hopf = Chart(["eta", "xi1", "xi2"],
+                     domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+        hopf_metric = Metric(hopf, [[num(1), num(0), num(0)],
+                                    [num(0), call("cos", eta) ** 2, num(0)],
+                                    [num(0), num(0), call("sin", eta) ** 2]])
+        conf = Chart(["x", "y", "z", "w"])
+        x, y, z = sym("x"), sym("y"), sym("z")
+        factor = call("exp", mul(num(Fraction(3, 5)), x) + mul(num(Fraction(1, 5)), y ** 2))
+        conf_metric = Metric(conf, [[factor if i == j else num(0) for j in range(4)]
+                                    for i in range(4)])
+        flat_metric = Metric(conf, [[num(1) if i == j else num(0) for j in range(4)]
+                                    for i in range(4)])
+        cases = [(hopf_metric, [call("sin", eta), num(1), call("cos", sym("xi1"))], 43, 1.0),
+                 (conf_metric, [num(1), num(0), num(0), y], 44, 0.1),
+                 (flat_metric, [num(1), num(0), z, y], 44, 0.1)]
+        for metric, flow, seed, leaf_size in cases:
+            pts = sample_points(metric.chart, "random", 6, seed=seed)
+            fl = analyze_flow(metric, flow, pts)
+            assert not fl.rigidity.rigid
+            got = constraint_rows(fl, curvature_package(build_coframe(metric, samples=pts)), pts)
+            want = self._symbolic_route(fl, pts)
+            assert np.max(np.abs(want["leaf"])) > leaf_size
+            for name, w in want.items():
+                assert got[name].shape == w.shape, name
+                # u(Rq) sums many cancelling terms: against a 60-digit
+                # complex-step derivative both readings of it err by up to
+                # 2e-11 on the sphere; a wrong sign moves components by O(1)
+                assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
 
     def test_no_symbolic_leaf_derivative_is_built(self, screw):
-        """The leaf check evaluates u(Rq) instead of differentiating Rq: the
-        symbolic rank-4 derivative added about 3.7k derivative-cache entries
-        here, the numeric check adds 63."""
+        """The constraint stage differentiates nothing beyond M;g and K;g: it
+        evaluates u(R) and u(M) instead of differentiating Rq.  From a cold
+        cache the flow stage adds 414 derivative-cache entries here; with a
+        second curvature package in the adapted frame it added 1350, and
+        with the symbolic rank-4 leaf derivative about 5000."""
+        fd = curvature_package(build_coframe(screw["metric"], samples=screw["points"]))
         saved = dict(expression._DIFF_CACHE)
         expression._DIFF_CACHE.clear()     # count from a cold cache
         try:
             fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
+            fl.derived
             before = len(expression._DIFF_CACHE)
-            constraint_residuals(fl, screw["points"][:12])
+            constraint_residuals(fl, fd, screw["points"][:12])
             added = len(expression._DIFF_CACHE) - before
+            total = len(expression._DIFF_CACHE)
         finally:
             expression._DIFF_CACHE.update(saved)
-        assert added <= 100
+        assert added == 0
+        assert total <= 500
