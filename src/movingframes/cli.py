@@ -433,7 +433,7 @@ def run_pipeline(config: Config):
     if needs_flow:
         flow_data = analyze_flow(config.metric, config.flow, points,
                                  tol["rigidity"], tol["flow_norm"])
-        constraints = constraint_residuals(flow_data, frame_data, points, tol["constraint"])
+        constraints = constraint_residuals(flow_data, frame_data, points)
     if "flow" in config.tasks:
         tasks_out["flow"] = _flow_section(flow_data, constraints, points, tol, checks)
     if "herglotz" in config.tasks:

@@ -698,16 +698,16 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
     """Each DAG node as one numpy operation over all points, in post-order;
     an intermediate is dropped after its last consumer.
 
-    With ``seeds`` (coordinate name -> tangent column) every node also
-    carries its directional derivative (forward mode), and the result is the
-    pair (values, derivatives).
+    With ``seeds`` (coordinate name -> (d, N) tangent basis) every node also
+    carries its d directional derivatives (vector forward mode), and the
+    result is the pair (values, derivatives), derivatives shaped (roots, d, N).
     """
     order, last = _schedule(roots)
     rows: dict = {}
     for r, x in enumerate(roots):
         rows.setdefault(x, []).append(r)
     out = np.empty((len(roots), n))
-    dout = None if seeds is None else np.zeros((len(roots), n))
+    dout = None if seeds is None else np.zeros((len(roots), len(next(iter(seeds.values()))), n))
     vals: dict = {}
     tans: dict = {}
     for i, (x, kids) in enumerate(order):
@@ -761,9 +761,10 @@ def _flatten(exprs):
     return grids, [e for g in grids.values() for e in g.ravel()]
 
 
-def _unflatten(exprs, grids: dict, flat: np.ndarray, n: int):
+def _unflatten(exprs, grids: dict, flat: np.ndarray):
+    """Split ``flat`` (one leading row per expression) back into the groups."""
     parts = np.split(flat, np.cumsum([g.size for g in grids.values()])[:-1])
-    out = {k: v.reshape(g.shape + (n,)) for (k, g), v in zip(grids.items(), parts)}
+    out = {k: v.reshape(g.shape + flat.shape[1:]) for (k, g), v in zip(grids.items(), parts)}
     return out if isinstance(exprs, Mapping) else out[None]
 
 
@@ -788,33 +789,44 @@ def evaluate(exprs, points):
             flat = _run_program(roots, points, n)
     except (FloatingPointError, OverflowError):
         flat = _reference(roots, points, n)
-    return _unflatten(exprs, grids, flat, n)
+    return _unflatten(exprs, grids, flat)
 
 
-def evaluate_along(exprs, vector: Mapping, points):
-    """Values of expressions and their derivatives along a vector field.
+def evaluate_along(exprs, vectors, points):
+    """Values of expressions and their derivatives along vector fields.
 
-    ``vector`` maps coordinate names to component expressions; the
-    derivative of e is sum_c vector[c] de/dc, taken by forward-mode tangent
-    propagation through the walk of :func:`evaluate` (sums in the same
-    order), so no derivative expression is built.  Returns (values,
-    derivatives), each shaped as :func:`evaluate` shapes its result.  After a
-    floating-point fault the roots and their symbolic derivatives go through
-    the scalar reference, so the fault names the first bad point as
-    ``evaluate`` of both would.
+    ``vectors``: one vector field, a mapping of coordinate names to component
+    expressions, or a sequence of d such fields.  The derivative of e along
+    a field X is sum_c X[c] de/dc, taken for all d fields at once by vector
+    forward mode through the walk of :func:`evaluate` (each node carries a
+    (d, N) tangent; sums in the same order), so no derivative expression is
+    built.  Returns (values, derivatives): values shaped as :func:`evaluate`
+    shapes them, derivatives S + (N,) for one field and S + (d, N) for a
+    sequence.  After a floating-point fault the roots and their symbolic
+    derivatives go through the scalar reference, so the fault names the
+    first bad point as ``evaluate`` of both would.
     """
     grids, roots = _flatten(exprs)
     n = _count(points)
-    live = {c: e for c, e in vector.items() if not e.is_zero()}
+    fields = [vectors] if isinstance(vectors, Mapping) else list(vectors)
+    d = len(fields)
+    live = list(dict.fromkeys(c for f in fields for c, e in f.items() if not e.is_zero()))
     try:
         with np.errstate(**_FAULTS):
-            seeds = dict(zip(live, _run_program(list(live.values()), points, n)))
-            flat, dflat = _run_program(roots, points, n, seeds)
+            if live:
+                cols = _run_program([f.get(c, ZERO) for c in live for f in fields], points, n)
+                seeds = dict(zip(live, cols.reshape(len(live), d, n)))
+                flat, dflat = _run_program(roots, points, n, seeds)
+            else:
+                flat, dflat = _run_program(roots, points, n), np.zeros((len(roots), d, n))
     except (FloatingPointError, OverflowError):
-        derivs = [add(*[mul(v, diff(e, c)) for c, v in live.items()]) for e in roots]
+        derivs = [add(*[mul(v, diff(e, c)) for c, v in f.items() if not v.is_zero()])
+                  for e in roots for f in fields]
         both = _reference(roots + derivs, points, n)
-        flat, dflat = both[:len(roots)], both[len(roots):]
-    return _unflatten(exprs, grids, flat, n), _unflatten(exprs, grids, dflat, n)
+        flat, dflat = both[:len(roots)], both[len(roots):].reshape(len(roots), d, n)
+    if isinstance(vectors, Mapping):
+        dflat = dflat[:, 0]
+    return _unflatten(exprs, grids, flat), _unflatten(exprs, grids, dflat)
 
 
 def _reference(roots: list, points, n: int) -> np.ndarray:

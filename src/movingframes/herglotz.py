@@ -10,8 +10,9 @@ direction u is proportional to a Killing field lambda*u.  The pipeline:
    basepoint (Poincare-lemma step), with two independent polygonal paths per
    target point as a path-independence certificate;
 3. verify L_{lambda u} g ~ 0, assembling the Killing residual from the
-   symbolic L_u g frame components and a finite-difference gradient of the
-   reconstructed lambda so that the quadrature participates in the check.
+   L_u g frame components of the flow's jet and a finite-difference gradient
+   of the reconstructed lambda so that the quadrature participates in the
+   check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .expression import Chart, Expr, add, evaluate, mul, simplify
 from .frames import Metric, SpaceClassification
-from .submersion import ConstraintReport, FlowData, _sup, lie_derivative_metric
+from .submersion import ConstraintReport, FlowData, _sup, lie_derivative_at
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
@@ -88,13 +89,11 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
                      tol: float = 1e-7,
                      rotational_threshold: float = 1e-6) -> HypothesisReport:
     """Gate the isometry theorem: rigidity, rotation, closedness, basicness."""
-    mc, kc = flow.derived
-    v = evaluate({"m": flow.m, "mc0": [[c[0] for c in row] for row in mc], "kc": kc},
-                 points)
-    max_m = _sup(v["m"])
-    basic_m = _sup(v["mc0"])
-    basic_k = _sup(v["kc"][:, 0])
-    kh = v["kc"][:, 1:]
+    jet = flow.jet(points)
+    max_m = _sup(jet["m"])
+    basic_m = _sup(jet["mc"][:, :, 0])
+    basic_k = _sup(jet["kc"][:, 0])
+    kh = jet["kc"][:, 1:]
     closed = float(np.max(0.5 * np.abs(kh - np.swapaxes(kh, 0, 1)), initial=0.0))
     if ambient.flat:
         reason = "flat"
@@ -335,20 +334,15 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
     Components are taken in the supplied orthonormal frame, or in the
     coordinate basis when no frame is given.
     """
-    lie = lie_derivative_metric(metric, list(vector))
-    lmat = np.moveaxis(evaluate(lie, points), -1, 0)
-    if frame_vectors is not None:
-        e = np.moveaxis(evaluate(frame_vectors, points), -1, 0)
-        lmat = e @ lmat @ np.swapaxes(e, 1, 2)
-    return _sup(lmat)
+    return _sup(lie_derivative_at(metric, vector, frame_vectors, points))
 
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
                                  fd_step: float = 1e-4) -> float:
     """Killing residual of V = lambda u, the max over every point of ``lam``.
 
-    Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the symbolic
-    L_u g frame components, the reconstructed lambda and a finite-difference
+    Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the L_u g frame
+    components of the flow's jet, the reconstructed lambda and a finite-difference
     gradient of log(lambda).  Each difference of log(lambda) is the integral
     of K along the short segment between its stencil points: central, or
     second-order one-sided along an axis where the central stencil leaves
@@ -382,9 +376,9 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
     ia, ib = ints[:count * n], ints[count * n:]
     lval = np.array(lam.values, dtype=float)
     grad = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n) * lval[:, None]
-    v = evaluate({"e": flow.adapted.coframe.vectors, "lie": flow.lie_frame}, lam.points)
-    dlam_frame = np.einsum("amp,pm->ap", v["e"], grad)  # d lambda on the frame vectors
-    val = lval * v["lie"]
+    jet = flow.jet(lam.points)
+    dlam_frame = np.einsum("amp,pm->ap", jet["e"], grad)  # d lambda on the frame vectors
+    val = lval * jet["lie"]
     val[0, 0] += dlam_frame[0]
     val[0, :] += dlam_frame
     return _sup(val[np.triu_indices(n)])

@@ -9,11 +9,14 @@ flow carries two invariants extracted from d psi0 (psi0 = metric dual of u):
 
 and the same data can be read off the torsion-free connection of the full
 adapted coframe: M_ij is the theta^j coefficient of alpha^i_0 (for rigid
-flows) and K_i the psi0 coefficient of alpha^0_i.  The quotient-compatible
-connection used for covariant derivatives of horizontal tensors is the
-absorbed block  abar^i_j = alpha^i_j - M_ij psi0,  whose leaf-direction slot
-realises basicness: a horizontal tensor is basic exactly when its ";0"
-derivative vanishes.
+flows) and K_i the psi0 coefficient of alpha^0_i.  That connection, L_u g and
+the covariant derivatives of M and K are numpy over the frame's Jacobian at
+the points, which one forward-mode walk gives (``flow_jet``); none of them is
+built symbolically.  The quotient-compatible connection used for covariant
+derivatives of horizontal tensors is the absorbed block
+abar^i_j = alpha^i_j - M_ij psi0, whose leaf-direction slot realises
+basicness: a horizontal tensor is basic exactly when its ";0" derivative
+vanishes.
 
 The constraint system relating ambient curvature (adapted frame) to M, K and
 the quotient curvature is derived from the structure equations; for any unit
@@ -40,23 +43,22 @@ adapted frame by a numeric frame change (see ``constraint_rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
-                         num, pow_, simplify, sup_abs, ZERO)
-from .exterior import FormArityError, MatrixForm, PForm, contract, ext_d
+                         num, pow_, simplify, sup_abs)
+from .exterior import FormArityError, PForm, contract, ext_d
 from .frames import Coframe, FrameData, Metric, gram_schmidt_frame, solve_connection
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
     "ConstraintReport", "FlowData",
-    "adapted_coframe", "flow_invariants", "rigidity_test",
+    "adapted_coframe", "flow_invariants", "rigidity_test", "flow_jet",
     "covariant_derivative", "constraint_rows", "constraint_residuals", "analyze_flow",
-    "lie_derivative_metric", "directional",
+    "lie_derivative_at", "directional",
 ]
 
 
@@ -78,30 +80,30 @@ def directional(e: Expr, vector: Sequence[Expr], chart: Chart) -> Expr:
     return add(*terms)
 
 
-def lie_derivative_metric(metric: Metric, vector: Sequence[Expr]) -> list:
-    """(L_V g)_{mu nu} as symbolic coordinate components."""
-    chart = metric.chart
-    n = chart.n
-    out = []
-    for muu in range(n):
-        row = []
-        for nuu in range(n):
-            terms = []
-            for rho in range(n):
-                gd = diff(metric.entries[muu][nuu], chart.coords[rho])
-                if not gd.is_zero():
-                    terms.append(mul(vector[rho], gd))
-                if not metric.entries[rho][nuu].is_zero():
-                    dv = diff(vector[rho], chart.coords[muu])
-                    if not dv.is_zero():
-                        terms.append(mul(metric.entries[rho][nuu], dv))
-                if not metric.entries[muu][rho].is_zero():
-                    dv = diff(vector[rho], chart.coords[nuu])
-                    if not dv.is_zero():
-                        terms.append(mul(metric.entries[muu][rho], dv))
-            row.append(simplify(add(*terms)))
-        out.append(row)
-    return out
+def _coordinate_basis(chart: Chart) -> list:
+    """The coordinate vector fields d_nu, as :func:`evaluate_along` takes them."""
+    return [{c: num(1)} for c in chart.coords]
+
+
+def _lie(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """(L_V g)_mu nu = V^r d_r g_mu nu + g_r nu d_mu V^r + g_mu r d_nu V^r from
+    values and coordinate derivatives (derivative axis before the point axis)."""
+    return (np.einsum("rp,mnrp->mnp", v, dg) + np.einsum("rnp,rmp->mnp", g, dv)
+            + np.einsum("mrp,rnp->mnp", g, dv))
+
+
+def lie_derivative_at(metric: Metric, vector: Sequence[Expr],
+                      frame: Sequence[Sequence[Expr]] | None,
+                      points: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """L_V g at every point (point axis last), from one forward-mode walk:
+    coordinate components when ``frame`` is None, else the frame components
+    e_a^mu e_b^nu (L_V g)_mu nu."""
+    exprs = {"g": metric.entries, "v": list(vector)}
+    if frame is not None:
+        exprs["e"] = frame
+    v, dv = evaluate_along(exprs, _coordinate_basis(metric.chart), points)
+    lie = _lie(v["g"], dv["g"], v["v"], dv["v"])
+    return lie if frame is None else np.einsum("amp,bnp,mnp->abp", v["e"], v["e"], lie)
 
 
 @dataclass(frozen=True)
@@ -172,25 +174,13 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
 class FlowInvariants:
     m: list          # M_ij, horizontal indices 0..n-2
     k: list          # K_i
-    m_beta: list     # connection-block route
-    k_beta: list
-
-    def two_path_residual(self, points: Iterable[Mapping[str, float]]) -> float:
-        v = evaluate({"k": [self.k, self.k_beta], "m": [self.m, self.m_beta]},
-                     list(points))
-        return max(_sup(v["k"][0] - v["k"][1]), _sup(v["m"][0] - v["m"][1]))
-
-    def skewness_residual(self, points: Iterable[Mapping[str, float]]) -> float:
-        m = evaluate(self.m, list(points))
-        return _sup(m + np.swapaxes(m, 0, 1))
 
     def max_m(self, points: Iterable[Mapping[str, float]]) -> float:
         return sup_abs(self.m, list(points))
 
 
-def flow_invariants(adapted: AdaptedFlow, conn: list) -> FlowInvariants:
-    """Extract M, K from d psi0 and, independently, from the connection slots
-    conn[a][b][g] = alpha^a_b(e_g)."""
+def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
+    """Extract M, K from d psi0."""
     vec = adapted.coframe.vectors
     h = adapted.horizontal
     dpsi0 = ext_d(adapted.psi0)
@@ -198,9 +188,46 @@ def flow_invariants(adapted: AdaptedFlow, conn: list) -> FlowInvariants:
           for j in range(h)] for i in range(h)]
     k = [simplify(mul(num(-1), contract(dpsi0, [vec[0], vec[i + 1]])))
          for i in range(h)]
-    m_beta = [[conn[i + 1][0][j + 1] for j in range(h)] for i in range(h)]
-    k_beta = [conn[0][i + 1][0] for i in range(h)]
-    return FlowInvariants(m, k, m_beta, k_beta)
+    return FlowInvariants(m, k)
+
+
+def flow_jet(adapted: AdaptedFlow, m: list, k: list,
+             points: Sequence[Mapping[str, float]]) -> dict:
+    """First-order data of the adapted frame at every point, point axis last.
+
+    One vector forward-mode walk in the coordinate basis d_nu over e_b^mu,
+    theta^a_mu, g_mu nu, u, M and K gives their values and Jacobians; the
+    rest is numpy.  Keys:
+
+    * ``conn``: Gamma^a_bg = alpha^a_b(e_g), by the cyclic formula of
+      :func:`solve_connection` from c^i_jk = d theta^i(e_j, e_k)
+      = -theta^i_mu [e_j, e_k]^mu;
+    * ``lie``: (L_u g)_ab = e_a^mu e_b^nu (L_u g)_mu nu (coordinate Lie formula);
+    * ``abar``: abar^l_i(e_g) = Gamma^l_ig - [g = 0] M_li, horizontal l, i;
+    * ``mc``, ``kc``: M_ij;g and K_i;g, e_g(M) minus the abar contractions;
+    * ``e``, ``m``, ``k``: e_a^mu, M_ij and K_i.
+    """
+    cf = adapted.coframe
+    v, dv = evaluate_along(
+        {"e": cf.vectors, "th": [[t.coefficient((mu,)) for mu in range(cf.n)] for t in cf.theta],
+         "g": adapted.metric.entries, "u": adapted.u, "m": m, "k": k},
+        _coordinate_basis(adapted.chart), points)
+    e = v["e"]
+    ej_dek = np.einsum("jnp,kmnp->jkmp", e, dv["e"])        # e_j(e_k^mu)
+    c = -np.einsum("imp,jkmp->ijkp", v["th"], ej_dek - np.swapaxes(ej_dek, 0, 1))
+    eta = np.array(cf.eta, dtype=float)[:, None, None, None]
+    cl = eta * c                                             # c_ijk = eta_i c^i_jk
+    conn = eta * 0.5 * (cl + np.einsum("jkip->ijkp", cl) - np.einsum("kijp->ijkp", cl))
+    m, k = v["m"], v["k"]
+    abar = conn[1:, 1:].copy()
+    abar[:, :, 0] -= m
+    return {
+        "e": e, "m": m, "k": k, "conn": conn, "abar": abar,
+        "lie": np.einsum("amp,bnp,mnp->abp", e, e, _lie(v["g"], dv["g"], v["u"], dv["u"])),
+        "mc": (np.einsum("gnp,ijnp->ijgp", e, dv["m"]) - np.einsum("ligp,ljp->ijgp", abar, m)
+               - np.einsum("ljgp,ilp->ijgp", abar, m)),
+        "kc": np.einsum("gnp,inp->igp", e, dv["k"]) - np.einsum("ligp,lp->igp", abar, k),
+    }
 
 
 @dataclass
@@ -210,33 +237,12 @@ class RigidityResult:
     tol: float
 
 
-def rigidity_test(adapted: AdaptedFlow, points: Sequence[Mapping[str, float]],
-                  tol: float, lie_frame: list) -> RigidityResult:
-    """Horizontal sup-norm of L_u g (adapted-frame components ``lie_frame``)
-    at the samples; rigid iff below tol."""
-    h = adapted.horizontal
-    worst = sup_abs([lie_frame[i][j] for i in range(1, h + 1) for j in range(i, h + 1)],
-                    points)
+def rigidity_test(lie: np.ndarray, tol: float) -> RigidityResult:
+    """Horizontal sup-norm of L_u g from its adapted-frame components ``lie``
+    (point axis last); rigid iff below tol."""
+    h = lie.shape[0] - 1
+    worst = _sup(lie[1:, 1:][np.triu_indices(h)])
     return RigidityResult(worst < tol, worst, tol)
-
-
-def _lie_u_frame_components(adapted: AdaptedFlow) -> list:
-    """Full adapted-frame components of L_u g (coordinate Lie formula)."""
-    n = adapted.chart.n
-    lie = lie_derivative_metric(adapted.metric, list(adapted.u))
-    vec = adapted.coframe.vectors
-    out = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            terms = []
-            for muu in range(n):
-                for nuu in range(n):
-                    if not lie[muu][nuu].is_zero():
-                        terms.append(mul(lie[muu][nuu], vec[a][muu], vec[b][nuu]))
-            val = simplify(add(*terms))
-            out[a][b] = val
-            out[b][a] = val
-    return out
 
 
 @dataclass
@@ -244,11 +250,8 @@ class FlowData:
     """Everything the theorem pipeline needs about one flow."""
 
     adapted: AdaptedFlow
-    alpha: MatrixForm               # full adapted-frame connection
     invariants: FlowInvariants
     rigidity: RigidityResult
-    conn: list                      # conn[a][b][g] = alpha^a_b(e_g)
-    lie_frame: list                 # adapted-frame components of L_u g
     two_path: float
     skewness: float
 
@@ -268,18 +271,9 @@ class FlowData:
     def k(self) -> list:
         return self.invariants.k
 
-    def abar(self, l: int, i: int, g: int) -> Expr:
-        """Absorbed-connection slot abar^l_i(e_g); horizontal l, i (0-based)."""
-        base = self.conn[l + 1][i + 1][g]
-        if g == 0:
-            return add(base, mul(num(-1), self.m[l][i]))
-        return base
-
-    @cached_property
-    def derived(self) -> tuple:
-        """(M_ij;g, K_i;g), built once for every check."""
-        return (covariant_derivative(self.m, self, rank=2),
-                covariant_derivative(self.k, self, rank=1))
+    def jet(self, points: Sequence[Mapping[str, float]]) -> dict:
+        """:func:`flow_jet` of this flow at the points."""
+        return flow_jet(self.adapted, self.m, self.k, points)
 
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
@@ -287,18 +281,13 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8,
                  order: Sequence[str] | None = None) -> FlowData:
     adapted = adapted_coframe(metric, flow, samples, flow_tol, order)
-    alpha = solve_connection(adapted.coframe)
-    n = adapted.chart.n
-    vec = adapted.coframe.vectors
-    conn = [[[simplify(contract(alpha[a, b], [vec[g]])) for g in range(n)]
-             for b in range(n)] for a in range(n)]
-    invariants = flow_invariants(adapted, conn)
-    lie_frame = _lie_u_frame_components(adapted)
-    rigidity = rigidity_test(adapted, samples, rigidity_tol, lie_frame)
-    two_path = invariants.two_path_residual(samples)
-    skewness = invariants.skewness_residual(samples)
-    return FlowData(adapted, alpha, invariants, rigidity, conn,
-                    lie_frame, two_path, skewness)
+    invariants = flow_invariants(adapted)
+    jet = flow_jet(adapted, invariants.m, invariants.k, samples)
+    conn, m, k = jet["conn"], jet["m"], jet["k"]
+    # two independent routes to M and K: d psi0 against the connection slots
+    two_path = max(_sup(k - conn[0, 1:, 0]), _sup(m - conn[1:, 0, 1:]))
+    return FlowData(adapted, invariants, rigidity_test(jet["lie"], rigidity_tol),
+                    two_path, _sup(m + np.swapaxes(m, 0, 1)))
 
 
 def covariant_derivative(components, flow: FlowData, rank: int | None = None):
@@ -307,7 +296,9 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
     ``components`` is an ``rank``-deep nested list over horizontal indices
     (an Expr for rank 0).  The result appends a last axis of size n whose
     slot 0 is the leaf direction u; corrections use the absorbed connection,
-    so slot 0 vanishing is exactly basicness.
+    so slot 0 vanishing is exactly basicness.  The connection is built
+    symbolically (:func:`solve_connection` of the adapted coframe): this is
+    the reference that :func:`flow_jet` is tested against.
     """
     h = flow.horizontal
     n = h + 1
@@ -332,6 +323,11 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
             check_shape(sub, depth - 1)
 
     check_shape(components, rank)
+    alpha = solve_connection(flow.adapted.coframe)
+
+    def abar(l, i, g):
+        base = simplify(contract(alpha[l + 1, i + 1], [vec[g]]))
+        return add(base, mul(num(-1), flow.m[l][i])) if g == 0 else base
 
     def entry(tensor, idx):
         for i in idx:
@@ -346,7 +342,7 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
                 terms = [directional(e, vec[g], chart)]
                 for axis in range(rank):
                     for l in range(h):
-                        corr = flow.abar(l, idx[axis], g)
+                        corr = abar(l, idx[axis], g)
                         if corr.is_zero():
                             continue
                         swapped = idx[:axis] + (l,) + idx[axis + 1:]
@@ -362,7 +358,6 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
 class ConstraintReport:
     tilde_free: dict
     quotient_riemann: np.ndarray      # Rq_ijkl at every point, shape (h, h, h, h, N)
-    quotient_ricci: np.ndarray        # Rq_jl, contracted from quotient_riemann
     quotient_scalar: np.ndarray       # Rq, shape (N,)
     ricci_cross_residual: float
     scalar_cross_residual: float
@@ -392,26 +387,25 @@ def constraint_rows(flow: FlowData, ambient: FrameData,
     The ambient curvature is read through the frame change
     E_a^i = theta^i(e_a) from the ambient coframe to the adapted one,
     R_abcd = E_a^i E_b^j E_c^k E_d^l R_ijkl, with u(R_abcd) by the product
-    rule; one forward-mode walk gives every value and u-derivative.  Keys:
+    rule; one forward-mode walk along u gives every value and u-derivative,
+    and :func:`flow_jet` gives M_ij;g, K_i;g and abar.  Keys:
     ``R`` (R_abcd), the five tilde-free rows by name (``R_0i0j`` ...
     ``R_0i``), ``rq``/``rq_ricci``/``rq_scalar``
     (quotient curvature), ``ricci_cross``/``scalar_cross`` (its cross-checks),
     ``leaf`` (Rq_ijkl;0) and ``m2_leaf`` (u(|M|^2) = 2 sum M_ij u(M_ij)).
     """
-    h = flow.horizontal
     vec = flow.adapted.coframe.vectors
-    mc, kc = flow.derived
+    jet = flow.jet(points)
     v, dv = evaluate_along(
         {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec],
-         "r": ambient.riemann, "m": flow.m, "k": flow.k, "mc": mc, "kc": kc,
-         "a": [[flow.abar(l, i, 0) for i in range(h)] for l in range(h)]},
+         "r": ambient.riemann, "m": flow.m},
         dict(zip(flow.chart.coords, vec[0])), points)
-    e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], v["k"], v["a"]
+    e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], jet["k"], jet["abar"][:, :, 0]
     r = _frame_change([e] * 4, v["r"])
     dr = _frame_change([e] * 4, dv["r"])
     for slot in range(4):
         dr += _frame_change([de if s == slot else e for s in range(4)], v["r"])
-    mch, kch = v["mc"][:, :, 1:], v["kc"][:, 1:]
+    mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
     mm = np.einsum("ilp,ljp->ijp", m, m)
     m_sq, k_sq, div_k = np.sum(m * m, axis=(0, 1)), np.sum(k * k, axis=0), np.trace(kch)
@@ -421,7 +415,7 @@ def constraint_rows(flow: FlowData, ambient: FrameData,
     rq_scalar = np.trace(rq_ricci)
     return {
         "R": r,
-        "R_0i0j": r[0, 1:, 0, 1:] + v["mc"][:, :, 0] + kch + k[:, None] * k[None] + mm,
+        "R_0i0j": r[0, 1:, 0, 1:] + jet["mc"][:, :, 0] + kch + k[:, None] * k[None] + mm,
         "R_0ijk": (r[0, 1:, 1:, 1:] + np.einsum("ikjp->ijkp", mch) - mch
                    + 2.0 * np.einsum("ip,jkp->ijkp", k, m)),
         "R_ij0k": (r[1:, 1:, 0, 1:] - np.einsum("kijp->ijkp", mch)
@@ -441,8 +435,7 @@ def constraint_rows(flow: FlowData, ambient: FrameData,
 
 
 def constraint_residuals(flow: FlowData, ambient: FrameData,
-                         points: Sequence[Mapping[str, float]],
-                         tol: float = 1e-7) -> ConstraintReport:
+                         points: Sequence[Mapping[str, float]]) -> ConstraintReport:
     """Sup-norms of the constraint rows, and the quotient curvature, at the points.
 
     ``ambient`` is the curvature package of an orthonormal coframe of the
@@ -454,7 +447,6 @@ def constraint_residuals(flow: FlowData, ambient: FrameData,
         tilde_free={name: _sup(v[name])
                     for name in ("R_0i0j", "R_0ijk", "R_ij0k", "R_00", "R_0i")},
         quotient_riemann=v["rq"],
-        quotient_ricci=v["rq_ricci"],
         quotient_scalar=v["rq_scalar"],
         ricci_cross_residual=_sup(v["ricci_cross"]),
         scalar_cross_residual=_sup(v["scalar_cross"]),

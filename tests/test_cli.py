@@ -170,10 +170,16 @@ class TestPipeline:
 
     def test_one_curvature_package_per_run(self, monkeypatch):
         """The flow stage reads the ambient curvature through a frame change
-        instead of building a second curvature package in the adapted frame."""
-        calls = {"curvature_package": 0, "matrix_curvature": 0}
-        for name in calls:
-            real = getattr(movingframes, name)
+        instead of building a second curvature package in the adapted frame,
+        and takes the adapted connection, L_u g, M;g and K;g from a
+        forward-mode jet: the one connection solved is the ambient one, and
+        no symbolic covariant or directional derivative is built."""
+        homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
+                 "solve_connection": movingframes, "covariant_derivative": movingframes,
+                 "directional": movingframes.submersion}
+        calls = dict.fromkeys(homes, 0)
+        for name, home in homes.items():
+            real = getattr(home, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls[_name] += 1
@@ -185,7 +191,8 @@ class TestPipeline:
                     monkeypatch.setattr(module, name, counting)
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        assert calls == {"curvature_package": 1, "matrix_curvature": 1}
+        assert calls == {"curvature_package": 1, "matrix_curvature": 1, "solve_connection": 1,
+                         "covariant_derivative": 0, "directional": 0}
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame

@@ -428,6 +428,35 @@ def test_evaluate_along_matches_symbolic_directional(seed, coords):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4),
+       st.lists(st.tuples(_BOX, _BOX, _BOX), min_size=1, max_size=6))
+def test_evaluate_along_vector_mode(seed, d, coords):
+    """d vector fields in one walk: each tangent row equals the one-field call
+    and the evaluated symbolic directional derivative, and a fault names the
+    first point where that symbolic evaluation faults."""
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, CHART.coords, depth=4),
+             pow_(add(num(1), random_expr(rng, CHART.coords, depth=3)), Fraction(1, 2))]
+    fields = [{c: ZERO if rng.random() < 0.4 else random_expr(rng, CHART.coords, depth=2)
+               for c in CHART.coords} for _ in range(d)]
+    derivs = [[directional(e, [f[c] for c in CHART.coords], CHART) for f in fields]
+              for e in exprs]
+    points = [dict(zip(CHART.coords, c)) for c in coords]
+    try:
+        want = evaluate({"v": exprs, "d": derivs}, points)
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_along(exprs, fields, points)
+        assert err.value.point == exc.point
+        return
+    vals, ders = evaluate_along(exprs, fields, points)
+    assert ders.shape == (len(exprs), d, len(points))
+    singles = np.stack([evaluate_along(exprs, f, points)[1] for f in fields], axis=1)
+    for got, ref in ((vals, want["v"]), (ders, want["d"]), (ders, singles)):
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
 # -- charts, sampling, exclusions ---------------------------------------------
 
 class TestChart:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from movingframes import expression
-from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul,
+from movingframes.expression import (Chart, add, call, diff, eval_at, evaluate, mul,
                                      num, sample_points, simplify, sym)
-from movingframes.frames import Metric, build_coframe, curvature_package
+from movingframes.exterior import contract
+from movingframes.frames import Metric, build_coframe, curvature_package, solve_connection
 from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      analyze_flow, constraint_residuals,
                                      constraint_rows, covariant_derivative,
-                                     rigidity_test)
+                                     lie_derivative_at, rigidity_test)
 
 import oracle
 from helpers import metric_fn, vector_fn
@@ -181,7 +182,7 @@ class TestRigidity:
         assert not fl.rigidity.rigid
         assert fl.rigidity.residual == pytest.approx(1.0, abs=1e-8)
         # pointwise too, not just the sup
-        res = rigidity_test(fl.adapted, twist["points"][:4], 1e-9, fl.lie_frame)
+        res = rigidity_test(fl.jet(twist["points"][:4])["lie"], 1e-9)
         assert res.residual == pytest.approx(1.0, abs=1e-8)
         chart = twist["chart"]
         g_fn = metric_fn(twist["metric"], chart)
@@ -230,14 +231,15 @@ class TestCovariantDerivative:
         p = screw["points"][2]
         arr = np.array([p[c] for c in chart.coords])
         evec = evec_fn(arr)
+        jet = fl.jet([p])
         memo = {}
         for i in range(2):
             for j in range(2):
                 # e_j(K_i) by FD along the frame leg, then connection correction
                 fd = oracle.directional_derivative(lambda a: k_fns[i](a)[0], evec[j + 1], arr)
-                corr = sum(eval_at(fl.abar(l, i, j + 1), p, memo)
-                           * eval_at(fl.k[l], p, memo) for l in range(2))
+                corr = sum(jet["abar"][l, i, j + 1, 0] * jet["k"][l, 0] for l in range(2))
                 assert fd - corr == pytest.approx(eval_at(kc[i][j + 1], p, memo), abs=1e-6)
+                assert fd - corr == pytest.approx(jet["kc"][i, j + 1, 0], abs=1e-6)
 
     def test_screw_m_and_k_basic(self, screw):
         fl = screw["flow_data"]
@@ -254,6 +256,75 @@ class TestCovariantDerivative:
         from movingframes.exterior import FormArityError
         with pytest.raises(FormArityError):
             covariant_derivative([num(1), num(2), num(3)], screw["flow_data"], rank=1)
+
+
+class TestFlowJet:
+    @staticmethod
+    def _symbolic_route(fl, pts):
+        """The adapted-frame data built symbolically: the connection slots
+        alpha^a_b(e_g) from solve_connection, the frame components of the
+        coordinate Lie formula for L_u g, and M;g, K;g from
+        covariant_derivative."""
+        chart, vec = fl.chart, fl.adapted.coframe.vectors
+        g, u, n = fl.adapted.metric.entries, fl.adapted.u, chart.n
+        alpha = solve_connection(fl.adapted.coframe)
+        conn = [[[contract(alpha[a, b], [vec[c]]) for c in range(n)] for b in range(n)]
+                for a in range(n)]
+
+        def d(e, mu):
+            return diff(e, chart.coords[mu])
+
+        lie = [[add(*[mul(u[r], d(g[m][q], r)) for r in range(n)],
+                    *[mul(g[r][q], d(u[r], m)) for r in range(n)],
+                    *[mul(g[m][r], d(u[r], q)) for r in range(n)])
+                for q in range(n)] for m in range(n)]
+        lie_frame = [[add(*[mul(vec[a][m], vec[b][q], lie[m][q])
+                            for m in range(n) for q in range(n)])
+                      for b in range(n)] for a in range(n)]
+        return evaluate({"conn": conn, "lie": lie_frame,
+                         "mc": covariant_derivative(fl.m, fl, rank=2),
+                         "kc": covariant_derivative(fl.k, fl, rank=1)}, pts)
+
+    def test_matches_symbolic_route(self, screw, twist):
+        """The forward-mode jet against the symbolic route, component by
+        component: the adapted connection, L_u g (also through
+        lie_derivative_at with the frame), M_ij;g and K_i;g.  The screw flow
+        is rigid; the Hopf, twist and conformal-4D flows are not, so their
+        horizontal L_u g does not vanish."""
+        eta = sym("eta")
+        hopf = Chart(["eta", "xi1", "xi2"],
+                     domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+        hopf_metric = Metric(hopf, [[num(1), num(0), num(0)],
+                                    [num(0), call("cos", eta) ** 2, num(0)],
+                                    [num(0), num(0), call("sin", eta) ** 2]])
+        conf = Chart(["x", "y", "z", "w"])
+        x, y = sym("x"), sym("y")
+        factor = call("exp", mul(num(Fraction(3, 5)), x) + mul(num(Fraction(1, 5)), y ** 2))
+        conf_metric = Metric(conf, [[factor if i == j else num(0) for j in range(4)]
+                                    for i in range(4)])
+        hopf_pts = sample_points(hopf, "random", 6, seed=43)
+        conf_pts = sample_points(conf, "random", 6, seed=44)
+        cases = [(screw["flow_data"], screw["points"][:8], True),
+                 (analyze_flow(hopf_metric, [call("sin", eta), num(1), call("cos", sym("xi1"))],
+                               hopf_pts), hopf_pts, False),
+                 (twist["flow_data"], twist["points"][:8], False),
+                 (analyze_flow(conf_metric, [num(1), num(0), num(0), y], conf_pts),
+                  conf_pts, False)]
+        sizes = []                  # what the non-rigid cases put to the test
+        for fl, pts, rigid in cases:
+            assert fl.rigidity.rigid is rigid
+            got = fl.jet(pts)
+            want = self._symbolic_route(fl, pts)
+            if not rigid:
+                assert np.max(np.abs(want["lie"][1:, 1:])) > 0.1
+                sizes.append({k: np.max(np.abs(v)) for k, v in want.items()})
+            got["lie_at"] = lie_derivative_at(fl.adapted.metric, fl.adapted.u,
+                                              fl.adapted.coframe.vectors, pts)
+            want["lie_at"] = want["lie"]
+            for name, w in want.items():
+                assert got[name].shape == w.shape, name
+                assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
+        assert all(max(s[k] for s in sizes) > 0.1 for k in ("conn", "mc", "kc"))
 
 
 class TestConstraintSystem:
@@ -393,17 +464,19 @@ class TestConstraintSystem:
                 assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
 
     def test_no_symbolic_leaf_derivative_is_built(self, screw):
-        """The constraint stage differentiates nothing beyond M;g and K;g: it
-        evaluates u(R) and u(M) instead of differentiating Rq.  From a cold
-        cache the flow stage adds 414 derivative-cache entries here; with a
-        second curvature package in the adapted frame it added 1350, and
-        with the symbolic rank-4 leaf derivative about 5000."""
+        """The flow stage differentiates symbolically only to get d psi0: the
+        adapted connection, L_u g, M;g and K;g come from forward-mode jets,
+        and the constraint stage evaluates u(R) and u(M) instead of
+        differentiating Rq.  From a cold cache the whole flow stage adds 48
+        derivative-cache entries here; with the symbolic connection, L_u g
+        and M;g/K;g it added 414, with a second curvature package in the
+        adapted frame 1350, and with the symbolic rank-4 leaf derivative
+        about 5000."""
         fd = curvature_package(build_coframe(screw["metric"], samples=screw["points"]))
         saved = dict(expression._DIFF_CACHE)
         expression._DIFF_CACHE.clear()     # count from a cold cache
         try:
             fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
-            fl.derived
             before = len(expression._DIFF_CACHE)
             constraint_residuals(fl, fd, screw["points"][:12])
             added = len(expression._DIFF_CACHE) - before
@@ -411,4 +484,4 @@ class TestConstraintSystem:
         finally:
             expression._DIFF_CACHE.update(saved)
         assert added == 0
-        assert total <= 500
+        assert total <= 100
