@@ -27,9 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .expression import (Chart, EvalDomainError, ExprError, evaluate,
-                         parse_exclusion, parse_expr, sample_points, to_string,
-                         ONE)
+from .expression import (Chart, EvalDomainError, ExprError, parse_exclusion,
+                         parse_expr, sample_points, to_string, ONE)
 from .exterior import FormArityError
 from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
                      build_coframe, classify_space, curvature_package,
@@ -39,6 +38,7 @@ from .submersion import VanishingFlowError, analyze_flow, constraint_residuals
 
 SCHEMA_VERSION = "1"
 TASKS = ("curvature", "classify", "flow", "herglotz", "ricci-flat")
+MAX_SAMPLES = 100_000     # every stage holds arrays of this length per tensor component
 
 DEFAULT_TOLERANCES = {
     "structure": 1e-9,            # torsion + metric reconstruction
@@ -84,6 +84,11 @@ def _require(condition: bool, message: str):
         raise ConfigError(message)
 
 
+def _finite(value) -> bool:
+    """A JSON number (not a boolean) that is a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def load_config(data: Mapping) -> Config:
     """Validate a parsed JSON document into a Config."""
     _require(isinstance(data, dict), "config must be a JSON object")
@@ -104,14 +109,22 @@ def load_config(data: Mapping) -> Config:
              "'chart.coordinates' must be a list of names")
     simply = chart_spec.get("simply_connected", True)
     _require(isinstance(simply, bool), "'chart.simply_connected' must be a boolean")
+    signature = chart_spec.get("signature")
+    _require(signature is None or (isinstance(signature, list)
+                                   and all(type(s) is int for s in signature)),
+             "'chart.signature' must be a list of integers")
+    domain = chart_spec.get("domain")
+    _require(domain is None or (isinstance(domain, dict) and all(
+        isinstance(iv, list) and len(iv) == 2 and all(_finite(v) for v in iv)
+        for iv in domain.values())),
+        "'chart.domain' must map coordinates to [low, high] finite numbers")
+    texts = chart_spec.get("exclusions", [])
+    _require(isinstance(texts, list) and all(isinstance(t, str) for t in texts),
+             "'chart.exclusions' must be a list of strings")
     try:
-        chart = Chart(coords, chart_spec.get("signature"),
-                      chart_spec.get("domain"))
-        exclusions = tuple(parse_exclusion(t, chart)
-                           for t in chart_spec.get("exclusions", []))
-        chart = Chart(coords, chart_spec.get("signature"),
-                      chart_spec.get("domain"), exclusions,
-                      simply_connected=simply)
+        chart = Chart(coords, signature, domain)
+        exclusions = tuple(parse_exclusion(t, chart) for t in texts)
+        chart = Chart(coords, signature, domain, exclusions, simply_connected=simply)
     except ExprError as exc:
         raise ConfigError(f"chart: {exc}") from exc
     n = chart.n
@@ -142,17 +155,20 @@ def load_config(data: Mapping) -> Config:
     mode = samples.get("mode", "random")
     _require(mode in ("random", "grid"), "samples.mode must be 'random' or 'grid'")
     count = samples.get("count", 50)
-    _require(type(count) is int and count > 0, "samples.count must be a positive integer")
+    _require(type(count) is int and 0 < count <= MAX_SAMPLES,
+             f"samples.count must be a positive integer up to {MAX_SAMPLES}")
     seed = samples.get("seed")
     if mode == "random" or seed is not None:
         _require(type(seed) is int and seed >= 0, "samples.seed must be a non-negative "
                  "integer (mandatory for random sampling)")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in (data.get("tolerances") or {}).items():
+    tol_spec = data.get("tolerances") or {}
+    _require(isinstance(tol_spec, dict), "'tolerances' must be an object")
+    for key, value in tol_spec.items():
         _require(key in DEFAULT_TOLERANCES, f"unknown tolerance {key!r}")
-        _require(isinstance(value, (int, float)) and value > 0,
-                 f"tolerance {key!r} must be positive")
+        _require(_finite(value) and value > 0,
+                 f"tolerance {key!r} must be a positive finite number")
         tolerances[key] = float(value)
 
     tasks = data.get("tasks")
@@ -168,16 +184,21 @@ def load_config(data: Mapping) -> Config:
     basepoint = None
     if data.get("basepoint") is not None:
         bp = data["basepoint"]
-        _require(isinstance(bp, list) and len(bp) == n,
-                 f"'basepoint' must list {n} numbers")
+        _require(isinstance(bp, list) and len(bp) == n and all(_finite(v) for v in bp),
+                 f"'basepoint' must list {n} finite numbers")
         basepoint = chart.point(bp)
-        _require(chart.admits(basepoint), "basepoint lies outside the sampling domain")
+        try:
+            admitted = chart.admits(basepoint)
+        except ExprError as exc:             # an exclusion faults at the basepoint
+            raise ConfigError(f"basepoint: {exc}") from exc
+        _require(admitted, "basepoint lies outside the sampling domain")
     _require("herglotz" not in tasks or basepoint is not None,
              "task 'herglotz' requires a 'basepoint'")
 
     order = data.get("coframe_order")
     if order is not None:
-        _require(isinstance(order, list) and sorted(order) == sorted(chart.coords),
+        _require(isinstance(order, list) and all(isinstance(c, str) for c in order)
+                 and sorted(order) == sorted(chart.coords),
                  "'coframe_order' must permute the chart coordinates")
 
     return Config(chart, metric, flow, mode, count, seed, tolerances, tasks,
@@ -192,6 +213,8 @@ def load_config_file(path: str) -> Config:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("malformed JSON: nested too deeply") from None
     return load_config(data)
 
 
@@ -242,11 +265,7 @@ class _Checks:
         return any(c["status"] == "fail" for c in self.items)
 
 
-def _representative_points(points: Sequence[Mapping[str, float]], limit: int = 3):
-    return list(points)[:limit]
-
-
-def _curvature_section(fd: FrameData, metric: Metric, points, tol, checks: _Checks):
+def _curvature_section(fd: FrameData, metric: Metric, points, vals, tol, checks: _Checks):
     tors = torsion_residual(fd, points)
     recon = reconstruction_residual(metric, fd.coframe, points)
     checks.record("curvature", "torsion", tors, tol["structure"])
@@ -257,7 +276,6 @@ def _curvature_section(fd: FrameData, metric: Metric, points, tol, checks: _Chec
 
     n = fd.n
     eta = fd.eta
-    vals = fd.curvature_values(points)
     r = vals["riemann"]                 # axes: point, i, j, k, l
     sym_res = max(float(np.max(np.abs(t))) for t in (
         r + np.swapaxes(r, 1, 2), r + np.swapaxes(r, 3, 4),
@@ -275,9 +293,10 @@ def _curvature_section(fd: FrameData, metric: Metric, points, tol, checks: _Chec
     if weyl_res is not None:
         checks.record("curvature", "weyl_trace_free", weyl_res, tol["curvature_symmetry"])
 
-    comp = []
-    for q, p in enumerate(_representative_points(points)):
-        comp.append({"point": [p[c] for c in fd.chart.coords], "riemann": {
+    comp = []       # components are shown at the first 3 samples only
+    shown = np.column_stack([points[c] for c in fd.chart.coords])[:3].tolist()
+    for q, p in enumerate(shown):
+        comp.append({"point": p, "riemann": {
             f"R_{i+1}{j+1}{k+1}{l+1}": float(r[q, i, j, k, l])
             for i in range(n) for j in range(i + 1, n)
             for k in range(n) for l in range(k + 1, n) if (i, j) <= (k, l)}})
@@ -309,7 +328,7 @@ def _classify_section(classification):
     }
 
 
-def _flow_section(flow_data, constraints, points, tol, checks: _Checks):
+def _flow_section(flow_data, constraints, tol, checks: _Checks):
     rigid = flow_data.rigidity.rigid
     checks.record("flow", "rigidity", flow_data.rigidity.residual, tol["rigidity"])
     aux_status = None if rigid else "advisory"
@@ -328,16 +347,16 @@ def _flow_section(flow_data, constraints, points, tol, checks: _Checks):
                   tol["constraint"], aux_status)
 
     h = flow_data.horizontal
-    reps = _representative_points(points)
-    v = evaluate({"m": flow_data.m, "k": flow_data.k}, reps)
+    m_vals, k_vals = flow_data.jet["m"], flow_data.jet["k"]
     rq, rq_scalar = constraints.quotient_riemann, constraints.quotient_scalar
-    inv = []
-    for q, p in enumerate(reps):
+    inv = []        # at the first 3 samples, as the curvature section
+    shown = np.column_stack([flow_data.samples[c] for c in flow_data.chart.coords])[:3]
+    for q, p in enumerate(shown.tolist()):
         inv.append({
-            "point": [p[c] for c in flow_data.chart.coords],
-            "M": {f"M_{i+1}{j+1}": float(v["m"][i, j, q])
+            "point": p,
+            "M": {f"M_{i+1}{j+1}": float(m_vals[i, j, q])
                   for i in range(h) for j in range(i + 1, h)},
-            "K": {f"K_{i+1}": float(v["k"][i, q]) for i in range(h)},
+            "K": {f"K_{i+1}": float(k_vals[i, q]) for i in range(h)},
             "quotient_riemann": {
                 f"Rq_{i+1}{j+1}{k+1}{l+1}": float(rq[i, j, k, l, q])
                 for i in range(h) for j in range(i + 1, h)
@@ -421,10 +440,11 @@ def run_pipeline(config: Config):
 
     coframe = build_coframe(config.metric, config.coframe_order, points, tol["pivot"])
     frame_data = curvature_package(coframe)
-    classification = classify_space(frame_data, points, tol["classification"])
+    curvature = frame_data.curvature_values(points)
+    classification = classify_space(frame_data, curvature, tol["classification"])
     if "curvature" in config.tasks:
-        tasks_out["curvature"] = _curvature_section(frame_data, config.metric,
-                                                    points, tol, checks)
+        tasks_out["curvature"] = _curvature_section(frame_data, config.metric, points,
+                                                    curvature, tol, checks)
     if "classify" in config.tasks:
         tasks_out["classify"] = _classify_section(classification)
 
@@ -433,11 +453,11 @@ def run_pipeline(config: Config):
     if needs_flow:
         flow_data = analyze_flow(config.metric, config.flow, points,
                                  tol["rigidity"], tol["flow_norm"])
-        constraints = constraint_residuals(flow_data, frame_data, points)
+        constraints = constraint_residuals(flow_data, frame_data)
     if "flow" in config.tasks:
-        tasks_out["flow"] = _flow_section(flow_data, constraints, points, tol, checks)
+        tasks_out["flow"] = _flow_section(flow_data, constraints, tol, checks)
     if "herglotz" in config.tasks:
-        report = run_herglotz(flow_data, classification, config.basepoint, points,
+        report = run_herglotz(flow_data, classification, config.basepoint,
                               tol["basicness"], tol["rotational_threshold"],
                               tol["closedness"], tol["quadrature"],
                               tol["lambda_path"], tol["killing"])

@@ -46,7 +46,7 @@ __all__ = [
     "num", "sym", "add", "mul", "pow_", "call",
     "parse_expr", "diff", "simplify", "eval_at", "evaluate", "evaluate_along",
     "sup_abs", "to_string",
-    "Chart", "Exclusion", "parse_exclusion", "sample_points",
+    "Chart", "Exclusion", "parse_exclusion", "sample_points", "point_at",
     "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
     "ZERO", "ONE",
@@ -715,8 +715,7 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
             v = np.float64(float(x.value))
         elif isinstance(x, Sym):
             try:
-                v = (np.asarray(points[x.name], dtype=float) if isinstance(points, Mapping)
-                     else np.fromiter((p[x.name] for p in points), float, n))
+                v = np.asarray(points[x.name], dtype=float)
             except KeyError:
                 raise UnboundCoordinateError(x.name) from None
             if not np.isfinite(v).all():
@@ -768,22 +767,18 @@ def _unflatten(exprs, grids: dict, flat: np.ndarray):
     return out if isinstance(exprs, Mapping) else out[None]
 
 
-def _count(points) -> int:
-    return len(next(iter(points.values()))) if isinstance(points, Mapping) else len(points)
-
-
 def evaluate(exprs, points):
     """Values of expressions at every sample point, as one numpy program.
 
     ``exprs``: a rectangular nested sequence of shape S (result: S + (N,)),
     or a mapping of names to such sequences (result: a dict of arrays from
     one walk of the union DAG, so shared subexpressions run once).
-    ``points``: N coordinate mappings, or coordinate name -> length-N array.
-    After a floating-point fault the points are re-run in order through
-    :func:`eval_at`, whose :class:`EvalDomainError` names the first bad point.
+    ``points``: coordinate name -> length-N column.  After a floating-point
+    fault the points are re-run in order through :func:`eval_at`, whose
+    :class:`EvalDomainError` names the first bad point.
     """
     grids, roots = _flatten(exprs)
-    n = _count(points)
+    n = len(next(iter(points.values()), ()))
     try:
         with np.errstate(**_FAULTS):
             flat = _run_program(roots, points, n)
@@ -807,7 +802,7 @@ def evaluate_along(exprs, vectors, points):
     first bad point as ``evaluate`` of both would.
     """
     grids, roots = _flatten(exprs)
-    n = _count(points)
+    n = len(next(iter(points.values()), ()))
     fields = [vectors] if isinstance(vectors, Mapping) else list(vectors)
     d = len(fields)
     live = list(dict.fromkeys(c for f in fields for c, e in f.items() if not e.is_zero()))
@@ -829,12 +824,16 @@ def evaluate_along(exprs, vectors, points):
     return _unflatten(exprs, grids, flat), _unflatten(exprs, grids, dflat)
 
 
-def _reference(roots: list, points, n: int) -> np.ndarray:
+def point_at(points: Mapping, k: int) -> dict:
+    """Point ``k`` of coordinate columns, as a coordinate -> float mapping."""
+    return {c: float(col[k]) for c, col in points.items()}
+
+
+def _reference(roots: list, points: Mapping, n: int) -> np.ndarray:
     """The scalar walk point by point; raises at the first faulting point."""
     out = np.empty((len(roots), n))
     for k in range(n):
-        p = ({c: float(col[k]) for c, col in points.items()}
-             if isinstance(points, Mapping) else points[k])
+        p = point_at(points, k)
         memo: dict = {}
         try:
             out[:, k] = [eval_at(e, p, memo) for e in roots]
@@ -843,7 +842,7 @@ def _reference(roots: list, points, n: int) -> np.ndarray:
     return out
 
 
-def sup_abs(exprs, points) -> float:
+def sup_abs(exprs, points: Mapping) -> float:
     """max |e(p)| over a nested sequence of expressions and all points (0 if none)."""
     return float(np.max(np.abs(evaluate(exprs, points)), initial=0.0))
 
@@ -1133,6 +1132,8 @@ class Chart:
             lo, hi = float(lo), float(hi)
             if not lo < hi:
                 raise ExprError(f"empty domain interval for {c!r}")
+            if not math.isfinite(hi - lo):
+                raise ExprError(f"domain interval for {c!r} is wider than a float")
             box[c] = (lo, hi)
         if domain:
             raise ExprError(f"domain given for unknown coordinates {sorted(domain)}")
@@ -1171,40 +1172,47 @@ class Chart:
 
 
 def sample_points(chart: Chart, mode: str = "random", count: int = 50,
-                  seed: int | None = None) -> list:
-    """Deterministic sample points inside the chart box minus exclusions.
+                  seed: int | None = None) -> dict:
+    """Deterministic sample points inside the chart box minus exclusions, as
+    coordinate name -> float64 column, in chart order.
 
     ``random`` draws uniformly with numpy's seeded PCG64 generator (the seed
-    is required); ``grid`` lays a regular lattice and filters it.
+    is required); ``grid`` lays a regular lattice and filters it.  Batches of
+    the missing count give the points of one draw at a time.
     """
     los = np.array([chart.domain[c][0] for c in chart.coords])
     his = np.array([chart.domain[c][1] for c in chart.coords])
-    points: list = []
     if mode == "random":
         if seed is None:
             raise ExprError("random sampling requires a seed")
         rng = np.random.default_rng(int(seed))
-        attempts = 0
-        while len(points) < count:
-            attempts += 1
-            if attempts > 1000 * count:
-                raise ExprError("sampling failed: exclusions reject too much of the box")
-            draw = rng.uniform(los, his)
-            p = chart.point(draw)
-            if not any(ex.excludes(p) for ex in chart.exclusions):
-                points.append(p)
-        return points
-    if mode == "grid":
+        limit = 1000 * count
+
+        def take(start, k):
+            return rng.uniform(los, his, size=(k, chart.n))
+    elif mode == "grid":
         m = max(2, math.ceil(count ** (1.0 / chart.n)))
         axes = [np.linspace(lo, hi, m) for lo, hi in zip(los, his)]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.n)
-        for row in grid:
-            p = chart.point(row)
-            if not any(ex.excludes(p) for ex in chart.exclusions):
-                points.append(p)
-            if len(points) >= count:
-                break
-        if not points:
-            raise ExprError("grid sampling produced no admissible points")
-        return points
-    raise ExprError(f"unknown sampling mode {mode!r}")
+        limit = len(grid)
+
+        def take(start, k):
+            return grid[start:start + k]
+    else:
+        raise ExprError(f"unknown sampling mode {mode!r}")
+    kept, accepted, drawn = [], 0, 0
+    while accepted < count and drawn < limit:
+        k = min(count - accepted, limit - drawn)
+        cols = np.ascontiguousarray(take(drawn, k).T)
+        drawn += k
+        # each exclusion tests only the points the earlier ones kept, as a
+        # short-circuiting any() over them does
+        for ex in chart.exclusions:
+            cols = cols[:, ~ex.compare(evaluate([ex.expr], dict(zip(chart.coords, cols)))[0])]
+        kept.append(cols)
+        accepted += cols.shape[1]
+    if accepted < count and mode == "random":
+        raise ExprError("sampling failed: exclusions reject too much of the box")
+    if not accepted:
+        raise ExprError("grid sampling produced no admissible points")
+    return dict(zip(chart.coords, np.concatenate(kept, axis=1)))

@@ -13,7 +13,7 @@ collected in CONVENTIONS.md.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -217,7 +217,7 @@ def form_eval(a: PForm, vectors: Sequence[Sequence[float]], point: Mapping[str, 
     if len(vectors) != a.degree:
         raise FormArityError(f"{a.degree}-form needs {a.degree} vectors, got {len(vectors)}")
     vs = [np.asarray(v, dtype=float) for v in vectors]
-    values = evaluate(list(a.coeffs.values()), [point])[:, 0]
+    values = evaluate(list(a.coeffs.values()), {c: [v] for c, v in point.items()})[:, 0]
     total = 0.0
     for idx, val in zip(a.coeffs, values):
         minor = np.array([[v[i] for i in idx] for v in vs])
@@ -258,7 +258,7 @@ class MatrixForm:
         r, c = rc
         return self.entries[r][c]
 
-    def eta_antisymmetry_residual(self, points: Iterable[Mapping[str, float]]) -> float:
+    def eta_antisymmetry_residual(self, points: Mapping[str, np.ndarray]) -> float:
         """max |eta_i w^i_j + eta_j w^j_i| over entries, basis slots and points."""
         if self.eta is None or self.rows != self.cols:
             raise FormArityError("eta-antisymmetry check needs a tagged square matrix")
@@ -272,7 +272,7 @@ class MatrixForm:
                     signs.append((self.eta[i], self.eta[j]))
         if not pairs:
             return 0.0
-        vals = evaluate(pairs, list(points))
+        vals = evaluate(pairs, points)
         signs = np.array(signs, dtype=float)[:, :, None]
         return float(np.max(np.abs(signs[:, 0] * vals[:, 0] + signs[:, 1] * vals[:, 1]),
                             initial=0.0))

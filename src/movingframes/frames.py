@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, evaluate, mul, num, pow_, simplify,
-                         sup_abs, ZERO)
+from .expression import (Chart, Expr, add, evaluate, mul, num, point_at, pow_,
+                         simplify, sup_abs, ZERO)
 from .exterior import (MatrixForm, PForm, contract, ext_d, matrix_curvature,
                        pform_add, pform_scale, wedge, zero_form)
 
@@ -93,13 +93,10 @@ class Coframe:
     def n(self) -> int:
         return len(self.theta)
 
-    def vectors_at(self, point: Mapping[str, float]):
-        return evaluate(self.vectors, [point])[..., 0]
-
 
 def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
                        expected_eta: Sequence[int],
-                       samples: Iterable[Mapping[str, float]] = (),
+                       samples: Mapping[str, np.ndarray] | None = None,
                        pivot_tol: float = 1e-8,
                        allow_skip: bool = False):
     """Metric Gram-Schmidt over a candidate list of symbolic vectors.
@@ -109,7 +106,6 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     set (rank completion); a projection that degenerates only at isolated
     samples raises :class:`SingularMetricError` naming the first bad point.
     """
-    samples = list(samples)
     n = metric.chart.n
     frame: list = []
     eta: list = []
@@ -126,8 +122,8 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
             if allow_skip:
                 continue
             raise SingularMetricError("metric pivot vanishes identically",
-                                      samples[0] if samples else None)
-        if samples:
+                                      None if samples is None else point_at(samples, 0))
+        if samples is not None:
             vals = evaluate([pivot], samples)[0]
             absvals = np.abs(vals)
             if allow_skip and absvals.max() < 1e-10:
@@ -136,11 +132,12 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
             if absvals[worst] < pivot_tol:
                 raise SingularMetricError(
                     f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
-                    samples[worst])
+                    point_at(samples, worst))
             sign = 1 if vals[worst] > 0 else -1
             flipped = np.flatnonzero((vals > 0) != (sign > 0))
             if flipped.size:
-                raise SingularMetricError("metric pivot changes sign", samples[flipped[0]])
+                raise SingularMetricError("metric pivot changes sign",
+                                          point_at(samples, flipped[0]))
             expected = want[len(frame)]
             if sign != expected:
                 raise SignatureError(
@@ -157,7 +154,7 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
 
 
 def build_coframe(metric: Metric, order: Sequence[str] | None = None,
-                  samples: Iterable[Mapping[str, float]] = (),
+                  samples: Mapping[str, np.ndarray] | None = None,
                   pivot_tol: float = 1e-8) -> Coframe:
     """Orthonormalise the coordinate frame in the given coordinate order."""
     chart = metric.chart
@@ -244,12 +241,14 @@ class FrameData:
         return self.coframe.n
 
     def riemann_at(self, point: Mapping[str, float]):
-        return evaluate(self.riemann, [point])[..., 0]
+        return evaluate(self.riemann, {c: [v] for c, v in point.items()})[..., 0]
 
     def weyl_at(self, point: Mapping[str, float]):
-        return None if self.weyl is None else evaluate(self.weyl, [point])[..., 0]
+        if self.weyl is None:
+            return None
+        return evaluate(self.weyl, {c: [v] for c, v in point.items()})[..., 0]
 
-    def curvature_values(self, points: Sequence[Mapping[str, float]]) -> dict:
+    def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
         """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first."""
         tensors = {"riemann": self.riemann, "ricci": self.ricci}
         if self.weyl is not None:
@@ -313,7 +312,7 @@ def curvature_package(coframe: Coframe) -> FrameData:
                      schouten, weyl)
 
 
-def torsion_residual(fd: FrameData, points: Iterable[Mapping[str, float]]) -> float:
+def torsion_residual(fd: FrameData, points: Mapping[str, np.ndarray]) -> float:
     """max |d theta^i + alpha^i_j ^ theta^j| over coefficients and points."""
     n = fd.n
     coeffs = []
@@ -322,15 +321,15 @@ def torsion_residual(fd: FrameData, points: Iterable[Mapping[str, float]]) -> fl
         for j in range(n):
             acc = pform_add(acc, wedge(fd.alpha[i, j], fd.coframe.theta[j]))
         coeffs.extend(acc.coeffs.values())
-    return sup_abs(coeffs, list(points))
+    return sup_abs(coeffs, points)
 
 
 def reconstruction_residual(metric: Metric, coframe: Coframe,
-                            points: Iterable[Mapping[str, float]]) -> float:
+                            points: Mapping[str, np.ndarray]) -> float:
     """max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over points."""
     n = metric.chart.n
     theta = [[t.coefficient((mu,)) for mu in range(n)] for t in coframe.theta]
-    th, g = evaluate([theta, metric.entries], list(points))
+    th, g = evaluate([theta, metric.entries], points)
     s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
     return float(np.max(np.abs(s - g), initial=0.0))
 
@@ -355,9 +354,10 @@ class SpaceClassification:
                     or self.conformally_flat is True)
 
 
-def classify_space(fd: FrameData, points: Sequence[Mapping[str, float]],
+def classify_space(fd: FrameData, values: Mapping[str, np.ndarray],
                    tol: float = 1e-6) -> SpaceClassification:
-    """Flat / constant-curvature / conformally-flat / Ricci-flat flags.
+    """Flat / constant-curvature / conformally-flat / Ricci-flat flags from
+    ``values``, the :meth:`FrameData.curvature_values` of ``fd`` at the samples.
 
     Constant curvature is detected mutation-style: the best constant kappa is
     subtracted from R_{ijkl} against eta_ik eta_jl - eta_il eta_jk and the
@@ -366,18 +366,16 @@ def classify_space(fd: FrameData, points: Sequence[Mapping[str, float]],
     """
     n = fd.n
     eta = fd.eta
-    points = list(points)
-    if not points:
+    r = values["riemann"]
+    if not len(r):
         raise ValueError("classification needs at least one sample point")
 
     em = np.diag(eta).astype(float)
     unit = np.einsum("ik,jl->ijkl", em, em) - np.einsum("il,jk->ijkl", em, em)
 
-    vals = fd.curvature_values(points)
-    r = vals["riemann"]
     max_riemann = float(np.max(np.abs(r)))
-    max_ricci = float(np.max(np.abs(vals["ricci"])))
-    max_weyl = float(np.max(np.abs(vals["weyl"]))) if "weyl" in vals else None
+    max_ricci = float(np.max(np.abs(values["ricci"])))
+    max_weyl = float(np.max(np.abs(values["weyl"]))) if "weyl" in values else None
     # sample-major order, as the mean's pairwise summation sees it
     kappa_samples = np.stack([r[:, i, j, i, j] * eta[i] * eta[j]
                               for i in range(n) for j in range(i + 1, n)], axis=1)

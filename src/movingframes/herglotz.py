@@ -85,11 +85,11 @@ class HypothesisReport:
 
 
 def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
-                     points: Sequence[Mapping[str, float]],
                      tol: float = 1e-7,
                      rotational_threshold: float = 1e-6) -> HypothesisReport:
-    """Gate the isometry theorem: rigidity, rotation, closedness, basicness."""
-    jet = flow.jet(points)
+    """Gate the isometry theorem at the flow's samples: rigidity, rotation,
+    closedness, basicness."""
+    jet = flow.jet
     max_m = _sup(jet["m"])
     basic_m = _sup(jet["mc"][:, :, 0])
     basic_k = _sup(jet["kc"][:, 0])
@@ -123,8 +123,7 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
 @dataclass
 class LambdaReconstruction:
     basepoint: dict
-    points: list                       # evaluation points (dicts)
-    values: list                       # lambda at each point, lambda(base) = 1
+    values: list                       # lambda at each sample, lambda(base) = 1
     path_independence_residual: float  # max relative gap between the two paths
     leaf_derivative_residual: float    # |u(lambda)| estimate via a flow step
     quadrature_tol: float
@@ -148,6 +147,10 @@ def _k_coordinate_form(flow: FlowData) -> list:
     return out
 
 
+# the benchmark workloads' runs keep at most 8 intervals per segment open
+_OPEN_PER_SEGMENT = 256
+
+
 def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarray,
                     tol: float, depth: int = 24) -> np.ndarray:
     """Integral of K along each straight segment start -> end.
@@ -156,7 +159,9 @@ def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarr
     |left + right - whole| < 15 tol and is otherwise halved with tol halved,
     down to ``depth`` levels.  The open intervals of all segments are refined
     together, one :func:`evaluate` call per level, and each integral is summed
-    over its interval tree in the order the recursive rule adds.
+    over its interval tree in the order the recursive rule adds.  More than
+    ``_OPEN_PER_SEGMENT`` open intervals per segment is a :class:`PathError`,
+    so that an integrand the rule cannot resolve costs bounded memory.
     """
     deltas = ends - starts
     out = np.zeros(len(starts))
@@ -185,6 +190,9 @@ def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarr
         levels.append((split, left + right + err / 15.0))
         if not split.any():
             break
+        if 2 * np.count_nonzero(split) > _OPEN_PER_SEGMENT * m:
+            raise PathError(f"quadrature of K did not converge: more than "
+                            f"{_OPEN_PER_SEGMENT} open intervals per segment")
 
         def halves(u, v):
             return np.column_stack([u[split], v[split]]).ravel()
@@ -243,12 +251,11 @@ def _segments_fit(chart: Chart, starts: np.ndarray, ends: np.ndarray) -> np.ndar
 
 
 def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
-                       points: Sequence[Mapping[str, float]],
                        closedness_residual: float,
                        closedness_tol: float = 1e-8,
                        quadrature_tol: float = 1e-10,
                        path_tol: float = 1e-6) -> LambdaReconstruction:
-    """lambda(p) = exp(line integral of K) from the basepoint.
+    """lambda(p) = exp(line integral of K) from the basepoint, at the flow's samples.
 
     Requires the closedness certificate; integrates along the straight
     segment and along an axis-ordered polyline, comparing the two.  The
@@ -270,8 +277,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
         return _line_integrals(k_mu, chart, starts, ends, quadrature_tol)
 
     base = np.array([basepoint[c] for c in chart.coords], dtype=float)
-    targets = np.array([[p[c] for c in chart.coords] for p in points],
-                       dtype=float).reshape(-1, n)
+    targets = np.column_stack([flow.samples[c] for c in chart.coords])
     count = len(targets)
     bases = np.broadcast_to(base, targets.shape)
     # staircase corner mu + 1 takes the first mu + 1 coordinates of the target
@@ -309,7 +315,6 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
 
     return LambdaReconstruction(
         basepoint=dict(basepoint),
-        points=[dict(p) for p in points],
         values=[math.exp(d) for d in direct],
         path_independence_residual=worst_gap,
         leaf_derivative_residual=leaf,
@@ -327,7 +332,7 @@ def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def verify_killing(metric: Metric, vector: Sequence[Expr],
-                   points: Sequence[Mapping[str, float]],
+                   points: Mapping[str, np.ndarray],
                    frame_vectors: Sequence[Sequence[Expr]] | None = None) -> float:
     """max frame component of L_V g over the samples (full tensor).
 
@@ -339,7 +344,7 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
                                  fd_step: float = 1e-4) -> float:
-    """Killing residual of V = lambda u, the max over every point of ``lam``.
+    """Killing residual of V = lambda u, the max over the flow's samples.
 
     Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the L_u g frame
     components of the flow's jet, the reconstructed lambda and a finite-difference
@@ -352,8 +357,7 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
     """
     chart = flow.chart
     n = chart.n
-    pts = np.array([[p[c] for c in chart.coords] for p in lam.points],
-                   dtype=float).reshape(-1, n)
+    pts = np.column_stack([flow.samples[c] for c in chart.coords])
     count = len(pts)
     p = np.repeat(pts, n, axis=0)                    # row (point, axis)
     e = np.tile(np.eye(n) * fd_step, (count, 1))
@@ -376,7 +380,7 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
     ia, ib = ints[:count * n], ints[count * n:]
     lval = np.array(lam.values, dtype=float)
     grad = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n) * lval[:, None]
-    jet = flow.jet(lam.points)
+    jet = flow.jet
     dlam_frame = np.einsum("amp,pm->ap", jet["e"], grad)  # d lambda on the frame vectors
     val = lval * jet["lie"]
     val[0, 0] += dlam_frame[0]
@@ -427,7 +431,6 @@ class HerglotzReport:
 
 def run_herglotz(flow: FlowData, ambient: SpaceClassification,
                  basepoint: Mapping[str, float],
-                 points: Sequence[Mapping[str, float]],
                  tol: float = 1e-7,
                  rotational_threshold: float = 1e-6,
                  closedness_tol: float = 1e-8,
@@ -436,12 +439,12 @@ def run_herglotz(flow: FlowData, ambient: SpaceClassification,
                  killing_tol: float = 1e-7) -> HerglotzReport:
     """Full theorem pipeline; the verdict is isometric-verified only when
     every hypothesis gate and every residual clears its tolerance."""
-    hyp = check_hypotheses(flow, ambient, points, tol, rotational_threshold)
+    hyp = check_hypotheses(flow, ambient, tol, rotational_threshold)
     failure = hyp.failure_reason()
     if failure is not None:
         return HerglotzReport(hyp, "hypotheses-not-met", failure)
     try:
-        lam = reconstruct_lambda(flow, basepoint, points, hyp.closedness_residual,
+        lam = reconstruct_lambda(flow, basepoint, hyp.closedness_residual,
                                  closedness_tol, quadrature_tol, path_tol)
     except (ClosednessError, PathError) as exc:
         return HerglotzReport(hyp, "inconsistent", str(exc))

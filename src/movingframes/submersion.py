@@ -44,12 +44,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
-                         num, pow_, simplify, sup_abs)
+                         num, point_at, pow_, simplify)
 from .exterior import FormArityError, PForm, contract, ext_d
 from .frames import Coframe, FrameData, Metric, gram_schmidt_frame, solve_connection
 
@@ -94,7 +94,7 @@ def _lie(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.nda
 
 def lie_derivative_at(metric: Metric, vector: Sequence[Expr],
                       frame: Sequence[Sequence[Expr]] | None,
-                      points: Sequence[Mapping[str, float]]) -> np.ndarray:
+                      points: Mapping[str, np.ndarray]) -> np.ndarray:
     """L_V g at every point (point axis last), from one forward-mode walk:
     coordinate components when ``frame`` is None, else the frame components
     e_a^mu e_b^nu (L_V g)_mu nu."""
@@ -130,7 +130,7 @@ class AdaptedFlow:
 
 
 def adapted_coframe(metric: Metric, flow: Sequence[Expr],
-                    samples: Sequence[Mapping[str, float]],
+                    samples: Mapping[str, np.ndarray],
                     flow_tol: float = 1e-8,
                     order: Sequence[str] | None = None) -> AdaptedFlow:
     """Unit flow field, its dual psi0 and a horizontal Gram-Schmidt coframe.
@@ -147,10 +147,11 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     flow = tuple(simplify(c) for c in flow)
     norm2 = simplify(metric.inner(list(flow), list(flow)))
     norms = evaluate([norm2], samples)[0]
-    for val, p in zip(norms, samples):
-        if val < flow_tol * flow_tol:
-            raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
-                                     f"below {flow_tol:g}", p)
+    low = np.flatnonzero(norms < flow_tol * flow_tol)
+    if low.size:
+        val = norms[low[0]]
+        raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
+                                 f"below {flow_tol:g}", point_at(samples, low[0]))
     scale = pow_(norm2, Fraction(-1, 2))
     u = tuple(simplify(mul(scale, c)) for c in flow)
     seeds: list = [list(u)]
@@ -175,9 +176,6 @@ class FlowInvariants:
     m: list          # M_ij, horizontal indices 0..n-2
     k: list          # K_i
 
-    def max_m(self, points: Iterable[Mapping[str, float]]) -> float:
-        return sup_abs(self.m, list(points))
-
 
 def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
     """Extract M, K from d psi0."""
@@ -192,7 +190,7 @@ def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
 
 
 def flow_jet(adapted: AdaptedFlow, m: list, k: list,
-             points: Sequence[Mapping[str, float]]) -> dict:
+             points: Mapping[str, np.ndarray]) -> dict:
     """First-order data of the adapted frame at every point, point axis last.
 
     One vector forward-mode walk in the coordinate basis d_nu over e_b^mu,
@@ -247,10 +245,13 @@ def rigidity_test(lie: np.ndarray, tol: float) -> RigidityResult:
 
 @dataclass
 class FlowData:
-    """Everything the theorem pipeline needs about one flow."""
+    """Everything the theorem pipeline needs about one flow, with the sample
+    columns it was analysed at and its :func:`flow_jet` there."""
 
     adapted: AdaptedFlow
     invariants: FlowInvariants
+    samples: dict
+    jet: dict
     rigidity: RigidityResult
     two_path: float
     skewness: float
@@ -271,13 +272,9 @@ class FlowData:
     def k(self) -> list:
         return self.invariants.k
 
-    def jet(self, points: Sequence[Mapping[str, float]]) -> dict:
-        """:func:`flow_jet` of this flow at the points."""
-        return flow_jet(self.adapted, self.m, self.k, points)
-
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
-                 samples: Sequence[Mapping[str, float]],
+                 samples: Mapping[str, np.ndarray],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8,
                  order: Sequence[str] | None = None) -> FlowData:
     adapted = adapted_coframe(metric, flow, samples, flow_tol, order)
@@ -286,7 +283,7 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
     conn, m, k = jet["conn"], jet["m"], jet["k"]
     # two independent routes to M and K: d psi0 against the connection slots
     two_path = max(_sup(k - conn[0, 1:, 0]), _sup(m - conn[1:, 0, 1:]))
-    return FlowData(adapted, invariants, rigidity_test(jet["lie"], rigidity_tol),
+    return FlowData(adapted, invariants, samples, jet, rigidity_test(jet["lie"], rigidity_tol),
                     two_path, _sup(m + np.swapaxes(m, 0, 1)))
 
 
@@ -380,9 +377,8 @@ def _quadratic_m(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
             + 2.0 * np.einsum("ijp,klp->ijklp", m1, m2))
 
 
-def constraint_rows(flow: FlowData, ambient: FrameData,
-                    points: Sequence[Mapping[str, float]]) -> dict:
-    """Every row of the constraint system at every point, point axis last.
+def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
+    """Every row of the constraint system at the flow's samples, point axis last.
 
     The ambient curvature is read through the frame change
     E_a^i = theta^i(e_a) from the ambient coframe to the adapted one,
@@ -395,11 +391,11 @@ def constraint_rows(flow: FlowData, ambient: FrameData,
     ``leaf`` (Rq_ijkl;0) and ``m2_leaf`` (u(|M|^2) = 2 sum M_ij u(M_ij)).
     """
     vec = flow.adapted.coframe.vectors
-    jet = flow.jet(points)
+    jet = flow.jet
     v, dv = evaluate_along(
         {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec],
          "r": ambient.riemann, "m": flow.m},
-        dict(zip(flow.chart.coords, vec[0])), points)
+        dict(zip(flow.chart.coords, vec[0])), flow.samples)
     e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], jet["k"], jet["abar"][:, :, 0]
     r = _frame_change([e] * 4, v["r"])
     dr = _frame_change([e] * 4, dv["r"])
@@ -434,15 +430,14 @@ def constraint_rows(flow: FlowData, ambient: FrameData,
     }
 
 
-def constraint_residuals(flow: FlowData, ambient: FrameData,
-                         points: Sequence[Mapping[str, float]]) -> ConstraintReport:
-    """Sup-norms of the constraint rows, and the quotient curvature, at the points.
+def constraint_residuals(flow: FlowData, ambient: FrameData) -> ConstraintReport:
+    """Sup-norms of the constraint rows, and the quotient curvature, at the flow's samples.
 
     ``ambient`` is the curvature package of an orthonormal coframe of the
     flow's metric.  Results carry an advisory flag when the flow failed the
     rigidity test (the identities assume a rigid flow).
     """
-    v = constraint_rows(flow, ambient, points)
+    v = constraint_rows(flow, ambient)
     return ConstraintReport(
         tilde_free={name: _sup(v[name])
                     for name in ("R_0i0j", "R_0ijk", "R_ij0k", "R_00", "R_0i")},

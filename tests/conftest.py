@@ -5,6 +5,8 @@ from movingframes.expression import Chart, call, mul, num, pow_, sample_points, 
 from movingframes.frames import Metric, build_coframe, classify_space, curvature_package
 from movingframes.submersion import analyze_flow, constraint_residuals
 
+from helpers import columns, rows
+
 
 def _identity(chart):
     n = chart.n
@@ -73,7 +75,7 @@ def _frame_bundle(chart, metric, seed, count=40):
     points = sample_points(chart, "random", count, seed=seed)
     fd = curvature_package(build_coframe(metric, samples=points))
     return {"chart": chart, "metric": metric, "points": points, "frame": fd,
-            "classification": classify_space(fd, points)}
+            "classification": classify_space(fd, fd.curvature_values(points))}
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +116,7 @@ def screw():
     metric = _identity(chart)
     base = {"x": 1.0, "y": 0.0, "z": 0.0}
     far = {"x": 2.0, "y": 0.0, "z": 0.0}
-    points = [base, far] + sample_points(chart, "random", 20, seed=11)
+    points = columns([base, far] + rows(sample_points(chart, "random", 20, seed=11)))
     y = sym("y")
     x = sym("x")
     flow = [-y, x, num(1)]
@@ -124,6 +126,6 @@ def screw():
         "chart": chart, "metric": metric, "points": points,
         "basepoint": base, "far": far, "flow": flow,
         "flow_data": flow_data, "frame": fd,
-        "constraints": constraint_residuals(flow_data, fd, points[:12]),
-        "classification": classify_space(fd, points),
+        "constraints": constraint_residuals(flow_data, fd),
+        "classification": classify_space(fd, fd.curvature_values(points)),
     }

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from movingframes.expression import Chart, add, call, mul, num, pow_, sym
+from movingframes.expression import Chart, add, call, mul, num, point_at, pow_, sym
 from movingframes.exterior import PForm
 
 
@@ -46,6 +46,16 @@ def random_pform(rng: np.random.Generator, chart: Chart, degree: int, terms=2, d
         coeffs[idx] = add(coeffs.get(idx, num(0)),
                           random_expr(rng, chart.coords, depth))
     return PForm(chart, degree, coeffs)
+
+
+def columns(points) -> dict:
+    """Sample columns (coordinate -> float64 array) from a list of point dicts."""
+    return {c: np.array([p[c] for p in points], dtype=float) for c in points[0]}
+
+
+def rows(points) -> list:
+    """The point dicts of sample columns, in order."""
+    return [point_at(points, k) for k in range(len(next(iter(points.values()))))]
 
 
 def random_point(rng: np.random.Generator, chart: Chart) -> dict:

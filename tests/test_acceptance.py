@@ -20,11 +20,11 @@ from movingframes.frames import (build_coframe, classify_space,
 from movingframes.herglotz import (check_hypotheses, reconstruct_lambda,
                                    ricci_flat_check, run_herglotz,
                                    scaled_flow_killing_residual)
-from movingframes.submersion import (analyze_flow, constraint_residuals,
-                                     covariant_derivative)
+from movingframes.submersion import analyze_flow, covariant_derivative
 
 import oracle
-from helpers import frame_fn, max_abs_coeff, metric_fn, random_point, random_pform, vector_fn
+from helpers import (frame_fn, max_abs_coeff, metric_fn, random_point, random_pform, rows,
+                     vector_fn)
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
 
@@ -77,7 +77,7 @@ def test_criterion_2_curvature_oracles(flat3_frame, sphere2_frame, hyperbolic3_f
         chart = sphere2_frame["chart"]
         g_fn = metric_fn(sphere2_frame["metric"], chart)
         e_fn = frame_fn(fd.coframe, chart)
-        for p in sphere2_frame["points"][:6]:
+        for p in rows(sphere2_frame["points"])[:6]:
             val = eval_at(fd.riemann[0][1][0][1], p)
             assert val == pytest.approx(0.25, abs=1e-6)
             arr = np.array([p[c] for c in chart.coords])
@@ -89,7 +89,7 @@ def test_criterion_2_curvature_oracles(flat3_frame, sphere2_frame, hyperbolic3_f
         chart = hyperbolic3_frame["chart"]
         g_fn = metric_fn(hyperbolic3_frame["metric"], chart)
         e_fn = frame_fn(hyperbolic3_frame["frame"].coframe, chart)
-        arr = np.array([hyperbolic3_frame["points"][0][c] for c in chart.coords])
+        arr = np.array([hyperbolic3_frame["points"][c][0] for c in chart.coords])
         assert oracle.frame_riemann(g_fn, e_fn, arr)[0, 1, 0, 1] == pytest.approx(
             -1.0, abs=5e-5)
         # flat space
@@ -128,7 +128,7 @@ def test_criterion_4_weyl_properties(flat3_frame, polar3_frame, hyperbolic3_fram
         for bundle in (flat3_frame, polar3_frame, hyperbolic3_frame, conformal4_frame):
             fd = bundle["frame"]
             eta = np.diag(fd.eta).astype(float)
-            for p in bundle["points"][:8]:
+            for p in rows(bundle["points"])[:8]:
                 w = fd.weyl_at(p)
                 for contraction in ("ik,ijkl->jl", "jl,ijkl->ik", "il,ijkl->jk"):
                     assert np.max(np.abs(np.einsum(contraction, eta, w))) < 1e-8
@@ -149,12 +149,11 @@ def test_criterion_6_herglotz_end_to_end(screw, tmp_path):
     with criterion(6, "closedness < 1e-8, basicness < 1e-7, lambda ratio "
                       "1.5811 +- 1e-4, Killing residual < 1e-7, CLI verdict"):
         fl = screw["flow_data"]
-        hyp = check_hypotheses(fl, screw["classification"], screw["points"])
+        hyp = check_hypotheses(fl, screw["classification"])
         assert hyp.closedness_residual < 1e-8
         assert hyp.basic_m_residual < 1e-7
         assert hyp.basic_k_residual < 1e-7
-        lam = reconstruct_lambda(fl, screw["basepoint"], screw["points"],
-                                 hyp.closedness_residual)
+        lam = reconstruct_lambda(fl, screw["basepoint"], hyp.closedness_residual)
         assert lam.leaf_derivative_residual < 1e-7
         # basepoint sits at r = 1, the second point at r = 2
         assert lam.values[1] / lam.values[0] == pytest.approx(1.5811, abs=1e-4)
@@ -177,8 +176,8 @@ def test_criterion_7_constraint_system(screw):
         rf = ricci_flat_check(rep, screw["classification"])
         assert rf.applicable and rf.max_residual() < 1e-7
         assert rep.m2_leaf_residual < 1e-7
-        val = constraint_residuals(screw["flow_data"], screw["frame"],
-                                   [BASE]).quotient_riemann[0, 1, 0, 1, 0]
+        # the fixture's first sample is BASE
+        val = rep.quotient_riemann[0, 1, 0, 1, 0]
         assert abs(val) == pytest.approx(0.75, abs=1e-5)
 
         u_fn = vector_fn(screw["flow_data"].adapted.u, screw["chart"])

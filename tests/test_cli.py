@@ -1,13 +1,20 @@
 """Config validation, pipeline exit codes, report determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import movingframes
 from movingframes.cli import (TASKS, ConfigError, load_config, load_config_file,
                               main, run_pipeline, serialize_report)
+from movingframes.frames import FrameData
 
 
 def screw_config(**overrides):
@@ -122,6 +129,47 @@ class TestConfigValidation:
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, value", [
+        (("chart", "domain"), [[0.4, 1.6], [-0.6, 0.6], [-1.0, 1.0]]),
+        (("chart", "domain"), 5),
+        (("chart", "domain", "x"), ["a", "b"]),
+        (("chart", "domain", "x"), [0.4, 1.0, 1.6]),
+        (("chart", "domain", "x"), [-1e308, 1e308]),     # the width overflows a float
+        (("chart", "domain", "x"), [0.4, 10 ** 400]),
+        (("chart", "signature"), 1),
+        (("chart", "signature"), ["a", 1, 1]),
+        (("chart", "signature"), [1.5, 1, 1]),           # once read as 1
+        (("chart", "exclusions"), [5]),
+        (("basepoint",), ["a", 0.0, 0.0]),
+        (("basepoint",), [None, 0.0, 0.0]),
+        (("tolerances",), [1e-3]),
+        (("tolerances",), {"killing": True}),            # once read as 1.0
+        (("tolerances",), {"killing": 10 ** 400}),
+        (("coframe_order",), [["x"], "y", "z"]),
+        (("samples",), {"mode": "random", "count": 10 ** 30, "seed": 1})])
+    def test_config_shape_exit_two(self, tmp_path, capsys, where, value):
+        """Each of these once ended in a traceback (exit 1) or ran with a value
+        read into another; a config of the wrong shape is a config error."""
+        cfg = screw_config()
+        target = cfg
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_exclusion_faulting_at_basepoint_exit_two(self, tmp_path, capsys):
+        cfg = screw_config(basepoint=[0.5, 0.0, 0.0])
+        cfg["chart"]["exclusions"] = ["log(x - 0.6) > 5"]
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: basepoint: log of")
+
+    def test_deeply_nested_json_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"metric": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "config error: malformed JSON" in capsys.readouterr().err
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"chart": ')
@@ -173,26 +221,34 @@ class TestPipeline:
         instead of building a second curvature package in the adapted frame,
         and takes the adapted connection, L_u g, M;g and K;g from a
         forward-mode jet: the one connection solved is the ambient one, and
-        no symbolic covariant or directional derivative is built."""
+        no symbolic covariant or directional derivative is built.  Every
+        stage reads the one jet and the one curvature evaluation at the
+        samples (4 jet walks and 2 curvature evaluations before)."""
         homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
-                 "directional": movingframes.submersion}
+                 "directional": movingframes.submersion, "flow_jet": movingframes.submersion}
         calls = dict.fromkeys(homes, 0)
+        calls["curvature_values"] = 0
+
+        def count(name, real):
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counting
+
         for name, home in homes.items():
             real = getattr(home, name)
-
-            def counting(*args, _name=name, _real=real, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
             for module in list(sys.modules.values()):
                 if (getattr(module, "__name__", "").startswith("movingframes")
                         and getattr(module, name, None) is real):
-                    monkeypatch.setattr(module, name, counting)
+                    monkeypatch.setattr(module, name, count(name, real))
+        monkeypatch.setattr(FrameData, "curvature_values",
+                            count("curvature_values", FrameData.curvature_values))
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
         assert calls == {"curvature_package": 1, "matrix_curvature": 1, "solve_connection": 1,
-                         "covariant_derivative": 0, "directional": 0}
+                         "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
+                         "curvature_values": 1}
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame
@@ -220,6 +276,18 @@ class TestPipeline:
                            tasks=["curvature", "classify"])
         report, code = run_pipeline(load_config(cfg))
         assert code == 0
+
+    def test_later_exclusion_sees_only_kept_points(self, tmp_path):
+        """log(x - 0.5) faults where x < 0.5, and those are the points the
+        first exclusion removed: the second one never sees them."""
+        cfg = screw_config()
+        cfg["chart"]["exclusions"] = ["x < 0.5", "log(x - 0.5) > 5"]
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 0
+        points = [p["point"] for p in
+                  json.loads(out.read_text())["tasks"]["curvature"]["components_at_points"]]
+        assert len(points) == 3 and all(p[0] >= 0.5 for p in points)
 
     def test_exclusions_through_pipeline(self):
         """Rotation flow with the axis carved out by an exclusion predicate."""
@@ -377,3 +445,65 @@ class TestHerglotzRegressions:
         herglotz = json.loads(out.read_text())["tasks"]["herglotz"]
         assert herglotz["verdict"] == "isometric-verified"
         assert herglotz["killing_residual"] < 1e-8
+
+
+# -- fuzzing the front door ---------------------------------------------------
+
+FUZZ_BASE = {
+    "schema_version": "1",
+    "chart": {"coordinates": ["x", "y", "z"], "signature": [1, 1, 1],
+              "domain": {"x": [0.4, 1.6], "y": [-0.6, 0.6], "z": [-1.0, 1.0]},
+              "exclusions": ["x^2 + y^2 < 0.04"], "simply_connected": True},
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "flow": ["-y", "x", "1"],
+    "samples": {"mode": "random", "count": 4, "seed": 3},
+    "tolerances": {"killing": 1e-7},
+    "tasks": ["curvature", "classify", "flow", "herglotz", "ricci-flat"],
+    "basepoint": [1.0, 0.0, 0.0],
+    "coframe_order": ["x", "y", "z"],
+}
+
+# wrong types, null, huge, tiny and non-finite numbers, and strings the
+# parser or the sampler may take
+_ODD = [None, True, False, 0, -1, 2, 0.5, -0.0, 10 ** 30, -10 ** 30, 2 ** 63, 1e308, -1e308,
+        1e-308, 5e-324, float("inf"), float("-inf"), float("nan"), "", "a", "x", "grid", "1e999",
+        "x^2 < 0.04", "log(x) > 0", [], {}, [None], [1, 2, 3], [0.5, 1.0], {"x": [0, 1]}]
+
+
+def _nodes(tree, path=()):
+    """Every key path into the nested config, the root included."""
+    yield path
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_main_exit_code_contract_fuzz(data):
+    """Mutated valid configs, run in process through ``main``: the exit code
+    is 0, 1 or 2, and no exception or traceback escapes."""
+    cfg = copy.deepcopy(FUZZ_BASE)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_nodes(cfg))[1:]))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = data.draw(st.sampled_from(["replace", "drop", "list", "object"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD)))
+        else:
+            parent[key] = [parent[key]] if action == "list" else {"k": parent[key]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path, "--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Mul,
                                      Num, ParseError, Pow, Sym,
                                      UnboundCoordinateError,
-                                     UndeclaredSymbolError, _fold_num_pow, add,
+                                     UndeclaredSymbolError, ExprError, _fold_num_pow, add,
                                      call, diff,
                                      eval_at, evaluate, evaluate_along, mul, num,
                                      parse_exclusion, parse_expr, pow_,
@@ -20,7 +20,7 @@ from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Mu
 from movingframes.frames import curvature_package
 from movingframes.submersion import directional
 
-from helpers import random_expr, random_point
+from helpers import columns, random_expr, random_point, rows
 
 CHART = Chart(["x", "y", "z"])
 X, Y, Z = sym("x"), sym("y"), sym("z")
@@ -282,10 +282,11 @@ def test_eval_agrees_with_unsimplified_tree():
 
 class TestEvaluate:
     POINTS = [{"x": 0.3, "y": -1.2, "z": 2.0}, {"x": -0.7, "y": 0.4, "z": 1.5}]
+    COLUMNS = columns(POINTS)
 
     def test_shape_follows_nesting(self):
         e = parse_expr("sin(x)*y^2 + exp(z)/y", CHART)
-        vals = evaluate([[e, X], [num(3), e]], self.POINTS)
+        vals = evaluate([[e, X], [num(3), e]], self.COLUMNS)
         assert vals.shape == (2, 2, 2)
         for k, p in enumerate(self.POINTS):
             assert vals[0, 0, k] == pytest.approx(eval_at(e, p), rel=1e-14)
@@ -293,17 +294,16 @@ class TestEvaluate:
 
     def test_groups_and_coordinate_columns(self):
         e = parse_expr("x*y - z^3", CHART)
-        columns = {c: np.array([p[c] for p in self.POINTS]) for c in CHART.coords}
-        out = evaluate({"a": [e, Y], "b": e}, columns)
+        out = evaluate({"a": [e, Y], "b": e}, self.COLUMNS)
         assert out["a"].shape == (2, 2) and out["b"].shape == (2,)
         assert list(out["b"]) == [eval_at(e, p) for p in self.POINTS]
-        assert sup_abs([e, Y], self.POINTS) == np.max(np.abs(out["a"]))
+        assert sup_abs([e, Y], self.COLUMNS) == np.max(np.abs(out["a"]))
 
     def test_no_points_and_unbound(self):
-        assert evaluate([X, Y], []).shape == (2, 0)
-        assert sup_abs([], self.POINTS) == 0.0
+        assert evaluate([X, Y], {"x": np.empty(0), "y": np.empty(0)}).shape == (2, 0)
+        assert sup_abs([], self.COLUMNS) == 0.0
         with pytest.raises(UnboundCoordinateError):
-            evaluate([X + Y], [{"x": 1.0}])
+            evaluate([X + Y], {"x": [1.0]})
 
     @pytest.mark.parametrize("text, point", [
         ("x + y", {"x": 1.5e308, "y": 1.5e308, "z": 0.0}),
@@ -317,7 +317,7 @@ class TestEvaluate:
         if text == "10^400*x":   # the constant faults everywhere
             fine = point
         with pytest.raises(EvalDomainError) as err:
-            evaluate([X, e], [fine, point, dict(point, z=1.0)])
+            evaluate([X, e], columns([fine, point, dict(point, z=1.0)]))
         assert err.value.point == (fine if text == "10^400*x" else point)
 
 
@@ -335,6 +335,7 @@ def test_evaluate_matches_eval_at(seed, coords):
     rng = np.random.default_rng(seed)
     exprs = [random_expr(rng, CHART.coords, depth=4) for _ in range(3)]
     points = [dict(zip(CHART.coords, c)) for c in coords]
+    cols = columns(points)
     first_fault = None
     expected = []
     for p in points:
@@ -346,10 +347,10 @@ def test_evaluate_matches_eval_at(seed, coords):
             break
     if first_fault is not None:
         with pytest.raises(EvalDomainError) as err:
-            evaluate(exprs, points)
+            evaluate(exprs, cols)
         assert err.value.point == first_fault
         return
-    got = evaluate(exprs, points)
+    got = evaluate(exprs, cols)
     for k, row in enumerate(expected):
         for i, want in enumerate(row):
             assert abs(got[i, k] - want) <= 1e-12 * max(1.0, abs(want))
@@ -358,39 +359,39 @@ def test_evaluate_matches_eval_at(seed, coords):
 # -- forward-mode derivatives ----------------------------------------------------
 
 class TestEvaluateAlong:
-    POINTS = TestEvaluate.POINTS
+    COLUMNS = TestEvaluate.COLUMNS
 
     def test_matches_the_symbolic_derivative(self):
         e = parse_expr("sin(x)*y^2 + exp(z)/y - sqrt(tan(x*z)^2 + 1) + log(2 + x^2)", CHART)
         vector = {"x": parse_expr("y*z", CHART), "y": num(2), "z": ZERO}
-        vals, ders = evaluate_along([[e, X], [num(3), Y]], vector, self.POINTS)
+        vals, ders = evaluate_along([[e, X], [num(3), Y]], vector, self.COLUMNS)
         want = evaluate([[directional(e, [vector[c] for c in CHART.coords], CHART),
-                          vector["x"]], [ZERO, num(2)]], self.POINTS)
+                          vector["x"]], [ZERO, num(2)]], self.COLUMNS)
         assert vals.shape == ders.shape == (2, 2, 2)
-        assert np.array_equal(vals, evaluate([[e, X], [num(3), Y]], self.POINTS))
+        assert np.array_equal(vals, evaluate([[e, X], [num(3), Y]], self.COLUMNS))
         assert np.allclose(ders, want, rtol=1e-12, atol=1e-12)
 
     def test_groups_and_a_zero_vector(self):
         e = parse_expr("x*y*z", CHART)
-        vals, ders = evaluate_along({"a": [e], "b": e}, {"x": ZERO}, self.POINTS)
+        vals, ders = evaluate_along({"a": [e], "b": e}, {"x": ZERO}, self.COLUMNS)
         assert vals["a"].shape == (1, 2) and ders["b"].shape == (2,)
         assert not ders["a"].any() and not ders["b"].any()
 
     def test_product_rule_needs_no_division(self):
         # d(x*y*z)/dx at x = 0 is y*z: no value is divided out of the product
         e = parse_expr("x*y*z", CHART)
-        _, ders = evaluate_along([e], {"x": num(1)}, [{"x": 0.0, "y": 2.0, "z": 3.0}])
+        _, ders = evaluate_along([e], {"x": num(1)}, {"x": [0.0], "y": [2.0], "z": [3.0]})
         assert ders[0, 0] == 6.0
 
     def test_fault_names_first_point(self):
         # sqrt(x) has a finite value at 0 but its derivative x^(-1/2)/2 does not
         e = parse_expr("sqrt(x) + y", CHART)
         good, bad = {"x": 1.0, "y": 0.0, "z": 0.0}, {"x": 0.0, "y": 0.0, "z": 0.0}
-        assert np.array_equal(evaluate([e], [bad]), [[0.0]])
-        _, ders = evaluate_along([e], {"y": num(1)}, [good, bad])
+        assert np.array_equal(evaluate([e], columns([bad])), [[0.0]])
+        _, ders = evaluate_along([e], {"y": num(1)}, columns([good, bad]))
         assert list(ders[0]) == [1.0, 1.0]
         with pytest.raises(EvalDomainError) as err:
-            evaluate_along([e], {"x": num(1)}, [good, bad, dict(bad, z=1.0)])
+            evaluate_along([e], {"x": num(1)}, columns([good, bad, dict(bad, z=1.0)]))
         assert err.value.point == bad
 
 
@@ -415,7 +416,7 @@ def test_evaluate_along_matches_symbolic_directional(seed, coords):
     vector = [ZERO if rng.random() < 0.25 else random_expr(rng, CHART.coords, depth=2)
               for _ in CHART.coords]
     derivs = [directional(e, vector, CHART) for e in exprs]
-    points = [dict(zip(CHART.coords, c)) for c in coords]
+    points = columns([dict(zip(CHART.coords, c)) for c in coords])
     try:
         want = evaluate({"v": exprs, "d": derivs}, points)
     except EvalDomainError as exc:
@@ -442,7 +443,7 @@ def test_evaluate_along_vector_mode(seed, d, coords):
                for c in CHART.coords} for _ in range(d)]
     derivs = [[directional(e, [f[c] for c in CHART.coords], CHART) for f in fields]
               for e in exprs]
-    points = [dict(zip(CHART.coords, c)) for c in coords]
+    points = columns([dict(zip(CHART.coords, c)) for c in coords])
     try:
         want = evaluate({"v": exprs, "d": derivs}, points)
     except EvalDomainError as exc:
@@ -451,7 +452,7 @@ def test_evaluate_along_vector_mode(seed, d, coords):
         assert err.value.point == exc.point
         return
     vals, ders = evaluate_along(exprs, fields, points)
-    assert ders.shape == (len(exprs), d, len(points))
+    assert ders.shape == (len(exprs), d, len(coords))
     singles = np.stack([evaluate_along(exprs, f, points)[1] for f in fields], axis=1)
     for got, ref in ((vals, want["v"]), (ders, want["d"]), (ders, singles)):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
@@ -483,18 +484,71 @@ class TestChart:
     def test_random_sampling_deterministic(self):
         a = sample_points(CHART, "random", 8, seed=5)
         b = sample_points(CHART, "random", 8, seed=5)
-        assert a == b
+        assert list(a) == list(b) == list(CHART.coords)
+        assert all(np.array_equal(a[c], b[c]) for c in CHART.coords)
 
     def test_grid_mode(self):
         pts = sample_points(CHART, "grid", 8)
-        assert len(pts) == 8
-        assert all(CHART.admits(p) for p in pts)
+        assert all(col.dtype == np.float64 and col.shape == (8,) for col in pts.values())
+        assert all(CHART.admits(p) for p in rows(pts))
 
     def test_exclusions_respected(self):
         ex = parse_exclusion("x^2 + y^2 < 0.25", CHART)
         chart = Chart(["x", "y", "z"], exclusions=(ex,))
         pts = sample_points(chart, "random", 30, seed=9)
-        assert all(p["x"] ** 2 + p["y"] ** 2 >= 0.25 for p in pts)
+        assert np.all(pts["x"] ** 2 + pts["y"] ** 2 >= 0.25)
+
+    @staticmethod
+    def _one_draw_per_row(chart, mode, count, seed=None):
+        """The sampler as one draw per row, each tested by the exclusions in
+        turn until one removes it."""
+        los = [chart.domain[c][0] for c in chart.coords]
+        his = [chart.domain[c][1] for c in chart.coords]
+        if mode == "random":
+            rng = np.random.default_rng(seed)
+            draws = (rng.uniform(los, his) for _ in range(1000 * count))
+        else:
+            m = max(2, math.ceil(count ** (1.0 / chart.n)))
+            axes = [np.linspace(lo, hi, m) for lo, hi in zip(los, his)]
+            draws = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.n)
+        points = []
+        for row in draws:
+            p = chart.point(row)
+            if not any(ex.excludes(p) for ex in chart.exclusions):
+                points.append(p)
+            if len(points) == count:
+                break
+        return points
+
+    @pytest.mark.parametrize("mode, exclusions, count", [
+        ("random", ["x^2 + y^2 < 0.5", "x < -0.5"], 40),
+        ("random", ["x < 0.5", "log(x - 0.5) > -1"], 25),
+        ("grid", ["x^2 + y^2 < 0.5"], 30),
+        ("grid", ["x + y + z > 2.5"], 1000)])
+    def test_columns_equal_one_draw_per_row(self, mode, exclusions, count):
+        chart = Chart(["x", "y", "z"])
+        chart = Chart(chart.coords, exclusions=[parse_exclusion(t, chart) for t in exclusions])
+        got = sample_points(chart, mode, count, seed=13)
+        assert list(got) == list(chart.coords)
+        assert rows(got) == self._one_draw_per_row(chart, mode, count, seed=13)
+
+    def test_fault_and_draw_cap_as_one_draw_per_row(self):
+        chart = Chart(["x", "y", "z"])
+        faulty = Chart(chart.coords, exclusions=[parse_exclusion("x < -0.5", chart),
+                                                 parse_exclusion("log(x) > 0", chart)])
+        with pytest.raises(EvalDomainError) as got:
+            sample_points(faulty, "random", 50, seed=3)
+        with pytest.raises(EvalDomainError) as want:
+            self._one_draw_per_row(faulty, "random", 50, seed=3)
+        # the same first faulting row; the batch also names its point
+        assert str(got.value) == f"{want.value} at point {got.value.point}"
+        assert got.value.point["x"] == float(str(want.value).rsplit(" ", 1)[1])
+        # a box the exclusion covers but for a sliver: the cap of 1000 draws
+        # per point runs out before 5 points are found
+        sliver = Chart(chart.coords, exclusions=[parse_exclusion("x < 0.9999", chart)])
+        with pytest.raises(ExprError, match="reject too much"):
+            sample_points(sliver, "random", 5, seed=3)
+        assert len(self._one_draw_per_row(sliver, "random", 5, seed=3)) < 5
 
     def test_exclusion_requires_constant_bound(self):
         with pytest.raises(ValueError):

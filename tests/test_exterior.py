@@ -12,7 +12,7 @@ from movingframes.exterior import (ChartMismatchError, FormArityError,
                                    pform_scale, wedge, zero_form)
 
 import oracle
-from helpers import max_abs_coeff, metric_fn, random_expr, random_pform, random_point
+from helpers import max_abs_coeff, metric_fn, random_expr, random_pform, random_point, rows
 
 CHART = Chart(["x", "y", "z"])
 X, Y, Z = sym("x"), sym("y"), sym("z")
@@ -133,7 +133,7 @@ class TestMatrixCurvature:
         """Curvature of the flat-plane connection vanishes; cross-checked
         against the finite-difference Christoffel oracle."""
         fd = polar3_frame["frame"]
-        pts = polar3_frame["points"][:100]
+        pts = rows(polar3_frame["points"])
         worst = 0.0
         for i in range(3):
             for j in range(3):
@@ -149,7 +149,7 @@ class TestMatrixCurvature:
     def test_sphere_curvature_form(self, sphere2_frame):
         """Omega^1_2 = (1/a^2) theta^1 ^ theta^2 for the radius-2 sphere."""
         fd = sphere2_frame["frame"]
-        pts = sphere2_frame["points"]
+        pts = rows(sphere2_frame["points"])
         target = pform_scale(num(1) / num(4),
                              wedge(fd.coframe.theta[0], fd.coframe.theta[1]))
         gap = pform_add(fd.omega[0, 1], pform_scale(num(-1), target))
@@ -158,4 +158,4 @@ class TestMatrixCurvature:
     def test_eta_tag_propagates(self, sphere2_frame):
         fd = sphere2_frame["frame"]
         assert fd.omega.eta == fd.coframe.eta
-        assert fd.omega.eta_antisymmetry_residual(sphere2_frame["points"][:20]) < 1e-10
+        assert fd.omega.eta_antisymmetry_residual(sphere2_frame["points"]) < 1e-10

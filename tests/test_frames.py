@@ -11,7 +11,7 @@ from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  solve_connection, torsion_residual)
 
 import oracle
-from helpers import frame_fn, max_abs_coeff, metric_fn
+from helpers import frame_fn, max_abs_coeff, metric_fn, rows
 
 RIEMANN_TOL = 1e-8
 
@@ -30,7 +30,7 @@ class TestBuildCoframe:
 
     def test_polar_diagonal(self, polar3_frame):
         cf = polar3_frame["frame"].coframe
-        for p in polar3_frame["points"][:10]:
+        for p in rows(polar3_frame["points"])[:10]:
             vals = [eval_at(cf.theta[1].coefficient((mu,)), p) for mu in range(3)]
             assert vals[0] == pytest.approx(0.0, abs=1e-14)
             assert vals[1] == pytest.approx(p["r"], rel=1e-12)
@@ -76,7 +76,7 @@ class TestSolveConnection:
         connection transported to the frame."""
         fd = polar3_frame["frame"]
         chart = polar3_frame["chart"]
-        for p in polar3_frame["points"][:5]:
+        for p in rows(polar3_frame["points"])[:5]:
             assert eval_at(fd.alpha[0, 1].coefficient((1,)), p) == pytest.approx(-1.0, rel=1e-12)
             arr = np.array([p[c] for c in chart.coords])
             w = oracle.frame_connection(metric_fn(polar3_frame["metric"], chart),
@@ -94,7 +94,7 @@ class TestSolveConnection:
     def test_sphere_alpha(self, sphere2_frame):
         """alpha^1_2 = -cos(phi) dpsi on the round sphere."""
         fd = sphere2_frame["frame"]
-        for p in sphere2_frame["points"][:8]:
+        for p in rows(sphere2_frame["points"])[:8]:
             got = eval_at(fd.alpha[0, 1].coefficient((1,)), p)
             assert got == pytest.approx(-np.cos(p["phi"]), rel=1e-10)
 
@@ -116,7 +116,7 @@ class TestCurvature:
         chart = sphere2_frame["chart"]
         g_fn = metric_fn(sphere2_frame["metric"], chart)
         e_fn = frame_fn(fd.coframe, chart)
-        for p in sphere2_frame["points"][:5]:
+        for p in rows(sphere2_frame["points"])[:5]:
             val = eval_at(fd.riemann[0][1][0][1], p)
             assert val == pytest.approx(0.25, abs=1e-6)
             arr = np.array([p[c] for c in chart.coords])
@@ -128,7 +128,7 @@ class TestCurvature:
         chart = hyperbolic3_frame["chart"]
         g_fn = metric_fn(hyperbolic3_frame["metric"], chart)
         e_fn = frame_fn(fd.coframe, chart)
-        for p in hyperbolic3_frame["points"][:5]:
+        for p in rows(hyperbolic3_frame["points"])[:5]:
             for i in range(3):
                 for j in range(i + 1, 3):
                     val = eval_at(fd.riemann[i][j][i][j], p)
@@ -141,7 +141,7 @@ class TestCurvature:
                                             conformal4_frame):
         for bundle in (sphere2_frame, hyperbolic3_frame, conformal4_frame):
             fd = bundle["frame"]
-            for p in bundle["points"][:6]:
+            for p in rows(bundle["points"])[:6]:
                 r = fd.riemann_at(p)
                 assert np.max(np.abs(r + np.swapaxes(r, 0, 1))) < RIEMANN_TOL
                 assert np.max(np.abs(r + np.swapaxes(r, 2, 3))) < RIEMANN_TOL
@@ -154,7 +154,7 @@ class TestCurvature:
         for bundle in (hyperbolic3_frame, conformal4_frame):
             fd = bundle["frame"]
             eta = np.diag(fd.eta).astype(float)
-            for p in bundle["points"][:6]:
+            for p in rows(bundle["points"])[:6]:
                 w = fd.weyl_at(p)
                 for contraction in ("ik,ijkl->jl", "jl,ijkl->ik", "il,ijkl->jk"):
                     assert np.max(np.abs(np.einsum(contraction, eta, w))) < 1e-8
@@ -203,7 +203,7 @@ class TestClassification:
                            [num(0), num(0), x ** 4]])
         pts = sample_points(chart, "random", 20, seed=17)
         fd = curvature_package(build_coframe(g, samples=pts))
-        cls = classify_space(fd, pts)
+        cls = classify_space(fd, fd.curvature_values(pts))
         assert cls.generic
 
 
@@ -216,17 +216,17 @@ def test_frame_covariance_under_reordering(flat3_frame, sphere1_frame, sphere2_f
                    polar3_frame, conformal4_frame):
         chart = bundle["chart"]
         order = list(reversed(chart.coords))
-        pts = bundle["points"][:12]
+        pts = bundle["points"]
         fd2 = curvature_package(build_coframe(bundle["metric"], order, pts))
-        cls1 = classify_space(bundle["frame"], pts)
-        cls2 = classify_space(fd2, pts)
+        cls1 = bundle["classification"]
+        cls2 = classify_space(fd2, fd2.curvature_values(pts))
         assert cls1.flat == cls2.flat
         assert cls1.constant_curvature == cls2.constant_curvature
         assert cls1.ricci_flat == cls2.ricci_flat
         assert cls1.conformally_flat == cls2.conformally_flat
         # the fitted constant is scalar-derived, hence frame independent
         assert cls2.kappa == pytest.approx(cls1.kappa, abs=1e-8)
-        for p in pts[:4]:
+        for p in rows(pts)[:4]:
             memo1, memo2 = {}, {}
             s1 = eval_at(bundle["frame"].scalar, p, memo1)
             s2 = eval_at(fd2.scalar, p, memo2)

@@ -19,15 +19,14 @@ from movingframes.herglotz import (ClosednessError, check_hypotheses,
 from movingframes.submersion import analyze_flow, constraint_residuals
 
 import oracle
-from helpers import metric_fn, vector_fn
+from helpers import columns, metric_fn, rows, vector_fn
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
 
 
 class TestHypotheses:
     def test_screw(self, screw):
-        hyp = check_hypotheses(screw["flow_data"], screw["classification"],
-                               screw["points"])
+        hyp = check_hypotheses(screw["flow_data"], screw["classification"])
         assert hyp.rigid and hyp.rotational and hyp.ambient_admissible
         assert hyp.max_m == pytest.approx(0.5, abs=0.5)  # profile in (0, 1)
         assert hyp.closedness_residual < 1e-8
@@ -40,9 +39,9 @@ class TestHypotheses:
                       domain={"x": (0.5, 1.8), "y": (-0.4, 0.4), "z": (-1.0, 1.0)})
         metric = Metric(chart, [[num(1) if i == j else num(0) for j in range(3)]
                                 for i in range(3)])
-        pts = [dict(BASE)] + sample_points(chart, "random", 12, seed=31)
+        pts = columns([dict(BASE)] + rows(sample_points(chart, "random", 12, seed=31)))
         fl = analyze_flow(metric, [-sym("y"), sym("x"), num(0)], pts)
-        hyp = check_hypotheses(fl, screw["classification"], pts)
+        hyp = check_hypotheses(fl, screw["classification"])
         assert hyp.rigid and not hyp.rotational
         assert "non-rotational" in hyp.failure_reason()
 
@@ -51,7 +50,7 @@ class TestHypotheses:
         round-off below 12 digits cannot change report bytes."""
         cls = sphere2_frame["classification"]
         assert cls.constant_curvature
-        hyp = check_hypotheses(screw["flow_data"], cls, screw["points"])
+        hyp = check_hypotheses(screw["flow_data"], cls)
         digits = re.fullmatch(r"constant curvature \(kappa = (\S+)\)", hyp.ambient_reason)
         assert float(digits.group(1)) == _round12(cls.kappa) == 0.25
 
@@ -60,25 +59,24 @@ class TestHypotheses:
         pts = sample_points(chart, "random", 8, seed=32)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        hyp = check_hypotheses(fl, classify_space(fd, pts), pts)
+        hyp = check_hypotheses(fl, classify_space(fd, fd.curvature_values(pts)))
         assert not hyp.rotational
-        assert fl.invariants.max_m(pts) == 0.0
+        assert not fl.jet["m"].any()
 
 
 class TestLambda:
     def test_screw_ratio(self, screw):
         """lambda(r=2)/lambda(r=1) = sqrt(5/2) with basepoint at r = 1."""
         fl = screw["flow_data"]
-        hyp = check_hypotheses(fl, screw["classification"], screw["points"])
-        lam = reconstruct_lambda(fl, screw["basepoint"], screw["points"],
-                                 hyp.closedness_residual)
+        hyp = check_hypotheses(fl, screw["classification"])
+        lam = reconstruct_lambda(fl, screw["basepoint"], hyp.closedness_residual)
         assert lam.values[0] == pytest.approx(1.0, abs=1e-10)   # basepoint itself
         assert lam.values[1] == pytest.approx(1.5811, abs=1e-4)
         assert lam.values[1] == pytest.approx(math.sqrt(2.5), rel=1e-8)
         assert lam.path_independence_residual < 1e-6
         assert lam.leaf_derivative_residual < 1e-7
         # lambda equals |V| normalised to the basepoint everywhere
-        for p, v in zip(lam.points, lam.values):
+        for p, v in zip(rows(fl.samples), lam.values):
             expect = math.sqrt((1 + p["x"] ** 2 + p["y"] ** 2) / 2.0)
             assert v == pytest.approx(expect, rel=1e-8)
 
@@ -88,19 +86,20 @@ class TestLambda:
         sample to its flow step leaves only quadrature round-off.  On the
         seed-12345 samples a difference of two long-path integrals once read
         1.3e-7."""
-        pts = screw["points"]
+        fl = screw["flow_data"]
         if seed is not None:
             box = Chart(["x", "y", "z"],
                         domain={"x": (0.4, 1.6), "y": (-0.6, 0.6), "z": (-1.0, 1.0)})
             pts = sample_points(box, "random", 32, seed=seed)
-        lam = reconstruct_lambda(screw["flow_data"], screw["basepoint"], pts, 0.0)
+            fl = analyze_flow(screw["metric"], screw["flow"], pts)
+        lam = reconstruct_lambda(fl, screw["basepoint"], 0.0)
         assert lam.leaf_derivative_residual < 1e-12
 
     def test_zero_k_gives_constant_lambda(self, flat3):
         chart, metric = flat3
         pts = sample_points(chart, "random", 6, seed=33)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        lam = reconstruct_lambda(fl, pts[0], pts, 0.0)
+        lam = reconstruct_lambda(fl, rows(pts)[0], 0.0)
         assert all(v == pytest.approx(1.0, abs=1e-12) for v in lam.values)
 
     def test_non_closed_k_refused(self, flat3):
@@ -112,10 +111,10 @@ class TestLambda:
         from movingframes.submersion import covariant_derivative
         kc = covariant_derivative(fl.k, fl, rank=1)
         closed = max(abs(eval_at(kc[0][2], p) - eval_at(kc[1][1], p)) * 0.5
-                     for p in pts)
+                     for p in rows(pts))
         assert closed == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ClosednessError):
-            reconstruct_lambda(fl, pts[0], pts, closed)
+            reconstruct_lambda(fl, rows(pts)[0], closed)
 
     def test_path_through_excluded_region_refused(self):
         from movingframes.expression import parse_exclusion
@@ -126,12 +125,11 @@ class TestLambda:
                       exclusions=(parse_exclusion("x^2 + y^2 < 0.09", chart),))
         metric = Metric(chart, [[num(1) if i == j else num(0) for j in range(3)]
                                 for i in range(3)])
-        pts = [{"x": -1.5, "y": 0.0, "z": 0.0}, {"x": 1.5, "y": 0.0, "z": 0.0}]
-        pts += sample_points(chart, "random", 8, seed=41)
-        fl = analyze_flow(metric, [-sym("y"), sym("x"), num(1)], pts)
+        base, target = {"x": -1.5, "y": 0.0, "z": 0.0}, {"x": 1.5, "y": 0.0, "z": 0.0}
+        fl = analyze_flow(metric, [-sym("y"), sym("x"), num(1)], columns([target]))
         # the straight segment between the two axis points crosses the core
         with pytest.raises(PathError, match="excluded"):
-            reconstruct_lambda(fl, pts[0], [pts[1]], 0.0)
+            reconstruct_lambda(fl, base, 0.0)
 
     def test_not_simply_connected_refused(self, flat3):
         from movingframes.herglotz import PathError
@@ -141,7 +139,7 @@ class TestLambda:
         pts = sample_points(chart, "random", 5, seed=42)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         with pytest.raises(PathError, match="simply connected"):
-            reconstruct_lambda(fl, pts[0], pts, 0.0)
+            reconstruct_lambda(fl, rows(pts)[0], 0.0)
 
 
 class TestKilling:
@@ -170,9 +168,8 @@ class TestKilling:
 
     def test_scaled_flow_killing(self, screw):
         fl = screw["flow_data"]
-        hyp = check_hypotheses(fl, screw["classification"], screw["points"])
-        lam = reconstruct_lambda(fl, screw["basepoint"], screw["points"][:6],
-                                 hyp.closedness_residual)
+        hyp = check_hypotheses(fl, screw["classification"])
+        lam = reconstruct_lambda(fl, screw["basepoint"], hyp.closedness_residual)
         res = scaled_flow_killing_residual(fl, lam)
         assert res < 1e-7
 
@@ -182,8 +179,8 @@ class TestKilling:
         g_fn = metric_fn(screw["metric"], chart)
         v_fn = vector_fn(screw["flow"], chart)
         from movingframes.submersion import lie_derivative_at
-        lie = lie_derivative_at(screw["metric"], screw["flow"], None, screw["points"][:4])
-        for q, p in enumerate(screw["points"][:4]):
+        lie = lie_derivative_at(screw["metric"], screw["flow"], None, screw["points"])
+        for q, p in enumerate(rows(screw["points"])[:4]):
             arr = np.array([p[c] for c in chart.coords])
             fd = oracle.lie_derivative_metric(g_fn, v_fn, arr)
             assert np.allclose(lie[:, :, q], fd, atol=1e-7)
@@ -191,8 +188,7 @@ class TestKilling:
 
 class TestEndToEnd:
     def test_screw_verdict(self, screw):
-        rep = run_herglotz(screw["flow_data"], screw["classification"],
-                           screw["basepoint"], screw["points"])
+        rep = run_herglotz(screw["flow_data"], screw["classification"], screw["basepoint"])
         assert rep.verdict == "isometric-verified"
         assert rep.killing_residual < 1e-7
         assert rep.lam.leaf_derivative_residual < 1e-7
@@ -206,7 +202,7 @@ class TestEndToEnd:
         fl = analyze_flow(metric, [call("cos", sym("z")), call("sin", sym("z")),
                                    num(0)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = run_herglotz(fl, classify_space(fd, pts), pts[0], pts)
+        rep = run_herglotz(fl, classify_space(fd, fd.curvature_values(pts)), rows(pts)[0])
         assert rep.verdict == "hypotheses-not-met"
         assert "not rigid" in rep.reason
         assert rep.lam is None
@@ -219,14 +215,14 @@ class TestEndToEnd:
                                 for i in range(3)])
         base = {"x": 1.0, "y": 0.0, "z": 0.0}
         far = {"x": 2.0, "y": 0.0, "z": 0.0}
-        pts = [base, far] + sample_points(chart, "random", 12, seed=40)
+        pts = columns([base, far] + rows(sample_points(chart, "random", 12, seed=40)))
         y, x = sym("y"), sym("x")
         fl = analyze_flow(metric, [-2 * y, 2 * x, num(1)], pts)
         assert fl.rigidity.rigid
         # |M_12| = w/(1 + w^2 r^2) with w = 2
         assert abs(eval_at(fl.m[0][1], base)) == pytest.approx(2.0 / 5.0, rel=1e-9)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = run_herglotz(fl, classify_space(fd, pts), base, pts)
+        rep = run_herglotz(fl, classify_space(fd, fd.curvature_values(pts)), base)
         assert rep.verdict == "isometric-verified"
         assert rep.killing_residual < 1e-7
         # lambda = sqrt((1 + 4 r^2)/5), so sqrt(17/5) at r = 2
@@ -244,20 +240,20 @@ class TestEndToEnd:
                                 [num(0), num(0), call("sin", eta) ** 2]])
         pts = sample_points(chart, "random", 15, seed=43)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        cls = classify_space(fd, pts)
+        cls = classify_space(fd, fd.curvature_values(pts))
         assert cls.constant_curvature and cls.kappa == pytest.approx(1.0, abs=1e-9)
         fl = analyze_flow(metric, [num(0), num(1), num(1)], pts)
         assert fl.rigidity.rigid and fl.rigidity.residual < 1e-9
-        for p in pts[:6]:
+        for p in rows(pts)[:6]:
             assert abs(eval_at(fl.m[0][1], p)) == pytest.approx(1.0, rel=1e-9)
             assert abs(eval_at(fl.k[0], p)) < 1e-12
             assert abs(eval_at(fl.k[1], p)) < 1e-12
         # constraint identities hold in the curved ambient too
-        rep = constraint_residuals(fl, fd, pts[:8])
+        rep = constraint_residuals(fl, fd)
         assert rep.max_tilde_free() < 1e-9
-        for q in range(6):
+        for q in range(rep.quotient_riemann.shape[-1]):
             assert rep.quotient_riemann[0, 1, 0, 1, q] == pytest.approx(4.0, rel=1e-9)
-        verdict = run_herglotz(fl, cls, pts[0], pts)
+        verdict = run_herglotz(fl, cls, rows(pts)[0])
         assert verdict.verdict == "isometric-verified"
         assert verdict.hypotheses.ambient_reason.startswith("constant curvature")
         assert all(v == pytest.approx(1.0, abs=1e-10) for v in verdict.lam.values)
@@ -273,17 +269,17 @@ class TestEndToEnd:
         metric = Metric(chart, [[factor if i == j else num(0) for j in range(4)]
                                 for i in range(4)])
         base = {"x": 1.0, "y": 0.0, "z": 0.0, "w": 0.0}
-        pts = [base] + sample_points(chart, "random", 12, seed=38)
+        pts = columns([base] + rows(sample_points(chart, "random", 12, seed=38)))
         fd = curvature_package(build_coframe(metric, samples=pts))
-        cls = classify_space(fd, pts)
+        cls = classify_space(fd, fd.curvature_values(pts))
         assert cls.conformally_flat is True and not cls.flat
         fl = analyze_flow(metric, [-y, x, num(1), num(0)], pts)
         assert fl.rigidity.rigid
-        rep = run_herglotz(fl, cls, base, pts[:8])
+        rep = run_herglotz(fl, cls, base)
         assert rep.verdict == "isometric-verified"
         assert rep.hypotheses.ambient_reason == "conformally flat"
         # the recovered magnitude matches |V| in this representative
-        for p, v in zip(rep.lam.points, rep.lam.values):
+        for p, v in zip(rows(fl.samples), rep.lam.values):
             r2 = p["x"] ** 2 + p["y"] ** 2
             expect = math.exp(0.1 * r2) * math.sqrt(1 + r2)
             expect /= math.exp(0.1) * math.sqrt(2.0)
@@ -314,7 +310,8 @@ class TestRicciFlat:
         pts = sample_points(chart, "random", 6, seed=39)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = ricci_flat_check(constraint_residuals(fl, fd, pts), classify_space(fd, pts))
+        rep = ricci_flat_check(constraint_residuals(fl, fd),
+                               classify_space(fd, fd.curvature_values(pts)))
         assert rep.applicable and rep.max_residual() == 0.0
 
     def test_sphere_ambient_inapplicable(self, sphere2_frame, screw):

@@ -16,7 +16,7 @@ from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      lie_derivative_at, rigidity_test)
 
 import oracle
-from helpers import metric_fn, vector_fn
+from helpers import columns, metric_fn, rows, vector_fn
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
 
@@ -32,7 +32,7 @@ def rotation():
     chart = Chart(["x", "y", "z"],
                   domain={"x": (0.5, 1.8), "y": (-0.4, 0.4), "z": (-1.0, 1.0)})
     metric = _identity3(chart)
-    points = [dict(BASE)] + sample_points(chart, "random", 15, seed=21)
+    points = columns([dict(BASE)] + rows(sample_points(chart, "random", 15, seed=21)))
     flow = [-sym("y"), sym("x"), num(0)]
     return {"chart": chart, "metric": metric, "points": points,
             "flow_data": analyze_flow(metric, flow, points)}
@@ -63,7 +63,7 @@ class TestAdaptedCoframe:
     def test_screw_psi0_is_unit(self, screw):
         ad = screw["flow_data"].adapted
         g = screw["metric"]
-        for p in screw["points"][:10]:
+        for p in rows(screw["points"])[:10]:
             memo = {}
             psi = [eval_at(ad.psi0.coefficient((mu,)), p, memo) for mu in range(3)]
             # flat metric: |psi0|^2 = sum of squares
@@ -81,7 +81,7 @@ class TestAdaptedCoframe:
 
     def test_duality(self, screw):
         cf = screw["flow_data"].adapted.coframe
-        for p in screw["points"][:6]:
+        for p in rows(screw["points"])[:6]:
             memo = {}
             theta = np.array([[eval_at(cf.theta[a].coefficient((mu,)), p, memo)
                                if (mu,) in cf.theta[a].coeffs else 0.0
@@ -95,7 +95,7 @@ class TestFlowInvariants:
         chart, metric = flat3
         pts = sample_points(chart, "random", 10, seed=25)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        assert fl.invariants.max_m(pts) == 0.0
+        assert not fl.jet["m"].any()
         assert all(k.is_zero() for k in fl.k)
 
     def test_screw_values_at_base(self, screw):
@@ -109,7 +109,7 @@ class TestFlowInvariants:
     def test_screw_analytic_profiles(self, screw):
         """|M_12| = w/(1 + w^2 r^2) and K = d log sqrt(1 + r^2) for w = 1."""
         fl = screw["flow_data"]
-        for p in screw["points"][:10]:
+        for p in rows(screw["points"])[:10]:
             r2 = p["x"] ** 2 + p["y"] ** 2
             assert abs(eval_at(fl.m[0][1], p)) == pytest.approx(1.0 / (1.0 + r2), rel=1e-9)
             kmag = np.hypot(eval_at(fl.k[0], p), eval_at(fl.k[1], p))
@@ -122,7 +122,7 @@ class TestFlowInvariants:
         cf = fl.adapted.coframe
         psi0 = fl.adapted.psi0
         psi_fn = vector_fn([psi0.coefficient((mu,)) for mu in range(3)], chart)
-        for p in screw["points"][:6]:
+        for p in rows(screw["points"])[:6]:
             arr = np.array([p[c] for c in chart.coords])
             dps = oracle.d_of_one_form(psi_fn, arr)
             memo = {}
@@ -141,7 +141,7 @@ class TestFlowInvariants:
 
     def test_rotation_is_non_rotational(self, rotation):
         fl = rotation["flow_data"]
-        assert fl.invariants.max_m(rotation["points"]) < 1e-9
+        assert np.max(np.abs(fl.jet["m"])) < 1e-9
         # radial K leg = 1/r; at (1,0,0) this is 1
         assert eval_at(fl.k[0], BASE) == pytest.approx(1.0, abs=1e-6)
         # d psi0 = (1/r) theta_r ^ psi0: FD cross-check of the extraction
@@ -150,7 +150,7 @@ class TestFlowInvariants:
         psi_fn = vector_fn([psi0.coefficient((mu,)) for mu in range(3)], chart)
         arr = np.array([BASE[c] for c in chart.coords])
         dps = oracle.d_of_one_form(psi_fn, arr)
-        evec = fl.adapted.coframe.vectors_at(BASE)
+        evec = fl.jet["e"][..., 0]          # the fixture's first sample is BASE
         assert -(evec[0] @ dps @ evec[1]) == pytest.approx(1.0, abs=1e-6)
         assert evec[1] @ dps @ evec[2] == pytest.approx(0.0, abs=1e-6)
 
@@ -164,10 +164,10 @@ class TestRigidity:
         chart = screw["chart"]
         g_fn = metric_fn(screw["metric"], chart)
         u_fn = vector_fn(screw["flow_data"].adapted.u, chart)
-        for p in screw["points"][:5]:
+        for q, p in enumerate(rows(screw["points"])[:5]):
             arr = np.array([p[c] for c in chart.coords])
             lie = oracle.lie_derivative_metric(g_fn, u_fn, arr)
-            evec = screw["flow_data"].adapted.coframe.vectors_at(p)
+            evec = screw["flow_data"].jet["e"][..., q]
             horiz = evec[1:] @ lie @ evec[1:].T
             assert np.max(np.abs(horiz)) < 1e-7
 
@@ -181,15 +181,16 @@ class TestRigidity:
         fl = twist["flow_data"]
         assert not fl.rigidity.rigid
         assert fl.rigidity.residual == pytest.approx(1.0, abs=1e-8)
-        # pointwise too, not just the sup
-        res = rigidity_test(fl.jet(twist["points"][:4])["lie"], 1e-9)
-        assert res.residual == pytest.approx(1.0, abs=1e-8)
+        # pointwise too, at every sample, not just the sup
+        lie = fl.jet["lie"]
+        for q in range(lie.shape[-1]):
+            assert rigidity_test(lie[..., q:q + 1], 1e-9).residual == pytest.approx(1.0, abs=1e-8)
         chart = twist["chart"]
         g_fn = metric_fn(twist["metric"], chart)
         u_fn = vector_fn(fl.adapted.u, chart)
-        arr = np.array([twist["points"][0][c] for c in chart.coords])
+        arr = np.array([twist["points"][c][0] for c in chart.coords])
         lie = oracle.lie_derivative_metric(g_fn, u_fn, arr)
-        evec = fl.adapted.coframe.vectors_at(twist["points"][0])
+        evec = fl.jet["e"][..., 0]
         horiz = evec[1:] @ lie @ evec[1:].T
         assert np.max(np.abs(horiz)) == pytest.approx(1.0, abs=1e-6)
 
@@ -213,7 +214,7 @@ class TestCovariantDerivative:
         fl = screw["flow_data"]
         kc = covariant_derivative(fl.k, fl, rank=1)
         worst = 0.0
-        for p in screw["points"][:10]:
+        for p in rows(screw["points"])[:10]:
             memo = {}
             for i in range(2):
                 for j in range(2):
@@ -227,25 +228,25 @@ class TestCovariantDerivative:
         chart = screw["chart"]
         kc = covariant_derivative(fl.k, fl, rank=1)
         k_fns = [vector_fn([fl.k[i]], chart) for i in range(2)]
-        evec_fn = lambda arr: fl.adapted.coframe.vectors_at(chart.point(arr))
-        p = screw["points"][2]
+        q = 2
+        p = rows(screw["points"])[q]
         arr = np.array([p[c] for c in chart.coords])
-        evec = evec_fn(arr)
-        jet = fl.jet([p])
+        jet = fl.jet
+        evec = jet["e"][..., q]
         memo = {}
         for i in range(2):
             for j in range(2):
                 # e_j(K_i) by FD along the frame leg, then connection correction
                 fd = oracle.directional_derivative(lambda a: k_fns[i](a)[0], evec[j + 1], arr)
-                corr = sum(jet["abar"][l, i, j + 1, 0] * jet["k"][l, 0] for l in range(2))
+                corr = sum(jet["abar"][l, i, j + 1, q] * jet["k"][l, q] for l in range(2))
                 assert fd - corr == pytest.approx(eval_at(kc[i][j + 1], p, memo), abs=1e-6)
-                assert fd - corr == pytest.approx(jet["kc"][i, j + 1, 0], abs=1e-6)
+                assert fd - corr == pytest.approx(jet["kc"][i, j + 1, q], abs=1e-6)
 
     def test_screw_m_and_k_basic(self, screw):
         fl = screw["flow_data"]
         mc = covariant_derivative(fl.m, fl, rank=2)
         kc = covariant_derivative(fl.k, fl, rank=1)
-        for p in screw["points"][:10]:
+        for p in rows(screw["points"])[:10]:
             memo = {}
             for i in range(2):
                 assert abs(eval_at(kc[i][0], p, memo)) < 1e-8
@@ -304,16 +305,16 @@ class TestFlowJet:
                                     for i in range(4)])
         hopf_pts = sample_points(hopf, "random", 6, seed=43)
         conf_pts = sample_points(conf, "random", 6, seed=44)
-        cases = [(screw["flow_data"], screw["points"][:8], True),
+        cases = [(screw["flow_data"], True),
                  (analyze_flow(hopf_metric, [call("sin", eta), num(1), call("cos", sym("xi1"))],
-                               hopf_pts), hopf_pts, False),
-                 (twist["flow_data"], twist["points"][:8], False),
-                 (analyze_flow(conf_metric, [num(1), num(0), num(0), y], conf_pts),
-                  conf_pts, False)]
+                               hopf_pts), False),
+                 (twist["flow_data"], False),
+                 (analyze_flow(conf_metric, [num(1), num(0), num(0), y], conf_pts), False)]
         sizes = []                  # what the non-rigid cases put to the test
-        for fl, pts, rigid in cases:
+        for fl, rigid in cases:
             assert fl.rigidity.rigid is rigid
-            got = fl.jet(pts)
+            pts = fl.samples
+            got = dict(fl.jet)
             want = self._symbolic_route(fl, pts)
             if not rigid:
                 assert np.max(np.abs(want["lie"][1:, 1:])) > 0.1
@@ -337,8 +338,7 @@ class TestConstraintSystem:
         chart, metric = flat3
         pts = sample_points(chart, "random", 8, seed=28)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        rep = constraint_residuals(fl, curvature_package(build_coframe(metric, samples=pts)),
-                                   pts)
+        rep = constraint_residuals(fl, curvature_package(build_coframe(metric, samples=pts)))
         assert rep.max_tilde_free() == 0.0
         assert np.all(rep.quotient_scalar == 0.0)
 
@@ -347,7 +347,7 @@ class TestConstraintSystem:
         transversal-metric Gauss-curvature oracle."""
         rep = screw["constraints"]
         fl = screw["flow_data"]
-        assert screw["points"][0] == BASE
+        assert rows(screw["points"])[0] == BASE
         val = rep.quotient_riemann[0, 1, 0, 1, 0]
         m12 = eval_at(fl.m[0][1], BASE)
         assert val == pytest.approx(0.75, abs=1e-5)
@@ -373,7 +373,7 @@ class TestConstraintSystem:
     def test_quotient_profile(self, screw):
         """Gauss curvature of the quotient is 3/(1+r^2)^2 everywhere."""
         rep = screw["constraints"]
-        for q, p in enumerate(screw["points"][:8]):
+        for q, p in enumerate(rows(screw["points"])[:8]):
             r2 = p["x"] ** 2 + p["y"] ** 2
             assert rep.quotient_riemann[0, 1, 0, 1, q] == pytest.approx(
                 3.0 / (1.0 + r2) ** 2, rel=1e-9)
@@ -386,7 +386,7 @@ class TestConstraintSystem:
         assert rep.m2_leaf_residual < 1e-7
 
     def test_advisory_for_non_rigid(self, twist):
-        rep = constraint_residuals(twist["flow_data"], twist["frame"], twist["points"][:6])
+        rep = constraint_residuals(twist["flow_data"], twist["frame"])
         assert rep.advisory
 
     @staticmethod
@@ -453,7 +453,7 @@ class TestConstraintSystem:
             pts = sample_points(metric.chart, "random", 6, seed=seed)
             fl = analyze_flow(metric, flow, pts)
             assert not fl.rigidity.rigid
-            got = constraint_rows(fl, curvature_package(build_coframe(metric, samples=pts)), pts)
+            got = constraint_rows(fl, curvature_package(build_coframe(metric, samples=pts)))
             want = self._symbolic_route(fl, pts)
             assert np.max(np.abs(want["leaf"])) > leaf_size
             for name, w in want.items():
@@ -478,7 +478,7 @@ class TestConstraintSystem:
         try:
             fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
             before = len(expression._DIFF_CACHE)
-            constraint_residuals(fl, fd, screw["points"][:12])
+            constraint_residuals(fl, fd)
             added = len(expression._DIFF_CACHE) - before
             total = len(expression._DIFF_CACHE)
         finally:
