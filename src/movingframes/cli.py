@@ -438,7 +438,7 @@ def run_pipeline(config: Config):
     checks = _Checks()
     tasks_out: dict = {}
 
-    coframe = build_coframe(config.metric, config.coframe_order, points, tol["pivot"])
+    coframe = build_coframe(config.metric, points, config.coframe_order, tol["pivot"])
     frame_data = curvature_package(coframe)
     curvature = frame_data.curvature_values(points)
     classification = classify_space(frame_data, curvature, tol["classification"])

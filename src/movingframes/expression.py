@@ -296,6 +296,9 @@ def add(*terms) -> Expr:
         if coeff == 0:
             continue
         parts.append(rem if coeff == 1 else mul(Num(coeff), rem))
+    if any(isinstance(p, Add) for p in parts):
+        # a sum left with coefficient 1: collect its terms with the others
+        return add(Num(const), *parts)
     parts.sort(key=_uid)
     if const != 0:
         parts.insert(0, Num(const))
@@ -342,6 +345,10 @@ def mul(*factors) -> Expr:
             parts.append(p)
     if const == 0:
         return ZERO
+    bases = {p.base if isinstance(p, Pow) else p for p in parts}
+    if len(bases) < len(parts):
+        # a merged or distributed power landed on another group's base
+        return mul(Num(const), *parts)
     parts.sort(key=_uid)
     if not parts:
         return Num(const)
@@ -454,8 +461,9 @@ _SIMPLIFY_CACHE: dict = {}
 def simplify(e: Expr) -> Expr:
     """Rebuild ``e`` bottom-up through the smart constructors.
 
-    Idempotent: the constructors apply a fixed local rewrite set, so a second
-    pass finds nothing left to do.
+    The constructors reach their own fixed point, so this returns every
+    constructed expression unchanged; the pipeline never calls it, and the
+    tests use it as the reference for that property.
     """
 
     def rec(x: Expr) -> Expr:
@@ -1078,9 +1086,6 @@ class Exclusion:
         self.bound = float(bound)
         self.text = text or f"{to_string(expr)} {op} {bound}"
 
-    def excludes(self, point: Mapping[str, float]) -> bool:
-        return self.compare(eval_at(self.expr, point))
-
     def compare(self, value):
         """Whether a value (or each of an array of values) of ``expr`` is excluded."""
         return self._OPS[self.op](value, self.bound)
@@ -1097,7 +1102,7 @@ def parse_exclusion(text: str, chart: "Chart") -> Exclusion:
     if len(parts) != 3:
         raise ExprError(f"exclusion {text!r} needs one comparison operator")
     lhs, op, rhs = parts
-    bound = simplify(parse_expr(rhs, chart))
+    bound = parse_expr(rhs, chart)
     if not isinstance(bound, Num):
         raise ExprError(f"exclusion bound {rhs.strip()!r} must be constant")
     return Exclusion(parse_expr(lhs, chart), op, float(bound.value), text.strip())
@@ -1151,10 +1156,22 @@ class Chart:
         return self.coords.index(name)
 
     def admits(self, point: Mapping[str, float]) -> bool:
-        for c, (lo, hi) in self.domain.items():
-            if not lo <= point[c] <= hi:
-                return False
-        return not any(ex.excludes(point) for ex in self.exclusions)
+        if not all(lo <= point[c] <= hi for c, (lo, hi) in self.domain.items()):
+            return False
+        return self.excluded_by({c: np.array([point[c]]) for c in self.coords})[0] < 0
+
+    def excluded_by(self, points: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Per point of the columns: the index of the first exclusion that
+        holds there, or -1.  Each exclusion is evaluated only on the points
+        the earlier ones kept, so a later one may be undefined where an
+        earlier one holds (``x < 0.5`` before ``log(x - 0.5) > 5``)."""
+        first = np.full(len(next(iter(points.values()))), -1)
+        live = np.arange(len(first))
+        for e, ex in enumerate(self.exclusions):
+            hit = ex.compare(evaluate([ex.expr], {c: col[live] for c, col in points.items()})[0])
+            first[live[hit]] = e
+            live = live[~hit]
+        return first
 
     def point(self, values: Sequence[float]) -> dict:
         return dict(zip(self.coords, (float(v) for v in values)))
@@ -1205,10 +1222,7 @@ def sample_points(chart: Chart, mode: str = "random", count: int = 50,
         k = min(count - accepted, limit - drawn)
         cols = np.ascontiguousarray(take(drawn, k).T)
         drawn += k
-        # each exclusion tests only the points the earlier ones kept, as a
-        # short-circuiting any() over them does
-        for ex in chart.exclusions:
-            cols = cols[:, ~ex.compare(evaluate([ex.expr], dict(zip(chart.coords, cols)))[0])]
+        cols = cols[:, chart.excluded_by(dict(zip(chart.coords, cols))) < 0]
         kept.append(cols)
         accepted += cols.shape[1]
     if accepted < count and mode == "random":

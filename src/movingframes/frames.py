@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, Expr, add, evaluate, mul, num, point_at, pow_,
-                         simplify, sup_abs, ZERO)
+                         sup_abs, ZERO)
 from .exterior import (MatrixForm, PForm, contract, ext_d, matrix_curvature,
                        pform_add, pform_scale, wedge, zero_form)
 
@@ -55,13 +55,12 @@ class Metric:
         n = chart.n
         if len(entries) != n or any(len(r) != n for r in entries):
             raise ValueError(f"metric must be {n}x{n}")
-        simplified = [[simplify(entries[i][j]) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                if simplified[i][j] != simplified[j][i]:
+                if entries[i][j] is not entries[j][i]:
                     raise ValueError(f"metric entries ({i},{j}) and ({j},{i}) differ structurally")
         self.chart = chart
-        self.entries = tuple(tuple(r) for r in simplified)
+        self.entries = tuple(tuple(r) for r in entries)
 
     def inner(self, v: Sequence[Expr], w: Sequence[Expr]) -> Expr:
         terms = []
@@ -87,7 +86,6 @@ class Coframe:
     eta: tuple
     theta: tuple            # n PForms of degree 1
     vectors: tuple          # n rows of coordinate components (Expr)
-    order: tuple            # coordinate indices fed to Gram-Schmidt
 
     @property
     def n(self) -> int:
@@ -96,7 +94,7 @@ class Coframe:
 
 def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
                        expected_eta: Sequence[int],
-                       samples: Mapping[str, np.ndarray] | None = None,
+                       samples: Mapping[str, np.ndarray],
                        pivot_tol: float = 1e-8,
                        allow_skip: bool = False):
     """Metric Gram-Schmidt over a candidate list of symbolic vectors.
@@ -104,7 +102,9 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     Returns (vectors, eta).  Candidates whose projection is structurally or
     numerically negligible at every sample are skipped when ``allow_skip`` is
     set (rank completion); a projection that degenerates only at isolated
-    samples raises :class:`SingularMetricError` naming the first bad point.
+    samples, or changes sign, raises :class:`SingularMetricError` naming the
+    first bad point, and a pivot sign against ``expected_eta`` raises
+    :class:`SignatureError`.
     """
     n = metric.chart.n
     frame: list = []
@@ -113,37 +113,32 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     for cand in seeds:
         if len(frame) == len(want):
             break
-        v = [simplify(c) for c in cand]
+        v = list(cand)
         for e, s in zip(frame, eta):
             coeff = mul(num(s), metric.inner(v, e))
             v = [add(v[mu], mul(num(-1), coeff, e[mu])) for mu in range(n)]
-        pivot = simplify(metric.inner(v, v))
+        pivot = metric.inner(v, v)
         if pivot.is_zero():
             if allow_skip:
                 continue
-            raise SingularMetricError("metric pivot vanishes identically",
-                                      None if samples is None else point_at(samples, 0))
-        if samples is not None:
-            vals = evaluate([pivot], samples)[0]
-            absvals = np.abs(vals)
-            if allow_skip and absvals.max() < 1e-10:
-                continue
-            worst = int(np.argmin(absvals))
-            if absvals[worst] < pivot_tol:
-                raise SingularMetricError(
-                    f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
-                    point_at(samples, worst))
-            sign = 1 if vals[worst] > 0 else -1
-            flipped = np.flatnonzero((vals > 0) != (sign > 0))
-            if flipped.size:
-                raise SingularMetricError("metric pivot changes sign",
-                                          point_at(samples, flipped[0]))
-            expected = want[len(frame)]
-            if sign != expected:
-                raise SignatureError(
-                    f"pivot sign {sign:+d} at slot {len(frame)} contradicts declared "
-                    f"signature entry {expected:+d}")
+            raise SingularMetricError("metric pivot vanishes identically", point_at(samples, 0))
+        vals = evaluate([pivot], samples)[0]
+        absvals = np.abs(vals)
+        if allow_skip and absvals.max() < 1e-10:
+            continue
+        worst = int(np.argmin(absvals))
+        if absvals[worst] < pivot_tol:
+            raise SingularMetricError(
+                f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
+                point_at(samples, worst))
         s = want[len(frame)]
+        sign = 1 if vals[worst] > 0 else -1
+        flipped = np.flatnonzero((vals > 0) != (sign > 0))
+        if flipped.size:
+            raise SingularMetricError("metric pivot changes sign", point_at(samples, flipped[0]))
+        if sign != s:
+            raise SignatureError(f"pivot sign {sign:+d} at slot {len(frame)} contradicts "
+                                 f"declared signature entry {s:+d}")
         scale = pow_(mul(num(s), pivot), Fraction(-1, 2))
         frame.append([mul(scale, c) for c in v])
         eta.append(s)
@@ -153,10 +148,10 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     return [tuple(r) for r in frame], tuple(eta)
 
 
-def build_coframe(metric: Metric, order: Sequence[str] | None = None,
-                  samples: Mapping[str, np.ndarray] | None = None,
-                  pivot_tol: float = 1e-8) -> Coframe:
-    """Orthonormalise the coordinate frame in the given coordinate order."""
+def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
+                  order: Sequence[str] | None = None, pivot_tol: float = 1e-8) -> Coframe:
+    """Orthonormalise the coordinate frame in the given coordinate order,
+    checking each pivot at the samples."""
     chart = metric.chart
     n = chart.n
     if order is None:
@@ -173,9 +168,9 @@ def build_coframe(metric: Metric, order: Sequence[str] | None = None,
     theta = []
     for k, e in enumerate(vectors):
         covector = metric.lower(list(e))
-        coeffs = {(mu,): simplify(mul(num(eta[k]), covector[mu])) for mu in range(n)}
+        coeffs = {(mu,): mul(num(eta[k]), covector[mu]) for mu in range(n)}
         theta.append(PForm(chart, 1, coeffs))
-    return Coframe(chart, eta, tuple(theta), tuple(vectors), perm)
+    return Coframe(chart, eta, tuple(theta), tuple(vectors))
 
 
 def solve_connection(coframe: Coframe) -> MatrixForm:
@@ -192,7 +187,7 @@ def solve_connection(coframe: Coframe) -> MatrixForm:
     for i in range(n):
         for j in range(n):
             for k in range(j + 1, n):
-                val = simplify(contract(dtheta[i], [coframe.vectors[j], coframe.vectors[k]]))
+                val = contract(dtheta[i], [coframe.vectors[j], coframe.vectors[k]])
                 c_up[i][j][k] = val
                 c_up[i][k][j] = mul(num(-1), val)
 
@@ -207,26 +202,24 @@ def solve_connection(coframe: Coframe) -> MatrixForm:
             for k in range(n):
                 gamma = mul(Fraction(1, 2), add(c_low(i, j, k), c_low(j, k, i),
                                                 mul(num(-1), c_low(k, i, j))))
-                gamma = simplify(mul(num(eta[i]), gamma))
+                gamma = mul(num(eta[i]), gamma)
                 if not gamma.is_zero():
                     acc = pform_add(acc, pform_scale(gamma, coframe.theta[k]))
-            row.append(acc.map_coefficients(simplify))
+            row.append(acc)
         entries.append(row)
     return MatrixForm(entries, eta=eta)
 
 
 @dataclass
 class FrameData:
-    """Coframe with its connection, curvature and derived trace tensors."""
+    """Coframe with its connection and curvature; Riemann is the one symbolic
+    curvature tensor, and the trace tensors are numpy contractions of its
+    values (:meth:`curvature_values`)."""
 
     coframe: Coframe
     alpha: MatrixForm
     omega: MatrixForm               # curvature 2-forms
     riemann: list                   # R_{ijkl}, all indices down
-    ricci: list                     # R_{ij}
-    scalar: Expr                    # R
-    schouten: list | None           # F_{ij}; None when n == 2
-    weyl: list | None               # W_{ijkl}; None when n == 2
 
     @property
     def chart(self) -> Chart:
@@ -241,23 +234,31 @@ class FrameData:
         return self.coframe.n
 
     def riemann_at(self, point: Mapping[str, float]):
-        return evaluate(self.riemann, {c: [v] for c, v in point.items()})[..., 0]
+        return self.curvature_values({c: [v] for c, v in point.items()})["riemann"][0]
 
     def weyl_at(self, point: Mapping[str, float]):
-        if self.weyl is None:
-            return None
-        return evaluate(self.weyl, {c: [v] for c, v in point.items()})[..., 0]
+        weyl = self.curvature_values({c: [v] for c, v in point.items()}).get("weyl")
+        return None if weyl is None else weyl[0]
 
     def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
-        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first."""
-        tensors = {"riemann": self.riemann, "ricci": self.ricci}
-        if self.weyl is not None:
-            tensors["weyl"] = self.weyl
-        return {k: np.moveaxis(v, -1, 0) for k, v in evaluate(tensors, points).items()}
+        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first,
+        the trace tensors contracted from the one evaluated Riemann array."""
+        n = self.n
+        eta = np.array(self.eta, dtype=float)
+        em = np.diag(eta)
+        r = np.moveaxis(evaluate(self.riemann, points), -1, 0)
+        ricci = np.einsum("i,pijil->pjl", eta, r)
+        out = {"riemann": r, "ricci": ricci}
+        if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
+            scalar = np.einsum("j,pjj->p", eta, ricci)
+            f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
+            out["weyl"] = (r - np.einsum("ik,plj->pijkl", em, f) + np.einsum("il,pkj->pijkl", em, f)
+                           + np.einsum("jk,pli->pijkl", em, f) - np.einsum("jl,pik->pijkl", em, f))
+        return out
 
 
 def curvature_package(coframe: Coframe) -> FrameData:
-    """Curvature 2-forms, Riemann/Ricci/scalar and the trace-adjusted tensors."""
+    """Connection, curvature 2-forms and the Riemann components R_{ijkl}."""
     n = coframe.n
     eta = coframe.eta
     alpha = solve_connection(coframe)
@@ -271,45 +272,11 @@ def curvature_package(coframe: Coframe) -> FrameData:
                 continue
             for k in range(n):
                 for l in range(k + 1, n):
-                    comp = simplify(mul(num(eta[i]),
-                                        contract(source, [coframe.vectors[k],
-                                                          coframe.vectors[l]])))
+                    comp = mul(num(eta[i]), contract(source, [coframe.vectors[k],
+                                                              coframe.vectors[l]]))
                     riemann[i][j][k][l] = comp
                     riemann[i][j][l][k] = mul(num(-1), comp)
-
-    ricci = [[simplify(add(*[mul(num(eta[i]), riemann[i][j][i][l]) for i in range(n)]))
-              for l in range(n)] for j in range(n)]
-    scalar = simplify(add(*[mul(num(eta[j]), ricci[j][j]) for j in range(n)]))
-
-    schouten = weyl = None
-    if n >= 3:
-        c1 = Fraction(1, n - 2)
-        c2 = Fraction(-1, 2 * (n - 1) * (n - 2))
-        schouten = [[simplify(add(mul(num(c1), ricci[i][j]),
-                                  mul(num(c2 * eta[i]), scalar) if i == j else ZERO))
-                     for j in range(n)] for i in range(n)]
-
-        def etad(i, j):
-            return eta[i] if i == j else 0
-
-        weyl = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        terms = [riemann[i][j][k][l]]
-                        if etad(i, k):
-                            terms.append(mul(num(-etad(i, k)), schouten[l][j]))
-                        if etad(i, l):
-                            terms.append(mul(num(etad(i, l)), schouten[k][j]))
-                        if etad(j, k):
-                            terms.append(mul(num(etad(j, k)), schouten[l][i]))
-                        if etad(j, l):
-                            terms.append(mul(num(-etad(j, l)), schouten[i][k]))
-                        weyl[i][j][k][l] = simplify(add(*terms))
-
-    return FrameData(coframe, alpha, omega, riemann, ricci, scalar,
-                     schouten, weyl)
+    return FrameData(coframe, alpha, omega, riemann)
 
 
 def torsion_residual(fd: FrameData, points: Mapping[str, np.ndarray]) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, evaluate, mul, simplify
+from .expression import Chart, Expr, add, evaluate, mul
 from .frames import Metric, SpaceClassification
 from .submersion import ConstraintReport, FlowData, _sup, lie_derivative_at
 
@@ -143,7 +143,7 @@ def _k_coordinate_form(flow: FlowData) -> list:
             coeff = flow.adapted.coframe.theta[i + 1].coefficient((mu,))
             if not coeff.is_zero():
                 terms.append(mul(flow.k[i], coeff))
-        out.append(simplify(add(*terms)))
+        out.append(add(*terms))
     return out
 
 
@@ -217,21 +217,16 @@ def _along(starts: np.ndarray, ends: np.ndarray, count: int) -> np.ndarray:
 
 
 def _path_faults(chart: Chart, pts: np.ndarray) -> np.ndarray:
-    """Per row: -1 admissible, 0 outside the (padded) box, 1 + e inside exclusion e."""
+    """Per row: -1 admissible, 0 outside the (padded) box, 1 + e inside
+    exclusion e, the first that holds there (:meth:`Chart.excluded_by`)."""
     lo = np.array([chart.domain[c][0] for c in chart.coords])
     hi = np.array([chart.domain[c][1] for c in chart.coords])
     pad = 1e-9 * (1.0 + np.abs(hi) + np.abs(lo))
     inside = np.all((lo - pad <= pts) & (pts <= hi + pad), axis=1)
-    fails = [~inside]
-    if chart.exclusions:
-        vals = evaluate([ex.expr for ex in chart.exclusions],
-                        dict(zip(chart.coords, pts[inside].T)))
-        for ex, v in zip(chart.exclusions, vals):
-            hit = np.zeros(len(pts), dtype=bool)
-            hit[inside] = ex.compare(v)
-            fails.append(hit)
-    fails = np.array(fails)
-    return np.where(fails.any(axis=0), fails.argmax(axis=0), -1)
+    faults = np.zeros(len(pts), dtype=int)
+    first = chart.excluded_by(dict(zip(chart.coords, pts[inside].T)))
+    faults[inside] = np.where(first < 0, -1, first + 1)
+    return faults
 
 
 def _check_path(chart: Chart, pts: np.ndarray):

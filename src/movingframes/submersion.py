@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
-                         num, point_at, pow_, simplify)
+                         num, point_at, pow_)
 from .exterior import FormArityError, PForm, contract, ext_d
 from .frames import Coframe, FrameData, Metric, gram_schmidt_frame, solve_connection
 
@@ -131,21 +131,20 @@ class AdaptedFlow:
 
 def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                     samples: Mapping[str, np.ndarray],
-                    flow_tol: float = 1e-8,
-                    order: Sequence[str] | None = None) -> AdaptedFlow:
+                    flow_tol: float = 1e-8) -> AdaptedFlow:
     """Unit flow field, its dual psi0 and a horizontal Gram-Schmidt coframe.
 
-    The horizontal legs come from projecting the coordinate vectors (in chart
-    or ``order`` order) onto the orthogonal complement of u; directions that
-    project to zero are skipped, a projection degenerating at isolated sample
-    points is an error naming the point.  Non-unit flows are normalized
+    The horizontal legs come from projecting the coordinate vectors, in
+    chart order, onto the orthogonal complement of u; directions that project
+    to zero are skipped, a projection degenerating at isolated sample points
+    is an error naming the point.  Non-unit flows are normalized
     automatically (``norm2`` keeps the squared norm); the discarded magnitude
     is exactly the scale a Killing reconstruction recovers.
     """
     chart = metric.chart
     n = chart.n
-    flow = tuple(simplify(c) for c in flow)
-    norm2 = simplify(metric.inner(list(flow), list(flow)))
+    flow = tuple(flow)
+    norm2 = metric.inner(list(flow), list(flow))
     norms = evaluate([norm2], samples)[0]
     low = np.flatnonzero(norms < flow_tol * flow_tol)
     if low.size:
@@ -153,21 +152,13 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
         raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
     scale = pow_(norm2, Fraction(-1, 2))
-    u = tuple(simplify(mul(scale, c)) for c in flow)
-    seeds: list = [list(u)]
-    if order is None:
-        perm = list(range(n))
-    else:
-        perm = [chart.index(name) for name in order]
-    for k in perm:
-        seeds.append([num(1) if mu == k else num(0) for mu in range(n)])
+    u = tuple(mul(scale, c) for c in flow)
+    seeds = [list(u)] + [[num(1) if mu == k else num(0) for mu in range(n)] for k in range(n)]
     vectors, eta = gram_schmidt_frame(metric, seeds, [1] * n, samples,
                                       pivot_tol=flow_tol, allow_skip=True)
-    theta = []
-    for kk, e in enumerate(vectors):
-        covector = metric.lower(list(e))
-        theta.append(PForm(chart, 1, {(mu,): simplify(covector[mu]) for mu in range(n)}))
-    coframe = Coframe(chart, tuple(eta), tuple(theta), tuple(vectors), tuple(perm))
+    theta = [PForm(chart, 1, {(mu,): c for mu, c in enumerate(metric.lower(list(e)))})
+             for e in vectors]
+    coframe = Coframe(chart, tuple(eta), tuple(theta), tuple(vectors))
     return AdaptedFlow(metric, flow, norm2, u, coframe)
 
 
@@ -182,10 +173,9 @@ def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
     vec = adapted.coframe.vectors
     h = adapted.horizontal
     dpsi0 = ext_d(adapted.psi0)
-    m = [[simplify(mul(Fraction(-1, 2), contract(dpsi0, [vec[i + 1], vec[j + 1]])))
-          for j in range(h)] for i in range(h)]
-    k = [simplify(mul(num(-1), contract(dpsi0, [vec[0], vec[i + 1]])))
+    m = [[mul(Fraction(-1, 2), contract(dpsi0, [vec[i + 1], vec[j + 1]])) for j in range(h)]
          for i in range(h)]
+    k = [mul(num(-1), contract(dpsi0, [vec[0], vec[i + 1]])) for i in range(h)]
     return FlowInvariants(m, k)
 
 
@@ -275,9 +265,8 @@ class FlowData:
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  samples: Mapping[str, np.ndarray],
-                 rigidity_tol: float = 1e-9, flow_tol: float = 1e-8,
-                 order: Sequence[str] | None = None) -> FlowData:
-    adapted = adapted_coframe(metric, flow, samples, flow_tol, order)
+                 rigidity_tol: float = 1e-9, flow_tol: float = 1e-8) -> FlowData:
+    adapted = adapted_coframe(metric, flow, samples, flow_tol)
     invariants = flow_invariants(adapted)
     jet = flow_jet(adapted, invariants.m, invariants.k, samples)
     conn, m, k = jet["conn"], jet["m"], jet["k"]
@@ -323,7 +312,7 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
     alpha = solve_connection(flow.adapted.coframe)
 
     def abar(l, i, g):
-        base = simplify(contract(alpha[l + 1, i + 1], [vec[g]]))
+        base = contract(alpha[l + 1, i + 1], [vec[g]])
         return add(base, mul(num(-1), flow.m[l][i])) if g == 0 else base
 
     def entry(tensor, idx):
@@ -344,7 +333,7 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
                             continue
                         swapped = idx[:axis] + (l,) + idx[axis + 1:]
                         terms.append(mul(num(-1), corr, entry(components, swapped)))
-                out.append(simplify(add(*terms)))
+                out.append(add(*terms))
             return out
         return [build(idx + (i,)) for i in range(h)]
 

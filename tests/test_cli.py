@@ -223,10 +223,13 @@ class TestPipeline:
         forward-mode jet: the one connection solved is the ambient one, and
         no symbolic covariant or directional derivative is built.  Every
         stage reads the one jet and the one curvature evaluation at the
-        samples (4 jet walks and 2 curvature evaluations before)."""
+        samples (4 jet walks and 2 curvature evaluations before).  No stage
+        calls simplify: the constructors already return its fixed point (the
+        stages called it 203 times here before, growing its cache by 148)."""
         homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
-                 "directional": movingframes.submersion, "flow_jet": movingframes.submersion}
+                 "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
+                 "simplify": movingframes.expression}
         calls = dict.fromkeys(homes, 0)
         calls["curvature_values"] = 0
 
@@ -244,11 +247,13 @@ class TestPipeline:
                     monkeypatch.setattr(module, name, count(name, real))
         monkeypatch.setattr(FrameData, "curvature_values",
                             count("curvature_values", FrameData.curvature_values))
+        cache = dict(movingframes.expression._SIMPLIFY_CACHE)
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
         assert calls == {"curvature_package": 1, "matrix_curvature": 1, "solve_connection": 1,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
-                         "curvature_values": 1}
+                         "curvature_values": 1, "simplify": 0}
+        assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame
@@ -288,6 +293,20 @@ class TestPipeline:
         points = [p["point"] for p in
                   json.loads(out.read_text())["tasks"]["curvature"]["components_at_points"]]
         assert len(points) == 3 and all(p[0] >= 0.5 for p in points)
+
+    def test_integration_paths_test_exclusions_in_order(self, tmp_path, capsys):
+        """Paths to the basepoint cross x < 0.5, where log(x - 0.49999)
+        faults; the first exclusion removes those path points before the
+        second is evaluated, as in sampling."""
+        cfg = screw_config(samples={"mode": "random", "count": 400, "seed": 7},
+                           tasks=["herglotz"])
+        cfg["chart"]["exclusions"] = ["x < 0.5", "log(x - 0.49999) > 5"]
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 0, capsys.readouterr().err
+        herglotz = json.loads(out.read_text())["tasks"]["herglotz"]
+        assert herglotz["verdict"] == "isometric-verified"
+        assert herglotz["killing_residual"] < 1e-7
 
     def test_exclusions_through_pipeline(self):
         """Rotation flow with the axis carved out by an exclusion predicate."""

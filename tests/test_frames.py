@@ -1,10 +1,12 @@
 """Coframes, connection solving, curvature and classification."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from movingframes.expression import (Chart, call, eval_at, num, pow_,
-                                     sample_points, sym)
+from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul, num,
+                                     parse_expr, pow_, sample_points, sym)
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  build_coframe, classify_space,
                                  curvature_package, reconstruction_residual,
@@ -207,6 +209,40 @@ class TestClassification:
         assert cls.generic
 
 
+def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
+    """Ricci and Weyl contracted from the Riemann values against the
+    CONVENTIONS.md formulas built as expressions from the Riemann components,
+    on a metric with nonzero Weyl tensor (n = 4) and on one with n = 3."""
+    chart4 = Chart(["x", "y", "z", "w"])
+    g4 = Metric(chart4, [[parse_expr(t, chart4) for t in row] for row in (
+        ("1 + x^2", "x*y", "0", "0"), ("x*y", "1 + y^2", "z/4", "0"),
+        ("0", "z/4", "exp(x)", "0"), ("0", "0", "0", "1 + w^2"))])
+    for metric in (g4, hyperbolic3[1]):
+        pts = sample_points(metric.chart, "random", 10, seed=23)
+        fd = curvature_package(build_coframe(metric, pts))
+        n, eta, r = fd.n, fd.eta, fd.riemann
+        ricci = [[add(*[mul(num(eta[i]), r[i][j][i][l]) for i in range(n)]) for l in range(n)]
+                 for j in range(n)]
+        scalar = add(*[mul(num(eta[j]), ricci[j][j]) for j in range(n)])
+        f = [[add(mul(Fraction(1, n - 2), ricci[i][j]),
+                  mul(Fraction(-eta[i], 2 * (n - 1) * (n - 2)), scalar) if i == j else num(0))
+              for j in range(n)] for i in range(n)]
+
+        def d(i, j):
+            return eta[i] if i == j else 0
+
+        weyl = [[[[add(r[i][j][k][l], mul(num(-d(i, k)), f[l][j]), mul(num(d(i, l)), f[k][j]),
+                       mul(num(d(j, k)), f[l][i]), mul(num(-d(j, l)), f[i][k]))
+                   for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
+        want = evaluate({"ricci": ricci, "weyl": weyl}, pts)
+        got = fd.curvature_values(pts)
+        for name, w in want.items():
+            w = np.moveaxis(w, -1, 0)
+            assert np.all(np.abs(got[name] - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), name
+        if n == 4:      # not conformally flat: the comparison sees a nonzero Weyl
+            assert np.max(np.abs(got["weyl"])) > 0.01
+
+
 def test_frame_covariance_under_reordering(flat3_frame, sphere1_frame, sphere2_frame,
                                            hyperbolic3_frame, polar3_frame,
                                            conformal4_frame):
@@ -217,17 +253,18 @@ def test_frame_covariance_under_reordering(flat3_frame, sphere1_frame, sphere2_f
         chart = bundle["chart"]
         order = list(reversed(chart.coords))
         pts = bundle["points"]
-        fd2 = curvature_package(build_coframe(bundle["metric"], order, pts))
+        fd2 = curvature_package(build_coframe(bundle["metric"], pts, order))
         cls1 = bundle["classification"]
-        cls2 = classify_space(fd2, fd2.curvature_values(pts))
+        vals2 = fd2.curvature_values(pts)
+        cls2 = classify_space(fd2, vals2)
         assert cls1.flat == cls2.flat
         assert cls1.constant_curvature == cls2.constant_curvature
         assert cls1.ricci_flat == cls2.ricci_flat
         assert cls1.conformally_flat == cls2.conformally_flat
         # the fitted constant is scalar-derived, hence frame independent
         assert cls2.kappa == pytest.approx(cls1.kappa, abs=1e-8)
-        for p in rows(pts)[:4]:
-            memo1, memo2 = {}, {}
-            s1 = eval_at(bundle["frame"].scalar, p, memo1)
-            s2 = eval_at(fd2.scalar, p, memo2)
-            assert s2 == pytest.approx(s1, rel=1e-9, abs=1e-9)
+        # the scalar traced from the Ricci values, at every sample
+        s1, s2 = (np.einsum("j,pjj->p", np.array(fd.eta, dtype=float), v["ricci"])
+                  for fd, v in ((bundle["frame"], bundle["frame"].curvature_values(pts)),
+                                (fd2, vals2)))
+        assert s2 == pytest.approx(s1, rel=1e-9, abs=1e-9)

@@ -392,12 +392,15 @@ class TestConstraintSystem:
     @staticmethod
     def _symbolic_route(fl, pts):
         """The constraint system built symbolically in the adapted frame: a
-        second curvature package, Rq from its Riemann tensor, slot 0 of the
-        rank-4 covariant derivative of Rq, and the five tilde-free rows."""
+        second curvature package, its Ricci tensor and Rq from its Riemann
+        tensor, slot 0 of the rank-4 covariant derivative of Rq, and the five
+        tilde-free rows."""
         h = fl.horizontal
         m, k = fl.m, fl.k
         fd = curvature_package(fl.adapted.coframe)
-        R, ricci = fd.riemann, fd.ricci
+        R = fd.riemann
+        ricci = [[add(*[mul(num(e), R[i][j][i][l]) for i, e in enumerate(fd.eta)])
+                  for l in range(h + 1)] for j in range(h + 1)]
         mc = covariant_derivative(m, fl, rank=2)
         kc = covariant_derivative(k, fl, rank=1)
         mm = [[add(*[mul(m[i][l], m[l][j]) for l in range(h)]) for j in range(h)]
