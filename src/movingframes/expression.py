@@ -652,6 +652,17 @@ _TANGENT = {                 # d fn(a)/da from the argument a and the value v
     "log": lambda a, v: a ** -1.0,
 }
 
+_SECOND = {                  # d^2 fn(a)/da^2 from a, the value v and the first derivative t
+    "sin": lambda a, v, t: -v,
+    "cos": lambda a, v, t: -v,
+    "tan": lambda a, v, t: 2.0 * v * t,
+    "sinh": lambda a, v, t: v,
+    "cosh": lambda a, v, t: v,
+    "tanh": lambda a, v, t: -2.0 * v * t,
+    "exp": lambda a, v, t: v,
+    "log": lambda a, v, t: -(t * t),
+}
+
 
 def _sum(terms: list):
     """Left-to-right sum of the arrays in ``terms``; None when there are none."""
@@ -702,22 +713,75 @@ def _tangent(x: Expr, kids: tuple, v, vals: dict, tans: dict, seeds: Mapping):
     return _TANGENT[x.fn](a, v) * t
 
 
-def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
+def _times(a, b):
+    """a * b, None when either is structurally zero."""
+    return None if a is None or b is None else a * b
+
+
+def _live_sum(*terms):
+    """:func:`_sum` of the terms that are not structurally zero."""
+    return _sum([t for t in terms if t is not None])
+
+
+def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: dict,
+           seeds: Mapping):
+    """u(X f) of node ``x`` (hyper-dual numbers: value, X-tangent, u-tangent and
+    mixed part) from its children's four channels; None when structurally zero."""
+    if isinstance(x, Sym):
+        return seeds.get(x.name)
+    if isinstance(x, Add):
+        return _sum([mixed[c] for c in kids if c in mixed])
+    if isinstance(x, Mul):          # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
+        p, t, s, w = vals[kids[0]], tans.get(kids[0]), utans.get(kids[0]), mixed.get(kids[0])
+        for c in kids[1:]:
+            f, tf, sf, wf = vals[c], tans.get(c), utans.get(c), mixed.get(c)
+            w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
+            t, s = _live_sum(_times(t, f), _times(p, tf)), _live_sum(_times(s, f), _times(p, sf))
+            p = p * f
+        return w
+    t = tans.get(kids[0]) if kids else None
+    if t is None:
+        return None
+    s, w = utans.get(kids[0]), mixed.get(kids[0])
+    a = vals[kids[0]]
+    if isinstance(x, Pow):
+        e = x.exponent
+        d1 = float(e) * a ** float(e - 1)
+        d2 = None if s is None else float(e * (e - 1)) * a ** float(e - 2)
+    else:
+        d1 = _TANGENT[x.fn](a, v)
+        d2 = None if s is None else _SECOND[x.fn](a, v, d1)
+    return _live_sum(_times(d2, _times(s, t)), _times(d1, w))
+
+
+def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: int = 1,
+                 useeds: Mapping | None = None, mseeds: Mapping | None = None):
     """Each DAG node as one numpy operation over all points, in post-order;
     an intermediate is dropped after its last consumer.
 
-    With ``seeds`` (coordinate name -> (d, N) tangent basis) every node also
-    carries its d directional derivatives (vector forward mode), and the
-    result is the pair (values, derivatives), derivatives shaped (roots, d, N).
+    With ``seeds`` (coordinate name -> (d, N) tangent basis, absent where
+    zero) every node also carries its d directional derivatives X f (vector
+    forward mode), and the result is the pair (values, derivatives),
+    derivatives shaped (roots, d, N).  With ``useeds`` as well (coordinate
+    name -> (N,) components of a field u) and ``mseeds`` (coordinate name ->
+    (d, N) u-derivatives of the d fields' components, absent where constant),
+    every node also carries u f and the mixed derivatives u(X f) (hyper-dual
+    numbers), and the result is (values, derivatives, u-derivatives, mixed),
+    the last shaped (roots, N) and (roots, d, N).
     """
     order, last = _schedule(roots)
     rows: dict = {}
     for r, x in enumerate(roots):
         rows.setdefault(x, []).append(r)
     out = np.empty((len(roots), n))
-    dout = None if seeds is None else np.zeros((len(roots), len(next(iter(seeds.values()))), n))
+    if seeds is not None:
+        dout = np.zeros((len(roots), d, n))
+    if useeds is not None:
+        uout, mout = np.zeros((len(roots), n)), np.zeros((len(roots), d, n))
     vals: dict = {}
     tans: dict = {}
+    utans: dict = {}
+    mixed: dict = {}
     for i, (x, kids) in enumerate(order):
         if isinstance(x, Num):
             v = np.float64(float(x.value))
@@ -740,6 +804,15 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
             v = vals[kids[0]] ** float(x.exponent)
         else:
             v = getattr(np, x.fn)(vals[kids[0]])       # numpy names every FUNCTIONS entry
+        if useeds is not None:
+            for channel, result, t in ((utans, uout, _tangent(x, kids, v, vals, utans, useeds)),
+                                       (mixed, mout, _mixed(x, kids, v, vals, tans, utans, mixed,
+                                                            mseeds))):
+                if t is not None:
+                    if x in rows:
+                        result[rows[x]] = t
+                    if x in last:
+                        channel[x] = t
         if seeds is not None:
             t = _tangent(x, kids, v, vals, tans, seeds)
             if t is not None:
@@ -755,7 +828,12 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None):
             if last[c] == i:
                 vals.pop(c, None)
                 tans.pop(c, None)
-    return out if seeds is None else (out, dout)
+                if useeds is not None:
+                    utans.pop(c, None)
+                    mixed.pop(c, None)
+    if seeds is None:
+        return out
+    return (out, dout) if useeds is None else (out, dout, uout, mout)
 
 
 _FAULTS = dict(divide="raise", over="raise", invalid="raise", under="ignore")
@@ -795,7 +873,12 @@ def evaluate(exprs, points):
     return _unflatten(exprs, grids, flat)
 
 
-def evaluate_along(exprs, vectors, points):
+def _along(e: Expr, field: Mapping) -> Expr:
+    """The derivative of ``e`` along a field, built with :func:`diff`."""
+    return add(*[mul(v, diff(e, c)) for c, v in field.items() if not v.is_zero()])
+
+
+def evaluate_along(exprs, vectors, points, second: Mapping | None = None):
     """Values of expressions and their derivatives along vector fields.
 
     ``vectors``: one vector field, a mapping of coordinate names to component
@@ -805,31 +888,48 @@ def evaluate_along(exprs, vectors, points):
     (d, N) tangent; sums in the same order), so no derivative expression is
     built.  Returns (values, derivatives): values shaped as :func:`evaluate`
     shapes them, derivatives S + (N,) for one field and S + (d, N) for a
-    sequence.  After a floating-point fault the roots and their symbolic
-    derivatives go through the scalar reference, so the fault names the
-    first bad point as ``evaluate`` of both would.
+    sequence.  With ``second``, one more field u, the same walk also carries
+    u(e) and the mixed second derivatives u(X e) of every node (hyper-dual
+    numbers, Fike & Alonso, AIAA 2011-886), and the result is (values,
+    derivatives, u-derivatives, mixed), u-derivatives shaped as values and
+    mixed as derivatives.  After a floating-point fault the roots and their
+    symbolic derivatives go through the scalar reference, so the fault names
+    the first bad point as ``evaluate`` of all of them would.
     """
     grids, roots = _flatten(exprs)
     n = len(next(iter(points.values()), ()))
     fields = [vectors] if isinstance(vectors, Mapping) else list(vectors)
     d = len(fields)
     live = list(dict.fromkeys(c for f in fields for c, e in f.items() if not e.is_zero()))
+    comps = [f.get(c, ZERO) for c in live for f in fields]
     try:
         with np.errstate(**_FAULTS):
-            if live:
-                cols = _run_program([f.get(c, ZERO) for c in live for f in fields], points, n)
-                seeds = dict(zip(live, cols.reshape(len(live), d, n)))
-                flat, dflat = _run_program(roots, points, n, seeds)
-            else:
-                flat, dflat = _run_program(roots, points, n), np.zeros((len(roots), d, n))
+            useeds = None
+            if second is not None:
+                ulive = [c for c, e in second.items() if not e.is_zero()]
+                useeds = dict(zip(ulive, _run_program([second[c] for c in ulive], points, n)))
+            if all(isinstance(e, Num) for e in comps):     # a constant basis needs no walk
+                cols, mseeds = np.outer([float(e.value) for e in comps], np.ones(n)), {}
+            elif second is None:
+                cols, mseeds = _run_program(comps, points, n), None
+            else:           # the fields' components with their u-derivatives
+                cols, ucols = _run_program(comps, points, n,
+                                           {c: u[None] for c, u in useeds.items()}, 1)
+                mseeds = {c: m for c, m in zip(live, ucols.reshape(len(live), d, n))
+                          if any(not isinstance(f.get(c, ZERO), Num) for f in fields)}
+            seeds = dict(zip(live, cols.reshape(len(live), d, n)))
+            channels = _run_program(roots, points, n, seeds, d, useeds, mseeds)
     except (FloatingPointError, OverflowError):
-        derivs = [add(*[mul(v, diff(e, c)) for c, v in f.items() if not v.is_zero()])
-                  for e in roots for f in fields]
-        both = _reference(roots + derivs, points, n)
-        flat, dflat = both[:len(roots)], both[len(roots):].reshape(len(roots), d, n)
+        derivs = [_along(e, f) for e in roots for f in fields]
+        if second is not None:
+            derivs += [_along(e, second) for e in roots + derivs]
+        k = len(roots)
+        parts = np.split(_reference(roots + derivs, points, n), np.cumsum([k, k * d, k]))
+        channels = [p.reshape(k, d, n) if i % 2 else p
+                    for i, p in enumerate(parts[:2 if second is None else 4])]
     if isinstance(vectors, Mapping):
-        dflat = dflat[:, 0]
-    return _unflatten(exprs, grids, flat), _unflatten(exprs, grids, dflat)
+        channels = [c[:, 0] if c.ndim == 3 else c for c in channels]
+    return tuple(_unflatten(exprs, grids, c) for c in channels)
 
 
 def point_at(points: Mapping, k: int) -> dict:

@@ -21,14 +21,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, evaluate, mul, num, point_at, pow_,
-                         sup_abs, ZERO)
-from .exterior import (MatrixForm, PForm, contract, ext_d, matrix_curvature,
-                       pform_add, pform_scale, wedge, zero_form)
+from .expression import (Chart, Expr, add, evaluate, evaluate_along, mul, num, point_at,
+                         pow_, sup_abs, ZERO)
+from .exterior import (MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, wedge,
+                       zero_form)
 
 __all__ = [
     "Metric", "Coframe", "FrameData", "SpaceClassification",
-    "build_coframe", "solve_connection", "curvature_package", "classify_space",
+    "build_coframe", "solve_connection", "coordinate_basis",
+    "curvature_package", "classify_space",
     "torsion_residual", "reconstruction_residual", "gram_schmidt_frame",
     "SingularMetricError", "SignatureError",
 ]
@@ -173,8 +174,10 @@ def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
     return Coframe(chart, eta, tuple(theta), tuple(vectors))
 
 
-def solve_connection(coframe: Coframe) -> MatrixForm:
-    """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
+def _connection(coframe: Coframe) -> tuple:
+    """(Gamma, alpha): the coefficients Gamma^i_jk = alpha^i_j(e_k), an
+    n x n x n nested list, and the 1-forms alpha^i_j = Gamma^i_jk theta^k of
+    the unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
 
     Expands d theta^i = (1/2) c^i_{jk} theta^j ^ theta^k and solves the cyclic
     combination Gamma_{ijk} = (c_{ijk} + c_{jki} - c_{kij}) / 2, lowering with
@@ -194,6 +197,7 @@ def solve_connection(coframe: Coframe) -> MatrixForm:
     def c_low(i, j, k):
         return mul(num(eta[i]), c_up[i][j][k])
 
+    coefficients = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     entries = []
     for i in range(n):
         row = []
@@ -202,24 +206,43 @@ def solve_connection(coframe: Coframe) -> MatrixForm:
             for k in range(n):
                 gamma = mul(Fraction(1, 2), add(c_low(i, j, k), c_low(j, k, i),
                                                 mul(num(-1), c_low(k, i, j))))
-                gamma = mul(num(eta[i]), gamma)
+                gamma = coefficients[i][j][k] = mul(num(eta[i]), gamma)
                 if not gamma.is_zero():
                     acc = pform_add(acc, pform_scale(gamma, coframe.theta[k]))
             row.append(acc)
         entries.append(row)
-    return MatrixForm(entries, eta=eta)
+    return coefficients, MatrixForm(entries, eta=eta)
+
+
+def solve_connection(coframe: Coframe) -> MatrixForm:
+    """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j."""
+    return _connection(coframe)[1]
+
+
+def coordinate_basis(chart: Chart) -> list:
+    """The coordinate vector fields d_nu, as :func:`evaluate_along` takes them."""
+    return [{c: num(1)} for c in chart.coords]
+
+
+def _curvature_terms(dgamma, e, a, b):
+    """e_k(G^i_jl) - e_l(G^i_jk) from the coordinate jet ``dgamma`` of G and
+    the frame vectors ``e``, plus a^i_jm (b^m_kl - b^m_lk) + a^i_mk b^m_jl
+    - a^i_ml b^m_jk; with G = a = b = Gamma this is R^i_jkl.  Point axis last."""
+    ek = np.einsum("knp,ijlnp->ijklp", e, dgamma)
+    q = np.einsum("imkp,mjlp->ijklp", a, b)
+    return (ek - np.swapaxes(ek, 2, 3) + np.einsum("ijmp,mklp->ijklp", a, b - np.swapaxes(b, 1, 2))
+            + q - np.swapaxes(q, 2, 3))
 
 
 @dataclass
 class FrameData:
-    """Coframe with its connection and curvature; Riemann is the one symbolic
-    curvature tensor, and the trace tensors are numpy contractions of its
-    values (:meth:`curvature_values`)."""
+    """Coframe with its connection; the curvature is numpy over the
+    coordinate jet of the connection coefficients (:meth:`curvature_values`),
+    and no curvature tensor is built symbolically."""
 
     coframe: Coframe
     alpha: MatrixForm
-    omega: MatrixForm               # curvature 2-forms
-    riemann: list                   # R_{ijkl}, all indices down
+    gamma: list                     # Gamma^i_jk = alpha^i_j(e_k)
 
     @property
     def chart(self) -> Chart:
@@ -233,6 +256,31 @@ class FrameData:
     def n(self) -> int:
         return self.coframe.n
 
+    def jet_exprs(self) -> dict:
+        """The expressions whose jets give the curvature: Gamma and the frame vectors."""
+        return {"gamma": self.gamma, "e": self.coframe.vectors}
+
+    def riemann_from_jet(self, v: dict, dv: dict, du: dict | None = None,
+                         duv: dict | None = None):
+        """R_ijkl = eta_i R^i_jkl from the :func:`evaluate_along` jet of
+        :meth:`jet_exprs` in the coordinate basis, point axis last, by
+
+            R^i_jkl = e_k(Gamma^i_jl) - e_l(Gamma^i_jk)
+                      + Gamma^i_jm (Gamma^m_kl - Gamma^m_lk)
+                      + Gamma^i_mk Gamma^m_jl - Gamma^i_ml Gamma^m_jk.
+
+        With the u-derivatives ``du`` and the mixed derivatives ``duv`` of the
+        same walk, returns (R, u(R)), u(R) by the product rule of the formula.
+        """
+        eta = np.array(self.eta, dtype=float)[:, None, None, None, None]
+        g, e = v["gamma"], v["e"]
+        r = eta * _curvature_terms(dv["gamma"], e, g, g)
+        if du is None:
+            return r
+        ug = du["gamma"]
+        return r, eta * (_curvature_terms(duv["gamma"], e, ug, g)
+                         + _curvature_terms(dv["gamma"], du["e"], g, ug))
+
     def riemann_at(self, point: Mapping[str, float]):
         return self.curvature_values({c: [v] for c, v in point.items()})["riemann"][0]
 
@@ -241,12 +289,14 @@ class FrameData:
         return None if weyl is None else weyl[0]
 
     def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
-        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first,
-        the trace tensors contracted from the one evaluated Riemann array."""
+        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first:
+        Riemann from one forward-mode walk over the connection coefficients,
+        and the trace tensors contracted from it."""
         n = self.n
         eta = np.array(self.eta, dtype=float)
         em = np.diag(eta)
-        r = np.moveaxis(evaluate(self.riemann, points), -1, 0)
+        v, dv = evaluate_along(self.jet_exprs(), coordinate_basis(self.chart), points)
+        r = np.moveaxis(self.riemann_from_jet(v, dv), -1, 0)
         ricci = np.einsum("i,pijil->pjl", eta, r)
         out = {"riemann": r, "ricci": ricci}
         if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
@@ -258,25 +308,10 @@ class FrameData:
 
 
 def curvature_package(coframe: Coframe) -> FrameData:
-    """Connection, curvature 2-forms and the Riemann components R_{ijkl}."""
-    n = coframe.n
-    eta = coframe.eta
-    alpha = solve_connection(coframe)
-    omega = matrix_curvature(alpha)
-
-    riemann = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            source = omega[i, j]
-            if source.is_zero():
-                continue
-            for k in range(n):
-                for l in range(k + 1, n):
-                    comp = mul(num(eta[i]), contract(source, [coframe.vectors[k],
-                                                              coframe.vectors[l]]))
-                    riemann[i][j][k][l] = comp
-                    riemann[i][j][l][k] = mul(num(-1), comp)
-    return FrameData(coframe, alpha, omega, riemann)
+    """The connection of ``coframe``, its coefficients and 1-forms, from
+    which :meth:`FrameData.curvature_values` evaluates the curvature."""
+    gamma, alpha = _connection(coframe)
+    return FrameData(coframe, alpha, gamma)
 
 
 def torsion_residual(fd: FrameData, points: Mapping[str, np.ndarray]) -> float:

@@ -36,8 +36,9 @@ and the tilde-bearing rows are solved for the quotient curvature:
 
 The signs are fixed so that the quotient of the screw flow in flat space has
 Gauss curvature +3 M_12^2, matching the transversal-metric oracle.  The
-ambient curvature R is built once, in the ambient coframe, and read in the
-adapted frame by a numeric frame change (see ``constraint_rows``).
+ambient curvature R and its u-derivative are evaluated from the jet of the
+ambient connection and read in the adapted frame by a numeric frame change
+(see ``constraint_rows``); no curvature tensor is built symbolically.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ import numpy as np
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
                          num, point_at, pow_)
 from .exterior import FormArityError, PForm, contract, ext_d
-from .frames import Coframe, FrameData, Metric, gram_schmidt_frame, solve_connection
+from .frames import (Coframe, FrameData, Metric, coordinate_basis, gram_schmidt_frame,
+                     solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -80,11 +82,6 @@ def directional(e: Expr, vector: Sequence[Expr], chart: Chart) -> Expr:
     return add(*terms)
 
 
-def _coordinate_basis(chart: Chart) -> list:
-    """The coordinate vector fields d_nu, as :func:`evaluate_along` takes them."""
-    return [{c: num(1)} for c in chart.coords]
-
-
 def _lie(g: np.ndarray, dg: np.ndarray, v: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """(L_V g)_mu nu = V^r d_r g_mu nu + g_r nu d_mu V^r + g_mu r d_nu V^r from
     values and coordinate derivatives (derivative axis before the point axis)."""
@@ -101,7 +98,7 @@ def lie_derivative_at(metric: Metric, vector: Sequence[Expr],
     exprs = {"g": metric.entries, "v": list(vector)}
     if frame is not None:
         exprs["e"] = frame
-    v, dv = evaluate_along(exprs, _coordinate_basis(metric.chart), points)
+    v, dv = evaluate_along(exprs, coordinate_basis(metric.chart), points)
     lie = _lie(v["g"], dv["g"], v["v"], dv["v"])
     return lie if frame is None else np.einsum("amp,bnp,mnp->abp", v["e"], v["e"], lie)
 
@@ -199,7 +196,7 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
     v, dv = evaluate_along(
         {"e": cf.vectors, "th": [[t.coefficient((mu,)) for mu in range(cf.n)] for t in cf.theta],
          "g": adapted.metric.entries, "u": adapted.u, "m": m, "k": k},
-        _coordinate_basis(adapted.chart), points)
+        coordinate_basis(adapted.chart), points)
     e = v["e"]
     ej_dek = np.einsum("jnp,kmnp->jkmp", e, dv["e"])        # e_j(e_k^mu)
     c = -np.einsum("imp,jkmp->ijkp", v["th"], ej_dek - np.swapaxes(ej_dek, 0, 1))
@@ -372,8 +369,11 @@ def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     The ambient curvature is read through the frame change
     E_a^i = theta^i(e_a) from the ambient coframe to the adapted one,
     R_abcd = E_a^i E_b^j E_c^k E_d^l R_ijkl, with u(R_abcd) by the product
-    rule; one forward-mode walk along u gives every value and u-derivative,
-    and :func:`flow_jet` gives M_ij;g, K_i;g and abar.  Keys:
+    rule.  R_ijkl and u(R_ijkl) come from one hyper-dual walk over the
+    ambient connection in the coordinate basis with u as the second field
+    (:meth:`FrameData.riemann_from_jet`), E and M with their u-derivatives
+    from one forward-mode walk along u, and :func:`flow_jet` gives M_ij;g,
+    K_i;g and abar.  Keys:
     ``R`` (R_abcd), the five tilde-free rows by name (``R_0i0j`` ...
     ``R_0i``), ``rq``/``rq_ricci``/``rq_scalar``
     (quotient curvature), ``ricci_cross``/``scalar_cross`` (its cross-checks),
@@ -381,15 +381,17 @@ def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     """
     vec = flow.adapted.coframe.vectors
     jet = flow.jet
+    u = dict(zip(flow.chart.coords, vec[0]))
+    r_amb, ur_amb = ambient.riemann_from_jet(*evaluate_along(
+        ambient.jet_exprs(), coordinate_basis(flow.chart), flow.samples, second=u))
     v, dv = evaluate_along(
-        {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec],
-         "r": ambient.riemann, "m": flow.m},
-        dict(zip(flow.chart.coords, vec[0])), flow.samples)
+        {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec], "m": flow.m},
+        u, flow.samples)
     e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], jet["k"], jet["abar"][:, :, 0]
-    r = _frame_change([e] * 4, v["r"])
-    dr = _frame_change([e] * 4, dv["r"])
+    r = _frame_change([e] * 4, r_amb)
+    dr = _frame_change([e] * 4, ur_amb)
     for slot in range(4):
-        dr += _frame_change([de if s == slot else e for s in range(4)], v["r"])
+        dr += _frame_change([de if s == slot else e for s in range(4)], r_amb)
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
     mm = np.einsum("ilp,ljp->ijp", m, m)

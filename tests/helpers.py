@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from movingframes.expression import Chart, add, call, mul, num, point_at, pow_, sym
-from movingframes.exterior import PForm
+from movingframes.expression import ZERO, Chart, add, call, mul, num, point_at, pow_, sym
+from movingframes.exterior import PForm, contract, matrix_curvature
+from movingframes.frames import solve_connection
 
 
 def random_expr(rng: np.random.Generator, names, depth=3):
@@ -46,6 +47,24 @@ def random_pform(rng: np.random.Generator, chart: Chart, degree: int, terms=2, d
         coeffs[idx] = add(coeffs.get(idx, num(0)),
                           random_expr(rng, chart.coords, depth))
     return PForm(chart, degree, coeffs)
+
+
+def symbolic_riemann(coframe) -> list:
+    """R_ijkl as expressions by the symbolic route: the curvature 2-forms
+    Omega = d alpha + alpha ^ alpha of the coframe's connection, contracted
+    on the frame vectors, R_ijkl = eta_i Omega^i_j(e_k, e_l)."""
+    n = coframe.n
+    omega = matrix_curvature(solve_connection(coframe))
+    riemann = [[[[ZERO] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    comp = mul(num(coframe.eta[i]),
+                               contract(omega[i, j], [coframe.vectors[k], coframe.vectors[l]]))
+                    riemann[i][j][k][l] = comp
+                    riemann[i][j][l][k] = mul(num(-1), comp)
+    return riemann
 
 
 def columns(points) -> dict:

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -225,8 +226,12 @@ class TestPipeline:
         stage reads the one jet and the one curvature evaluation at the
         samples (4 jet walks and 2 curvature evaluations before).  No stage
         calls simplify: the constructors already return its fixed point (the
-        stages called it 203 times here before, growing its cache by 148)."""
+        stages called it 203 times here before, growing its cache by 148).
+        No stage builds a curvature 2-form: R and u(R) are numpy over the
+        jet of the connection coefficients (matrix_curvature ran once per
+        run before, for the symbolic Riemann tensor)."""
         homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
+                 "_connection": movingframes.frames,
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
                  "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
                  "simplify": movingframes.expression}
@@ -250,10 +255,30 @@ class TestPipeline:
         cache = dict(movingframes.expression._SIMPLIFY_CACHE)
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        assert calls == {"curvature_package": 1, "matrix_curvature": 1, "solve_connection": 1,
+        assert calls == {"curvature_package": 1, "matrix_curvature": 0, "_connection": 1,
+                         "solve_connection": 0,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
                          "curvature_values": 1, "simplify": 0}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
+
+    def test_cold_generic_run_interns_few_nodes(self):
+        """A cold curvature run on a non-diagonal 4-D metric interns the
+        coframe, the connection and its forms, and nothing of the curvature
+        (2399 nodes with the symbolic Riemann tensor)."""
+        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z", "w"]},
+               "metric": [["1 + x^2", "x*y", "0", "0"], ["x*y", "1 + y^2", "z/4", "0"],
+                          ["0", "z/4", "exp(x)", "0"], ["0", "0", "0", "1 + w^2"]],
+               "samples": {"mode": "random", "count": 160, "seed": 11},
+               "tasks": ["curvature", "classify"]}
+        script = ("import json, sys\n"
+                  "from movingframes import cli, expression\n"
+                  "report, code = cli.run_pipeline(cli.load_config(json.loads(sys.argv[1])))\n"
+                  "print(code, len(expression._TABLE))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(movingframes.__path__[0])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(cfg)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out[0] == "0" and int(out[1]) < 1000
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame
@@ -393,6 +418,23 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "input error" in err and "at point" in err
 
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"chart": {"coordinates": ["x", "y"], "domain": {"x": [0, 1], "y": [-1, 1]}},
+          "metric": [["1", "0"], ["0", "1 + x^(3/2)"]],
+          "samples": {"mode": "grid", "count": 9}, "tasks": ["curvature", "classify"]},
+         "division by zero at point {'x': 0.0, 'y': -1.0}"),
+        # R is finite at x = 0, its u-derivative (the mixed derivative of the
+        # connection jet) is not
+        ({"chart": {"coordinates": ["x", "y", "z"],
+                    "domain": {"x": [0, 1], "y": [-1, 1], "z": [-1, 1]}},
+          "metric": [["1", "0", "0"], ["0", "1 + x^(5/2)", "0"], ["0", "0", "1"]],
+          "flow": ["1", "0", "1"], "samples": {"mode": "grid", "count": 27}, "tasks": ["flow"]},
+         "division by zero at point {'x': 0.0, 'y': -1.0, 'z': -1.0}")])
+    def test_curvature_derivative_fault_names_first_point(self, tmp_path, capsys, cfg, message):
+        path = write(tmp_path, "cfg.json", dict(cfg, schema_version="1"))
+        assert main(["run", "--config", path]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("entry, code", [
         ("1+(10^400)^(1/2)*0", 0),        # the product folds to 0: metric entry 1

@@ -18,11 +18,12 @@ from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Ex
                                      sample_points, simplify, sup_abs, sym,
                                      to_string)
 
+from movingframes.exterior import matrix_curvature
 from movingframes.frames import build_coframe, classify_space, curvature_package
 from movingframes.herglotz import run_herglotz
 from movingframes.submersion import analyze_flow, constraint_residuals, directional
 
-from helpers import columns, random_expr, random_point, rows
+from helpers import columns, random_expr, random_point, rows, symbolic_riemann
 
 CHART = Chart(["x", "y", "z"])
 X, Y, Z = sym("x"), sym("y"), sym("z")
@@ -175,7 +176,7 @@ class TestSimplify:
                                                            hyperbolic3, sphere1, polar3):
         """simplify returns unchanged every node that the stages hold or
         intern on the fixture metrics and flows, the Herglotz stage on the
-        screw flow included."""
+        screw flow and the symbolic curvature route included."""
         start = len(expression._TABLE)
         x, y = sym("x"), sym("y")
         held = []
@@ -185,8 +186,11 @@ class TestSimplify:
             pts = sample_points(metric.chart, "random", 6, seed=5)
             fd = curvature_package(build_coframe(metric, pts))
             cf = fd.coframe
-            held += [metric.entries, fd.riemann, cf.vectors, [t.coeffs.values() for t in cf.theta],
-                     [f.coeffs.values() for m in (fd.alpha, fd.omega) for r in m.entries for f in r]]
+            # the library route to the curvature (d alpha + alpha ^ alpha, contracted)
+            # is no pipeline stage, but its nodes are checked as before
+            held += [metric.entries, fd.gamma, cf.vectors, [t.coeffs.values() for t in cf.theta],
+                     symbolic_riemann(cf), [f.coeffs.values() for m in (fd.alpha, matrix_curvature(
+                         fd.alpha)) for r in m.entries for f in r]]
             if flow is not None:
                 fl = analyze_flow(metric, flow, pts)
                 cls = classify_space(fd, fd.curvature_values(pts))
@@ -249,7 +253,7 @@ class TestRepr:
         curvature-size expressions.  The ambient Riemann tensor in the
         adapted frame of the screw flow is what the quotient curvature Rq is
         built from (10^7 tree nodes per component)."""
-        riemann = curvature_package(screw["flow_data"].adapted.coframe).riemann
+        riemann = symbolic_riemann(screw["flow_data"].adapted.coframe)
         text = repr(riemann)
         assert len(text) < 5000
         assert "tree nodes" in text
@@ -511,6 +515,144 @@ def test_evaluate_along_vector_mode(seed, d, coords):
     singles = np.stack([evaluate_along(exprs, f, points)[1] for f in fields], axis=1)
     for got, ref in ((vals, want["v"]), (ders, want["d"]), (ders, singles)):
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def _along(e, field):
+    """The derivative of e along a field, built with diff."""
+    return add(*[mul(v, diff(e, c)) for c, v in field.items() if not v.is_zero()])
+
+
+class TestMixedChannel:
+    COLUMNS = TestEvaluate.COLUMNS
+
+    def test_matches_the_symbolic_second_derivative(self):
+        e = parse_expr("sin(x)*y^2 + exp(z)/y - sqrt(tan(x*z)^2 + 1) + log(2 + x^2)", CHART)
+        fields = [{"x": num(1)}, {"x": parse_expr("y*z", CHART), "y": num(2)}]
+        u = {"x": parse_expr("cos(y)", CHART), "z": Y}
+        vals, ders, uders, mixed = evaluate_along([e, X], fields, self.COLUMNS, second=u)
+        want = evaluate({"u": [_along(e, u), u["x"]],
+                         "m": [[_along(_along(e, f), u) for f in fields],
+                               [ZERO, _along(fields[1]["x"], u)]]}, self.COLUMNS)
+        plain = evaluate_along([e, X], fields, self.COLUMNS)
+        assert np.array_equal(vals, plain[0]) and np.array_equal(ders, plain[1])
+        assert uders.shape == (2, 2) and mixed.shape == (2, 2, 2)
+        assert np.allclose(uders, want["u"], rtol=1e-12, atol=1e-12)
+        assert np.allclose(mixed, want["m"], rtol=1e-12, atol=1e-12)
+
+    def test_fault_names_first_point(self):
+        # x^(3/2) and its first derivative are finite at 0, the second is not
+        e = parse_expr("x^(3/2) + y", CHART)
+        good, bad = {"x": 1.0, "y": 0.0, "z": 0.0}, {"x": 0.0, "y": 0.0, "z": 0.0}
+        _, ders = evaluate_along([e], {"x": num(1)}, columns([good, bad]))
+        assert list(ders[0]) == [1.5, 0.0]
+        _, _, _, mixed = evaluate_along([e], {"x": num(1)}, columns([good, bad]),
+                                        second={"y": num(1)})
+        assert list(mixed[0]) == [0.0, 0.0]
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_along([e], {"x": num(1)}, columns([good, bad, dict(bad, z=1.0)]),
+                           second={"x": num(1)})
+        assert err.value.point == bad
+
+    def test_fault_of_the_walk_alone_falls_back(self):
+        """Along x d/dx the walk forms 0 * 0^(-1/2) at x = 0, where the symbolic
+        derivative x * x^(-1/2)/2 = x^(1/2)/2 is finite: the scalar reference
+        gives the values."""
+        bad = columns([{"x": 0.0, "y": 0.0, "z": 0.0}, {"x": 4.0, "y": 0.0, "z": 0.0}])
+        vals, ders = evaluate_along([call("sqrt", X)], {"x": X}, bad)
+        assert vals.tolist() == [[0.0, 2.0]] and ders.tolist() == [[0.0, 1.0]]
+        e = parse_expr("x^(3/2)", CHART)
+        got = evaluate_along([e], [{"x": num(1)}], bad, second={"x": X})
+        assert [c.tolist() for c in got] == [[[0.0, 8.0]], [[[0.0, 3.0]]], [[0.0, 12.0]],
+                                             [[[0.0, 1.5]]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 3),
+       st.lists(st.tuples(_BOX, _BOX, _BOX), min_size=1, max_size=6))
+def test_mixed_channel_matches_symbolic_second_derivatives(seed, d, coords):
+    """The hyper-dual channel: u(e) and u(X e) agree with evaluating the
+    diff-built first and second derivatives (to 1e-12 relative, as in
+    test_evaluate_matches_eval_at), the values and X-derivatives equal the
+    call without u bit for bit, and a fault names the first point where the
+    symbolic evaluation faults."""
+    rng = np.random.default_rng(seed)
+    exprs = [random_expr(rng, CHART.coords, depth=4),
+             pow_(add(num(1), random_expr(rng, CHART.coords, depth=3)), Fraction(1, 2)),
+             call("log", add(num(1), random_expr(rng, CHART.coords, depth=3)))]
+    fields = [{c: ZERO if rng.random() < 0.4 else random_expr(rng, CHART.coords, depth=2)
+               for c in CHART.coords} for _ in range(d)]
+    u = {c: ZERO if rng.random() < 0.3 else random_expr(rng, CHART.coords, depth=2)
+         for c in CHART.coords}
+    derivs = [[_along(e, f) for f in fields] for e in exprs]
+    points = columns([dict(zip(CHART.coords, c)) for c in coords])
+    try:
+        want = evaluate({"v": exprs, "d": derivs, "u": [_along(e, u) for e in exprs],
+                         "m": [[_along(x, u) for x in row] for row in derivs]}, points)
+    except EvalDomainError as exc:
+        with pytest.raises(EvalDomainError) as err:
+            evaluate_along(exprs, fields, points, second=u)
+        assert err.value.point == exc.point
+        return
+    got = evaluate_along(exprs, fields, points, second=u)
+    plain = evaluate_along(exprs, fields, points)
+    assert np.array_equal(got[0], plain[0]) and np.array_equal(got[1], plain[1])
+    for g, name in zip(got, "vdum"):
+        ref = want[name]
+        assert np.all(np.abs(g - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), name
+
+
+def _sympy_of(e, sp, memo):
+    if e not in memo:
+        if isinstance(e, Num):
+            out = sp.Rational(e.value.numerator, e.value.denominator)
+        elif isinstance(e, Sym):
+            out = sp.Symbol(e.name)
+        elif isinstance(e, Add):
+            out = sp.Add(*[_sympy_of(t, sp, memo) for t in e.terms])
+        elif isinstance(e, Mul):
+            out = sp.Mul(*[_sympy_of(f, sp, memo) for f in e.factors])
+        elif isinstance(e, Pow):
+            out = sp.Pow(_sympy_of(e.base, sp, memo),
+                         sp.Rational(e.exponent.numerator, e.exponent.denominator))
+        else:
+            out = getattr(sp, e.fn)(_sympy_of(e.arg, sp, memo))
+        memo[e] = out
+    return memo[e]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(st.tuples(_BOX, _BOX, _BOX), min_size=1, max_size=4))
+def test_differential_against_sympy(seed, coords):
+    """diff, evaluate, evaluate_along and its mixed channel against SymPy's
+    derivatives, evaluated at 30 digits, on random smooth expressions."""
+    sp = pytest.importorskip("sympy")
+    rng = np.random.default_rng(seed)
+    e = random_expr(rng, CHART.coords, depth=4)
+    field = {c: random_expr(rng, CHART.coords, depth=2) for c in CHART.coords}
+    u = {c: random_expr(rng, CHART.coords, depth=2) for c in CHART.coords}
+    memo: dict = {}
+    syms = [sp.Symbol(c) for c in CHART.coords]
+
+    def along(f, vec):
+        return sum(_sympy_of(vec[c], sp, memo) * sp.diff(f, s) for c, s in zip(CHART.coords, syms))
+
+    f = _sympy_of(e, sp, memo)
+    xf = along(f, field)
+    refs = [f, sp.diff(f, syms[0]), xf, along(f, u), along(xf, u)]
+    points = columns([dict(zip(CHART.coords, c)) for c in coords])
+    try:
+        vals, ders, uders, mixed = evaluate_along([e, diff(e, "x")], field, points, second=u)
+        plain = evaluate([e, diff(e, "x")], points)
+    except EvalDomainError:
+        return
+    got = [vals[0], vals[1], ders[0], uders[0], mixed[0]]
+    assert np.array_equal(plain, vals)
+    for k in range(len(coords)):
+        at = {s: sp.Float(float(points[c][k]), 30) for c, s in zip(CHART.coords, syms)}
+        for g, ref in zip(got, refs):
+            want = complex(ref.evalf(30, subs=at))
+            assert want.imag == 0.0
+            assert abs(g[k] - want.real) <= 1e-10 * max(1.0, abs(want.real))
 
 
 # -- charts, sampling, exclusions ---------------------------------------------

@@ -5,15 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul, num,
-                                     parse_expr, pow_, sample_points, sym)
+from movingframes.expression import (Chart, add, call, eval_at, evaluate, evaluate_along,
+                                     mul, num, parse_expr, pow_, sample_points, sym)
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
-                                 build_coframe, classify_space,
+                                 build_coframe, classify_space, coordinate_basis,
                                  curvature_package, reconstruction_residual,
                                  solve_connection, torsion_residual)
 
 import oracle
-from helpers import frame_fn, max_abs_coeff, metric_fn, rows
+from helpers import frame_fn, max_abs_coeff, metric_fn, rows, symbolic_riemann
 
 RIEMANN_TOL = 1e-8
 
@@ -119,7 +119,7 @@ class TestCurvature:
         g_fn = metric_fn(sphere2_frame["metric"], chart)
         e_fn = frame_fn(fd.coframe, chart)
         for p in rows(sphere2_frame["points"])[:5]:
-            val = eval_at(fd.riemann[0][1][0][1], p)
+            val = fd.riemann_at(p)[0, 1, 0, 1]
             assert val == pytest.approx(0.25, abs=1e-6)
             arr = np.array([p[c] for c in chart.coords])
             orc = oracle.frame_riemann(g_fn, e_fn, arr)
@@ -133,7 +133,7 @@ class TestCurvature:
         for p in rows(hyperbolic3_frame["points"])[:5]:
             for i in range(3):
                 for j in range(i + 1, 3):
-                    val = eval_at(fd.riemann[i][j][i][j], p)
+                    val = fd.riemann_at(p)[i, j, i, j]
                     assert val == pytest.approx(-1.0, abs=1e-6)
             arr = np.array([p[c] for c in chart.coords])
             orc = oracle.frame_riemann(g_fn, e_fn, arr)
@@ -209,18 +209,22 @@ class TestClassification:
         assert cls.generic
 
 
-def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
-    """Ricci and Weyl contracted from the Riemann values against the
-    CONVENTIONS.md formulas built as expressions from the Riemann components,
-    on a metric with nonzero Weyl tensor (n = 4) and on one with n = 3."""
-    chart4 = Chart(["x", "y", "z", "w"])
-    g4 = Metric(chart4, [[parse_expr(t, chart4) for t in row] for row in (
+def _generic4():
+    chart = Chart(["x", "y", "z", "w"])
+    return Metric(chart, [[parse_expr(t, chart) for t in row] for row in (
         ("1 + x^2", "x*y", "0", "0"), ("x*y", "1 + y^2", "z/4", "0"),
         ("0", "z/4", "exp(x)", "0"), ("0", "0", "0", "1 + w^2"))])
-    for metric in (g4, hyperbolic3[1]):
+
+
+def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
+    """Riemann, Ricci and Weyl from the connection jet against the
+    CONVENTIONS.md formulas built as expressions from the symbolic Riemann
+    components (d alpha + alpha ^ alpha, contracted), on a metric with
+    nonzero Weyl tensor (n = 4) and on one with n = 3."""
+    for metric in (_generic4(), hyperbolic3[1]):
         pts = sample_points(metric.chart, "random", 10, seed=23)
         fd = curvature_package(build_coframe(metric, pts))
-        n, eta, r = fd.n, fd.eta, fd.riemann
+        n, eta, r = fd.n, fd.eta, symbolic_riemann(fd.coframe)
         ricci = [[add(*[mul(num(eta[i]), r[i][j][i][l]) for i in range(n)]) for l in range(n)]
                  for j in range(n)]
         scalar = add(*[mul(num(eta[j]), ricci[j][j]) for j in range(n)])
@@ -234,7 +238,7 @@ def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
         weyl = [[[[add(r[i][j][k][l], mul(num(-d(i, k)), f[l][j]), mul(num(d(i, l)), f[k][j]),
                        mul(num(d(j, k)), f[l][i]), mul(num(-d(j, l)), f[i][k]))
                    for l in range(n)] for k in range(n)] for j in range(n)] for i in range(n)]
-        want = evaluate({"ricci": ricci, "weyl": weyl}, pts)
+        want = evaluate({"riemann": r, "ricci": ricci, "weyl": weyl}, pts)
         got = fd.curvature_values(pts)
         for name, w in want.items():
             w = np.moveaxis(w, -1, 0)
@@ -268,3 +272,39 @@ def test_frame_covariance_under_reordering(flat3_frame, sphere1_frame, sphere2_f
                   for fd, v in ((bundle["frame"], bundle["frame"].curvature_values(pts)),
                                 (fd2, vals2)))
         assert s2 == pytest.approx(s1, rel=1e-9, abs=1e-9)
+
+
+def _hopf():
+    chart = Chart(["eta", "xi1", "xi2"],
+                  domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+    eta = sym("eta")
+    return Metric(chart, [[num(1), num(0), num(0)],
+                          [num(0), call("cos", eta) ** 2, num(0)],
+                          [num(0), num(0), call("sin", eta) ** 2]])
+
+
+def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic3, polar3,
+                                                              conformal4):
+    """R_ijkl and u(R_ijkl) from the jet of the connection coefficients (the
+    hyper-dual walk for u(R)) against the symbolic route, d alpha + alpha ^
+    alpha contracted on the frame, and its forward-mode u-derivative,
+    component by component, along a field u with non-constant components.
+    In an orthonormal frame u(R) vanishes on the constant-curvature spaces
+    (sphere2, hyperbolic3, polar3 and the Hopf-coordinate 3-sphere), so the
+    conformal and generic 4-D metrics are the ones that see its terms."""
+    for metric, varies in ((sphere2[1], False), (hyperbolic3[1], False), (polar3[1], False),
+                           (conformal4[1], True), (_hopf(), False), (_generic4(), True)):
+        chart = metric.chart
+        pts = sample_points(chart, "random", 12, seed=31)
+        fd = curvature_package(build_coframe(metric, pts))
+        names = chart.coords
+        u = {c: add(num(1), mul(Fraction(1, 3), sym(names[(a + 1) % chart.n]),
+                                call("sin", sym(c)))) for a, c in enumerate(names)}
+        want, dwant = evaluate_along(symbolic_riemann(fd.coframe), u, pts)
+        got, dgot = fd.riemann_from_jet(*evaluate_along(fd.jet_exprs(), coordinate_basis(chart),
+                                                        pts, second=u))
+        assert bool(np.max(np.abs(dwant)) > 1e-3) == varies
+        assert np.array_equal(np.moveaxis(got, -1, 0), fd.curvature_values(pts)["riemann"])
+        for g, w in ((got, want), (dgot, dwant)):
+            assert g.shape == w.shape
+            assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords

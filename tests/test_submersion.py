@@ -16,7 +16,7 @@ from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      lie_derivative_at, rigidity_test)
 
 import oracle
-from helpers import columns, metric_fn, rows, vector_fn
+from helpers import columns, metric_fn, rows, symbolic_riemann, vector_fn
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
 
@@ -391,15 +391,15 @@ class TestConstraintSystem:
 
     @staticmethod
     def _symbolic_route(fl, pts):
-        """The constraint system built symbolically in the adapted frame: a
-        second curvature package, its Ricci tensor and Rq from its Riemann
-        tensor, slot 0 of the rank-4 covariant derivative of Rq, and the five
-        tilde-free rows."""
+        """The constraint system built symbolically in the adapted frame: the
+        Riemann tensor from d alpha + alpha ^ alpha, its Ricci tensor and Rq
+        from it, slot 0 of the rank-4 covariant derivative of Rq, and the
+        five tilde-free rows."""
         h = fl.horizontal
         m, k = fl.m, fl.k
-        fd = curvature_package(fl.adapted.coframe)
-        R = fd.riemann
-        ricci = [[add(*[mul(num(e), R[i][j][i][l]) for i, e in enumerate(fd.eta)])
+        R = symbolic_riemann(fl.adapted.coframe)
+        eta = fl.adapted.coframe.eta
+        ricci = [[add(*[mul(num(e), R[i][j][i][l]) for i, e in enumerate(eta)])
                   for l in range(h + 1)] for j in range(h + 1)]
         mc = covariant_derivative(m, fl, rank=2)
         kc = covariant_derivative(k, fl, rank=1)
