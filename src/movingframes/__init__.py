@@ -17,8 +17,8 @@ from .expression import (Chart, EvalDomainError, Exclusion, Expr, ExprError,
 from .exterior import (ChartMismatchError, FormArityError, MatrixForm, PForm,
                        ext_d, form_eval, matrix_curvature, wedge)
 from .frames import (Coframe, FrameData, Metric, SingularMetricError,
-                     SpaceClassification, build_coframe, classify_space,
-                     curvature_package, reconstruction_residual,
+                     SpaceClassification, antisymmetry_residual, build_coframe,
+                     classify_space, curvature_package, reconstruction_residual,
                      solve_connection, torsion_residual)
 from .herglotz import (ClosednessError, HerglotzReport, PathError,
                        check_hypotheses, reconstruct_lambda, ricci_flat_check,
@@ -36,7 +36,7 @@ __all__ = [
     "PForm", "MatrixForm", "wedge", "ext_d", "form_eval", "matrix_curvature",
     "Metric", "Coframe", "FrameData", "SpaceClassification",
     "build_coframe", "solve_connection", "curvature_package", "classify_space",
-    "torsion_residual", "reconstruction_residual",
+    "torsion_residual", "antisymmetry_residual", "reconstruction_residual",
     "FlowData", "adapted_coframe", "flow_invariants", "rigidity_test",
     "covariant_derivative", "constraint_residuals", "analyze_flow",
     "HerglotzReport", "check_hypotheses", "reconstruct_lambda",

@@ -31,8 +31,8 @@ from .expression import (Chart, EvalDomainError, ExprError, parse_exclusion,
                          parse_expr, sample_points, to_string, ONE)
 from .exterior import FormArityError
 from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
-                     build_coframe, classify_space, curvature_package,
-                     reconstruction_residual, torsion_residual)
+                     antisymmetry_residual, build_coframe, classify_space,
+                     curvature_package, reconstruction_residual, torsion_residual)
 from .herglotz import ricci_flat_check, run_herglotz
 from .submersion import VanishingFlowError, analyze_flow, constraint_residuals
 
@@ -266,21 +266,20 @@ class _Checks:
 
 
 def _curvature_section(fd: FrameData, metric: Metric, points, vals, tol, checks: _Checks):
-    tors = torsion_residual(fd, points)
-    recon = reconstruction_residual(metric, fd.coframe, points)
+    recon, th = reconstruction_residual(metric, fd.coframe, points)
+    tors = torsion_residual(fd, vals, th)
     checks.record("curvature", "torsion", tors, tol["structure"])
     checks.record("curvature", "metric_reconstruction", recon, tol["structure"])
-    checks.record("curvature", "connection_antisymmetry",
-                  fd.alpha.eta_antisymmetry_residual(points),
+    checks.record("curvature", "connection_antisymmetry", antisymmetry_residual(fd, vals, th),
                   tol["connection_antisymmetry"])
 
     n = fd.n
     eta = fd.eta
     r = vals["riemann"]                 # axes: point, i, j, k, l
-    sym_res = max(float(np.max(np.abs(t))) for t in (
-        r + np.swapaxes(r, 1, 2), r + np.swapaxes(r, 3, 4),
-        r - np.transpose(r, (0, 3, 4, 1, 2)),
-        r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
+    sym_res = max(float(np.max(np.abs(f(r)))) for f in (    # one temporary at a time
+        lambda r: r + np.swapaxes(r, 1, 2), lambda r: r + np.swapaxes(r, 3, 4),
+        lambda r: r - np.transpose(r, (0, 3, 4, 1, 2)),
+        lambda r: r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
     weyl_res = None
     if "weyl" in vals:
         w = vals["weyl"]

@@ -137,7 +137,8 @@ def pform_scale(e: Expr, a: PForm) -> PForm:
 
 
 def wedge(a: PForm, b: PForm) -> PForm:
-    """Graded-commutative wedge product; coefficients come back simplified."""
+    """Graded-commutative wedge product; the add/mul constructors already
+    return the coefficients in simplified form."""
     if a.chart != b.chart:
         raise ChartMismatchError("cannot wedge forms over different charts")
     n = a.chart.n

@@ -22,15 +22,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, Expr, add, evaluate, evaluate_along, mul, num, point_at,
-                         pow_, sup_abs, ZERO)
-from .exterior import (MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, wedge,
-                       zero_form)
+                         pow_, ZERO)
+from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
     "Metric", "Coframe", "FrameData", "SpaceClassification",
     "build_coframe", "solve_connection", "coordinate_basis",
-    "curvature_package", "classify_space",
-    "torsion_residual", "reconstruction_residual", "gram_schmidt_frame",
+    "curvature_package", "classify_space", "frame_connection", "torsion_residual",
+    "antisymmetry_residual", "reconstruction_residual", "gram_schmidt_frame",
     "SingularMetricError", "SignatureError",
 ]
 
@@ -174,10 +173,9 @@ def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
     return Coframe(chart, eta, tuple(theta), tuple(vectors))
 
 
-def _connection(coframe: Coframe) -> tuple:
-    """(Gamma, alpha): the coefficients Gamma^i_jk = alpha^i_j(e_k), an
-    n x n x n nested list, and the 1-forms alpha^i_j = Gamma^i_jk theta^k of
-    the unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
+def _connection(coframe: Coframe) -> list:
+    """The coefficients Gamma^i_jk = alpha^i_j(e_k), an n x n x n nested list,
+    of the unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
 
     Expands d theta^i = (1/2) c^i_{jk} theta^j ^ theta^k and solves the cyclic
     combination Gamma_{ijk} = (c_{ijk} + c_{jki} - c_{kij}) / 2, lowering with
@@ -197,26 +195,32 @@ def _connection(coframe: Coframe) -> tuple:
     def c_low(i, j, k):
         return mul(num(eta[i]), c_up[i][j][k])
 
-    coefficients = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero_form(coframe.chart, 1)
-            for k in range(n):
-                gamma = mul(Fraction(1, 2), add(c_low(i, j, k), c_low(j, k, i),
-                                                mul(num(-1), c_low(k, i, j))))
-                gamma = coefficients[i][j][k] = mul(num(eta[i]), gamma)
-                if not gamma.is_zero():
-                    acc = pform_add(acc, pform_scale(gamma, coframe.theta[k]))
-            row.append(acc)
-        entries.append(row)
-    return coefficients, MatrixForm(entries, eta=eta)
+    return [[[mul(num(eta[i]), mul(Fraction(1, 2), add(c_low(i, j, k), c_low(j, k, i),
+                                                        mul(num(-1), c_low(k, i, j)))))
+              for k in range(n)] for j in range(n)] for i in range(n)]
 
 
 def solve_connection(coframe: Coframe) -> MatrixForm:
-    """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j."""
-    return _connection(coframe)[1]
+    """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j,
+    as the 1-forms alpha^i_j = Gamma^i_jk theta^k."""
+    n, gamma = coframe.n, _connection(coframe)
+    alpha = [[zero_form(coframe.chart, 1)] * n for _ in range(n)]
+    for i, j, k in np.ndindex(n, n, n):
+        if not gamma[i][j][k].is_zero():
+            alpha[i][j] = pform_add(alpha[i][j], pform_scale(gamma[i][j][k], coframe.theta[k]))
+    return MatrixForm(alpha, eta=coframe.eta)
+
+
+def frame_connection(th: np.ndarray, e: np.ndarray, de: np.ndarray, eta) -> tuple:
+    """(c, Gamma) of a frame, point axis last, from th = theta^i_mu, e = e_j^mu
+    and the coordinate jet de = d_nu e_j^mu (axes j, mu, nu):
+    c^i_jk = d theta^i(e_j, e_k) = -theta^i_mu [e_j, e_k]^mu and the cyclic
+    Gamma^i_jk = eta_i (c_ijk + c_jki - c_kij) / 2, c_ijk = eta_i c^i_jk."""
+    ej_dek = np.einsum("jnp,kmnp->jkmp", e, de)         # e_j(e_k^mu)
+    c = -np.einsum("imp,jkmp->ijkp", th, ej_dek - np.swapaxes(ej_dek, 0, 1))
+    eta = np.array(eta, dtype=float)[:, None, None, None]
+    cl = eta * c
+    return c, eta * 0.5 * (cl + np.einsum("jkip->ijkp", cl) - np.einsum("kijp->ijkp", cl))
 
 
 def coordinate_basis(chart: Chart) -> list:
@@ -236,12 +240,11 @@ def _curvature_terms(dgamma, e, a, b):
 
 @dataclass
 class FrameData:
-    """Coframe with its connection; the curvature is numpy over the
-    coordinate jet of the connection coefficients (:meth:`curvature_values`),
-    and no curvature tensor is built symbolically."""
+    """Coframe with its connection coefficients; the curvature is numpy over
+    their coordinate jet (:meth:`curvature_values`), and neither the
+    connection 1-forms nor a curvature tensor is built symbolically."""
 
     coframe: Coframe
-    alpha: MatrixForm
     gamma: list                     # Gamma^i_jk = alpha^i_j(e_k)
 
     @property
@@ -291,14 +294,15 @@ class FrameData:
     def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
         """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first:
         Riemann from one forward-mode walk over the connection coefficients,
-        and the trace tensors contracted from it."""
+        and the trace tensors contracted from it; ``"jet"`` holds the walk's
+        values and frame derivatives, which the structure checks read."""
         n = self.n
         eta = np.array(self.eta, dtype=float)
         em = np.diag(eta)
         v, dv = evaluate_along(self.jet_exprs(), coordinate_basis(self.chart), points)
         r = np.moveaxis(self.riemann_from_jet(v, dv), -1, 0)
         ricci = np.einsum("i,pijil->pjl", eta, r)
-        out = {"riemann": r, "ricci": ricci}
+        out = {"riemann": r, "ricci": ricci, "jet": (v, dv["e"].copy())}  # dv's buffer is freed
         if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
             scalar = np.einsum("j,pjj->p", eta, ricci)
             f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
@@ -308,32 +312,42 @@ class FrameData:
 
 
 def curvature_package(coframe: Coframe) -> FrameData:
-    """The connection of ``coframe``, its coefficients and 1-forms, from
-    which :meth:`FrameData.curvature_values` evaluates the curvature."""
-    gamma, alpha = _connection(coframe)
-    return FrameData(coframe, alpha, gamma)
+    """The connection coefficients of ``coframe``, from which
+    :meth:`FrameData.curvature_values` evaluates the curvature."""
+    return FrameData(coframe, _connection(coframe))
 
 
-def torsion_residual(fd: FrameData, points: Mapping[str, np.ndarray]) -> float:
-    """max |d theta^i + alpha^i_j ^ theta^j| over coefficients and points."""
-    n = fd.n
-    coeffs = []
-    for i in range(n):
-        acc = ext_d(fd.coframe.theta[i])
-        for j in range(n):
-            acc = pform_add(acc, wedge(fd.alpha[i, j], fd.coframe.theta[j]))
-        coeffs.extend(acc.coeffs.values())
-    return sup_abs(coeffs, points)
+def torsion_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
+    """max |d theta^i + alpha^i_j ^ theta^j| over coordinate coefficients and
+    points, from its frame components T^i_jk = c^i_jk - Gamma^i_jk + Gamma^i_kj:
+    c and Gamma from the walk in ``values`` (:meth:`FrameData.curvature_values`)
+    and ``th``, theta^i_mu at the same points (:func:`reconstruction_residual`)."""
+    v, de = values["jet"]
+    g = v["gamma"]
+    t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
+    mu, nu = np.triu_indices(fd.n, 1)
+    return float(np.max(np.abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu]),
+                        initial=0.0))
+
+
+def antisymmetry_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
+    """max |eta_i alpha^i_j + eta_j alpha^j_i| over coordinate coefficients
+    and points, alpha^i_j = Gamma^i_jk theta^k, from the same inputs as
+    :func:`torsion_residual`."""
+    low = np.array(fd.eta, dtype=float)[:, None, None, None] * values["jet"][0]["gamma"]
+    return float(np.max(np.abs(np.einsum("ijkp,kmp->ijmp", low + np.swapaxes(low, 0, 1), th)),
+                        initial=0.0))
 
 
 def reconstruction_residual(metric: Metric, coframe: Coframe,
-                            points: Mapping[str, np.ndarray]) -> float:
-    """max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over points."""
+                            points: Mapping[str, np.ndarray]) -> tuple:
+    """(max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over points,
+    theta^i_mu at the points with the point axis last)."""
     n = metric.chart.n
     theta = [[t.coefficient((mu,)) for mu in range(n)] for t in coframe.theta]
     th, g = evaluate([theta, metric.entries], points)
     s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
-    return float(np.max(np.abs(s - g), initial=0.0))
+    return float(np.max(np.abs(s - g), initial=0.0)), th
 
 
 @dataclass

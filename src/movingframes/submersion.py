@@ -52,8 +52,8 @@ import numpy as np
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
                          num, point_at, pow_)
 from .exterior import FormArityError, PForm, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, coordinate_basis, gram_schmidt_frame,
-                     solve_connection)
+from .frames import (Coframe, FrameData, Metric, coordinate_basis, frame_connection,
+                     gram_schmidt_frame, solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -185,7 +185,7 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
     rest is numpy.  Keys:
 
     * ``conn``: Gamma^a_bg = alpha^a_b(e_g), by the cyclic formula of
-      :func:`solve_connection` from c^i_jk = d theta^i(e_j, e_k)
+      :func:`frame_connection` from c^i_jk = d theta^i(e_j, e_k)
       = -theta^i_mu [e_j, e_k]^mu;
     * ``lie``: (L_u g)_ab = e_a^mu e_b^nu (L_u g)_mu nu (coordinate Lie formula);
     * ``abar``: abar^l_i(e_g) = Gamma^l_ig - [g = 0] M_li, horizontal l, i;
@@ -198,11 +198,7 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
          "g": adapted.metric.entries, "u": adapted.u, "m": m, "k": k},
         coordinate_basis(adapted.chart), points)
     e = v["e"]
-    ej_dek = np.einsum("jnp,kmnp->jkmp", e, dv["e"])        # e_j(e_k^mu)
-    c = -np.einsum("imp,jkmp->ijkp", v["th"], ej_dek - np.swapaxes(ej_dek, 0, 1))
-    eta = np.array(cf.eta, dtype=float)[:, None, None, None]
-    cl = eta * c                                             # c_ijk = eta_i c^i_jk
-    conn = eta * 0.5 * (cl + np.einsum("jkip->ijkp", cl) - np.einsum("kijp->ijkp", cl))
+    conn = frame_connection(v["th"], e, dv["e"], cf.eta)[1]
     m, k = v["m"], v["k"]
     abar = conn[1:, 1:].copy()
     abar[:, :, 0] -= m

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 
 from movingframes.expression import ZERO, Chart, add, call, mul, num, point_at, pow_, sym
-from movingframes.exterior import PForm, contract, matrix_curvature
-from movingframes.frames import solve_connection
+from movingframes.exterior import PForm, contract, ext_d, matrix_curvature, pform_add, wedge
+from movingframes.frames import (antisymmetry_residual, reconstruction_residual,
+                                 solve_connection, torsion_residual)
 
 
 def random_expr(rng: np.random.Generator, names, depth=3):
@@ -65,6 +66,28 @@ def symbolic_riemann(coframe) -> list:
                     riemann[i][j][k][l] = comp
                     riemann[i][j][l][k] = mul(num(-1), comp)
     return riemann
+
+
+def symbolic_torsion(coframe) -> tuple:
+    """The two halves of the structure equation as 2-forms by the symbolic
+    route: d theta^i and alpha^i_j ^ theta^j, alpha from solve_connection."""
+    n = coframe.n
+    alpha = solve_connection(coframe)
+    alpha_theta = []
+    for i in range(n):
+        acc = wedge(alpha[i, 0], coframe.theta[0])
+        for j in range(1, n):
+            acc = pform_add(acc, wedge(alpha[i, j], coframe.theta[j]))
+        alpha_theta.append(acc)
+    return [ext_d(t) for t in coframe.theta], alpha_theta
+
+
+def structure_checks(metric, fd, points) -> tuple:
+    """(torsion, metric reconstruction, connection antisymmetry) residuals at
+    ``points``, from the same inputs as the pipeline's curvature section."""
+    recon, th = reconstruction_residual(metric, fd.coframe, points)
+    values = fd.curvature_values(points)
+    return torsion_residual(fd, values, th), recon, antisymmetry_residual(fd, values, th)
 
 
 def columns(points) -> dict:

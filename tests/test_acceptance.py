@@ -14,9 +14,7 @@ import pytest
 from movingframes.cli import load_config, main, run_pipeline, serialize_report
 from movingframes.expression import eval_at, num, sample_points, sym
 from movingframes.exterior import ext_d, pform_add, pform_scale, wedge
-from movingframes.frames import (build_coframe, classify_space,
-                                 curvature_package, reconstruction_residual,
-                                 torsion_residual)
+from movingframes.frames import build_coframe, classify_space, curvature_package
 from movingframes.herglotz import (check_hypotheses, reconstruct_lambda,
                                    ricci_flat_check, run_herglotz,
                                    scaled_flow_killing_residual)
@@ -24,7 +22,7 @@ from movingframes.submersion import analyze_flow, covariant_derivative
 
 import oracle
 from helpers import (frame_fn, max_abs_coeff, metric_fn, random_point, random_pform, rows,
-                     vector_fn)
+                     structure_checks, vector_fn)
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
 
@@ -60,13 +58,12 @@ SCREW_CLI = {
 def test_criterion_1_structure_equation_exactness(flat3_frame, polar3_frame,
                                                   sphere1_frame, sphere2_frame,
                                                   hyperbolic3_frame):
-    with criterion(1, "torsion and reconstruction < 1e-9 at 200 points per space"):
+    with criterion(1, "torsion, reconstruction and connection antisymmetry < 1e-9 "
+                      "at 200 points per space"):
         for bundle in (flat3_frame, polar3_frame, sphere1_frame, sphere2_frame,
                        hyperbolic3_frame):
             pts = sample_points(bundle["chart"], "random", 200, seed=1001)
-            assert torsion_residual(bundle["frame"], pts) < 1e-9
-            assert reconstruction_residual(bundle["metric"], bundle["frame"].coframe,
-                                           pts) < 1e-9
+            assert max(structure_checks(bundle["metric"], bundle["frame"], pts)) < 1e-9
 
 
 def test_criterion_2_curvature_oracles(flat3_frame, sphere2_frame, hyperbolic3_frame):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import movingframes
 from movingframes.cli import (TASKS, ConfigError, load_config, load_config_file,
                               main, run_pipeline, serialize_report)
+from movingframes.exterior import MatrixForm
 from movingframes.frames import FrameData
 
 
@@ -47,6 +48,16 @@ def twist_config():
         "samples": {"mode": "random", "count": 15, "seed": 7},
         "tasks": ["flow"],
     }
+
+
+def generic4_config():
+    """A non-diagonal 4-D metric that is neither flat, Einstein nor conformally
+    flat, with the curvature tasks only."""
+    return {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z", "w"]},
+            "metric": [["1 + x^2", "x*y", "0", "0"], ["x*y", "1 + y^2", "z/4", "0"],
+                       ["0", "z/4", "exp(x)", "0"], ["0", "0", "0", "1 + w^2"]],
+            "samples": {"mode": "random", "count": 160, "seed": 11},
+            "tasks": ["curvature", "classify"]}
 
 
 def conformal4_config(seed):
@@ -229,14 +240,19 @@ class TestPipeline:
         stages called it 203 times here before, growing its cache by 148).
         No stage builds a curvature 2-form: R and u(R) are numpy over the
         jet of the connection coefficients (matrix_curvature ran once per
-        run before, for the symbolic Riemann tensor)."""
+        run before, for the symbolic Riemann tensor).  No stage builds a
+        connection 1-form or a wedge product: the torsion and antisymmetry
+        checks are numpy over the same jet (the torsion check called wedge
+        n^2 times per run before, and eta_antisymmetry_residual ran once).
+        The generic 4-D run gives those checks a frame that is not flat."""
         homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
                  "_connection": movingframes.frames,
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
                  "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
-                 "simplify": movingframes.expression}
+                 "simplify": movingframes.expression, "wedge": movingframes.exterior,
+                 "pform_scale": movingframes.exterior}
         calls = dict.fromkeys(homes, 0)
-        calls["curvature_values"] = 0
+        calls["curvature_values"] = calls["eta_antisymmetry_residual"] = 0
 
         def count(name, real):
             def counting(*args, **kwargs):
@@ -252,24 +268,28 @@ class TestPipeline:
                     monkeypatch.setattr(module, name, count(name, real))
         monkeypatch.setattr(FrameData, "curvature_values",
                             count("curvature_values", FrameData.curvature_values))
+        monkeypatch.setattr(MatrixForm, "eta_antisymmetry_residual",
+                            count("eta_antisymmetry_residual",
+                                  MatrixForm.eta_antisymmetry_residual))
         cache = dict(movingframes.expression._SIMPLIFY_CACHE)
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        assert calls == {"curvature_package": 1, "matrix_curvature": 0, "_connection": 1,
-                         "solve_connection": 0,
+        generic, code = run_pipeline(load_config(generic4_config()))
+        assert code == 0 and not generic["tasks"]["classify"]["flat"]
+        assert [c["status"] for c in generic["checks"]] == ["pass"] * len(generic["checks"])
+        assert calls == {"curvature_package": 2, "matrix_curvature": 0, "_connection": 2,
+                         "solve_connection": 0, "wedge": 0, "pform_scale": 0,
+                         "eta_antisymmetry_residual": 0,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
-                         "curvature_values": 1, "simplify": 0}
+                         "curvature_values": 2, "simplify": 0}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     def test_cold_generic_run_interns_few_nodes(self):
         """A cold curvature run on a non-diagonal 4-D metric interns the
-        coframe, the connection and its forms, and nothing of the curvature
-        (2399 nodes with the symbolic Riemann tensor)."""
-        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z", "w"]},
-               "metric": [["1 + x^2", "x*y", "0", "0"], ["x*y", "1 + y^2", "z/4", "0"],
-                          ["0", "z/4", "exp(x)", "0"], ["0", "0", "0", "1 + w^2"]],
-               "samples": {"mode": "random", "count": 160, "seed": 11},
-               "tasks": ["curvature", "classify"]}
+        coframe and the connection coefficients, and neither the connection
+        1-forms nor anything of the curvature (2399 nodes with the symbolic
+        Riemann tensor, 496 with the 1-forms and the symbolic torsion check)."""
+        cfg = generic4_config()
         script = ("import json, sys\n"
                   "from movingframes import cli, expression\n"
                   "report, code = cli.run_pipeline(cli.load_config(json.loads(sys.argv[1])))\n"
@@ -278,7 +298,7 @@ class TestPipeline:
             [os.path.dirname(movingframes.__path__[0])] + sys.path))
         out = subprocess.run([sys.executable, "-c", script, json.dumps(cfg)], env=env,
                              capture_output=True, text=True, check=True).stdout.split()
-        assert out[0] == "0" and int(out[1]) < 1000
+        assert out[0] == "0" and int(out[1]) < 400
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame

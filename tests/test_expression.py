@@ -19,7 +19,7 @@ from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Ex
                                      to_string)
 
 from movingframes.exterior import matrix_curvature
-from movingframes.frames import build_coframe, classify_space, curvature_package
+from movingframes.frames import build_coframe, classify_space, curvature_package, solve_connection
 from movingframes.herglotz import run_herglotz
 from movingframes.submersion import analyze_flow, constraint_residuals, directional
 
@@ -186,11 +186,13 @@ class TestSimplify:
             pts = sample_points(metric.chart, "random", 6, seed=5)
             fd = curvature_package(build_coframe(metric, pts))
             cf = fd.coframe
-            # the library route to the curvature (d alpha + alpha ^ alpha, contracted)
-            # is no pipeline stage, but its nodes are checked as before
+            # the connection 1-forms and the library route to the curvature
+            # (d alpha + alpha ^ alpha, contracted) are no pipeline stage, but
+            # their nodes are checked as before
+            alpha = solve_connection(cf)
             held += [metric.entries, fd.gamma, cf.vectors, [t.coeffs.values() for t in cf.theta],
-                     symbolic_riemann(cf), [f.coeffs.values() for m in (fd.alpha, matrix_curvature(
-                         fd.alpha)) for r in m.entries for f in r]]
+                     symbolic_riemann(cf), [f.coeffs.values() for m in (alpha, matrix_curvature(
+                         alpha)) for r in m.entries for f in r]]
             if flow is not None:
                 fl = analyze_flow(metric, flow, pts)
                 cls = classify_space(fd, fd.curvature_values(pts))

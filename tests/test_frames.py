@@ -5,15 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from movingframes.cli import DEFAULT_TOLERANCES
 from movingframes.expression import (Chart, add, call, eval_at, evaluate, evaluate_along,
                                      mul, num, parse_expr, pow_, sample_points, sym)
-from movingframes.frames import (Metric, SignatureError, SingularMetricError,
-                                 build_coframe, classify_space, coordinate_basis,
-                                 curvature_package, reconstruction_residual,
-                                 solve_connection, torsion_residual)
+from movingframes.exterior import MatrixForm, pform_scale, zero_form
+from movingframes.frames import (FrameData, Metric, SignatureError, SingularMetricError,
+                                 antisymmetry_residual, build_coframe, classify_space,
+                                 coordinate_basis, curvature_package, frame_connection,
+                                 reconstruction_residual, solve_connection)
 
 import oracle
-from helpers import frame_fn, max_abs_coeff, metric_fn, rows, symbolic_riemann
+from helpers import (frame_fn, max_abs_coeff, metric_fn, rows, structure_checks,
+                     symbolic_riemann, symbolic_torsion)
 
 RIEMANN_TOL = 1e-8
 
@@ -60,7 +63,7 @@ class TestBuildCoframe:
         cf = build_coframe(g, samples=pts)
         assert cf.eta == (-1, 1)
         fd = curvature_package(cf)
-        assert torsion_residual(fd, pts) < 1e-12
+        assert max(structure_checks(g, fd, pts)) < 1e-12
 
     def test_metric_symmetry_enforced(self):
         chart = Chart(["x", "y"])
@@ -70,7 +73,7 @@ class TestBuildCoframe:
 
 class TestSolveConnection:
     def test_flat_connection_vanishes(self, flat3_frame):
-        alpha = flat3_frame["frame"].alpha
+        alpha = solve_connection(flat3_frame["frame"].coframe)
         assert all(alpha[i, j].is_zero() for i in range(3) for j in range(3))
 
     def test_polar_alpha_matches_christoffel_oracle(self, polar3_frame):
@@ -78,8 +81,9 @@ class TestSolveConnection:
         connection transported to the frame."""
         fd = polar3_frame["frame"]
         chart = polar3_frame["chart"]
+        alpha = solve_connection(fd.coframe)
         for p in rows(polar3_frame["points"])[:5]:
-            assert eval_at(fd.alpha[0, 1].coefficient((1,)), p) == pytest.approx(-1.0, rel=1e-12)
+            assert eval_at(alpha[0, 1].coefficient((1,)), p) == pytest.approx(-1.0, rel=1e-12)
             arr = np.array([p[c] for c in chart.coords])
             w = oracle.frame_connection(metric_fn(polar3_frame["metric"], chart),
                                         frame_fn(fd.coframe, chart), arr)
@@ -88,23 +92,23 @@ class TestSolveConnection:
                 for j in range(3):
                     for k in range(3):
                         sym_val = sum(
-                            eval_at(fd.alpha[i, j].coefficient((mu,)), p) * evec[k, mu]
+                            eval_at(alpha[i, j].coefficient((mu,)), p) * evec[k, mu]
                             for mu in range(3)
-                            if (mu,) in fd.alpha[i, j].coeffs)
+                            if (mu,) in alpha[i, j].coeffs)
                         assert sym_val == pytest.approx(w[i, j, k], abs=5e-7)
 
     def test_sphere_alpha(self, sphere2_frame):
         """alpha^1_2 = -cos(phi) dpsi on the round sphere."""
-        fd = sphere2_frame["frame"]
+        alpha = solve_connection(sphere2_frame["frame"].coframe)
         for p in rows(sphere2_frame["points"])[:8]:
-            got = eval_at(fd.alpha[0, 1].coefficient((1,)), p)
+            got = eval_at(alpha[0, 1].coefficient((1,)), p)
             assert got == pytest.approx(-np.cos(p["phi"]), rel=1e-10)
 
     def test_torsion_residuals(self, flat3_frame, polar3_frame, sphere2_frame,
                                hyperbolic3_frame):
         for bundle in (flat3_frame, polar3_frame, sphere2_frame, hyperbolic3_frame):
-            fd = bundle["frame"]
-            assert torsion_residual(fd, bundle["points"]) < 1e-9
+            tors, _, anti = structure_checks(bundle["metric"], bundle["frame"], bundle["points"])
+            assert tors < 1e-9 and anti < 1e-9
 
 
 class TestCurvature:
@@ -165,8 +169,8 @@ class TestCurvature:
                             sphere2_frame, hyperbolic3_frame, conformal4_frame):
         for bundle in (flat3_frame, polar3_frame, sphere1_frame, sphere2_frame,
                        hyperbolic3_frame, conformal4_frame):
-            res = reconstruction_residual(bundle["metric"], bundle["frame"].coframe,
-                                          bundle["points"])
+            res, _ = reconstruction_residual(bundle["metric"], bundle["frame"].coframe,
+                                             bundle["points"])
             assert res < 1e-9
 
 
@@ -308,3 +312,63 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
         for g, w in ((got, want), (dgot, dwant)):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords
+
+
+def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyperbolic3,
+                                                            conformal4):
+    """The coordinate coefficients of d theta^i and of alpha^i_j ^ theta^j as
+    the torsion check forms them in numpy (c from the frame jet, Gamma from the
+    curvature walk, theta from the reconstruction check) against the symbolic
+    route (ext_d, and wedge of the solve_connection forms), each half on its
+    own; and the numpy connection antisymmetry against the symbolic forms'
+    MatrixForm.eta_antisymmetry_residual."""
+    for metric in (sphere2[1], polar3[1], hyperbolic3[1], conformal4[1], _hopf(), _generic4()):
+        pts = sample_points(metric.chart, "random", 12, seed=37)
+        fd = curvature_package(build_coframe(metric, pts))
+        _, th = reconstruction_residual(metric, fd.coframe, pts)
+        values = fd.curvature_values(pts)
+        v, de = values["jet"]
+        g = v["gamma"]
+        mu, nu = (a.tolist() for a in np.triu_indices(fd.n, 1))
+        got = [np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu]
+               for t in (frame_connection(th, v["e"], de, fd.eta)[0],
+                         np.swapaxes(g, 1, 2) - g)]
+        want = evaluate([[[f.coefficient(k) for k in zip(mu, nu)] for f in half]
+                         for half in symbolic_torsion(fd.coframe)], pts)
+        assert np.max(np.abs(want[0])) > 0.1, metric.chart.coords     # d theta != 0
+        for gh, wh in zip(got, want):
+            assert np.all(np.abs(gh - wh) <= 1e-12 * np.maximum(1.0, np.abs(wh))), metric.chart
+        assert antisymmetry_residual(fd, values, th) == pytest.approx(
+            solve_connection(fd.coframe).eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
+
+
+def test_structure_checks_see_a_perturbed_connection():
+    """Perturbing a connection coefficient of a generic 4-D FrameData by x/1000
+    trips the checks.  Any change of Gamma breaks the structure equation (the
+    torsion-free eta-antisymmetric connection is unique), so the torsion check
+    fails, which it could not if it formed d theta from Gamma itself; a change
+    that is not eta-antisymmetric also fails the antisymmetry check, whose
+    value matches MatrixForm.eta_antisymmetry_residual of the perturbed
+    1-forms Gamma^i_jk theta^k."""
+    metric = _generic4()
+    pts = sample_points(metric.chart, "random", 12, seed=41)
+    fd = curvature_package(build_coframe(metric, pts))
+    tol = DEFAULT_TOLERANCES
+    assert fd.eta == (1, 1, 1, 1) and max(structure_checks(metric, fd, pts)) < tol["structure"]
+    delta = mul(Fraction(1, 1000), sym("x"))
+
+    def perturbed(*changes):
+        gamma = [[list(row) for row in block] for block in fd.gamma]
+        for (i, j, k), change in changes:
+            gamma[i][j][k] = add(gamma[i][j][k], change)
+        return FrameData(fd.coframe, gamma)
+
+    for case, antisymmetric in ((perturbed(((0, 1, 2), delta)), False),
+                                (perturbed(((0, 1, 2), delta), ((1, 0, 2), -delta)), True)):
+        tors, recon, anti = structure_checks(metric, case, pts)
+        assert tors > tol["structure"] and recon < tol["structure"]
+        assert (anti < tol["connection_antisymmetry"]) == antisymmetric
+        zero = zero_form(metric.chart, 1)
+        alpha = MatrixForm([[sum((pform_scale(c, t) for c, t in zip(gammas, fd.coframe.theta)),
+                                 zero) for gammas in row] for row in case.gamma], eta=fd.eta)
+        assert anti == pytest.approx(alpha.eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
