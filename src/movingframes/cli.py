@@ -1,8 +1,8 @@
 """Batch front door: declarative JSON config in, verdict report out.
 
 ``workbench run --config cfg.json [--out report.json] [--format json|text]``
-executes the requested tasks in dependency order (coframe -> connection ->
-curvature -> classify -> flow -> herglotz -> ricci-flat) and exits 0 when
+executes the requested tasks in dependency order (coframe -> curvature ->
+classify -> flow -> herglotz -> ricci-flat) and exits 0 when
 every requested check passed, 1 when a check failed and 2 on config or input
 errors (singular metric, vanishing flow, malformed JSON ...).
 
@@ -32,7 +32,7 @@ from .expression import (Chart, EvalDomainError, ExprError, parse_exclusion,
 from .exterior import FormArityError
 from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
                      antisymmetry_residual, build_coframe, classify_space,
-                     curvature_package, reconstruction_residual, torsion_residual)
+                     curvature_package, max_abs, reconstruction_residual, torsion_residual)
 from .herglotz import ricci_flat_check, run_herglotz
 from .submersion import VanishingFlowError, analyze_flow, constraint_residuals
 
@@ -273,21 +273,18 @@ def _curvature_section(fd: FrameData, metric: Metric, points, vals, tol, checks:
     checks.record("curvature", "connection_antisymmetry", antisymmetry_residual(fd, vals, th),
                   tol["connection_antisymmetry"])
 
-    n = fd.n
-    eta = fd.eta
+    n, eta = fd.n, fd.eta
     r = vals["riemann"]                 # axes: point, i, j, k, l
-    sym_res = max(float(np.max(np.abs(f(r)))) for f in (    # one temporary at a time
+    sym_res = max(max_abs(f(r)) for f in (    # one temporary at a time
         lambda r: r + np.swapaxes(r, 1, 2), lambda r: r + np.swapaxes(r, 3, 4),
         lambda r: r - np.transpose(r, (0, 3, 4, 1, 2)),
         lambda r: r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
     weyl_res = None
     if "weyl" in vals:
-        w = vals["weyl"]
-        em = np.diag(eta).astype(float)
-        weyl_res = max(float(np.max(np.abs(t))) for t in (
-            np.einsum("ik,pijkl->pjl", em, w),
-            np.einsum("jl,pijkl->pik", em, w),
-            np.einsum("il,pijkl->pjk", em, w)))
+        w, em = vals["weyl"], np.diag(eta).astype(float)
+        weyl_res = max(max_abs(t) for t in (np.einsum("ik,pijkl->pjl", em, w),
+                                            np.einsum("jl,pijkl->pik", em, w),
+                                            np.einsum("il,pijkl->pjk", em, w)))
     checks.record("curvature", "riemann_symmetries", sym_res, tol["curvature_symmetry"])
     if weyl_res is not None:
         checks.record("curvature", "weyl_trace_free", weyl_res, tol["curvature_symmetry"])

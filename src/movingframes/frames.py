@@ -11,6 +11,17 @@ Conventions (see CONVENTIONS.md):
                                + eta_jk F_{li} - eta_jl F_{ik}.
 
 With these choices the round sphere of radius a has R_{1212} = +1/a^2.
+
+No connection is built symbolically: the curvature and the frame connection
+are numpy over the 2-jet of g and the 1-jet of the frame vectors e_i
+(:meth:`FrameData.curvature_values`), with g_sr,n = d_n g_sr and
+g^ms = sum_i eta_i e_i^m e_i^s (no matrix inverse):
+
+* Gamma_snr = (g_sr,n + g_sn,r - g_nr,s)/2 and Gamma^m_nr = g^ms Gamma_snr,
+* R_abgd = (g_ad,bg + g_bg,ad - g_ag,bd - g_bd,ag)/2 + Gamma^s_bg Gamma_sad - Gamma^s_bd Gamma_sag,
+* R_ijkl = e_i^a e_j^b e_k^g e_l^d R_abgd,
+* Gamma^i_jk = alpha^i_j(e_k) = theta^i_m (e_k(e_j^m) + Gamma^m_nr e_k^n e_j^r),
+  theta^i_m = eta_i g_mn e_i^n.
 """
 
 from __future__ import annotations
@@ -21,14 +32,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, evaluate, evaluate_along, mul, num, point_at,
-                         pow_, ZERO)
+from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul, num,
+                         point_at, pow_, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
     "Metric", "Coframe", "FrameData", "SpaceClassification",
     "build_coframe", "solve_connection", "coordinate_basis",
     "curvature_package", "classify_space", "frame_connection", "torsion_residual",
+    "christoffel", "coordinate_riemann", "frame_components", "max_abs",
     "antisymmetry_residual", "reconstruction_residual", "gram_schmidt_frame",
     "SingularMetricError", "SignatureError",
 ]
@@ -80,12 +92,13 @@ class Metric:
 
 @dataclass(frozen=True)
 class Coframe:
-    """Orthonormal coframe theta with its dual frame vectors and signature."""
+    """Orthonormal coframe theta of a metric, with its dual frame vectors and signature."""
 
     chart: Chart
     eta: tuple
     theta: tuple            # n PForms of degree 1
     vectors: tuple          # n rows of coordinate components (Expr)
+    metric: Metric
 
     @property
     def n(self) -> int:
@@ -152,63 +165,41 @@ def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
                   order: Sequence[str] | None = None, pivot_tol: float = 1e-8) -> Coframe:
     """Orthonormalise the coordinate frame in the given coordinate order,
     checking each pivot at the samples."""
-    chart = metric.chart
-    n = chart.n
+    chart, n = metric.chart, metric.chart.n
     if order is None:
         perm = tuple(range(n))
     else:
         if sorted(order) != sorted(chart.coords):
             raise ValueError(f"order must permute {chart.coords}")
         perm = tuple(chart.index(name) for name in order)
-    seeds = []
-    for k in perm:
-        seeds.append([num(1) if mu == k else num(0) for mu in range(n)])
-    expected = [chart.signature[k] for k in perm]
-    vectors, eta = gram_schmidt_frame(metric, seeds, expected, samples, pivot_tol)
-    theta = []
-    for k, e in enumerate(vectors):
-        covector = metric.lower(list(e))
-        coeffs = {(mu,): mul(num(eta[k]), covector[mu]) for mu in range(n)}
-        theta.append(PForm(chart, 1, coeffs))
-    return Coframe(chart, eta, tuple(theta), tuple(vectors))
-
-
-def _connection(coframe: Coframe) -> list:
-    """The coefficients Gamma^i_jk = alpha^i_j(e_k), an n x n x n nested list,
-    of the unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j.
-
-    Expands d theta^i = (1/2) c^i_{jk} theta^j ^ theta^k and solves the cyclic
-    combination Gamma_{ijk} = (c_{ijk} + c_{jki} - c_{kij}) / 2, lowering with
-    eta.
-    """
-    n = coframe.n
-    eta = coframe.eta
-    dtheta = [ext_d(t) for t in coframe.theta]
-    c_up = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(j + 1, n):
-                val = contract(dtheta[i], [coframe.vectors[j], coframe.vectors[k]])
-                c_up[i][j][k] = val
-                c_up[i][k][j] = mul(num(-1), val)
-
-    def c_low(i, j, k):
-        return mul(num(eta[i]), c_up[i][j][k])
-
-    return [[[mul(num(eta[i]), mul(Fraction(1, 2), add(c_low(i, j, k), c_low(j, k, i),
-                                                        mul(num(-1), c_low(k, i, j)))))
-              for k in range(n)] for j in range(n)] for i in range(n)]
+    seeds = [[num(1) if mu == k else num(0) for mu in range(n)] for k in perm]
+    vectors, eta = gram_schmidt_frame(metric, seeds, [chart.signature[k] for k in perm],
+                                      samples, pivot_tol)
+    theta = [PForm(chart, 1, {(mu,): mul(num(s), c) for mu, c in enumerate(metric.lower(list(e)))})
+             for s, e in zip(eta, vectors)]
+    return Coframe(chart, eta, tuple(theta), tuple(vectors), metric)
 
 
 def solve_connection(coframe: Coframe) -> MatrixForm:
     """Unique eta-antisymmetric alpha with d theta^i = -alpha^i_j ^ theta^j,
-    as the 1-forms alpha^i_j = Gamma^i_jk theta^k."""
-    n, gamma = coframe.n, _connection(coframe)
+    as the 1-forms alpha^i_j = Gamma^i_jk theta^k, built symbolically (the
+    reference of the numeric routes): d theta^i = (1/2) c^i_{jk} theta^j ^ theta^k
+    gives the cyclic Gamma_{ijk} = (c_{ijk} + c_{jki} - c_{kij}) / 2, lowered with eta.
+    """
+    n, eta, vec = coframe.n, coframe.eta, coframe.vectors
+    dtheta = [ext_d(t) for t in coframe.theta]
+    c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]     # c_ijk = eta_i c^i_jk
+    for i, j, k in np.ndindex(n, n, n):
+        if j < k:
+            c[i][j][k] = mul(num(eta[i]), contract(dtheta[i], [vec[j], vec[k]]))
+            c[i][k][j] = mul(num(-1), c[i][j][k])
     alpha = [[zero_form(coframe.chart, 1)] * n for _ in range(n)]
     for i, j, k in np.ndindex(n, n, n):
-        if not gamma[i][j][k].is_zero():
-            alpha[i][j] = pform_add(alpha[i][j], pform_scale(gamma[i][j][k], coframe.theta[k]))
-    return MatrixForm(alpha, eta=coframe.eta)
+        gamma = mul(num(eta[i]), Fraction(1, 2),
+                    add(c[i][j][k], c[j][k][i], mul(num(-1), c[k][i][j])))
+        if not gamma.is_zero():
+            alpha[i][j] = pform_add(alpha[i][j], pform_scale(gamma, coframe.theta[k]))
+    return MatrixForm(alpha, eta=eta)
 
 
 def frame_connection(th: np.ndarray, e: np.ndarray, de: np.ndarray, eta) -> tuple:
@@ -228,24 +219,39 @@ def coordinate_basis(chart: Chart) -> list:
     return [{c: num(1)} for c in chart.coords]
 
 
-def _curvature_terms(dgamma, e, a, b):
-    """e_k(G^i_jl) - e_l(G^i_jk) from the coordinate jet ``dgamma`` of G and
-    the frame vectors ``e``, plus a^i_jm (b^m_kl - b^m_lk) + a^i_mk b^m_jl
-    - a^i_ml b^m_jk; with G = a = b = Gamma this is R^i_jkl.  Point axis last."""
-    ek = np.einsum("knp,ijlnp->ijklp", e, dgamma)
-    q = np.einsum("imkp,mjlp->ijklp", a, b)
-    return (ek - np.swapaxes(ek, 2, 3) + np.einsum("ijmp,mklp->ijklp", a, b - np.swapaxes(b, 1, 2))
-            + q - np.swapaxes(q, 2, 3))
+def christoffel(dg: np.ndarray, ginv: np.ndarray) -> tuple:
+    """(Gamma_snr, Gamma^m_nr) from dg[s, r, n] = d_n g_sr and g^ms, point axis last."""
+    low = 0.5 * (np.einsum("srnp->snrp", dg) + dg - np.einsum("nrsp->snrp", dg))
+    return low, np.einsum("msp,snrp->mnrp", ginv, low)
+
+
+def coordinate_riemann(ddg: np.ndarray, *products) -> np.ndarray:
+    """q_abgd - q_abdg, q_abgd = (g_ad,bg + g_bg,ad)/2 + sum of up^s_bg low_sad
+    over the (up, low) ``products``, from ddg[s, r, n, t] = d_t d_n g_sr, point
+    axis last: R with (Gamma^., Gamma_.), and u(R) with u(ddg),
+    (u(Gamma^.), Gamma_.) and (Gamma^., u(Gamma_.))."""
+    q = np.einsum("adbgp->abgdp", ddg) + np.einsum("bgadp->abgdp", ddg)
+    q *= 0.5
+    for up, low in products:
+        q += np.einsum("sbgp,sadp->abgdp", up, low)
+    return q - np.swapaxes(q, 2, 3)
+
+
+def frame_components(vectors: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
+    """t_ijkl = a_i^m b_j^n c_k^r d_l^s t_mnrs for ``vectors`` (a, b, c, d), point
+    axis last: each step contracts the first slot and appends its frame index."""
+    for v in vectors:
+        t = np.einsum("imp,m...p->...ip", v, t)
+    return t
 
 
 @dataclass
 class FrameData:
-    """Coframe with its connection coefficients; the curvature is numpy over
-    their coordinate jet (:meth:`curvature_values`), and neither the
-    connection 1-forms nor a curvature tensor is built symbolically."""
+    """Coframe with the first coordinate derivatives of its metric, over whose
+    jet the curvature and the frame connection are numpy (:meth:`curvature_values`)."""
 
     coframe: Coframe
-    gamma: list                     # Gamma^i_jk = alpha^i_j(e_k)
+    dmetric: list                   # d_n g_sr as nested lists, axes s, r, n
 
     @property
     def chart(self) -> Chart:
@@ -259,31 +265,6 @@ class FrameData:
     def n(self) -> int:
         return self.coframe.n
 
-    def jet_exprs(self) -> dict:
-        """The expressions whose jets give the curvature: Gamma and the frame vectors."""
-        return {"gamma": self.gamma, "e": self.coframe.vectors}
-
-    def riemann_from_jet(self, v: dict, dv: dict, du: dict | None = None,
-                         duv: dict | None = None):
-        """R_ijkl = eta_i R^i_jkl from the :func:`evaluate_along` jet of
-        :meth:`jet_exprs` in the coordinate basis, point axis last, by
-
-            R^i_jkl = e_k(Gamma^i_jl) - e_l(Gamma^i_jk)
-                      + Gamma^i_jm (Gamma^m_kl - Gamma^m_lk)
-                      + Gamma^i_mk Gamma^m_jl - Gamma^i_ml Gamma^m_jk.
-
-        With the u-derivatives ``du`` and the mixed derivatives ``duv`` of the
-        same walk, returns (R, u(R)), u(R) by the product rule of the formula.
-        """
-        eta = np.array(self.eta, dtype=float)[:, None, None, None, None]
-        g, e = v["gamma"], v["e"]
-        r = eta * _curvature_terms(dv["gamma"], e, g, g)
-        if du is None:
-            return r
-        ug = du["gamma"]
-        return r, eta * (_curvature_terms(duv["gamma"], e, ug, g)
-                         + _curvature_terms(dv["gamma"], du["e"], g, ug))
-
     def riemann_at(self, point: Mapping[str, float]):
         return self.curvature_values({c: [v] for c, v in point.items()})["riemann"][0]
 
@@ -292,36 +273,66 @@ class FrameData:
         return None if weyl is None else weyl[0]
 
     def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
-        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first:
-        Riemann from one forward-mode walk over the connection coefficients,
-        and the trace tensors contracted from it; ``"jet"`` holds the walk's
-        values and frame derivatives, which the structure checks read."""
-        n = self.n
-        eta = np.array(self.eta, dtype=float)
-        em = np.diag(eta)
-        v, dv = evaluate_along(self.jet_exprs(), coordinate_basis(self.chart), points)
-        r = np.moveaxis(self.riemann_from_jet(v, dv), -1, 0)
+        """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first,
+        by the module docstring's formulas from one forward-mode walk over g,
+        d g and e; ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m},
+        d_n e_j^m), which the structure checks read."""
+        n, eta = self.n, np.array(self.eta, dtype=float)
+        v, dv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric,
+                                "e": self.coframe.vectors}, coordinate_basis(self.chart), points)
+        e, de = v["e"].copy(), dv["e"].copy()      # copies: the jet keeps no walk buffer
+        low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
+        r = coordinate_riemann(dv["dg"], (up, low))
+        del dv                                      # freed before the Weyl temporaries
+        r = np.moveaxis(frame_components([e] * 4, r), -1, 0)
+        th = eta[:, None, None] * np.einsum("mnp,inp->imp", v["g"], e)
+        gamma = np.einsum("imp,jkmp->ijkp", th, np.einsum("knp,jmnp->jkmp", e, de)
+                          + np.einsum("mnrp,knp,jrp->jkmp", up, e, e))
         ricci = np.einsum("i,pijil->pjl", eta, r)
-        out = {"riemann": r, "ricci": ricci, "jet": (v, dv["e"].copy())}  # dv's buffer is freed
+        out = {"riemann": r, "ricci": ricci, "jet": ({"gamma": gamma, "e": e}, de)}
         if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
+            em = np.diag(eta)
             scalar = np.einsum("j,pjj->p", eta, ricci)
             f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
             out["weyl"] = (r - np.einsum("ik,plj->pijkl", em, f) + np.einsum("il,pkj->pijkl", em, f)
                            + np.einsum("jk,pli->pijkl", em, f) - np.einsum("jl,pik->pijkl", em, f))
         return out
 
+    def riemann_along(self, u: Mapping[str, Expr], points: Mapping[str, np.ndarray],
+                      e: np.ndarray, ue: np.ndarray, eta: Sequence[int]) -> tuple:
+        """(R_abcd, u(R_abcd)), point axis last, in an orthonormal frame of
+        signature ``eta`` with values ``e`` and u-derivatives ``ue`` (axes a, m)
+        at ``points``: one hyper-dual walk over g and d g with ``second=u``,
+        u(g^-1) = -g^-1 u(g) g^-1, and the product rule for the frame change."""
+        v, dv, du, duv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
+                                        coordinate_basis(self.chart), points, second=u)
+        ginv = np.einsum("a,amp,anp->mnp", np.array(eta, dtype=float), e, e)
+        low, up = christoffel(v["dg"], ginv)
+        ulow, uup = christoffel(du["dg"], ginv)
+        uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv), low)
+        r = coordinate_riemann(dv["dg"], (up, low))
+        dr = frame_components([e] * 4, coordinate_riemann(duv["dg"], (uup, low), (up, ulow)))
+        for slot in range(4):
+            dr += frame_components([ue if s == slot else e for s in range(4)], r)
+        return frame_components([e] * 4, r), dr
+
 
 def curvature_package(coframe: Coframe) -> FrameData:
-    """The connection coefficients of ``coframe``, from which
-    :meth:`FrameData.curvature_values` evaluates the curvature."""
-    return FrameData(coframe, _connection(coframe))
+    """The coframe with the first derivatives of its metric, one :func:`diff`
+    per symmetric pair and coordinate: the input of the curvature walk."""
+    g, n = coframe.metric.entries, coframe.n
+    d = {(s, r): [diff(g[s][r], c) for c in coframe.chart.coords]
+         for s in range(n) for r in range(s, n)}
+    return FrameData(coframe, [[d[min(s, r), max(s, r)] for r in range(n)] for s in range(n)])
 
 
 def torsion_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
     """max |d theta^i + alpha^i_j ^ theta^j| over coordinate coefficients and
     points, from its frame components T^i_jk = c^i_jk - Gamma^i_jk + Gamma^i_kj:
-    c and Gamma from the walk in ``values`` (:meth:`FrameData.curvature_values`)
-    and ``th``, theta^i_mu at the same points (:func:`reconstruction_residual`)."""
+    c from the brackets of the frame (:func:`frame_connection`) with ``th``,
+    theta^i_mu at the same points (:func:`reconstruction_residual`), and Gamma
+    from the Christoffel route of the walk in ``values``
+    (:meth:`FrameData.curvature_values`)."""
     v, de = values["jet"]
     g = v["gamma"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
@@ -348,6 +359,11 @@ def reconstruction_residual(metric: Metric, coframe: Coframe,
     th, g = evaluate([theta, metric.entries], points)
     s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
     return float(np.max(np.abs(s - g), initial=0.0)), th
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max |a| of a non-empty array, with no temporary of a's size."""
+    return float(max(a.max(), -a.min()))
 
 
 @dataclass
@@ -389,14 +405,14 @@ def classify_space(fd: FrameData, values: Mapping[str, np.ndarray],
     em = np.diag(eta).astype(float)
     unit = np.einsum("ik,jl->ijkl", em, em) - np.einsum("il,jk->ijkl", em, em)
 
-    max_riemann = float(np.max(np.abs(r)))
-    max_ricci = float(np.max(np.abs(values["ricci"])))
-    max_weyl = float(np.max(np.abs(values["weyl"]))) if "weyl" in values else None
+    max_riemann = max_abs(r)
+    max_ricci = max_abs(values["ricci"])
+    max_weyl = max_abs(values["weyl"]) if "weyl" in values else None
     # sample-major order, as the mean's pairwise summation sees it
     kappa_samples = np.stack([r[:, i, j, i, j] * eta[i] * eta[j]
                               for i in range(n) for j in range(i + 1, n)], axis=1)
     kappa = float(np.mean(kappa_samples.ravel()))
-    const_resid = float(np.max(np.abs(r - kappa * unit)))
+    const_resid = max(max_abs(r[:, i] - kappa * unit[i]) for i in range(n))
 
     flat = max_riemann < tol
     constant = const_resid < tol

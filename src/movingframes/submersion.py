@@ -36,9 +36,10 @@ and the tilde-bearing rows are solved for the quotient curvature:
 
 The signs are fixed so that the quotient of the screw flow in flat space has
 Gauss curvature +3 M_12^2, matching the transversal-metric oracle.  The
-ambient curvature R and its u-derivative are evaluated from the jet of the
-ambient connection and read in the adapted frame by a numeric frame change
-(see ``constraint_rows``); no curvature tensor is built symbolically.
+ambient curvature R and its u-derivative are evaluated from the metric's
+coordinate 2-jet and read in the adapted frame by a numeric frame change
+(see ``constraint_rows``); neither a connection nor a curvature tensor is
+built symbolically.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                                       pivot_tol=flow_tol, allow_skip=True)
     theta = [PForm(chart, 1, {(mu,): c for mu, c in enumerate(metric.lower(list(e)))})
              for e in vectors]
-    coframe = Coframe(chart, tuple(eta), tuple(theta), tuple(vectors))
+    coframe = Coframe(chart, tuple(eta), tuple(theta), tuple(vectors), metric)
     return AdaptedFlow(metric, flow, norm2, u, coframe)
 
 
@@ -190,7 +191,8 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
     * ``lie``: (L_u g)_ab = e_a^mu e_b^nu (L_u g)_mu nu (coordinate Lie formula);
     * ``abar``: abar^l_i(e_g) = Gamma^l_ig - [g = 0] M_li, horizontal l, i;
     * ``mc``, ``kc``: M_ij;g and K_i;g, e_g(M) minus the abar contractions;
-    * ``e``, ``m``, ``k``: e_a^mu, M_ij and K_i.
+    * ``e``, ``m``, ``k``: e_a^mu, M_ij and K_i;
+    * ``de``, ``dm``: d_nu e_a^mu (axes a, mu, nu) and e_g(M_ij) (axes i, j, g).
     """
     cf = adapted.coframe
     v, dv = evaluate_along(
@@ -202,11 +204,11 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
     m, k = v["m"], v["k"]
     abar = conn[1:, 1:].copy()
     abar[:, :, 0] -= m
+    dm = np.einsum("gnp,ijnp->ijgp", e, dv["m"])
     return {
-        "e": e, "m": m, "k": k, "conn": conn, "abar": abar,
+        "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": dv["e"].copy(), "dm": dm,
         "lie": np.einsum("amp,bnp,mnp->abp", e, e, _lie(v["g"], dv["g"], v["u"], dv["u"])),
-        "mc": (np.einsum("gnp,ijnp->ijgp", e, dv["m"]) - np.einsum("ligp,ljp->ijgp", abar, m)
-               - np.einsum("ljgp,ilp->ijgp", abar, m)),
+        "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
         "kc": np.einsum("gnp,inp->igp", e, dv["k"]) - np.einsum("ligp,lp->igp", abar, k),
     }
 
@@ -348,11 +350,6 @@ class ConstraintReport:
         return max(self.tilde_free.values())
 
 
-def _frame_change(e: list, r: np.ndarray) -> np.ndarray:
-    """r_abcd = e[0]_a^i e[1]_b^j e[2]_c^k e[3]_d^l r_ijkl at every point."""
-    return np.einsum("aip,bjp,ckp,dlp,ijklp->abcdp", *e, r, optimize=True)
-
-
 def _quadratic_m(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """m1_ik m2_jl - m1_il m2_jk + 2 m1_ij m2_kl (the M terms of Rq_ijkl)."""
     return (np.einsum("ikp,jlp->ijklp", m1, m2) - np.einsum("ilp,jkp->ijklp", m1, m2)
@@ -362,32 +359,20 @@ def _quadratic_m(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     """Every row of the constraint system at the flow's samples, point axis last.
 
-    The ambient curvature is read through the frame change
-    E_a^i = theta^i(e_a) from the ambient coframe to the adapted one,
-    R_abcd = E_a^i E_b^j E_c^k E_d^l R_ijkl, with u(R_abcd) by the product
-    rule.  R_ijkl and u(R_ijkl) come from one hyper-dual walk over the
-    ambient connection in the coordinate basis with u as the second field
-    (:meth:`FrameData.riemann_from_jet`), E and M with their u-derivatives
-    from one forward-mode walk along u, and :func:`flow_jet` gives M_ij;g,
-    K_i;g and abar.  Keys:
+    The ambient R_abcd and u(R_abcd) in the adapted frame come from the
+    metric's 2-jet (:meth:`FrameData.riemann_along`, one hyper-dual walk over
+    g and the first derivatives held by ``ambient``), with the adapted frame
+    e_a^mu and u(e_a^mu) = u^nu d_nu e_a^mu from :func:`flow_jet`, which also gives
+    M_ij;g, K_i;g, u(M_ij) and abar.  Keys:
     ``R`` (R_abcd), the five tilde-free rows by name (``R_0i0j`` ...
     ``R_0i``), ``rq``/``rq_ricci``/``rq_scalar``
     (quotient curvature), ``ricci_cross``/``scalar_cross`` (its cross-checks),
     ``leaf`` (Rq_ijkl;0) and ``m2_leaf`` (u(|M|^2) = 2 sum M_ij u(M_ij)).
     """
-    vec = flow.adapted.coframe.vectors
-    jet = flow.jet
-    u = dict(zip(flow.chart.coords, vec[0]))
-    r_amb, ur_amb = ambient.riemann_from_jet(*evaluate_along(
-        ambient.jet_exprs(), coordinate_basis(flow.chart), flow.samples, second=u))
-    v, dv = evaluate_along(
-        {"e": [[contract(t, [w]) for t in ambient.coframe.theta] for w in vec], "m": flow.m},
-        u, flow.samples)
-    e, de, m, dm, k, a = v["e"], dv["e"], v["m"], dv["m"], jet["k"], jet["abar"][:, :, 0]
-    r = _frame_change([e] * 4, r_amb)
-    dr = _frame_change([e] * 4, ur_amb)
-    for slot in range(4):
-        dr += _frame_change([de if s == slot else e for s in range(4)], r_amb)
+    jet, cf, e = flow.jet, flow.adapted.coframe, flow.jet["e"]
+    r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, cf.vectors[0])), flow.samples, e,
+                                  np.einsum("np,amnp->amp", e[0], jet["de"]), cf.eta)
+    m, dm, k, a = jet["m"], jet["dm"][:, :, 0], jet["k"], jet["abar"][:, :, 0]
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
     mm = np.einsum("ilp,ljp->ijp", m, m)

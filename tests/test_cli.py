@@ -229,35 +229,51 @@ class TestPipeline:
         assert statuses["herglotz_verdict"] == "fail"
 
     def test_one_curvature_package_per_run(self, monkeypatch):
-        """The flow stage reads the ambient curvature through a frame change
-        instead of building a second curvature package in the adapted frame,
-        and takes the adapted connection, L_u g, M;g and K;g from a
-        forward-mode jet: the one connection solved is the ambient one, and
-        no symbolic covariant or directional derivative is built.  Every
-        stage reads the one jet and the one curvature evaluation at the
-        samples (4 jet walks and 2 curvature evaluations before).  No stage
-        calls simplify: the constructors already return its fixed point (the
-        stages called it 203 times here before, growing its cache by 148).
-        No stage builds a curvature 2-form: R and u(R) are numpy over the
-        jet of the connection coefficients (matrix_curvature ran once per
-        run before, for the symbolic Riemann tensor).  No stage builds a
-        connection 1-form or a wedge product: the torsion and antisymmetry
-        checks are numpy over the same jet (the torsion check called wedge
-        n^2 times per run before, and eta_antisymmetry_residual ran once).
-        The generic 4-D run gives those checks a frame that is not flat."""
+        """Every stage reads the one curvature evaluation and the one flow jet
+        at the samples, and no stage builds symbolically more than its
+        formulas need:
+
+        * the ambient curvature comes from the coordinate 2-jet of the metric,
+          so the only symbolic derivatives of a curvature run are those of the
+          metric entries, one diff per symmetric pair and coordinate; no
+          connection is solved symbolically (the ambient one was, once per
+          run, before: d theta, its contractions and the cyclic sum);
+        * ext_d and contract run only in flow_invariants, for d psi0 and its
+          contractions on the adapted frame, so not in the curvature-only
+          generic run (the flow stage also contracted the ambient coframe on
+          the adapted frame before);
+        * no stage calls simplify (the constructors already return its fixed
+          point), and none builds a curvature 2-form, a connection 1-form, a
+          wedge product or a symbolic covariant or directional derivative.
+
+        The generic 4-D run gives the checks a frame that is not flat."""
         homes = {"curvature_package": movingframes, "matrix_curvature": movingframes,
-                 "_connection": movingframes.frames,
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
                  "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
-                 "simplify": movingframes.expression, "wedge": movingframes.exterior,
-                 "pform_scale": movingframes.exterior}
+                 "flow_invariants": movingframes.submersion,
+                 "simplify": movingframes.expression, "diff": movingframes.expression,
+                 "wedge": movingframes.exterior, "pform_scale": movingframes.exterior,
+                 "ext_d": movingframes.exterior, "contract": movingframes.exterior}
         calls = dict.fromkeys(homes, 0)
         calls["curvature_values"] = calls["eta_antisymmetry_residual"] = 0
+        differentiated = []
+        outside = []        # ext_d and contract calls outside flow_invariants
+        inside = [False]
 
         def count(name, real):
             def counting(*args, **kwargs):
                 calls[name] += 1
-                return real(*args, **kwargs)
+                if name == "diff":
+                    differentiated.append(args[0])
+                if name in ("ext_d", "contract") and not inside[0]:
+                    outside.append(name)
+                if name != "flow_invariants":
+                    return real(*args, **kwargs)
+                inside[0] = True
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    inside[0] = False
             return counting
 
         for name, home in homes.items():
@@ -274,21 +290,31 @@ class TestPipeline:
         cache = dict(movingframes.expression._SIMPLIFY_CACHE)
         report, code = run_pipeline(load_config(screw_config()))
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        generic, code = run_pipeline(load_config(generic4_config()))
+        assert outside == [] and calls["ext_d"] == 1 and calls["contract"] == 2 * 2 + 2
+        screw_calls = dict(calls)
+        del differentiated[:]
+        generic_cfg = load_config(generic4_config())
+        generic, code = run_pipeline(generic_cfg)
         assert code == 0 and not generic["tasks"]["classify"]["flat"]
         assert [c["status"] for c in generic["checks"]] == ["pass"] * len(generic["checks"])
-        assert calls == {"curvature_package": 2, "matrix_curvature": 0, "_connection": 2,
-                         "solve_connection": 0, "wedge": 0, "pform_scale": 0,
-                         "eta_antisymmetry_residual": 0,
+        entries = {id(e) for row in generic_cfg.metric.entries for e in row}
+        assert len(differentiated) == 4 * 4 * 5 // 2
+        assert all(id(e) in entries for e in differentiated)
+        assert {k: calls[k] - screw_calls[k] for k in ("ext_d", "contract", "flow_invariants")} \
+            == {"ext_d": 0, "contract": 0, "flow_invariants": 0}
+        del calls["diff"], calls["ext_d"], calls["contract"]
+        assert calls == {"curvature_package": 2, "matrix_curvature": 0, "solve_connection": 0,
+                         "wedge": 0, "pform_scale": 0, "eta_antisymmetry_residual": 0,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
-                         "curvature_values": 2, "simplify": 0}
+                         "flow_invariants": 1, "curvature_values": 2, "simplify": 0}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     def test_cold_generic_run_interns_few_nodes(self):
         """A cold curvature run on a non-diagonal 4-D metric interns the
-        coframe and the connection coefficients, and neither the connection
-        1-forms nor anything of the curvature (2399 nodes with the symbolic
-        Riemann tensor, 496 with the 1-forms and the symbolic torsion check)."""
+        metric, its first derivatives and the coframe, and no connection and
+        nothing of the curvature (2399 nodes with the symbolic Riemann tensor,
+        496 with the connection 1-forms and the symbolic torsion check, 325
+        with the symbolic connection coefficients)."""
         cfg = generic4_config()
         script = ("import json, sys\n"
                   "from movingframes import cli, expression\n"
@@ -298,7 +324,7 @@ class TestPipeline:
             [os.path.dirname(movingframes.__path__[0])] + sys.path))
         out = subprocess.run([sys.executable, "-c", script, json.dumps(cfg)], env=env,
                              capture_output=True, text=True, check=True).stdout.split()
-        assert out[0] == "0" and int(out[1]) < 400
+        assert out[0] == "0" and int(out[1]) < 150
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame

@@ -190,7 +190,7 @@ class TestSimplify:
             # (d alpha + alpha ^ alpha, contracted) are no pipeline stage, but
             # their nodes are checked as before
             alpha = solve_connection(cf)
-            held += [metric.entries, fd.gamma, cf.vectors, [t.coeffs.values() for t in cf.theta],
+            held += [metric.entries, fd.dmetric, cf.vectors, [t.coeffs.values() for t in cf.theta],
                      symbolic_riemann(cf), [f.coeffs.values() for m in (alpha, matrix_curvature(
                          alpha)) for r in m.entries for f in r]]
             if flow is not None:

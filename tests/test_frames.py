@@ -8,10 +8,10 @@ import pytest
 from movingframes.cli import DEFAULT_TOLERANCES
 from movingframes.expression import (Chart, add, call, eval_at, evaluate, evaluate_along,
                                      mul, num, parse_expr, pow_, sample_points, sym)
-from movingframes.exterior import MatrixForm, pform_scale, zero_form
-from movingframes.frames import (FrameData, Metric, SignatureError, SingularMetricError,
+from movingframes.exterior import MatrixForm, pform_add, pform_scale
+from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  antisymmetry_residual, build_coframe, classify_space,
-                                 coordinate_basis, curvature_package, frame_connection,
+                                 curvature_package, frame_connection,
                                  reconstruction_residual, solve_connection)
 
 import oracle
@@ -220,12 +220,20 @@ def _generic4():
         ("0", "z/4", "exp(x)", "0"), ("0", "0", "0", "1 + w^2"))])
 
 
+def _lorentz4():
+    """A non-diagonal Lorentzian 4-D metric, time first: eta = (-1, 1, 1, 1)."""
+    chart = Chart(["t", "x", "y", "z"], signature=[-1, 1, 1, 1])
+    return Metric(chart, [[parse_expr(t, chart) for t in row] for row in (
+        ("-(1 + x^2/2)", "t*y/5", "0", "0"), ("t*y/5", "exp(t/3)", "0", "0"),
+        ("0", "0", "1 + x^2", "y*z/4"), ("0", "0", "y*z/4", "cosh(z)"))])
+
+
 def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
-    """Riemann, Ricci and Weyl from the connection jet against the
+    """Riemann, Ricci and Weyl from the metric's 2-jet against the
     CONVENTIONS.md formulas built as expressions from the symbolic Riemann
-    components (d alpha + alpha ^ alpha, contracted), on a metric with
-    nonzero Weyl tensor (n = 4) and on one with n = 3."""
-    for metric in (_generic4(), hyperbolic3[1]):
+    components (d alpha + alpha ^ alpha, contracted), on metrics with
+    nonzero Weyl tensor (n = 4, one of them Lorentzian) and on one with n = 3."""
+    for metric in (_generic4(), _lorentz4(), hyperbolic3[1]):
         pts = sample_points(metric.chart, "random", 10, seed=23)
         fd = curvature_package(build_coframe(metric, pts))
         n, eta, r = fd.n, fd.eta, symbolic_riemann(fd.coframe)
@@ -289,15 +297,17 @@ def _hopf():
 
 def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic3, polar3,
                                                               conformal4):
-    """R_ijkl and u(R_ijkl) from the jet of the connection coefficients (the
-    hyper-dual walk for u(R)) against the symbolic route, d alpha + alpha ^
-    alpha contracted on the frame, and its forward-mode u-derivative,
-    component by component, along a field u with non-constant components.
-    In an orthonormal frame u(R) vanishes on the constant-curvature spaces
-    (sphere2, hyperbolic3, polar3 and the Hopf-coordinate 3-sphere), so the
-    conformal and generic 4-D metrics are the ones that see its terms."""
+    """R_ijkl and u(R_ijkl) from the metric's 2-jet (riemann_along: one
+    hyper-dual walk over g and its first derivatives, read in the frame)
+    against the symbolic route, d alpha + alpha ^ alpha of solve_connection
+    contracted on the frame, and its forward-mode u-derivative, component by
+    component, along a field u with non-constant components.  In an
+    orthonormal frame u(R) vanishes on the constant-curvature spaces (sphere2,
+    hyperbolic3, polar3 and the Hopf-coordinate 3-sphere), so the conformal,
+    generic and Lorentzian 4-D metrics are the ones that see its terms."""
     for metric, varies in ((sphere2[1], False), (hyperbolic3[1], False), (polar3[1], False),
-                           (conformal4[1], True), (_hopf(), False), (_generic4(), True)):
+                           (conformal4[1], True), (_hopf(), False), (_generic4(), True),
+                           (_lorentz4(), True)):
         chart = metric.chart
         pts = sample_points(chart, "random", 12, seed=31)
         fd = curvature_package(build_coframe(metric, pts))
@@ -305,10 +315,10 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
         u = {c: add(num(1), mul(Fraction(1, 3), sym(names[(a + 1) % chart.n]),
                                 call("sin", sym(c)))) for a, c in enumerate(names)}
         want, dwant = evaluate_along(symbolic_riemann(fd.coframe), u, pts)
-        got, dgot = fd.riemann_from_jet(*evaluate_along(fd.jet_exprs(), coordinate_basis(chart),
-                                                        pts, second=u))
+        values = fd.curvature_values(pts)
+        got, dgot = fd.riemann_along(u, pts, *evaluate_along(fd.coframe.vectors, u, pts), fd.eta)
         assert bool(np.max(np.abs(dwant)) > 1e-3) == varies
-        assert np.array_equal(np.moveaxis(got, -1, 0), fd.curvature_values(pts)["riemann"])
+        assert np.array_equal(np.moveaxis(got, -1, 0), values["riemann"])
         for g, w in ((got, want), (dgot, dwant)):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords
@@ -317,12 +327,15 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
 def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyperbolic3,
                                                             conformal4):
     """The coordinate coefficients of d theta^i and of alpha^i_j ^ theta^j as
-    the torsion check forms them in numpy (c from the frame jet, Gamma from the
-    curvature walk, theta from the reconstruction check) against the symbolic
-    route (ext_d, and wedge of the solve_connection forms), each half on its
-    own; and the numpy connection antisymmetry against the symbolic forms'
-    MatrixForm.eta_antisymmetry_residual."""
-    for metric in (sphere2[1], polar3[1], hyperbolic3[1], conformal4[1], _hopf(), _generic4()):
+    the torsion check forms them in numpy (c from the frame jet, Gamma by the
+    Christoffel route of the curvature walk, theta from the reconstruction
+    check) against the symbolic route (ext_d, and wedge of the
+    solve_connection forms), each half on its own; and the numpy connection
+    antisymmetry against the symbolic forms'
+    MatrixForm.eta_antisymmetry_residual.  Both are round-off for a correct
+    connection, and the routes round differently (up to 1.6e-15 against 0)."""
+    for metric in (sphere2[1], polar3[1], hyperbolic3[1], conformal4[1], _hopf(), _generic4(),
+                   _lorentz4()):
         pts = sample_points(metric.chart, "random", 12, seed=37)
         fd = curvature_package(build_coframe(metric, pts))
         _, th = reconstruction_residual(metric, fd.coframe, pts)
@@ -339,36 +352,40 @@ def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyp
         for gh, wh in zip(got, want):
             assert np.all(np.abs(gh - wh) <= 1e-12 * np.maximum(1.0, np.abs(wh))), metric.chart
         assert antisymmetry_residual(fd, values, th) == pytest.approx(
-            solve_connection(fd.coframe).eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
+            solve_connection(fd.coframe).eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-14)
 
 
 def test_structure_checks_see_a_perturbed_connection():
-    """Perturbing a connection coefficient of a generic 4-D FrameData by x/1000
-    trips the checks.  Any change of Gamma breaks the structure equation (the
-    torsion-free eta-antisymmetric connection is unique), so the torsion check
-    fails, which it could not if it formed d theta from Gamma itself; a change
-    that is not eta-antisymmetric also fails the antisymmetry check, whose
-    value matches MatrixForm.eta_antisymmetry_residual of the perturbed
-    1-forms Gamma^i_jk theta^k."""
+    """Perturbing a coefficient of the frame connection that the curvature
+    walk hands the structure checks (``values["jet"]``) by x/1000 trips them.
+    Any change of Gamma breaks the structure equation (the torsion-free
+    eta-antisymmetric connection is unique), so the torsion check fails,
+    which it could not if it formed c from Gamma itself; a change that is not
+    eta-antisymmetric also fails the antisymmetry check, whose value matches
+    MatrixForm.eta_antisymmetry_residual of the solve_connection 1-forms
+    perturbed by the same change."""
     metric = _generic4()
     pts = sample_points(metric.chart, "random", 12, seed=41)
     fd = curvature_package(build_coframe(metric, pts))
+    values = fd.curvature_values(pts)
     tol = DEFAULT_TOLERANCES
-    assert fd.eta == (1, 1, 1, 1) and max(structure_checks(metric, fd, pts)) < tol["structure"]
+    assert fd.eta == (1, 1, 1, 1)
+    assert max(structure_checks(metric, fd, pts, values)) < tol["structure"]
     delta = mul(Fraction(1, 1000), sym("x"))
+    alpha = solve_connection(fd.coframe)
 
     def perturbed(*changes):
-        gamma = [[list(row) for row in block] for block in fd.gamma]
+        (v, de), gamma = values["jet"], values["jet"][0]["gamma"].copy()
+        forms = [[alpha[i, j] for j in range(fd.n)] for i in range(fd.n)]
         for (i, j, k), change in changes:
-            gamma[i][j][k] = add(gamma[i][j][k], change)
-        return FrameData(fd.coframe, gamma)
+            gamma[i, j, k] += evaluate([change], pts)[0]
+            forms[i][j] = pform_add(forms[i][j], pform_scale(change, fd.coframe.theta[k]))
+        return dict(values, jet=(dict(v, gamma=gamma), de)), MatrixForm(forms, eta=fd.eta)
 
-    for case, antisymmetric in ((perturbed(((0, 1, 2), delta)), False),
-                                (perturbed(((0, 1, 2), delta), ((1, 0, 2), -delta)), True)):
-        tors, recon, anti = structure_checks(metric, case, pts)
+    for (case, forms), antisymmetric in (
+            (perturbed(((0, 1, 2), delta)), False),
+            (perturbed(((0, 1, 2), delta), ((1, 0, 2), -delta)), True)):
+        tors, recon, anti = structure_checks(metric, fd, pts, case)
         assert tors > tol["structure"] and recon < tol["structure"]
         assert (anti < tol["connection_antisymmetry"]) == antisymmetric
-        zero = zero_form(metric.chart, 1)
-        alpha = MatrixForm([[sum((pform_scale(c, t) for c, t in zip(gammas, fd.coframe.theta)),
-                                 zero) for gammas in row] for row in case.gamma], eta=fd.eta)
-        assert anti == pytest.approx(alpha.eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
+        assert anti == pytest.approx(forms.eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
