@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,87 +126,83 @@ class LambdaReconstruction:
     values: list                       # lambda at each sample, lambda(base) = 1
     path_independence_residual: float  # max relative gap between the two paths
     leaf_derivative_residual: float    # |u(lambda)| estimate via a flow step
-    quadrature_tol: float
-    # (starts, ends) coordinate rows -> integrals of K along the straight
-    # segments between them, each path checked against the domain first
-    line_integral: Callable = field(default=None, repr=False)
+    # finite-difference d log(lambda), (N, n), or why a stencil failed
+    log_gradient: np.ndarray | None = field(default=None, repr=False)
+    stencil_fault: str | None = None
 
 
 def _k_coordinate_form(flow: FlowData) -> list:
     """K = K_i theta^i written in coordinate components K_mu."""
-    chart = flow.chart
-    h = flow.horizontal
     out = []
-    for mu in range(chart.n):
-        terms = []
-        for i in range(h):
-            coeff = flow.adapted.coframe.theta[i + 1].coefficient((mu,))
-            if not coeff.is_zero():
-                terms.append(mul(flow.k[i], coeff))
-        out.append(add(*terms))
+    for mu in range(flow.chart.n):
+        coeffs = [theta.coefficient((mu,)) for theta in flow.adapted.coframe.theta[1:]]
+        out.append(add(*[mul(k, c) for k, c in zip(flow.k, coeffs) if not c.is_zero()]))
     return out
 
 
-# the benchmark workloads' runs keep at most 8 intervals per segment open
+# Gauss-Kronrod 7/15 (Piessens et al., QUADPACK, 1983) at the nonnegative nodes
+# of [-1, 1]: nodes, 15-point weights, 7-point Gauss weights (every second node)
+_XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+       0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+       0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.0, 0.1294849661688697, 0.0, 0.27970539148927664,
+       0.0, 0.3818300505051189, 0.0, 0.4179591836734694)
+_GK_NODES, _GK_K15, _GK_G7 = (np.concatenate([sign * np.array(half[:-1]), half[::-1]])
+                              for sign, half in ((-1.0, _XK), (1.0, _WK), (1.0, _WG)))
+# a smooth K needs one panel per segment (every integral of the benchmark
+# workloads converges at the first level); the cap bounds what an integrand
+# the rule cannot resolve costs before its segment is given up
 _OPEN_PER_SEGMENT = 256
+# points per evaluate call, of the quadrature and of the path checks: the walk
+# keeps many arrays of this length live, so one call per batch raises peak memory
+_POINTS_PER_EVALUATE = 2048
+# the 17 equally spaced points of each stencil segment, in finite-difference
+# steps along the axis: [-1, 1] (central), [0, 1] and [0, 2] (forward),
+# [-1, 0] and [-2, 0] (backward); 49 offsets, each stencil reads a slice
+_STENCIL_OFFSETS = np.concatenate([np.linspace(-2.0, -1.125, 8), np.linspace(-1.0, 1.0, 33),
+                                   np.linspace(1.125, 2.0, 8)])
+_STENCIL_SPANS = (slice(8, 41, 2), slice(24, 49), slice(0, 25))
 
 
 def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarray,
                     tol: float, depth: int = 24) -> np.ndarray:
-    """Integral of K along each straight segment start -> end.
-
-    Adaptive Simpson in t in [0, 1]: an interval is accepted when
-    |left + right - whole| < 15 tol and is otherwise halved with tol halved,
-    down to ``depth`` levels.  The open intervals of all segments are refined
-    together, one :func:`evaluate` call per level, and each integral is summed
-    over its interval tree in the order the recursive rule adds.  More than
-    ``_OPEN_PER_SEGMENT`` open intervals per segment is a :class:`PathError`,
-    so that an integrand the rule cannot resolve costs bounded memory.
+    """Integral of K along each straight segment start -> end, by adaptive
+    Gauss-Kronrod 7/15 in t in [0, 1]: a panel [a, b] is accepted with its
+    15-point value when |K15 - G7| < tol (b - a), else halved (accepted as
+    it is at level ``depth``).  All open panels are refined together, level
+    by level, one :func:`evaluate` call per ``_POINTS_PER_EVALUATE`` nodes;
+    each integral adds its accepted panels level by level in t order.  A
+    segment with more than ``_OPEN_PER_SEGMENT`` open panels is given up and
+    reads nan, so an integrand the rule cannot resolve costs bounded memory.
     """
+    n, chunk = chart.n, _POINTS_PER_EVALUATE // len(_GK_NODES)
     deltas = ends - starts
     out = np.zeros(len(starts))
-    roots = seg = np.flatnonzero(deltas.any(axis=1))
-
-    def f(seg, t):
-        x = starts[seg] + t[:, None] * deltas[seg]
-        k = evaluate(k_mu, dict(zip(chart.coords, x.T)))
-        return sum(k[mu] * deltas[seg, mu] for mu in range(chart.n))
-
-    m = len(seg)
-    if not m:
-        return out
-    fa, fm, fb = f(np.tile(seg, 3), np.repeat([0.0, 0.5, 1.0], m)).reshape(3, m)
-    a, b = np.zeros(m), np.ones(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    levels = []
+    seg = np.flatnonzero(deltas.any(axis=1))
+    a, b = np.zeros(len(seg)), np.ones(len(seg))
     for level in range(depth + 1):
-        mid = 0.5 * (a + b)
-        fl, fr = f(np.tile(seg, 2), np.concatenate([0.5 * (a + mid), 0.5 * (mid + b)])
-                   ).reshape(2, -1)
-        left = (mid - a) / 6.0 * (fa + 4.0 * fl + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * fr + fb)
-        err = left + right - whole
-        split = ~(np.abs(err) < 15.0 * tol) & (level < depth)
-        levels.append((split, left + right + err / 15.0))
-        if not split.any():
+        if not len(seg):
             break
-        if 2 * np.count_nonzero(split) > _OPEN_PER_SEGMENT * m:
-            raise PathError(f"quadrature of K did not converge: more than "
-                            f"{_OPEN_PER_SEGMENT} open intervals per segment")
-
-        def halves(u, v):
-            return np.column_stack([u[split], v[split]]).ravel()
-
-        a, b = halves(a, mid), halves(mid, b)
-        fa, fm, fb = halves(fa, fm), halves(fl, fr), halves(fm, fb)
-        whole = halves(left, right)
-        seg = np.repeat(seg[split], 2)
-        tol /= 2.0
-    value = levels[-1][1]
-    for split, own in reversed(levels[:-1]):
-        own[split] = value[0::2] + value[1::2]
-        value = own
-    out[roots] = value
+        half = 0.5 * (b - a)
+        mid = a + half
+        t = mid[:, None] + half[:, None] * _GK_NODES
+        f = np.empty(t.shape)
+        for lo in range(0, len(seg), chunk):
+            s = seg[lo:lo + chunk]
+            x = starts[s, None, :] + t[lo:lo + chunk, :, None] * deltas[s, None, :]
+            k = evaluate(k_mu, dict(zip(chart.coords, x.reshape(-1, n).T)))
+            f[lo:lo + chunk] = sum(k[mu].reshape(len(s), -1) * deltas[s, mu, None]
+                                   for mu in range(n))
+        kronrod = half * (f * _GK_K15).sum(axis=1)
+        err = np.abs(kronrod - half * (f * _GK_G7).sum(axis=1))
+        done = (err < tol * (b - a)) | (level == depth)
+        out += np.bincount(seg[done], kronrod[done], len(out))
+        seg, a, mid, b = np.repeat(seg[~done], 2), a[~done], mid[~done], b[~done]
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
+        over = np.bincount(seg, minlength=len(out)) > _OPEN_PER_SEGMENT
+        out[over] = np.nan
+        seg, a, b = seg[~over[seg]], a[~over[seg]], b[~over[seg]]
     return out
 
 
@@ -216,45 +212,75 @@ def _along(starts: np.ndarray, ends: np.ndarray, count: int) -> np.ndarray:
     return (starts[:, None, :] + t * (ends - starts)[:, None, :]).reshape(-1, starts.shape[1])
 
 
+def _in_box(chart: Chart, pts: np.ndarray) -> np.ndarray:
+    """Per row: inside the domain box padded by 1e-9 (1 + |lo| + |hi|)."""
+    inside = np.ones(len(pts), dtype=bool)
+    for mu, c in enumerate(chart.coords):
+        lo, hi = chart.domain[c]
+        pad = 1e-9 * (1.0 + abs(hi) + abs(lo))
+        inside &= (lo - pad <= pts[:, mu]) & (pts[:, mu] <= hi + pad)
+    return inside
+
+
 def _path_faults(chart: Chart, pts: np.ndarray) -> np.ndarray:
-    """Per row: -1 admissible, 0 outside the (padded) box, 1 + e inside
-    exclusion e, the first that holds there (:meth:`Chart.excluded_by`)."""
-    lo = np.array([chart.domain[c][0] for c in chart.coords])
-    hi = np.array([chart.domain[c][1] for c in chart.coords])
-    pad = 1e-9 * (1.0 + np.abs(hi) + np.abs(lo))
-    inside = np.all((lo - pad <= pts) & (pts <= hi + pad), axis=1)
+    """Per row: -1 admissible, 0 outside the padded box, 1 + e inside
+    exclusion e, the first that holds there (:meth:`Chart.excluded_by`),
+    ``_POINTS_PER_EVALUATE`` rows at a time."""
     faults = np.zeros(len(pts), dtype=int)
-    first = chart.excluded_by(dict(zip(chart.coords, pts[inside].T)))
-    faults[inside] = np.where(first < 0, -1, first + 1)
+    for lo in range(0, len(pts), _POINTS_PER_EVALUATE):
+        rows = pts[lo:lo + _POINTS_PER_EVALUATE]
+        inside = _in_box(chart, rows)
+        first = chart.excluded_by(dict(zip(chart.coords, rows[inside].T)))
+        faults[lo:lo + len(rows)][inside] = np.where(first < 0, -1, first + 1)
     return faults
 
 
-def _check_path(chart: Chart, pts: np.ndarray):
-    """PathError naming the first row that leaves the admissible region."""
-    faults = _path_faults(chart, pts)
-    if np.any(faults >= 0):
+def _admissible(chart: Chart, paths: np.ndarray, leaf_from: np.ndarray, leaf_to: np.ndarray,
+                p: np.ndarray, e: np.ndarray):
+    """One :func:`_path_faults` pass: a :class:`PathError` at the first bad
+    row of ``paths``, else whether each leaf step fits (at 17 points) and,
+    per stencil, whether it fits at each row of p with steps e."""
+    leaf = _along(leaf_from, leaf_to, 17)
+    line = p[:, None, :] + _STENCIL_OFFSETS[:, None] * e[:, None, :]
+    faults = _path_faults(chart, np.concatenate([paths, leaf, line.reshape(-1, chart.n)]))
+    if np.any(faults[:len(paths)] >= 0):
         k = int(np.argmax(faults >= 0))
         where = ("leaves the domain box" if faults[k] == 0 else "crosses excluded region "
                  f"({chart.exclusions[faults[k] - 1].text})")
-        raise PathError(f"integration path {where} at {chart.point(pts[k])}")
+        raise PathError(f"integration path {where} at {chart.point(paths[k])}")
+    leaf_fit = np.all(faults[len(paths):len(paths) + len(leaf)].reshape(-1, 17) < 0, axis=1)
+    ok = faults[len(paths) + len(leaf):].reshape(len(p), -1) < 0
+    return leaf_fit, np.array([np.all(ok[:, span], axis=1) for span in _STENCIL_SPANS])
 
 
-def _segments_fit(chart: Chart, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Whether each segment's 17-point path stays admissible."""
-    faults = _path_faults(chart, _along(starts, ends, 17))
-    return np.all(faults.reshape(len(starts), 17) < 0, axis=1)
+def _rk4_step(chart: Chart, u: Sequence[Expr], x: np.ndarray, ux: np.ndarray, h: float):
+    """One RK4 step of the flow u from each row of x, where u is ``ux``:
+    (the rows stepped, their images).  A row whose stage point leaves the
+    padded domain box is skipped, since u need not be defined there."""
+    rows, ks = np.arange(len(x)), [ux]
+    for c in (0.5, 0.5, 1.0):
+        stage = x + c * h * ks[-1]
+        keep = _in_box(chart, stage)
+        rows, x, stage, ks = rows[keep], x[keep], stage[keep], [k[keep] for k in ks]
+        ks.append(evaluate(u, dict(zip(chart.coords, stage.T))).T)
+    k1, k2, k3, k4 = ks
+    return rows, x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
                        closedness_residual: float,
                        closedness_tol: float = 1e-8,
                        quadrature_tol: float = 1e-10,
-                       path_tol: float = 1e-6) -> LambdaReconstruction:
+                       path_tol: float = 1e-6,
+                       fd_step: float = 1e-4) -> LambdaReconstruction:
     """lambda(p) = exp(line integral of K) from the basepoint, at the flow's samples.
 
     Requires the closedness certificate; integrates along the straight
     segment and along an axis-ordered polyline, comparing the two.  The
     sampling domain is assumed simply connected (declared, not inferred).
+    One batch of integrals, after one admissibility pass, also gives the
+    leaf estimate and the finite-difference gradient of log(lambda) (step
+    ``fd_step``) that :func:`scaled_flow_killing_residual` reads.
     """
     if closedness_residual >= closedness_tol:
         raise ClosednessError(closedness_residual, closedness_tol)
@@ -263,42 +289,46 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
         raise PathError("sampling domain is not declared simply connected; "
                         "the Poincare-lemma step is only local")
     n = chart.n
-    k_mu = _k_coordinate_form(flow)
-
-    def line_integral(starts, ends) -> np.ndarray:
-        starts = np.asarray(starts, dtype=float).reshape(-1, n)
-        ends = np.asarray(ends, dtype=float).reshape(-1, n)
-        _check_path(chart, _along(starts, ends, 17))
-        return _line_integrals(k_mu, chart, starts, ends, quadrature_tol)
-
     base = np.array([basepoint[c] for c in chart.coords], dtype=float)
     targets = np.column_stack([flow.samples[c] for c in chart.coords])
     count = len(targets)
     bases = np.broadcast_to(base, targets.shape)
-    # staircase corner mu + 1 takes the first mu + 1 coordinates of the target
-    corners = np.empty((count, n + 1, n))
-    corners[:, 0] = base
-    for mu in range(n):
-        corners[:, mu + 1] = corners[:, mu]
-        corners[:, mu + 1, mu] = targets[:, mu]
+    # staircase corner mu takes the first mu coordinates of the target, the rest of the base
+    corners = np.stack([np.where(np.arange(n) < mu, targets, base) for mu in range(n + 1)], axis=1)
     stair_starts = corners[:, :-1].reshape(-1, n)
     stair_ends = corners[:, 1:].reshape(-1, n)
-    _check_path(chart, np.concatenate(
-        [_along(bases, targets, 17).reshape(count, -1, n),
-         _along(stair_starts, stair_ends, 9).reshape(count, -1, n)], axis=1).reshape(-1, n))
 
     # |u(log lambda)| at every target: the integral of K along the short
     # segment from p to its flow step phi_step(p), over step (K is closed, so
     # the straight segment stands for the flow line); a segment that leaves
-    # the domain is skipped
+    # the domain is skipped; u at the targets is e_0 of the flow's jet
     step = 0.01
-    moved = _rk4_step(lambda x: evaluate(flow.adapted.u, dict(zip(chart.coords, x.T))).T,
-                      targets, step)
-    ok = _segments_fit(chart, targets, moved)
+    stepped, moved = _rk4_step(chart, flow.adapted.u, targets, flow.jet["e"][0].T, step)
+    # d log(lambda) along each axis, row (point, axis): (w_A I_A - w_B I_B) / 2h
+    # over the segments A and B of the first stencil that fits
+    p = np.repeat(targets, n, axis=0)
+    e = np.tile(np.eye(n) * fd_step, (count, 1))
+    stencils = [(p - e, p + e, p, p),                # central, w = (1, 0)
+                (p, p + e, p, p + 2 * e),            # forward, w = (4, 1)
+                (p - e, p, p - 2 * e, p)]            # backward, w = (4, 1)
+    # per target, its straight path and then its staircase
+    paths = np.concatenate([_along(bases, targets, 17).reshape(count, -1, n),
+                            _along(stair_starts, stair_ends, 9).reshape(count, -1, n)], axis=1)
+    leaf_fit, fits = _admissible(chart, paths.reshape(-1, n), targets[stepped], moved, p, e)
+    choice = fits.argmax(axis=0)                     # the first stencil that fits
+    unfit = np.flatnonzero(~fits.any(axis=0))        # if any, no stencil is integrated
+    parts = [np.choose(choice[:, None], [st[k] for st in stencils])[:0 if len(unfit) else None]
+             for k in range(4)]
 
-    ints = _line_integrals(k_mu, chart,
-                           np.concatenate([bases, stair_starts, targets[ok]]),
-                           np.concatenate([targets, stair_ends, moved[ok]]), quadrature_tol)
+    ints = _line_integrals(
+        _k_coordinate_form(flow), chart,
+        np.concatenate([bases, stair_starts, targets[stepped[leaf_fit]], parts[0], parts[2]]),
+        np.concatenate([targets, stair_ends, moved[leaf_fit], parts[1], parts[3]]),
+        quadrature_tol)
+    unresolved = f"quadrature of K did not converge: more than {_OPEN_PER_SEGMENT} open panels"
+    main = count * (n + 1) + np.count_nonzero(leaf_fit)
+    if np.isnan(ints[:main]).any():
+        raise PathError(unresolved)
     direct = ints[:count]
     stair = sum(ints[count:count * (n + 1)].reshape(count, n)[:, mu] for mu in range(n))
     gaps = np.abs(direct - stair) / np.maximum(1.0, np.abs(direct))
@@ -306,24 +336,18 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     if worst_gap >= path_tol:
         raise PathError(f"path-independence violated: relative gap {worst_gap:.3e} "
                         f"exceeds {path_tol:g}")
-    leaf = _sup(ints[count * (n + 1):] / step)
-
-    return LambdaReconstruction(
-        basepoint=dict(basepoint),
-        values=[math.exp(d) for d in direct],
-        path_independence_residual=worst_gap,
-        leaf_derivative_residual=leaf,
-        quadrature_tol=quadrature_tol,
-        line_integral=line_integral,
-    )
-
-
-def _rk4_step(f, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    lam = LambdaReconstruction(dict(basepoint), [math.exp(d) for d in direct], worst_gap,
+                               _sup(ints[count * (n + 1):main] / step))
+    if len(unfit):
+        lam.stencil_fault = (f"finite-difference stencil at {chart.point(p[unfit[0]])} "
+                             f"leaves the domain along {chart.coords[unfit[0] % n]}")
+    elif np.isnan(ints[main:]).any():
+        lam.stencil_fault = unresolved
+    else:
+        ia, ib = ints[main:main + count * n], ints[main + count * n:]
+        wa, wb = np.where(choice == 0, 1.0, 4.0), np.where(choice == 0, 0.0, 1.0)
+        lam.log_gradient = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n)
+    return lam
 
 
 def verify_killing(metric: Metric, vector: Sequence[Expr],
@@ -337,50 +361,25 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
     return _sup(lie_derivative_at(metric, vector, frame_vectors, points))
 
 
-def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction,
-                                 fd_step: float = 1e-4) -> float:
+def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> float:
     """Killing residual of V = lambda u, the max over the flow's samples.
 
     Uses L_{f u} g = f L_u g + df (x) psi0 + psi0 (x) df with the L_u g frame
-    components of the flow's jet, the reconstructed lambda and a finite-difference
-    gradient of log(lambda).  Each difference of log(lambda) is the integral
-    of K along the short segment between its stencil points: central, or
-    second-order one-sided along an axis where the central stencil leaves
-    the domain.  The check sees the quadrature error of lambda(p) and of
-    these short integrals (not the far larger error of a difference of two
-    long-path integrals) plus the O(fd_step^2) stencil error.
+    components of the flow's jet, lambda and ``lam.log_gradient``, whose
+    differences of log(lambda) are integrals of K along short stencil
+    segments: the check sees the quadrature error of lambda(p) and of these
+    short integrals (not of a difference of two long-path integrals) plus
+    the O(fd_step^2) stencil error.  A stencil fault is a :class:`PathError`.
     """
-    chart = flow.chart
-    n = chart.n
-    pts = np.column_stack([flow.samples[c] for c in chart.coords])
-    count = len(pts)
-    p = np.repeat(pts, n, axis=0)                    # row (point, axis)
-    e = np.tile(np.eye(n) * fd_step, (count, 1))
-    # segments A and B of each stencil: gradient = (w_A I_A - w_B I_B) / 2h
-    stencils = [(p - e, p + e, p, p),                # central, w = (1, 0)
-                (p, p + e, p, p + 2 * e),            # forward, w = (4, 1)
-                (p - e, p, p - 2 * e, p)]            # backward, w = (4, 1)
-    fits = np.array([_segments_fit(chart, a0, a1) & _segments_fit(chart, b0, b1)
-                     for a0, a1, b0, b1 in stencils])
-    if not fits.any(axis=0).all():
-        row = int(np.flatnonzero(~fits.any(axis=0))[0])
-        raise PathError(f"finite-difference stencil at {chart.point(p[row])} leaves the "
-                        f"domain along {chart.coords[row % n]}")
-    choice = fits.argmax(axis=0)                     # the first stencil that fits
-    parts = [np.choose(choice[:, None], [st[k] for st in stencils]) for k in range(4)]
-    wa = np.where(choice == 0, 1.0, 4.0)
-    wb = np.where(choice == 0, 0.0, 1.0)
-    ints = lam.line_integral(np.concatenate([parts[0], parts[2]]),
-                             np.concatenate([parts[1], parts[3]]))
-    ia, ib = ints[:count * n], ints[count * n:]
+    if lam.stencil_fault is not None:
+        raise PathError(lam.stencil_fault)
     lval = np.array(lam.values, dtype=float)
-    grad = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n) * lval[:, None]
-    jet = flow.jet
-    dlam_frame = np.einsum("amp,pm->ap", jet["e"], grad)  # d lambda on the frame vectors
-    val = lval * jet["lie"]
+    grad = lam.log_gradient * lval[:, None]
+    dlam_frame = np.einsum("amp,pm->ap", flow.jet["e"], grad)  # d lambda on the frame vectors
+    val = lval * flow.jet["lie"]
     val[0, 0] += dlam_frame[0]
     val[0, :] += dlam_frame
-    return _sup(val[np.triu_indices(n)])
+    return _sup(val[np.triu_indices(flow.chart.n)])
 
 
 @dataclass

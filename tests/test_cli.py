@@ -432,6 +432,22 @@ class TestCommandLine:
         out = tmp_path / "report.json"
         assert main(["run", "--config", path, "--out", str(out)]) == 1
 
+    def test_leaf_step_leaving_the_box_is_skipped(self, tmp_path):
+        """The flow is defined on the whole box but not left of x = 0.399; an
+        RK4 stage of the leaf step from a grid point on the y = 0.6 face leaves
+        the box there, and that sample's step is skipped, not evaluated."""
+        s = "sqrt(x - 0.399) + 1"
+        cfg = screw_config(flow=[f"-({s})*y", f"({s})*x", s],
+                           samples={"mode": "grid", "count": 27})
+        cfg["chart"].update(signature=[1, 1, 1], exclusions=["x^2 + y^2 < 0.04"],
+                            simply_connected=True)
+        cfg.update(tolerances={"killing": 1e-7}, coframe_order=["x", "y", "z"])
+        path = write(tmp_path, "cfg.json", cfg)
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        herglotz = json.loads(out.read_text())["tasks"]["herglotz"]
+        assert herglotz["verdict"] == "isometric-verified"
+
     def test_singular_metric_exit_two(self, tmp_path, capsys):
         cfg = screw_config(metric=[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]],
                            tasks=["curvature"])

@@ -142,6 +142,43 @@ class TestLambda:
             reconstruct_lambda(fl, rows(pts)[0], 0.0)
 
 
+class TestQuadrature:
+    @pytest.mark.parametrize("rule, degree", [("_GK_K15", 23), ("_GK_G7", 13)])
+    def test_polynomial_degree(self, rule, degree):
+        """The 15-point Kronrod rule integrates x^d on [-1, 1] exactly up to
+        d = 23 and its embedded 7-point Gauss rule up to d = 13, not further."""
+        from movingframes import herglotz
+        weights, nodes = getattr(herglotz, rule), herglotz._GK_NODES
+        for d in range(degree + 2):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            err = abs(weights @ nodes ** d - exact)
+            assert err < 1e-15 if d <= degree else err > 1e-9, d
+
+    def test_gauss_nodes_are_legendre(self):
+        from movingframes import herglotz
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        on = herglotz._GK_G7 != 0.0
+        assert np.allclose(herglotz._GK_NODES[on], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(herglotz._GK_G7[on], weights, rtol=0.0, atol=1e-15)
+        assert herglotz._GK_K15.sum() == pytest.approx(2.0, abs=1e-15)
+
+    def test_unresolvable_integrand_gives_up(self, flat3):
+        """sin(10^4 x) needs more open panels per segment than the cap; the
+        segment reads nan and the reconstruction refuses with a PathError."""
+        from movingframes.herglotz import PathError, _OPEN_PER_SEGMENT, _line_integrals
+        chart, metric = flat3
+        wild = [call("sin", mul(num(10 ** 4), sym("x"))), num(0), num(0)]
+        starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        ends = np.array([[0.9, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        ints = _line_integrals(wild, chart, starts, ends, 1e-10)
+        assert np.isnan(ints[0]) and ints[1] == 0.0
+        pts = sample_points(chart, "random", 4, seed=44)
+        fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
+        fl.invariants.k = [call("sin", mul(num(10 ** 4), sym("x"))), num(0)]
+        with pytest.raises(PathError, match=f"more than {_OPEN_PER_SEGMENT} open panels"):
+            reconstruct_lambda(fl, rows(pts)[0], 0.0)
+
+
 class TestKilling:
     def test_exact_killing_field(self, screw):
         """V = (-y, x, 1) is Killing for the flat metric."""
@@ -172,6 +209,25 @@ class TestKilling:
         lam = reconstruct_lambda(fl, screw["basepoint"], hyp.closedness_residual)
         res = scaled_flow_killing_residual(fl, lam)
         assert res < 1e-7
+
+    def test_stencil_fault_follows_the_leaf_estimate(self):
+        """No stencil fits in a box 1.5e-4 thick along z.  Lambda and the leaf
+        estimate (every leaf step leaves the box, so none is taken) are still
+        reported; the stencil fault is then the verdict's reason."""
+        chart = Chart(["x", "y", "z"],
+                      domain={"x": (0.4, 1.6), "y": (-0.6, 0.6), "z": (0.0, 1.5e-4)})
+        metric = Metric(chart, [[num(1) if i == j else num(0) for j in range(3)]
+                                for i in range(3)])
+        base = {"x": 1.0, "y": 0.0, "z": 5e-5}
+        pts = columns([base] + rows(sample_points(chart, "random", 6, seed=45)))
+        fl = analyze_flow(metric, [-sym("y"), sym("x"), num(1)], pts)
+        fd = curvature_package(build_coframe(metric, samples=pts))
+        rep = run_herglotz(fl, classify_space(fd, fd.curvature_values(pts)), base)
+        assert rep.verdict == "inconsistent"
+        assert re.fullmatch(r"finite-difference stencil at \{.*\} leaves the domain along z",
+                            rep.reason)
+        assert rep.lam.leaf_derivative_residual == 0.0 and rep.lam.log_gradient is None
+        assert rep.killing_residual is None
 
     def test_killing_oracle_agreement(self, screw):
         """The forward-mode L_V g matches the FD Lie-derivative oracle."""
