@@ -27,12 +27,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .expression import (Chart, EvalDomainError, ExprError, parse_exclusion,
+from .expression import (Chart, EvalDomainError, ExprError, max_abs, parse_exclusion,
                          parse_expr, sample_points, to_string, ONE)
 from .exterior import FormArityError
 from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
                      antisymmetry_residual, build_coframe, classify_space,
-                     curvature_package, max_abs, reconstruction_residual, torsion_residual)
+                     curvature_package, reconstruction_residual, torsion_residual)
 from .herglotz import ricci_flat_check, run_herglotz
 from .submersion import VanishingFlowError, analyze_flow, constraint_residuals
 
@@ -180,6 +180,8 @@ def load_config(data: Mapping) -> Config:
     needs_flow = any(t in tasks for t in ("flow", "herglotz", "ricci-flat"))
     _require(flow is not None or not needs_flow,
              "tasks involving the flow require a 'flow' entry")
+    _require(not needs_flow or set(chart.signature) == {1}, "tasks involving the flow "
+             "need every 'chart.signature' entry +1: the adapted frame is Riemannian")
 
     basepoint = None
     if data.get("basepoint") is not None:

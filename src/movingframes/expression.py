@@ -45,7 +45,7 @@ __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call",
     "num", "sym", "add", "mul", "pow_", "call",
     "parse_expr", "diff", "simplify", "eval_at", "evaluate", "evaluate_along",
-    "sup_abs", "to_string",
+    "max_abs", "to_string",
     "Chart", "Exclusion", "parse_exclusion", "sample_points", "point_at",
     "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
@@ -723,12 +723,10 @@ def _live_sum(*terms):
     return _sum([t for t in terms if t is not None])
 
 
-def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: dict,
-           seeds: Mapping):
+def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: dict):
     """u(X f) of node ``x`` (hyper-dual numbers: value, X-tangent, u-tangent and
-    mixed part) from its children's four channels; None when structurally zero."""
-    if isinstance(x, Sym):
-        return seeds.get(x.name)
+    mixed part) from its children's four channels; None when structurally zero,
+    as for every leaf, since the X-tangents of the symbols are constant."""
     if isinstance(x, Add):
         return _sum([mixed[c] for c in kids if c in mixed])
     if isinstance(x, Mul):          # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
@@ -755,19 +753,18 @@ def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: 
 
 
 def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: int = 1,
-                 useeds: Mapping | None = None, mseeds: Mapping | None = None):
+                 useeds: Mapping | None = None):
     """Each DAG node as one numpy operation over all points, in post-order;
     an intermediate is dropped after its last consumer.
 
-    With ``seeds`` (coordinate name -> (d, N) tangent basis, absent where
-    zero) every node also carries its d directional derivatives X f (vector
-    forward mode), and the result is the pair (values, derivatives),
+    With ``seeds`` (coordinate name -> constant (d, N) tangent basis, absent
+    where zero) every node also carries its d directional derivatives X f
+    (vector forward mode), and the result is the pair (values, derivatives),
     derivatives shaped (roots, d, N).  With ``useeds`` as well (coordinate
-    name -> (N,) components of a field u) and ``mseeds`` (coordinate name ->
-    (d, N) u-derivatives of the d fields' components, absent where constant),
-    every node also carries u f and the mixed derivatives u(X f) (hyper-dual
-    numbers), and the result is (values, derivatives, u-derivatives, mixed),
-    the last shaped (roots, N) and (roots, d, N).
+    name -> (N,) components of a field u), every node also carries u f and
+    the mixed derivatives u(X f) (hyper-dual numbers), and the result is
+    (values, derivatives, u-derivatives, mixed), the last shaped (roots, N)
+    and (roots, d, N).
     """
     order, last = _schedule(roots)
     rows: dict = {}
@@ -806,8 +803,7 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
             v = getattr(np, x.fn)(vals[kids[0]])       # numpy names every FUNCTIONS entry
         if useeds is not None:
             for channel, result, t in ((utans, uout, _tangent(x, kids, v, vals, utans, useeds)),
-                                       (mixed, mout, _mixed(x, kids, v, vals, tans, utans, mixed,
-                                                            mseeds))):
+                                       (mixed, mout, _mixed(x, kids, v, vals, tans, utans, mixed))):
                 if t is not None:
                     if x in rows:
                         result[rows[x]] = t
@@ -878,57 +874,42 @@ def _along(e: Expr, field: Mapping) -> Expr:
     return add(*[mul(v, diff(e, c)) for c, v in field.items() if not v.is_zero()])
 
 
-def evaluate_along(exprs, vectors, points, second: Mapping | None = None):
-    """Values of expressions and their derivatives along vector fields.
+def evaluate_along(exprs, points, second: Mapping | None = None):
+    """Values of expressions and their coordinate derivatives.
 
-    ``vectors``: one vector field, a mapping of coordinate names to component
-    expressions, or a sequence of d such fields.  The derivative of e along
-    a field X is sum_c X[c] de/dc, taken for all d fields at once by vector
-    forward mode through the walk of :func:`evaluate` (each node carries a
-    (d, N) tangent; sums in the same order), so no derivative expression is
-    built.  Returns (values, derivatives): values shaped as :func:`evaluate`
-    shapes them, derivatives S + (N,) for one field and S + (d, N) for a
-    sequence.  With ``second``, one more field u, the same walk also carries
-    u(e) and the mixed second derivatives u(X e) of every node (hyper-dual
-    numbers, Fike & Alonso, AIAA 2011-886), and the result is (values,
-    derivatives, u-derivatives, mixed), u-derivatives shaped as values and
-    mixed as derivatives.  After a floating-point fault the roots and their
-    symbolic derivatives go through the scalar reference, so the fault names
-    the first bad point as ``evaluate`` of all of them would.
+    The derivatives d_c e are taken along every coordinate c of ``points``,
+    in key order (chart order for sample columns), all d = len(points) at
+    once by vector forward mode through the walk of :func:`evaluate` (each
+    node carries a (d, N) tangent; sums in the same order), so no derivative
+    expression is built.  Returns (values, derivatives): values shaped as
+    :func:`evaluate` shapes them, derivatives S + (d, N).  With ``second``, a
+    vector field u (coordinate name -> component expression), the same walk
+    also carries u(e) and the mixed second derivatives u(d_c e) of every node
+    (hyper-dual numbers, Fike & Alonso, AIAA 2011-886), and the result is
+    (values, derivatives, u-derivatives, mixed), u-derivatives shaped as
+    values and mixed as derivatives.  After a floating-point fault the roots
+    and their symbolic derivatives go through the scalar reference, so the
+    fault names the first bad point as ``evaluate`` of all of them would.
     """
     grids, roots = _flatten(exprs)
-    n = len(next(iter(points.values()), ()))
-    fields = [vectors] if isinstance(vectors, Mapping) else list(vectors)
-    d = len(fields)
-    live = list(dict.fromkeys(c for f in fields for c, e in f.items() if not e.is_zero()))
-    comps = [f.get(c, ZERO) for c in live for f in fields]
+    coords = list(points)
+    d, n = len(coords), len(next(iter(points.values()), ()))
     try:
         with np.errstate(**_FAULTS):
             useeds = None
             if second is not None:
                 ulive = [c for c, e in second.items() if not e.is_zero()]
                 useeds = dict(zip(ulive, _run_program([second[c] for c in ulive], points, n)))
-            if all(isinstance(e, Num) for e in comps):     # a constant basis needs no walk
-                cols, mseeds = np.outer([float(e.value) for e in comps], np.ones(n)), {}
-            elif second is None:
-                cols, mseeds = _run_program(comps, points, n), None
-            else:           # the fields' components with their u-derivatives
-                cols, ucols = _run_program(comps, points, n,
-                                           {c: u[None] for c, u in useeds.items()}, 1)
-                mseeds = {c: m for c, m in zip(live, ucols.reshape(len(live), d, n))
-                          if any(not isinstance(f.get(c, ZERO), Num) for f in fields)}
-            seeds = dict(zip(live, cols.reshape(len(live), d, n)))
-            channels = _run_program(roots, points, n, seeds, d, useeds, mseeds)
+            basis = np.repeat(np.eye(d)[:, :, None], n, axis=2)
+            channels = _run_program(roots, points, n, dict(zip(coords, basis)), d, useeds)
     except (FloatingPointError, OverflowError):
-        derivs = [_along(e, f) for e in roots for f in fields]
+        derivs = [diff(e, c) for e in roots for c in coords]
         if second is not None:
             derivs += [_along(e, second) for e in roots + derivs]
         k = len(roots)
         parts = np.split(_reference(roots + derivs, points, n), np.cumsum([k, k * d, k]))
         channels = [p.reshape(k, d, n) if i % 2 else p
                     for i, p in enumerate(parts[:2 if second is None else 4])]
-    if isinstance(vectors, Mapping):
-        channels = [c[:, 0] if c.ndim == 3 else c for c in channels]
     return tuple(_unflatten(exprs, grids, c) for c in channels)
 
 
@@ -950,9 +931,11 @@ def _reference(roots: list, points: Mapping, n: int) -> np.ndarray:
     return out
 
 
-def sup_abs(exprs, points: Mapping) -> float:
-    """max |e(p)| over a nested sequence of expressions and all points (0 if none)."""
-    return float(np.max(np.abs(evaluate(exprs, points)), initial=0.0))
+def max_abs(a: np.ndarray) -> float:
+    """max |a| over an array, 0.0 when it is empty, with no temporary of a's
+    size; abs makes a zero result +0.0, as np.abs would."""
+    a = np.asarray(a)
+    return float(abs(max(a.max(initial=0.0), -a.min(initial=0.0))))
 
 
 # --------------------------------------------------------------------------
@@ -1268,10 +1251,15 @@ class Chart:
         first = np.full(len(next(iter(points.values()))), -1)
         live = np.arange(len(first))
         for e, ex in enumerate(self.exclusions):
-            hit = ex.compare(evaluate([ex.expr], {c: col[live] for c, col in points.items()})[0])
+            kept = {c: col[live] for c, col in points.items()} if e else points
+            hit = ex.compare(evaluate([ex.expr], kept)[0])
             first[live[hit]] = e
             live = live[~hit]
         return first
+
+    def columns(self, points: Mapping[str, np.ndarray]) -> dict:
+        """The columns of ``points`` in chart order: evaluate_along's derivative axis."""
+        return {c: points[c] for c in self.coords}
 
     def point(self, values: Sequence[float]) -> dict:
         return dict(zip(self.coords, (float(v) for v in values)))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, diff, evaluate, mul, num, ZERO
+from .expression import Chart, Expr, add, diff, evaluate, max_abs, mul, num, ZERO
 
 __all__ = [
     "PForm", "MatrixForm", "wedge", "ext_d", "form_eval", "contract",
@@ -275,8 +275,7 @@ class MatrixForm:
             return 0.0
         vals = evaluate(pairs, points)
         signs = np.array(signs, dtype=float)[:, :, None]
-        return float(np.max(np.abs(signs[:, 0] * vals[:, 0] + signs[:, 1] * vals[:, 1]),
-                            initial=0.0))
+        return max_abs(signs[:, 0] * vals[:, 0] + signs[:, 1] * vals[:, 1])
 
 
 def matrix_curvature(omega: MatrixForm) -> MatrixForm:

@@ -32,15 +32,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul, num,
+from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, max_abs, mul, num,
                          point_at, pow_, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
     "Metric", "Coframe", "FrameData", "SpaceClassification",
-    "build_coframe", "solve_connection", "coordinate_basis",
+    "build_coframe", "solve_connection",
     "curvature_package", "classify_space", "frame_connection", "torsion_residual",
-    "christoffel", "coordinate_riemann", "frame_components", "max_abs",
+    "christoffel", "coordinate_riemann", "frame_components",
     "antisymmetry_residual", "reconstruction_residual", "gram_schmidt_frame",
     "SingularMetricError", "SignatureError",
 ]
@@ -214,11 +214,6 @@ def frame_connection(th: np.ndarray, e: np.ndarray, de: np.ndarray, eta) -> tupl
     return c, eta * 0.5 * (cl + np.einsum("jkip->ijkp", cl) - np.einsum("kijp->ijkp", cl))
 
 
-def coordinate_basis(chart: Chart) -> list:
-    """The coordinate vector fields d_nu, as :func:`evaluate_along` takes them."""
-    return [{c: num(1)} for c in chart.coords]
-
-
 def christoffel(dg: np.ndarray, ginv: np.ndarray) -> tuple:
     """(Gamma_snr, Gamma^m_nr) from dg[s, r, n] = d_n g_sr and g^ms, point axis last."""
     low = 0.5 * (np.einsum("srnp->snrp", dg) + dg - np.einsum("nrsp->snrp", dg))
@@ -279,7 +274,7 @@ class FrameData:
         d_n e_j^m), which the structure checks read."""
         n, eta = self.n, np.array(self.eta, dtype=float)
         v, dv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric,
-                                "e": self.coframe.vectors}, coordinate_basis(self.chart), points)
+                                "e": self.coframe.vectors}, self.chart.columns(points))
         e, de = v["e"].copy(), dv["e"].copy()      # copies: the jet keeps no walk buffer
         low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
         r = coordinate_riemann(dv["dg"], (up, low))
@@ -305,7 +300,7 @@ class FrameData:
         at ``points``: one hyper-dual walk over g and d g with ``second=u``,
         u(g^-1) = -g^-1 u(g) g^-1, and the product rule for the frame change."""
         v, dv, du, duv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
-                                        coordinate_basis(self.chart), points, second=u)
+                                        self.chart.columns(points), second=u)
         ginv = np.einsum("a,amp,anp->mnp", np.array(eta, dtype=float), e, e)
         low, up = christoffel(v["dg"], ginv)
         ulow, uup = christoffel(du["dg"], ginv)
@@ -337,8 +332,7 @@ def torsion_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
     g = v["gamma"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
     mu, nu = np.triu_indices(fd.n, 1)
-    return float(np.max(np.abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu]),
-                        initial=0.0))
+    return max_abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])
 
 
 def antisymmetry_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
@@ -346,8 +340,7 @@ def antisymmetry_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> flo
     and points, alpha^i_j = Gamma^i_jk theta^k, from the same inputs as
     :func:`torsion_residual`."""
     low = np.array(fd.eta, dtype=float)[:, None, None, None] * values["jet"][0]["gamma"]
-    return float(np.max(np.abs(np.einsum("ijkp,kmp->ijmp", low + np.swapaxes(low, 0, 1), th)),
-                        initial=0.0))
+    return max_abs(np.einsum("ijkp,kmp->ijmp", low + np.swapaxes(low, 0, 1), th))
 
 
 def reconstruction_residual(metric: Metric, coframe: Coframe,
@@ -358,12 +351,7 @@ def reconstruction_residual(metric: Metric, coframe: Coframe,
     theta = [[t.coefficient((mu,)) for mu in range(n)] for t in coframe.theta]
     th, g = evaluate([theta, metric.entries], points)
     s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
-    return float(np.max(np.abs(s - g), initial=0.0)), th
-
-
-def max_abs(a: np.ndarray) -> float:
-    """max |a| of a non-empty array, with no temporary of a's size."""
-    return float(max(a.max(), -a.min()))
+    return max_abs(s - g), th
 
 
 @dataclass

@@ -23,9 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, evaluate, mul
+from .expression import Chart, Expr, add, evaluate, max_abs, mul
 from .frames import Metric, SpaceClassification
-from .submersion import ConstraintReport, FlowData, _sup, lie_derivative_at
+from .submersion import ConstraintReport, FlowData, lie_derivative_at
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
@@ -90,11 +90,11 @@ def check_hypotheses(flow: FlowData, ambient: SpaceClassification,
     """Gate the isometry theorem at the flow's samples: rigidity, rotation,
     closedness, basicness."""
     jet = flow.jet
-    max_m = _sup(jet["m"])
-    basic_m = _sup(jet["mc"][:, :, 0])
-    basic_k = _sup(jet["kc"][:, 0])
+    max_m = max_abs(jet["m"])
+    basic_m = max_abs(jet["mc"][:, :, 0])
+    basic_k = max_abs(jet["kc"][:, 0])
     kh = jet["kc"][:, 1:]
-    closed = float(np.max(0.5 * np.abs(kh - np.swapaxes(kh, 0, 1)), initial=0.0))
+    closed = max_abs(0.5 * (kh - np.swapaxes(kh, 0, 1)))
     if ambient.flat:
         reason = "flat"
     elif ambient.constant_curvature:
@@ -337,7 +337,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
         raise PathError(f"path-independence violated: relative gap {worst_gap:.3e} "
                         f"exceeds {path_tol:g}")
     lam = LambdaReconstruction(dict(basepoint), [math.exp(d) for d in direct], worst_gap,
-                               _sup(ints[count * (n + 1):main] / step))
+                               max_abs(ints[count * (n + 1):main] / step))
     if len(unfit):
         lam.stencil_fault = (f"finite-difference stencil at {chart.point(p[unfit[0]])} "
                              f"leaves the domain along {chart.coords[unfit[0] % n]}")
@@ -358,7 +358,7 @@ def verify_killing(metric: Metric, vector: Sequence[Expr],
     Components are taken in the supplied orthonormal frame, or in the
     coordinate basis when no frame is given.
     """
-    return _sup(lie_derivative_at(metric, vector, frame_vectors, points))
+    return max_abs(lie_derivative_at(metric, vector, frame_vectors, points))
 
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> float:
@@ -379,7 +379,7 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> f
     val = lval * flow.jet["lie"]
     val[0, 0] += dlam_frame[0]
     val[0, :] += dlam_frame
-    return _sup(val[np.triu_indices(flow.chart.n)])
+    return max_abs(val[np.triu_indices(flow.chart.n)])
 
 
 @dataclass

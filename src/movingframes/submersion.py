@@ -50,11 +50,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, mul,
+from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, max_abs, mul,
                          num, point_at, pow_)
 from .exterior import FormArityError, PForm, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, coordinate_basis, frame_connection,
-                     gram_schmidt_frame, solve_connection)
+from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_frame,
+                     solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -99,7 +99,7 @@ def lie_derivative_at(metric: Metric, vector: Sequence[Expr],
     exprs = {"g": metric.entries, "v": list(vector)}
     if frame is not None:
         exprs["e"] = frame
-    v, dv = evaluate_along(exprs, coordinate_basis(metric.chart), points)
+    v, dv = evaluate_along(exprs, metric.chart.columns(points))
     lie = _lie(v["g"], dv["g"], v["v"], dv["v"])
     return lie if frame is None else np.einsum("amp,bnp,mnp->abp", v["e"], v["e"], lie)
 
@@ -198,7 +198,7 @@ def flow_jet(adapted: AdaptedFlow, m: list, k: list,
     v, dv = evaluate_along(
         {"e": cf.vectors, "th": [[t.coefficient((mu,)) for mu in range(cf.n)] for t in cf.theta],
          "g": adapted.metric.entries, "u": adapted.u, "m": m, "k": k},
-        coordinate_basis(adapted.chart), points)
+        adapted.chart.columns(points))
     e = v["e"]
     conn = frame_connection(v["th"], e, dv["e"], cf.eta)[1]
     m, k = v["m"], v["k"]
@@ -224,7 +224,7 @@ def rigidity_test(lie: np.ndarray, tol: float) -> RigidityResult:
     """Horizontal sup-norm of L_u g from its adapted-frame components ``lie``
     (point axis last); rigid iff below tol."""
     h = lie.shape[0] - 1
-    worst = _sup(lie[1:, 1:][np.triu_indices(h)])
+    worst = max_abs(lie[1:, 1:][np.triu_indices(h)])
     return RigidityResult(worst < tol, worst, tol)
 
 
@@ -266,9 +266,9 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
     jet = flow_jet(adapted, invariants.m, invariants.k, samples)
     conn, m, k = jet["conn"], jet["m"], jet["k"]
     # two independent routes to M and K: d psi0 against the connection slots
-    two_path = max(_sup(k - conn[0, 1:, 0]), _sup(m - conn[1:, 0, 1:]))
+    two_path = max(max_abs(k - conn[0, 1:, 0]), max_abs(m - conn[1:, 0, 1:]))
     return FlowData(adapted, invariants, samples, jet, rigidity_test(jet["lie"], rigidity_tol),
-                    two_path, _sup(m + np.swapaxes(m, 0, 1)))
+                    two_path, max_abs(m + np.swapaxes(m, 0, 1)))
 
 
 def covariant_derivative(components, flow: FlowData, rank: int | None = None):
@@ -411,17 +411,14 @@ def constraint_residuals(flow: FlowData, ambient: FrameData) -> ConstraintReport
     """
     v = constraint_rows(flow, ambient)
     return ConstraintReport(
-        tilde_free={name: _sup(v[name])
+        tilde_free={name: max_abs(v[name])
                     for name in ("R_0i0j", "R_0ijk", "R_ij0k", "R_00", "R_0i")},
         quotient_riemann=v["rq"],
         quotient_scalar=v["rq_scalar"],
-        ricci_cross_residual=_sup(v["ricci_cross"]),
-        scalar_cross_residual=_sup(v["scalar_cross"]),
-        quotient_leaf_residual=_sup(v["leaf"]),
-        m2_leaf_residual=_sup(v["m2_leaf"]),
+        ricci_cross_residual=max_abs(v["ricci_cross"]),
+        scalar_cross_residual=max_abs(v["scalar_cross"]),
+        quotient_leaf_residual=max_abs(v["leaf"]),
+        m2_leaf_residual=max_abs(v["m2_leaf"]),
         advisory=not flow.rigidity.rigid,
     )
 
-
-def _sup(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values), initial=0.0))

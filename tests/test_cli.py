@@ -462,6 +462,22 @@ class TestCommandLine:
         assert main(["run", "--config", path]) == 2
         assert "point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flow", [["1", "0", "0"], ["0", "-y", "x"]])
+    def test_flow_on_a_lorentzian_chart_is_a_config_error(self, tmp_path, capsys, flow):
+        """The adapted frame is Riemannian, so a flow task on a chart that
+        declares a -1 is refused with the reason, not with a vanishing norm
+        (|V|^2 = -1 here) or a pivot sign that blames the declaration."""
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": ["t", "x", "y"], "signature": [-1, 1, 1]},
+               "metric": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "flow": flow, "samples": {"mode": "random", "count": 5, "seed": 1},
+               "tasks": ["flow"]}
+        path = write(tmp_path, "cfg.json", cfg)
+        assert main(["run", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'chart.signature' entry +1" in err
+        load_config(dict(cfg, tasks=["curvature", "classify"]))     # curvature alone is fine
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -314,11 +314,15 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
         names = chart.coords
         u = {c: add(num(1), mul(Fraction(1, 3), sym(names[(a + 1) % chart.n]),
                                 call("sin", sym(c)))) for a, c in enumerate(names)}
-        want, dwant = evaluate_along(symbolic_riemann(fd.coframe), u, pts)
+        want, _, dwant, _ = evaluate_along(symbolic_riemann(fd.coframe), pts, second=u)
         values = fd.curvature_values(pts)
-        got, dgot = fd.riemann_along(u, pts, *evaluate_along(fd.coframe.vectors, u, pts), fd.eta)
+        e, _, ue, _ = evaluate_along(fd.coframe.vectors, pts, second=u)
+        got, dgot = fd.riemann_along(u, pts, e, ue, fd.eta)
         assert bool(np.max(np.abs(dwant)) > 1e-3) == varies
         assert np.array_equal(np.moveaxis(got, -1, 0), values["riemann"])
+        shuffled = dict(reversed(list(pts.items())))        # the chart fixes the derivative axis
+        assert np.array_equal(fd.curvature_values(shuffled)["riemann"], values["riemann"])
+        assert np.array_equal(fd.riemann_along(u, shuffled, e, ue, fd.eta)[1], dgot)
         for g, w in ((got, want), (dgot, dwant)):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords

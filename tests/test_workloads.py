@@ -7,11 +7,14 @@ benchmark loads it, so an oracle break shows here before benchmark time.
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import movingframes
 from movingframes import herglotz
 from movingframes.cli import load_config, run_pipeline, serialize_report
 
@@ -91,3 +94,35 @@ def test_screw_herglotz_call_budget(workloads, monkeypatch):
     assert code == 0 and report["tasks"]["herglotz"]["verdict"] == "isometric-verified"
     assert calls["evaluate"] <= 5
     assert calls["_path_faults"] == 1
+
+
+# runs the configs given as one JSON list in order, one report per line
+_SESSION = ("import json, sys\n"
+            "from movingframes.cli import load_config, run_pipeline, serialize_report\n"
+            "for cfg in json.loads(sys.argv[1]):\n"
+            "    print(json.dumps(serialize_report(run_pipeline(load_config(cfg))[0])))\n")
+
+
+def _fresh_process(configs: list) -> list:
+    """The report text of each config, run in order in one new interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(movingframes.__path__[0])] + sys.path))
+    out = subprocess.run([sys.executable, "-c", _SESSION, json.dumps(configs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="add and mul order terms by creation uid, so a report depends "
+                   "on what the process ran before (ROADMAP item 4)")
+def test_session_mix_reports_do_not_depend_on_process_history(workloads):
+    """Each session-mix config of seeds 11 and 23 gives the same report bytes
+    after the configs before it in one process as alone in a fresh one."""
+    moved = []
+    for seed in (11, 23):
+        (session,) = workloads.generate("session-mix", seed)
+        configs = [case.config for case in session]
+        for case, report in zip(session, _fresh_process(configs)):
+            if _fresh_process([case.config]) != [report]:
+                moved.append((seed, case.label))
+    assert not moved
