@@ -211,7 +211,7 @@ def load_config_file(path: str) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
@@ -267,12 +267,12 @@ class _Checks:
         return any(c["status"] == "fail" for c in self.items)
 
 
-def _curvature_section(fd: FrameData, metric: Metric, points, vals, tol, checks: _Checks):
-    recon, th = reconstruction_residual(metric, fd.coframe, points)
-    tors = torsion_residual(fd, vals, th)
+def _curvature_section(fd: FrameData, points, vals, tol, checks: _Checks):
+    recon = reconstruction_residual(fd, vals)
+    tors = torsion_residual(fd, vals)
     checks.record("curvature", "torsion", tors, tol["structure"])
     checks.record("curvature", "metric_reconstruction", recon, tol["structure"])
-    checks.record("curvature", "connection_antisymmetry", antisymmetry_residual(fd, vals, th),
+    checks.record("curvature", "connection_antisymmetry", antisymmetry_residual(fd, vals),
                   tol["connection_antisymmetry"])
 
     n, eta = fd.n, fd.eta
@@ -441,8 +441,7 @@ def run_pipeline(config: Config):
     curvature = frame_data.curvature_values(points)
     classification = classify_space(frame_data, curvature, tol["classification"])
     if "curvature" in config.tasks:
-        tasks_out["curvature"] = _curvature_section(frame_data, config.metric, points,
-                                                    curvature, tol, checks)
+        tasks_out["curvature"] = _curvature_section(frame_data, points, curvature, tol, checks)
     if "classify" in config.tasks:
         tasks_out["classify"] = _classify_section(classification)
 
@@ -540,8 +539,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     text = serialize_report(report) if args.format == "json" else render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

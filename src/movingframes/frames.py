@@ -12,8 +12,23 @@ Conventions (see CONVENTIONS.md):
 
 With these choices the round sphere of radius a has R_{1212} = +1/a^2.
 
-No connection is built symbolically: the curvature and the frame connection
-are numpy over the 2-jet of g and the 1-jet of the frame vectors e_i
+No frame is built symbolically.  The frame vectors e_i and their coordinate
+derivatives at the points come from one numeric Gram-Schmidt over the values
+of g and d g there (:func:`gram_schmidt_jet`), in modified form with
+<a, b> = a^m g_mn b^n and the product rule carried as forward-mode tangents:
+
+* v = s - sum_{j<i} eta_j <v, e_j> e_j (each projection off the updated v),
+  p = <v, v>, e_i = v (eta_i p)^(-1/2),
+* dv = ds - sum_{j<i} eta_j (d<v, e_j> e_j + <v, e_j> de_j),
+  d<a, b> = <da, b> + a^m dg_mn b^n + <a, db>,
+* dp = 2 <dv, v> + v^m dg_mn v^n, de_i = (dv - v dp / (2 p)) (eta_i p)^(-1/2).
+
+Each pivot p is checked at the points: below the tolerance somewhere, or of
+changing sign, is a :class:`SingularMetricError` naming the first such
+point; a sign against the chart's signature is a :class:`SignatureError`.
+
+No connection is built symbolically either: the curvature and the frame
+connection are numpy over the 2-jet of g and the 1-jet of e_i
 (:meth:`FrameData.curvature_values`), with g_sr,n = d_n g_sr and
 g^ms = sum_i eta_i e_i^m e_i^s (no matrix inverse):
 
@@ -28,12 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, max_abs, mul, num,
-                         point_at, pow_, ZERO)
+from .expression import (Chart, EvalDomainError, Expr, add, diff, evaluate, evaluate_along,
+                         max_abs, mul, num, point_at, pow_, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
@@ -41,7 +57,7 @@ __all__ = [
     "build_coframe", "solve_connection",
     "curvature_package", "classify_space", "frame_connection", "torsion_residual",
     "christoffel", "coordinate_riemann", "frame_components",
-    "antisymmetry_residual", "reconstruction_residual", "gram_schmidt_frame",
+    "antisymmetry_residual", "reconstruction_residual", "gram_schmidt_frame", "gram_schmidt_jet",
     "SingularMetricError", "SignatureError",
 ]
 
@@ -90,19 +106,71 @@ class Metric:
                       if not self.entries[mu][nu].is_zero()]) for mu in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coframe:
-    """Orthonormal coframe theta of a metric, with its dual frame vectors and signature."""
+    """Orthonormal coframe of a metric: the Gram-Schmidt candidates it keeps,
+    in order, and its signature.  Its values and first derivatives at points
+    are numpy (:func:`gram_schmidt_jet` over a walk of g and ``seeds``).  The
+    symbolic frame vectors and coframe 1-forms are the tests' reference,
+    built on first access; no pipeline stage reads them."""
 
     chart: Chart
     eta: tuple
-    theta: tuple            # n PForms of degree 1
-    vectors: tuple          # n rows of coordinate components (Expr)
     metric: Metric
+    seeds: tuple            # the kept candidates, rows of coordinate components (Expr)
+    samples: Mapping        # the points at which the pivots were checked
+    pivot_tol: float
 
     @property
     def n(self) -> int:
-        return len(self.theta)
+        return len(self.eta)
+
+    @cached_property
+    def vectors(self) -> tuple:
+        """The frame vectors e_i as expressions (symbolic Gram-Schmidt)."""
+        return tuple(gram_schmidt_frame(self.metric, self.seeds, self.eta, self.samples,
+                                        self.pivot_tol)[0])
+
+    @cached_property
+    def theta(self) -> tuple:
+        """The coframe 1-forms theta^i = eta_i g(e_i, .) as expressions."""
+        return tuple(PForm(self.chart, 1, {(mu,): mul(num(s), c)
+                                           for mu, c in enumerate(self.metric.lower(list(e)))})
+                     for s, e in zip(self.eta, self.vectors))
+
+
+def _check_pivot(vals: np.ndarray, points: Mapping[str, np.ndarray], pivot_tol: float,
+                 allow_skip: bool, want: int, slot: int) -> bool:
+    """Whether a Gram-Schmidt pivot with values ``vals`` at the points is
+    kept (False: skipped, only with ``allow_skip``, when max |pivot| < 1e-10);
+    raises as :func:`gram_schmidt_frame` does when it degenerates at some
+    point, changes sign or contradicts the declared sign ``want``."""
+    absvals = np.abs(vals)
+    if allow_skip and absvals.max() < 1e-10:
+        return False
+    worst = int(np.argmin(absvals))
+    if absvals[worst] < pivot_tol:
+        raise SingularMetricError(f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
+                                  point_at(points, worst))
+    sign = 1 if vals[worst] > 0 else -1
+    flipped = np.flatnonzero((vals > 0) != (sign > 0))
+    if flipped.size:
+        raise SingularMetricError("metric pivot changes sign", point_at(points, flipped[0]))
+    if sign != want:
+        raise SignatureError(f"pivot sign {sign:+d} at slot {slot} contradicts "
+                             f"declared signature entry {want:+d}")
+    return True
+
+
+def _finite(points: Mapping[str, np.ndarray], *arrays):
+    """Raise :class:`EvalDomainError` at the first point (last axis) where an
+    array is not finite, as a walk that overflows would."""
+    bad = np.zeros(arrays[0].shape[-1], dtype=bool)
+    for a in arrays:
+        bad |= ~np.isfinite(a).reshape(-1, a.shape[-1]).all(axis=0)
+    if bad.any():
+        raise EvalDomainError("evaluation produced a non-finite value",
+                              point_at(points, int(np.argmax(bad))))
 
 
 def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
@@ -110,14 +178,16 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
                        samples: Mapping[str, np.ndarray],
                        pivot_tol: float = 1e-8,
                        allow_skip: bool = False):
-    """Metric Gram-Schmidt over a candidate list of symbolic vectors.
+    """Metric Gram-Schmidt over a candidate list of symbolic vectors: the
+    symbolic reference of :func:`gram_schmidt_jet`, which no pipeline stage
+    calls.
 
     Returns (vectors, eta).  Candidates whose projection is structurally or
     numerically negligible at every sample are skipped when ``allow_skip`` is
     set (rank completion); a projection that degenerates only at isolated
     samples, or changes sign, raises :class:`SingularMetricError` naming the
     first bad point, and a pivot sign against ``expected_eta`` raises
-    :class:`SignatureError`.
+    :class:`SignatureError` (:func:`_check_pivot`).
     """
     n = metric.chart.n
     frame: list = []
@@ -135,23 +205,10 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
             if allow_skip:
                 continue
             raise SingularMetricError("metric pivot vanishes identically", point_at(samples, 0))
-        vals = evaluate([pivot], samples)[0]
-        absvals = np.abs(vals)
-        if allow_skip and absvals.max() < 1e-10:
-            continue
-        worst = int(np.argmin(absvals))
-        if absvals[worst] < pivot_tol:
-            raise SingularMetricError(
-                f"degenerate pivot |{absvals[worst]:.3e}| < {pivot_tol:g}",
-                point_at(samples, worst))
         s = want[len(frame)]
-        sign = 1 if vals[worst] > 0 else -1
-        flipped = np.flatnonzero((vals > 0) != (sign > 0))
-        if flipped.size:
-            raise SingularMetricError("metric pivot changes sign", point_at(samples, flipped[0]))
-        if sign != s:
-            raise SignatureError(f"pivot sign {sign:+d} at slot {len(frame)} contradicts "
-                                 f"declared signature entry {s:+d}")
+        if not _check_pivot(evaluate([pivot], samples)[0], samples, pivot_tol, allow_skip, s,
+                            len(frame)):
+            continue
         scale = pow_(mul(num(s), pivot), Fraction(-1, 2))
         frame.append([mul(scale, c) for c in v])
         eta.append(s)
@@ -161,10 +218,81 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     return [tuple(r) for r in frame], tuple(eta)
 
 
+def gram_schmidt_jet(g: np.ndarray, seeds: np.ndarray, expected_eta: Sequence[int],
+                     points: Mapping[str, np.ndarray], pivot_tol: float = 1e-8,
+                     allow_skip: bool = False, dg: np.ndarray | None = None,
+                     dseeds: np.ndarray | None = None) -> tuple:
+    """Metric Gram-Schmidt of candidate vectors at every point, with its
+    forward-mode tangents.
+
+    ``g``: g_mn (axes m, n, point); ``seeds``: the candidates s^m (axes
+    candidate, m, point); with ``dg`` (d_r g_mn, axes m, n, r, point) and
+    ``dseeds`` (d_r s^m, axes candidate, m, r, point) the tangents too.  Each
+    candidate is projected off the vectors before it (modified Gram-Schmidt,
+    <a, b> = a^m g_mn b^n), v <- v - eta_j <v, e_j> e_j, has the pivot
+    p = <v, v> and becomes e = v (eta p)^(-1/2).  The tangents follow by the
+    product rule:
+
+        d<a, b> = <da, b> + a^m dg_mn b^n + <a, db>,
+        dv <- dv - eta_j (d<v, e_j> e_j + <v, e_j> de_j),
+        dp = 2 <dv, v> + v^m dg_mn v^n,
+        de = (dv - v dp / (2 p)) (eta p)^(-1/2)
+
+    (Murray, "Differentiation of the Cholesky decomposition", 2016, for
+    the same rule on the Cholesky factor).  Each pivot is checked at the
+    points as :func:`gram_schmidt_frame` checks it (:func:`_check_pivot`;
+    zero at every point counts as vanishing identically); a value that
+    overflows is an :class:`EvalDomainError` at its point.
+    Returns (e, de, eta, kept): e_i^m (axes i, m, point), d_r e_i^m (axes
+    i, m, r, point; None without ``dg``), the signature and the indices of
+    the kept candidates.
+    """
+    want = list(expected_eta)
+    frame, dframe, kept = [], [], []
+    jet = dg is not None
+    with np.errstate(all="ignore"):
+        for index, v in enumerate(seeds):
+            if len(frame) == len(want):
+                break
+            dv = dseeds[index] if jet else None
+            for e, de, s in zip(frame, dframe, want):
+                ge = np.einsum("mnp,np->mp", g, e)
+                c = s * np.einsum("mp,mp->p", v, ge)
+                if jet:
+                    dc = s * (np.einsum("mrp,mp->rp", dv, ge)
+                              + np.einsum("mp,mnrp,np->rp", v, dg, e)
+                              + np.einsum("mp,mrp->rp", np.einsum("mnp,np->mp", g, v), de))
+                    dv = dv - e[:, None] * dc - c * de
+                v = v - c * e
+            gv = np.einsum("mnp,np->mp", g, v)
+            p = np.einsum("mp,mp->p", v, gv)
+            _finite(points, v, p)
+            if not (allow_skip or p.any()):     # as a structurally zero symbolic pivot
+                raise SingularMetricError("metric pivot vanishes identically",
+                                          point_at(points, 0))
+            if not _check_pivot(p, points, pivot_tol, allow_skip, want[len(frame)], len(frame)):
+                continue
+            scale = (want[len(frame)] * p) ** -0.5
+            if jet:
+                dp = 2.0 * np.einsum("mrp,mp->rp", dv, gv) + np.einsum("mp,mnrp,np->rp", v, dg, v)
+                de = (dv - v[:, None] * (0.5 * dp / p)) * scale
+                _finite(points, de)
+                dframe.append(de)
+            else:
+                dframe.append(None)
+            frame.append(v * scale)
+            kept.append(index)
+    if len(frame) != len(want):
+        raise SingularMetricError(
+            f"Gram-Schmidt produced {len(frame)} of {len(want)} frame vectors")
+    return np.array(frame), np.array(dframe) if jet else None, tuple(want), kept
+
+
 def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
                   order: Sequence[str] | None = None, pivot_tol: float = 1e-8) -> Coframe:
     """Orthonormalise the coordinate frame in the given coordinate order,
-    checking each pivot at the samples."""
+    checking each pivot at the samples (:func:`gram_schmidt_jet` over the
+    metric's values there)."""
     chart, n = metric.chart, metric.chart.n
     if order is None:
         perm = tuple(range(n))
@@ -172,12 +300,18 @@ def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
         if sorted(order) != sorted(chart.coords):
             raise ValueError(f"order must permute {chart.coords}")
         perm = tuple(chart.index(name) for name in order)
-    seeds = [[num(1) if mu == k else num(0) for mu in range(n)] for k in perm]
-    vectors, eta = gram_schmidt_frame(metric, seeds, [chart.signature[k] for k in perm],
-                                      samples, pivot_tol)
-    theta = [PForm(chart, 1, {(mu,): mul(num(s), c) for mu, c in enumerate(metric.lower(list(e)))})
-             for s, e in zip(eta, vectors)]
-    return Coframe(chart, eta, tuple(theta), tuple(vectors), metric)
+    seeds = tuple(tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in perm)
+    try:
+        v = evaluate({"g": metric.entries, "s": seeds}, samples)
+    except EvalDomainError:
+        # pivot k reads the leading (k + 1)-block in frame order: name the
+        # sample at which the first faulting pivot faults first
+        for k in range(1, n + 1):
+            evaluate([[metric.entries[a][b] for b in perm[:k]] for a in perm[:k]], samples)
+        raise
+    eta = gram_schmidt_jet(v["g"], v["s"], [chart.signature[k] for k in perm], samples,
+                           pivot_tol)[2]
+    return Coframe(chart, eta, metric, seeds, samples, pivot_tol)
 
 
 def solve_connection(coframe: Coframe) -> MatrixForm:
@@ -269,13 +403,15 @@ class FrameData:
 
     def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
         """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first,
-        by the module docstring's formulas from one forward-mode walk over g,
-        d g and e; ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m},
-        d_n e_j^m), which the structure checks read."""
-        n, eta = self.n, np.array(self.eta, dtype=float)
-        v, dv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric,
-                                "e": self.coframe.vectors}, self.chart.columns(points))
-        e, de = v["e"].copy(), dv["e"].copy()      # copies: the jet keeps no walk buffer
+        by the module docstring's formulas from one forward-mode walk over g
+        and d g, with e and its coordinate jet from :func:`gram_schmidt_jet`;
+        ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m, "th": theta^i_m,
+        "g": g_mn}, d_n e_j^m), which the structure checks read."""
+        n, eta, cf = self.n, np.array(self.eta, dtype=float), self.coframe
+        v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric, "s": cf.seeds},
+                               self.chart.columns(points))
+        e, de, _, _ = gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
+                                       dg=v["dg"], dseeds=dv["s"])
         low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
         r = coordinate_riemann(dv["dg"], (up, low))
         del dv                                      # freed before the Weyl temporaries
@@ -284,7 +420,8 @@ class FrameData:
         gamma = np.einsum("imp,jkmp->ijkp", th, np.einsum("knp,jmnp->jkmp", e, de)
                           + np.einsum("mnrp,knp,jrp->jkmp", up, e, e))
         ricci = np.einsum("i,pijil->pjl", eta, r)
-        out = {"riemann": r, "ricci": ricci, "jet": ({"gamma": gamma, "e": e}, de)}
+        out = {"riemann": r, "ricci": ricci,
+               "jet": ({"gamma": gamma, "e": e, "th": th, "g": v["g"]}, de)}
         if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
             em = np.diag(eta)
             scalar = np.einsum("j,pjj->p", eta, ricci)
@@ -321,37 +458,36 @@ def curvature_package(coframe: Coframe) -> FrameData:
     return FrameData(coframe, [[d[min(s, r), max(s, r)] for r in range(n)] for s in range(n)])
 
 
-def torsion_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
+def torsion_residual(fd: FrameData, values: Mapping) -> float:
     """max |d theta^i + alpha^i_j ^ theta^j| over coordinate coefficients and
     points, from its frame components T^i_jk = c^i_jk - Gamma^i_jk + Gamma^i_kj:
-    c from the brackets of the frame (:func:`frame_connection`) with ``th``,
-    theta^i_mu at the same points (:func:`reconstruction_residual`), and Gamma
-    from the Christoffel route of the walk in ``values``
+    c from the brackets of the frame (:func:`frame_connection`) and Gamma from
+    the Christoffel route, both read from the walk in ``values``
     (:meth:`FrameData.curvature_values`)."""
     v, de = values["jet"]
-    g = v["gamma"]
+    g, th = v["gamma"], v["th"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
     mu, nu = np.triu_indices(fd.n, 1)
     return max_abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])
 
 
-def antisymmetry_residual(fd: FrameData, values: Mapping, th: np.ndarray) -> float:
+def antisymmetry_residual(fd: FrameData, values: Mapping) -> float:
     """max |eta_i alpha^i_j + eta_j alpha^j_i| over coordinate coefficients
     and points, alpha^i_j = Gamma^i_jk theta^k, from the same inputs as
     :func:`torsion_residual`."""
-    low = np.array(fd.eta, dtype=float)[:, None, None, None] * values["jet"][0]["gamma"]
-    return max_abs(np.einsum("ijkp,kmp->ijmp", low + np.swapaxes(low, 0, 1), th))
+    v = values["jet"][0]
+    low = np.array(fd.eta, dtype=float)[:, None, None, None] * v["gamma"]
+    return max_abs(np.einsum("ijkp,kmp->ijmp", low + np.swapaxes(low, 0, 1), v["th"]))
 
 
-def reconstruction_residual(metric: Metric, coframe: Coframe,
-                            points: Mapping[str, np.ndarray]) -> tuple:
-    """(max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over points,
-    theta^i_mu at the points with the point axis last)."""
-    n = metric.chart.n
-    theta = [[t.coefficient((mu,)) for mu in range(n)] for t in coframe.theta]
-    th, g = evaluate([theta, metric.entries], points)
-    s = sum(coframe.eta[k] * th[k, :, None] * th[k, None, :] for k in range(n))
-    return max_abs(s - g), th
+def reconstruction_residual(fd: FrameData, values: Mapping) -> float:
+    """max |sum_i eta_i theta^i_mu theta^i_nu - g_mu_nu| over the points of
+    ``values`` (:meth:`FrameData.curvature_values`): whether the numeric frame
+    is orthonormal and complete."""
+    v = values["jet"][0]
+    th, g = v["th"], v["g"]
+    s = sum(fd.eta[k] * th[k, :, None] * th[k, None, :] for k in range(fd.n))
+    return max_abs(s - g)
 
 
 @dataclass

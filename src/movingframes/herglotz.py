@@ -8,7 +8,11 @@ direction u is proportional to a Killing field lambda*u.  The pipeline:
    threshold), closedness K_[i;j] ~ 0 and basicness of M, K;
 2. reconstruct log(lambda) by integrating the coordinate 1-form K from a
    basepoint (Poincare-lemma step), with two independent polygonal paths per
-   target point as a path-independence certificate;
+   target point as a path-independence certificate.  The quadrature
+   evaluates u and F = d psi0 of the flow stage at its nodes and forms
+   K_mu = -u^nu F_nu mu in numpy; this is K_i theta^i_mu, because
+   sum_i e_i^rho theta^i_mu = delta^rho_mu - u^rho psi0_mu and F(u, u) = 0,
+   so no coordinate form of K is built;
 3. verify L_{lambda u} g ~ 0, assembling the Killing residual from the
    L_u g frame components of the flow's jet and a finite-difference gradient
    of the reconstructed lambda so that the quadrature participates in the
@@ -23,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, add, evaluate, max_abs, mul
+from .expression import Chart, Expr, evaluate, max_abs
 from .frames import Metric, SpaceClassification
 from .submersion import ConstraintReport, FlowData, lie_derivative_at
 
@@ -131,15 +135,6 @@ class LambdaReconstruction:
     stencil_fault: str | None = None
 
 
-def _k_coordinate_form(flow: FlowData) -> list:
-    """K = K_i theta^i written in coordinate components K_mu."""
-    out = []
-    for mu in range(flow.chart.n):
-        coeffs = [theta.coefficient((mu,)) for theta in flow.adapted.coframe.theta[1:]]
-        out.append(add(*[mul(k, c) for k, c in zip(flow.k, coeffs) if not c.is_zero()]))
-    return out
-
-
 # Gauss-Kronrod 7/15 (Piessens et al., QUADPACK, 1983) at the nonnegative nodes
 # of [-1, 1]: nodes, 15-point weights, 7-point Gauss weights (every second node)
 _XK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
@@ -165,9 +160,20 @@ _STENCIL_OFFSETS = np.concatenate([np.linspace(-2.0, -1.125, 8), np.linspace(-1.
 _STENCIL_SPANS = (slice(8, 41, 2), slice(24, 49), slice(0, 25))
 
 
-def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarray,
-                    tol: float, depth: int = 24) -> np.ndarray:
-    """Integral of K along each straight segment start -> end, by adaptive
+def _k_values(u: Sequence[Expr], f: Sequence[Sequence[Expr]],
+              points: Mapping[str, np.ndarray]) -> np.ndarray:
+    """K_mu = -u^nu F_nu mu at the points (axes mu, point), from one
+    :func:`evaluate` of u and F.  This is K = K_i theta^i: the frame gives
+    sum_i e_i^rho theta^i_mu = delta^rho_mu - u^rho psi0_mu, and F(u, u) = 0."""
+    v = evaluate({"u": u, "f": f}, points)
+    return -np.einsum("np,nmp->mp", v["u"], v["f"])
+
+
+def _line_integrals(u: Sequence[Expr], f: Sequence[Sequence[Expr]], chart: Chart,
+                    starts: np.ndarray, ends: np.ndarray, tol: float,
+                    depth: int = 24) -> np.ndarray:
+    """Integral of K_mu = -u^nu F_nu mu (u and F as expressions, K in numpy
+    at the nodes) along each straight segment start -> end, by adaptive
     Gauss-Kronrod 7/15 in t in [0, 1]: a panel [a, b] is accepted with its
     15-point value when |K15 - G7| < tol (b - a), else halved (accepted as
     it is at level ``depth``).  All open panels are refined together, level
@@ -187,15 +193,15 @@ def _line_integrals(k_mu: list, chart: Chart, starts: np.ndarray, ends: np.ndarr
         half = 0.5 * (b - a)
         mid = a + half
         t = mid[:, None] + half[:, None] * _GK_NODES
-        f = np.empty(t.shape)
+        y = np.empty(t.shape)
         for lo in range(0, len(seg), chunk):
             s = seg[lo:lo + chunk]
             x = starts[s, None, :] + t[lo:lo + chunk, :, None] * deltas[s, None, :]
-            k = evaluate(k_mu, dict(zip(chart.coords, x.reshape(-1, n).T)))
-            f[lo:lo + chunk] = sum(k[mu].reshape(len(s), -1) * deltas[s, mu, None]
+            k = _k_values(u, f, dict(zip(chart.coords, x.reshape(-1, n).T)))
+            y[lo:lo + chunk] = sum(k[mu].reshape(len(s), -1) * deltas[s, mu, None]
                                    for mu in range(n))
-        kronrod = half * (f * _GK_K15).sum(axis=1)
-        err = np.abs(kronrod - half * (f * _GK_G7).sum(axis=1))
+        kronrod = half * (y * _GK_K15).sum(axis=1)
+        err = np.abs(kronrod - half * (y * _GK_G7).sum(axis=1))
         done = (err < tol * (b - a)) | (level == depth)
         out += np.bincount(seg[done], kronrod[done], len(out))
         seg, a, mid, b = np.repeat(seg[~done], 2), a[~done], mid[~done], b[~done]
@@ -321,7 +327,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
              for k in range(4)]
 
     ints = _line_integrals(
-        _k_coordinate_form(flow), chart,
+        flow.adapted.u, flow.adapted.f, chart,
         np.concatenate([bases, stair_starts, targets[stepped[leaf_fit]], parts[0], parts[2]]),
         np.concatenate([targets, stair_ends, moved[leaf_fit], parts[1], parts[3]]),
         quadrature_tol)

@@ -2,21 +2,35 @@
 
 Given a nowhere-zero flow V on (M, g) the unit direction u = V/|V| defines a
 codimension-1 foliation.  In the adapted orthonormal frame (u = e_0, e_i) the
-flow carries two invariants extracted from d psi0 (psi0 = metric dual of u):
+flow carries two invariants extracted from F = d psi0 (psi0 = metric dual of
+u, F(a, b) = a^mu F_mu nu b^nu):
 
-    M_ij = -(1/2) d psi0(e_i, e_j)        (vorticity, antisymmetric)
-    K_i  = -d psi0(u, e_i)                (magnitude-gradient covector)
+    M_ij = -(1/2) F(e_i, e_j)        (vorticity, antisymmetric)
+    K_i  = -F(u, e_i)                (magnitude-gradient covector)
 
 and the same data can be read off the torsion-free connection of the full
 adapted coframe: M_ij is the theta^j coefficient of alpha^i_0 (for rigid
-flows) and K_i the psi0 coefficient of alpha^0_i.  That connection, L_u g and
-the covariant derivatives of M and K are numpy over the frame's Jacobian at
-the points, which one forward-mode walk gives (``flow_jet``); none of them is
-built symbolically.  The quotient-compatible connection used for covariant
+flows) and K_i the psi0 coefficient of alpha^0_i.
+
+The only symbolic objects of the flow stage are u = V g(V, V)^(-1/2),
+psi0_mu = g_mu nu u^nu and F_mu nu = d_mu psi0_nu - d_nu psi0_mu (one pair of
+``diff`` calls per mu < nu).  One forward-mode walk over g, u and F gives
+their values and coordinate derivatives at the points (``flow_jet``); the
+rest is numpy.  The frame e_a and its jet d_nu e_a come from the numeric
+Gram-Schmidt of [u, d_0, ..., d_{n-1}] (``frames.gram_schmidt_jet``; a
+coordinate vector whose projection vanishes at every sample is skipped),
+M and K from the formulas above, and their frame derivatives by the product
+rule, e_g(M_ij) = -(1/2) e_g^nu ((d_nu F)(e_i, e_j) + F(d_nu e_i, e_j)
++ F(e_i, d_nu e_j)), likewise for K.  The adapted connection, L_u g and the
+covariant derivatives M_ij;g = e_g(M_ij) - abar^l_i(e_g) M_lj
+- abar^l_j(e_g) M_il and K_i;g = e_g(K_i) - abar^l_i(e_g) K_l follow from
+the same jet.  The quotient-compatible connection used for covariant
 derivatives of horizontal tensors is the absorbed block
 abar^i_j = alpha^i_j - M_ij psi0, whose leaf-direction slot realises
 basicness: a horizontal tensor is basic exactly when its ";0" derivative
-vanishes.
+vanishes.  The symbolic frame, d psi0 contracted on it and the symbolic
+covariant derivative remain as the tests' reference (``flow_invariants``,
+``covariant_derivative``); no pipeline stage calls them.
 
 The constraint system relating ambient curvature (adapted frame) to M, K and
 the quotient curvature is derived from the structure equations; for any unit
@@ -46,14 +60,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, max_abs, mul,
-                         num, point_at, pow_)
+                         num, point_at, pow_, ZERO)
 from .exterior import FormArityError, PForm, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_frame,
+from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
                      solve_connection)
 
 __all__ = [
@@ -106,13 +121,15 @@ def lie_derivative_at(metric: Metric, vector: Sequence[Expr],
 
 @dataclass(frozen=True)
 class AdaptedFlow:
-    """Unit flow with its adapted orthonormal coframe (psi0 first)."""
+    """Unit flow with its adapted orthonormal coframe (u = e_0 first) and the
+    exterior derivative F of psi0, the only symbolic objects of the flow stage."""
 
     metric: Metric
     flow: tuple                # raw input components
     norm2: Expr                # g(V, V)
     u: tuple                   # unit components
-    coframe: Coframe           # theta[0] = psi0, vectors[0] = u
+    f: tuple                   # F_mu nu = d_mu psi0_nu - d_nu psi0_mu, psi0_mu = g_mu nu u^nu
+    coframe: Coframe           # seeds[0] = u, then the kept coordinate vectors
 
     @property
     def chart(self) -> Chart:
@@ -120,6 +137,7 @@ class AdaptedFlow:
 
     @property
     def psi0(self) -> PForm:
+        """psi0 as the symbolic reference coframe's first 1-form."""
         return self.coframe.theta[0]
 
     @property
@@ -130,20 +148,23 @@ class AdaptedFlow:
 def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                     samples: Mapping[str, np.ndarray],
                     flow_tol: float = 1e-8) -> AdaptedFlow:
-    """Unit flow field, its dual psi0 and a horizontal Gram-Schmidt coframe.
+    """Unit flow field, its adapted Gram-Schmidt frame and F = d psi0.
 
     The horizontal legs come from projecting the coordinate vectors, in
     chart order, onto the orthogonal complement of u; directions that project
     to zero are skipped, a projection degenerating at isolated sample points
-    is an error naming the point.  Non-unit flows are normalized
-    automatically (``norm2`` keeps the squared norm); the discarded magnitude
-    is exactly the scale a Killing reconstruction recovers.
+    is an error naming the point (:func:`gram_schmidt_jet` at the samples).
+    Non-unit flows are normalized automatically (``norm2`` keeps the squared
+    norm); the discarded magnitude is exactly the scale a Killing
+    reconstruction recovers.  F has n(n-1)/2 independent components, one
+    pair of :func:`diff` calls each.
     """
     chart = metric.chart
     n = chart.n
     flow = tuple(flow)
     norm2 = metric.inner(list(flow), list(flow))
-    norms = evaluate([norm2], samples)[0]
+    v = evaluate({"norm2": [norm2], "g": metric.entries, "v": flow}, samples)
+    norms = v["norm2"][0]
     low = np.flatnonzero(norms < flow_tol * flow_tol)
     if low.size:
         val = norms[low[0]]
@@ -151,13 +172,18 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
     scale = pow_(norm2, Fraction(-1, 2))
     u = tuple(mul(scale, c) for c in flow)
-    seeds = [list(u)] + [[num(1) if mu == k else num(0) for mu in range(n)] for k in range(n)]
-    vectors, eta = gram_schmidt_frame(metric, seeds, [1] * n, samples,
-                                      pivot_tol=flow_tol, allow_skip=True)
-    theta = [PForm(chart, 1, {(mu,): c for mu, c in enumerate(metric.lower(list(e)))})
-             for e in vectors]
-    coframe = Coframe(chart, tuple(eta), tuple(theta), tuple(vectors), metric)
-    return AdaptedFlow(metric, flow, norm2, u, coframe)
+    seeds = [u] + [tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in range(n)]
+    values = np.concatenate([(v["v"] / np.sqrt(norms))[None],
+                             np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(norms)))])
+    eta, kept = gram_schmidt_jet(v["g"], values, [1] * n, samples, flow_tol, allow_skip=True)[2:]
+    psi0 = metric.lower(list(u))
+    f = [[ZERO] * n for _ in range(n)]
+    for mu, nu in zip(*np.triu_indices(n, 1)):
+        f[mu][nu] = add(diff(psi0[nu], chart.coords[mu]),
+                        mul(num(-1), diff(psi0[mu], chart.coords[nu])))
+        f[nu][mu] = mul(num(-1), f[mu][nu])
+    coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
+    return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe)
 
 
 @dataclass
@@ -167,7 +193,8 @@ class FlowInvariants:
 
 
 def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
-    """Extract M, K from d psi0."""
+    """M, K as expressions from d psi0 on the symbolic reference frame: the
+    reference that :func:`flow_jet` is tested against."""
     vec = adapted.coframe.vectors
     h = adapted.horizontal
     dpsi0 = ext_d(adapted.psi0)
@@ -177,39 +204,49 @@ def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
     return FlowInvariants(m, k)
 
 
-def flow_jet(adapted: AdaptedFlow, m: list, k: list,
-             points: Mapping[str, np.ndarray]) -> dict:
+def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray]) -> dict:
     """First-order data of the adapted frame at every point, point axis last.
 
-    One vector forward-mode walk in the coordinate basis d_nu over e_b^mu,
-    theta^a_mu, g_mu nu, u, M and K gives their values and Jacobians; the
-    rest is numpy.  Keys:
+    One vector forward-mode walk in the coordinate basis d_nu over g_mu nu,
+    the Gram-Schmidt seeds (u first) and F gives their values and Jacobians;
+    the frame e_a^mu and its jet d_nu e_a^mu are :func:`gram_schmidt_jet` of
+    those, theta^a_mu = g_mu nu e_a^nu, and the rest is numpy, with
+    F(a, b) = a^mu F_mu nu b^nu:
 
+    * ``m``, ``k``: M_ij = -(1/2) F(e_i, e_j) and K_i = -F(u, e_i), u = e_0;
+    * ``dm``: e_g(M_ij) (axes i, j, g) = e_g^nu d_nu M_ij by the product rule,
+      d_nu F(e_a, e_b) = (d_nu F)(e_a, e_b) + F(d_nu e_a, e_b) + F(e_a, d_nu e_b);
     * ``conn``: Gamma^a_bg = alpha^a_b(e_g), by the cyclic formula of
       :func:`frame_connection` from c^i_jk = d theta^i(e_j, e_k)
       = -theta^i_mu [e_j, e_k]^mu;
     * ``lie``: (L_u g)_ab = e_a^mu e_b^nu (L_u g)_mu nu (coordinate Lie formula);
     * ``abar``: abar^l_i(e_g) = Gamma^l_ig - [g = 0] M_li, horizontal l, i;
-    * ``mc``, ``kc``: M_ij;g and K_i;g, e_g(M) minus the abar contractions;
-    * ``e``, ``m``, ``k``: e_a^mu, M_ij and K_i;
-    * ``de``, ``dm``: d_nu e_a^mu (axes a, mu, nu) and e_g(M_ij) (axes i, j, g).
+    * ``mc``, ``kc``: M_ij;g and K_i;g, e_g(M) and e_g(K) minus the abar
+      contractions;
+    * ``e``, ``de``: e_a^mu and d_nu e_a^mu (axes a, mu, nu).
     """
     cf = adapted.coframe
-    v, dv = evaluate_along(
-        {"e": cf.vectors, "th": [[t.coefficient((mu,)) for mu in range(cf.n)] for t in cf.theta],
-         "g": adapted.metric.entries, "u": adapted.u, "m": m, "k": k},
-        adapted.chart.columns(points))
-    e = v["e"]
-    conn = frame_connection(v["th"], e, dv["e"], cf.eta)[1]
-    m, k = v["m"], v["k"]
+    v, dv = evaluate_along({"g": adapted.metric.entries, "s": cf.seeds, "f": adapted.f},
+                           adapted.chart.columns(points))
+    e, de, _, _ = gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
+                                   dg=dv["g"], dseeds=dv["s"])
+    conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de, cf.eta)[1]
+    ef = np.einsum("amp,mnp->anp", e, v["f"])                    # e_a^mu F_mu nu
+    fab = np.einsum("anp,bnp->abp", ef, e)
+    dfe = np.einsum("anp,bnrp->abrp", ef, de)                   # F(e_a, d_r e_b)
+    dfab = (np.einsum("amp,mnrp,bnp->abrp", e, dv["f"], e) + dfe
+            - np.swapaxes(dfe, 0, 1))                           # d_r F(e_a, e_b)
+    m, k = -0.5 * fab[1:, 1:], -fab[0, 1:]
+    dm = -0.5 * np.einsum("gnp,ijnp->ijgp", e, dfab[1:, 1:])
+    dk = -np.einsum("gnp,inp->igp", e, dfab[0, 1:])
     abar = conn[1:, 1:].copy()
     abar[:, :, 0] -= m
-    dm = np.einsum("gnp,ijnp->ijgp", e, dv["m"])
     return {
-        "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": dv["e"].copy(), "dm": dm,
-        "lie": np.einsum("amp,bnp,mnp->abp", e, e, _lie(v["g"], dv["g"], v["u"], dv["u"])),
+        "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
+        "lie": np.einsum("amp,bnp,mnp->abp", e, e,
+                         _lie(v["g"], dv["g"], v["s"][0], dv["s"][0])),
         "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
-        "kc": np.einsum("gnp,inp->igp", e, dv["k"]) - np.einsum("ligp,lp->igp", abar, k),
+        "kc": dk - np.einsum("ligp,lp->igp", abar, k),
     }
 
 
@@ -234,7 +271,6 @@ class FlowData:
     columns it was analysed at and its :func:`flow_jet` there."""
 
     adapted: AdaptedFlow
-    invariants: FlowInvariants
     samples: dict
     jet: dict
     rigidity: RigidityResult
@@ -249,6 +285,12 @@ class FlowData:
     def horizontal(self) -> int:
         return self.adapted.horizontal
 
+    @cached_property
+    def invariants(self) -> FlowInvariants:
+        """The symbolic reference M and K (:func:`flow_invariants`), built on
+        first access; no pipeline stage reads them."""
+        return flow_invariants(self.adapted)
+
     @property
     def m(self) -> list:
         return self.invariants.m
@@ -262,12 +304,11 @@ def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  samples: Mapping[str, np.ndarray],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8) -> FlowData:
     adapted = adapted_coframe(metric, flow, samples, flow_tol)
-    invariants = flow_invariants(adapted)
-    jet = flow_jet(adapted, invariants.m, invariants.k, samples)
+    jet = flow_jet(adapted, samples)
     conn, m, k = jet["conn"], jet["m"], jet["k"]
-    # two independent routes to M and K: d psi0 against the connection slots
+    # two independent routes to M and K: F = d psi0 against the connection slots
     two_path = max(max_abs(k - conn[0, 1:, 0]), max_abs(m - conn[1:, 0, 1:]))
-    return FlowData(adapted, invariants, samples, jet, rigidity_test(jet["lie"], rigidity_tol),
+    return FlowData(adapted, samples, jet, rigidity_test(jet["lie"], rigidity_tol),
                     two_path, max_abs(m + np.swapaxes(m, 0, 1)))
 
 
@@ -369,9 +410,10 @@ def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     (quotient curvature), ``ricci_cross``/``scalar_cross`` (its cross-checks),
     ``leaf`` (Rq_ijkl;0) and ``m2_leaf`` (u(|M|^2) = 2 sum M_ij u(M_ij)).
     """
-    jet, cf, e = flow.jet, flow.adapted.coframe, flow.jet["e"]
-    r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, cf.vectors[0])), flow.samples, e,
-                                  np.einsum("np,amnp->amp", e[0], jet["de"]), cf.eta)
+    jet, e = flow.jet, flow.jet["e"]
+    r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, flow.adapted.u)), flow.samples, e,
+                                  np.einsum("np,amnp->amp", e[0], jet["de"]),
+                                  flow.adapted.coframe.eta)
     m, dm, k, a = jet["m"], jet["dm"][:, :, 0], jet["k"], jet["abar"][:, :, 0]
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)

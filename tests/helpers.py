@@ -82,14 +82,14 @@ def symbolic_torsion(coframe) -> tuple:
     return [ext_d(t) for t in coframe.theta], alpha_theta
 
 
-def structure_checks(metric, fd, points, values=None) -> tuple:
+def structure_checks(fd, points, values=None) -> tuple:
     """(torsion, metric reconstruction, connection antisymmetry) residuals at
     ``points``, from the same inputs as the pipeline's curvature section
     (``values``: the curvature values of ``fd`` there, evaluated if None)."""
-    recon, th = reconstruction_residual(metric, fd.coframe, points)
     if values is None:
         values = fd.curvature_values(points)
-    return torsion_residual(fd, values, th), recon, antisymmetry_residual(fd, values, th)
+    return (torsion_residual(fd, values), reconstruction_residual(fd, values),
+            antisymmetry_residual(fd, values))
 
 
 def columns(points) -> dict:

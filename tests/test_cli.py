@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 import movingframes
 from movingframes.cli import (TASKS, ConfigError, load_config, load_config_file,
                               main, run_pipeline, serialize_report)
+from movingframes.expression import EvalDomainError
 from movingframes.exterior import MatrixForm
-from movingframes.frames import FrameData
+from movingframes.frames import FrameData, SignatureError, SingularMetricError
+from movingframes.submersion import VanishingFlowError
 
 
 def screw_config(**overrides):
@@ -233,15 +235,15 @@ class TestPipeline:
         at the samples, and no stage builds symbolically more than its
         formulas need:
 
-        * the ambient curvature comes from the coordinate 2-jet of the metric,
-          so the only symbolic derivatives of a curvature run are those of the
-          metric entries, one diff per symmetric pair and coordinate; no
-          connection is solved symbolically (the ambient one was, once per
-          run, before: d theta, its contractions and the cyclic sum);
-        * ext_d and contract run only in flow_invariants, for d psi0 and its
-          contractions on the adapted frame, so not in the curvature-only
-          generic run (the flow stage also contracted the ambient coframe on
-          the adapted frame before);
+        * the only symbolic derivatives of a curvature run are those of the
+          metric entries, one diff per symmetric pair and coordinate; a flow
+          run adds the n(n-1) first derivatives of psi0 that give F = d psi0
+          (no ext_d);
+        * no frame is built symbolically: the ambient and the adapted frame
+          are numeric Gram-Schmidt at the points, so neither run calls the
+          symbolic Gram-Schmidt, ext_d, contract or flow_invariants (a flow
+          run called the first twice, ext_d once and contract six times,
+          for d psi0 and its contractions on the symbolic adapted frame);
         * no stage calls simplify (the constructors already return its fixed
           point), and none builds a curvature 2-form, a connection 1-form, a
           wedge product or a symbolic covariant or directional derivative.
@@ -251,29 +253,20 @@ class TestPipeline:
                  "solve_connection": movingframes, "covariant_derivative": movingframes,
                  "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
                  "flow_invariants": movingframes.submersion,
+                 "gram_schmidt_frame": movingframes.frames,
                  "simplify": movingframes.expression, "diff": movingframes.expression,
                  "wedge": movingframes.exterior, "pform_scale": movingframes.exterior,
                  "ext_d": movingframes.exterior, "contract": movingframes.exterior}
         calls = dict.fromkeys(homes, 0)
         calls["curvature_values"] = calls["eta_antisymmetry_residual"] = 0
         differentiated = []
-        outside = []        # ext_d and contract calls outside flow_invariants
-        inside = [False]
 
         def count(name, real):
             def counting(*args, **kwargs):
                 calls[name] += 1
                 if name == "diff":
                     differentiated.append(args[0])
-                if name in ("ext_d", "contract") and not inside[0]:
-                    outside.append(name)
-                if name != "flow_invariants":
-                    return real(*args, **kwargs)
-                inside[0] = True
-                try:
-                    return real(*args, **kwargs)
-                finally:
-                    inside[0] = False
+                return real(*args, **kwargs)
             return counting
 
         for name, home in homes.items():
@@ -288,10 +281,12 @@ class TestPipeline:
                             count("eta_antisymmetry_residual",
                                   MatrixForm.eta_antisymmetry_residual))
         cache = dict(movingframes.expression._SIMPLIFY_CACHE)
-        report, code = run_pipeline(load_config(screw_config()))
+        screw_cfg = load_config(screw_config())
+        report, code = run_pipeline(screw_cfg)
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        assert outside == [] and calls["ext_d"] == 1 and calls["contract"] == 2 * 2 + 2
-        screw_calls = dict(calls)
+        entries = {id(e) for row in screw_cfg.metric.entries for e in row}
+        assert len(differentiated) == 3 * 3 * 4 // 2 + 3 * 2
+        assert sum(id(e) in entries for e in differentiated) == 3 * 3 * 4 // 2
         del differentiated[:]
         generic_cfg = load_config(generic4_config())
         generic, code = run_pipeline(generic_cfg)
@@ -300,31 +295,47 @@ class TestPipeline:
         entries = {id(e) for row in generic_cfg.metric.entries for e in row}
         assert len(differentiated) == 4 * 4 * 5 // 2
         assert all(id(e) in entries for e in differentiated)
-        assert {k: calls[k] - screw_calls[k] for k in ("ext_d", "contract", "flow_invariants")} \
-            == {"ext_d": 0, "contract": 0, "flow_invariants": 0}
-        del calls["diff"], calls["ext_d"], calls["contract"]
+        del calls["diff"]
         assert calls == {"curvature_package": 2, "matrix_curvature": 0, "solve_connection": 0,
                          "wedge": 0, "pform_scale": 0, "eta_antisymmetry_residual": 0,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
-                         "flow_invariants": 1, "curvature_values": 2, "simplify": 0}
+                         "flow_invariants": 0, "gram_schmidt_frame": 0, "ext_d": 0,
+                         "contract": 0, "curvature_values": 2, "simplify": 0}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
-    def test_cold_generic_run_interns_few_nodes(self):
-        """A cold curvature run on a non-diagonal 4-D metric interns the
-        metric, its first derivatives and the coframe, and no connection and
-        nothing of the curvature (2399 nodes with the symbolic Riemann tensor,
-        496 with the connection 1-forms and the symbolic torsion check, 325
-        with the symbolic connection coefficients)."""
-        cfg = generic4_config()
+    @staticmethod
+    def _interned(cfg) -> tuple:
+        """(exit code, nodes interned by one run_pipeline, nodes in the table
+        after it) for ``cfg`` in a new interpreter."""
         script = ("import json, sys\n"
                   "from movingframes import cli, expression\n"
-                  "report, code = cli.run_pipeline(cli.load_config(json.loads(sys.argv[1])))\n"
-                  "print(code, len(expression._TABLE))\n")
+                  "config = cli.load_config(json.loads(sys.argv[1]))\n"
+                  "before = len(expression._TABLE)\n"
+                  "report, code = cli.run_pipeline(config)\n"
+                  "print(code, len(expression._TABLE) - before, len(expression._TABLE))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.dirname(movingframes.__path__[0])] + sys.path))
         out = subprocess.run([sys.executable, "-c", script, json.dumps(cfg)], env=env,
                              capture_output=True, text=True, check=True).stdout.split()
-        assert out[0] == "0" and int(out[1]) < 150
+        return tuple(int(v) for v in out)
+
+    def test_cold_generic_run_interns_few_nodes(self):
+        """A cold curvature run on a non-diagonal 4-D metric interns the
+        metric and its first derivatives, and no frame, no connection and
+        nothing of the curvature (2399 nodes with the symbolic Riemann tensor,
+        496 with the connection 1-forms and the symbolic torsion check, 325
+        with the symbolic connection coefficients, 80 with the symbolic
+        Gram-Schmidt frame)."""
+        code, _, total = self._interned(generic4_config())
+        assert code == 0 and total < 150
+
+    def test_cold_conformal_run_interns_few_nodes(self):
+        """A cold run of every task on the conformal 4-D metric with its
+        Killing flow interns u, psi0 and F = d psi0 besides the metric jets:
+        no symbolic frame, no d psi0 contraction and no K_mu (322 nodes with
+        them)."""
+        code, interned, _ = self._interned(conformal4_config(11))
+        assert code == 0 and interned < 322 // 2
 
     def test_coframe_order_orders_only_the_ambient_frame(self):
         """coframe_order reorders the ambient Gram-Schmidt; the adapted frame
@@ -481,6 +492,22 @@ class TestCommandLine:
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 
+    def test_config_file_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_report_exit_two(self, tmp_path, capsys, where):
+        """A report that cannot be written is an input error, not a failed check."""
+        path = write(tmp_path, "cfg.json", screw_config(tasks=["curvature"]))
+        out = tmp_path / "absent" / "report.json" if where == "missing directory" else tmp_path
+        assert main(["run", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write report: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("entry, domain", [
         ("x + y", [1.4e308, 1.6e308]),      # the sum overflows
         ("10^400*x", [0.5, 1.0]),           # the constant overflows a float
@@ -496,6 +523,65 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "input error" in err and "at point" in err
 
+
+    @pytest.mark.parametrize("cfg, error, message", [
+        ({"chart": {"coordinates": ["x", "y"]}, "metric": [["1", "0"], ["0", "0"]],
+          "samples": {"mode": "random", "count": 5, "seed": 1}, "tasks": ["curvature"]},
+         SingularMetricError, "metric pivot vanishes identically at point "
+         "{'x': 0.023643249400513433, 'y': 0.9009273926518706}"),
+        # the first pivot, x^2 + y^2, vanishes at the middle point of the grid only
+        ({"chart": {"coordinates": ["x", "y"]}, "metric": [["x^2 + y^2", "0"], ["0", "1"]],
+          "samples": {"mode": "grid", "count": 9}, "tasks": ["curvature"]}, SingularMetricError,
+         "degenerate pivot |0.000e+00| < 1e-08 at point {'x': 0.0, 'y': 0.0}"),
+        # the second pivot is y^2
+        ({"chart": {"coordinates": ["x", "y"]}, "metric": [["1", "x"], ["x", "x^2 + y^2"]],
+          "samples": {"mode": "grid", "count": 25}, "tasks": ["curvature"]}, SingularMetricError,
+         "degenerate pivot |0.000e+00| < 1e-08 at point {'x': -1.0, 'y': 0.0}"),
+        # g_11 faults at the second sample, g_00 (the first pivot) at the third
+        ({"chart": {"coordinates": ["x", "y"]},
+          "metric": [["1 + sqrt(x)", "0"], ["0", "1 + sqrt(y)"]],
+          "samples": {"mode": "random", "count": 6, "seed": 5}, "tasks": ["curvature"]},
+         EvalDomainError, "non-integer power 1/2 of negative base -0.8921385952366871 at point "
+         "{'x': -0.8921385952366871, 'y': -0.23326223842896354}"),
+        ({"chart": {"coordinates": ["x", "y"]}, "metric": [["x", "0"], ["0", "1"]],
+          "samples": {"mode": "random", "count": 7, "seed": 5}, "tasks": ["curvature"]},
+         SingularMetricError, "metric pivot changes sign at point "
+         "{'x': -0.8921385952366871, 'y': -0.23326223842896354}"),
+        ({"chart": {"coordinates": ["t", "x"], "signature": [1, 1]},
+          "metric": [["-1", "0"], ["0", "1"]],
+          "samples": {"mode": "random", "count": 5, "seed": 2}, "tasks": ["curvature"]},
+         SignatureError, "pivot sign -1 at slot 0 contradicts declared signature entry +1"),
+        ({"chart": {"coordinates": ["x", "y"]}, "metric": [["1", "0"], ["0", "1"]],
+          "flow": ["x", "y"], "samples": {"mode": "grid", "count": 9}, "tasks": ["flow"]},
+         VanishingFlowError, "flow norm 0.000e+00 below 1e-08 at point {'x': 0.0, 'y': 0.0}"),
+        # u = d_x where x = y = 0: the adapted frame's d_x pivot degenerates there
+        ({"chart": {"coordinates": ["x", "y", "z"]},
+          "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+          "flow": ["1", "x", "y"], "samples": {"mode": "grid", "count": 27}, "tasks": ["flow"]},
+         SingularMetricError,
+         "degenerate pivot |0.000e+00| < 1e-08 at point {'x': 0.0, 'y': 0.0, 'z': -1.0}")])
+    def test_frame_faults_name_the_same_point(self, tmp_path, capsys, cfg, error, message):
+        """The numeric Gram-Schmidt checks each pivot as the symbolic one did:
+        the same exception, exit code, message and first named sample (the
+        messages are those of the symbolic frames)."""
+        cfg = dict(cfg, schema_version="1")
+        with pytest.raises(error) as exc:
+            run_pipeline(load_config(cfg))
+        assert str(exc.value) == message
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_frame_overflow_names_the_point(self, tmp_path, capsys):
+        """The metric is finite, its second Gram-Schmidt pivot overflows: an
+        input error at the same first sample as the symbolic frame's."""
+        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y"]},
+               "metric": [["10^-7*(2 + x)", "10^300*y"], ["10^300*y", "1"]],
+               "samples": {"mode": "random", "count": 4, "seed": 3}, "tasks": ["curvature"]}
+        with pytest.raises(EvalDomainError) as exc:
+            run_pipeline(load_config(cfg))
+        assert exc.value.point == {"x": -0.8287016657127513, "y": -0.5263789868078006}
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
 
     @pytest.mark.parametrize("cfg, message", [
         ({"chart": {"coordinates": ["x", "y"], "domain": {"x": [0, 1], "y": [-1, 1]}},
@@ -622,7 +708,9 @@ def _nodes(tree, path=()):
 @given(st.data())
 def test_main_exit_code_contract_fuzz(data):
     """Mutated valid configs, run in process through ``main``: the exit code
-    is 0, 1 or 2, and no exception or traceback escapes."""
+    is 0, 1 or 2, and no exception or traceback escapes.  The file holds the
+    config as JSON text, that text with arbitrary bytes spliced in, or
+    arbitrary bytes alone."""
     cfg = copy.deepcopy(FUZZ_BASE)
     for _ in range(data.draw(st.integers(1, 3))):
         path = data.draw(st.sampled_from(list(_nodes(cfg))[1:]))
@@ -639,8 +727,15 @@ def test_main_exit_code_contract_fuzz(data):
             parent[key] = [parent[key]] if action == "list" else {"k": parent[key]}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(cfg, fh)
+        blob = json.dumps(cfg).encode()
+        form = data.draw(st.sampled_from(["json", "splice", "bytes"]))
+        if form == "splice":
+            at = data.draw(st.integers(0, len(blob)))
+            blob = blob[:at] + data.draw(st.binary(min_size=1, max_size=8)) + blob[at:]
+        elif form == "bytes":
+            blob = data.draw(st.binary(max_size=64))
+        with open(path, "wb") as fh:
+            fh.write(blob)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["run", "--config", path, "--out", os.path.join(tmp, "report.json")])

@@ -1,13 +1,15 @@
 """Coframes, connection solving, curvature and classification."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from movingframes.cli import DEFAULT_TOLERANCES
-from movingframes.expression import (Chart, add, call, eval_at, evaluate, evaluate_along,
-                                     mul, num, parse_expr, pow_, sample_points, sym)
+from movingframes.expression import (Chart, add, call, diff, eval_at, evaluate,
+                                     evaluate_along, mul, num, parse_expr, pow_, sample_points,
+                                     sym)
 from movingframes.exterior import MatrixForm, pform_add, pform_scale
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  antisymmetry_residual, build_coframe, classify_space,
@@ -63,7 +65,7 @@ class TestBuildCoframe:
         cf = build_coframe(g, samples=pts)
         assert cf.eta == (-1, 1)
         fd = curvature_package(cf)
-        assert max(structure_checks(g, fd, pts)) < 1e-12
+        assert max(structure_checks(fd, pts)) < 1e-12
 
     def test_metric_symmetry_enforced(self):
         chart = Chart(["x", "y"])
@@ -107,7 +109,7 @@ class TestSolveConnection:
     def test_torsion_residuals(self, flat3_frame, polar3_frame, sphere2_frame,
                                hyperbolic3_frame):
         for bundle in (flat3_frame, polar3_frame, sphere2_frame, hyperbolic3_frame):
-            tors, _, anti = structure_checks(bundle["metric"], bundle["frame"], bundle["points"])
+            tors, _, anti = structure_checks(bundle["frame"], bundle["points"])
             assert tors < 1e-9 and anti < 1e-9
 
 
@@ -169,9 +171,8 @@ class TestCurvature:
                             sphere2_frame, hyperbolic3_frame, conformal4_frame):
         for bundle in (flat3_frame, polar3_frame, sphere1_frame, sphere2_frame,
                        hyperbolic3_frame, conformal4_frame):
-            res, _ = reconstruction_residual(bundle["metric"], bundle["frame"].coframe,
-                                             bundle["points"])
-            assert res < 1e-9
+            fd = bundle["frame"]
+            assert reconstruction_residual(fd, fd.curvature_values(bundle["points"])) < 1e-9
 
 
 class TestClassification:
@@ -301,10 +302,12 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
     hyper-dual walk over g and its first derivatives, read in the frame)
     against the symbolic route, d alpha + alpha ^ alpha of solve_connection
     contracted on the frame, and its forward-mode u-derivative, component by
-    component, along a field u with non-constant components.  In an
-    orthonormal frame u(R) vanishes on the constant-curvature spaces (sphere2,
-    hyperbolic3, polar3 and the Hopf-coordinate 3-sphere), so the conformal,
-    generic and Lorentzian 4-D metrics are the ones that see its terms."""
+    component, along a field u with non-constant components; the frame and
+    its u-derivative u^n d_n e_a^m are those of the numeric Gram-Schmidt jet
+    of the curvature walk.  In an orthonormal frame u(R) vanishes on the
+    constant-curvature spaces (sphere2, hyperbolic3, polar3 and the
+    Hopf-coordinate 3-sphere), so the conformal, generic and Lorentzian 4-D
+    metrics are the ones that see its terms."""
     for metric, varies in ((sphere2[1], False), (hyperbolic3[1], False), (polar3[1], False),
                            (conformal4[1], True), (_hopf(), False), (_generic4(), True),
                            (_lorentz4(), True)):
@@ -316,7 +319,8 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
                                 call("sin", sym(c)))) for a, c in enumerate(names)}
         want, _, dwant, _ = evaluate_along(symbolic_riemann(fd.coframe), pts, second=u)
         values = fd.curvature_values(pts)
-        e, _, ue, _ = evaluate_along(fd.coframe.vectors, pts, second=u)
+        e, de = values["jet"][0]["e"], values["jet"][1]
+        ue = np.einsum("np,amnp->amp", evaluate([u[c] for c in names], pts), de)
         got, dgot = fd.riemann_along(u, pts, e, ue, fd.eta)
         assert bool(np.max(np.abs(dwant)) > 1e-3) == varies
         assert np.array_equal(np.moveaxis(got, -1, 0), values["riemann"])
@@ -332,9 +336,9 @@ def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyp
                                                             conformal4):
     """The coordinate coefficients of d theta^i and of alpha^i_j ^ theta^j as
     the torsion check forms them in numpy (c from the frame jet, Gamma by the
-    Christoffel route of the curvature walk, theta from the reconstruction
-    check) against the symbolic route (ext_d, and wedge of the
-    solve_connection forms), each half on its own; and the numpy connection
+    Christoffel route and theta from the curvature walk) against the symbolic
+    route (ext_d, and wedge of the solve_connection forms), each half on its
+    own; and the numpy connection
     antisymmetry against the symbolic forms'
     MatrixForm.eta_antisymmetry_residual.  Both are round-off for a correct
     connection, and the routes round differently (up to 1.6e-15 against 0)."""
@@ -342,10 +346,9 @@ def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyp
                    _lorentz4()):
         pts = sample_points(metric.chart, "random", 12, seed=37)
         fd = curvature_package(build_coframe(metric, pts))
-        _, th = reconstruction_residual(metric, fd.coframe, pts)
         values = fd.curvature_values(pts)
         v, de = values["jet"]
-        g = v["gamma"]
+        g, th = v["gamma"], v["th"]
         mu, nu = (a.tolist() for a in np.triu_indices(fd.n, 1))
         got = [np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu]
                for t in (frame_connection(th, v["e"], de, fd.eta)[0],
@@ -355,7 +358,7 @@ def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyp
         assert np.max(np.abs(want[0])) > 0.1, metric.chart.coords     # d theta != 0
         for gh, wh in zip(got, want):
             assert np.all(np.abs(gh - wh) <= 1e-12 * np.maximum(1.0, np.abs(wh))), metric.chart
-        assert antisymmetry_residual(fd, values, th) == pytest.approx(
+        assert antisymmetry_residual(fd, values) == pytest.approx(
             solve_connection(fd.coframe).eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-14)
 
 
@@ -374,7 +377,7 @@ def test_structure_checks_see_a_perturbed_connection():
     values = fd.curvature_values(pts)
     tol = DEFAULT_TOLERANCES
     assert fd.eta == (1, 1, 1, 1)
-    assert max(structure_checks(metric, fd, pts, values)) < tol["structure"]
+    assert max(structure_checks(fd, pts, values)) < tol["structure"]
     delta = mul(Fraction(1, 1000), sym("x"))
     alpha = solve_connection(fd.coframe)
 
@@ -389,7 +392,35 @@ def test_structure_checks_see_a_perturbed_connection():
     for (case, forms), antisymmetric in (
             (perturbed(((0, 1, 2), delta)), False),
             (perturbed(((0, 1, 2), delta), ((1, 0, 2), -delta)), True)):
-        tors, recon, anti = structure_checks(metric, fd, pts, case)
+        tors, recon, anti = structure_checks(fd, pts, case)
         assert tors > tol["structure"] and recon < tol["structure"]
         assert (anti < tol["connection_antisymmetry"]) == antisymmetric
         assert anti == pytest.approx(forms.eta_antisymmetry_residual(pts), rel=1e-12, abs=1e-15)
+
+
+def _close(got, want, tol=1e-12):
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want))))
+
+
+def test_numeric_frame_and_its_jet_match_the_symbolic_gram_schmidt(flat3, polar3, sphere2):
+    """e_i^m and d_n e_i^m of the curvature walk (numeric Gram-Schmidt with
+    forward-mode tangents) against the symbolic Gram-Schmidt vectors and
+    their diff, evaluated: flat, polar, sphere, generic 4-D and Lorentzian
+    4-D metrics, and a non-diagonal 3-D metric in every coframe order."""
+    chart3 = Chart(["x", "y", "z"])
+    skew3 = Metric(chart3, [[parse_expr(t, chart3) for t in row] for row in (
+        ("1 + x^2", "x*y", "0"), ("x*y", "1 + y^2", "z/4"), ("0", "z/4", "exp(x)"))])
+    cases = [(metric, None) for metric in (flat3[1], polar3[1], sphere2[1], _generic4(),
+                                           _lorentz4())]
+    cases += [(skew3, list(order)) for order in itertools.permutations(chart3.coords)]
+    for metric, order in cases:
+        chart = metric.chart
+        pts = sample_points(chart, "random", 9, seed=53)
+        fd = curvature_package(build_coframe(metric, pts, order))
+        (v, de), vec = fd.curvature_values(pts)["jet"], fd.coframe.vectors
+        want = evaluate({"e": vec, "de": [[[diff(c, x) for x in chart.coords] for c in row]
+                                          for row in vec]}, pts)
+        assert _close(v["e"], want["e"]) and _close(de, want["de"]), (chart, order)
+        if metric is skew3:
+            assert np.max(np.abs(want["de"])) > 0.1

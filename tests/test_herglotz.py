@@ -1,5 +1,6 @@
 """Hypothesis gates, Killing-magnitude reconstruction and isometry checks."""
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from movingframes.cli import _round12
-from movingframes.expression import (Chart, call, eval_at, mul, num,
+from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul, num,
                                      sample_points, sym)
 from movingframes.frames import (Metric, build_coframe, classify_space,
                                  curvature_package)
@@ -22,6 +23,17 @@ import oracle
 from helpers import columns, metric_fn, rows, vector_fn
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
+
+
+def _with_k(fl, k_mu):
+    """The vertical flow ``fl`` (u = d_z, psi0 = dz in flat R^3) with
+    F = K ^ psi0, F_ab = K_a psi0_b - K_b psi0_a, for the horizontal
+    coordinate 1-form ``k_mu``: the K_mu = -u^nu F_nu mu that the lambda
+    quadrature integrates is then ``k_mu``."""
+    psi0 = [num(0), num(0), num(1)]
+    f = tuple(tuple(add(mul(k_mu[a], psi0[b]), mul(num(-1), k_mu[b], psi0[a]))
+                    for b in range(3)) for a in range(3))
+    return dataclasses.replace(fl, adapted=dataclasses.replace(fl.adapted, f=f))
 
 
 class TestHypotheses:
@@ -107,14 +119,14 @@ class TestLambda:
         chart, metric = flat3
         pts = sample_points(chart, "random", 6, seed=34)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        fl.invariants.k = [num(0), sym("x")]  # K = x dy on the horizontal legs
+        k = [num(0), sym("x")]      # K = x dy on the horizontal legs e_1 = d_x, e_2 = d_y
         from movingframes.submersion import covariant_derivative
-        kc = covariant_derivative(fl.k, fl, rank=1)
+        kc = covariant_derivative(k, fl, rank=1)
         closed = max(abs(eval_at(kc[0][2], p) - eval_at(kc[1][1], p)) * 0.5
                      for p in rows(pts))
         assert closed == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(ClosednessError):
-            reconstruct_lambda(fl, rows(pts)[0], closed)
+            reconstruct_lambda(_with_k(fl, k + [num(0)]), rows(pts)[0], closed)
 
     def test_path_through_excluded_region_refused(self):
         from movingframes.expression import parse_exclusion
@@ -167,16 +179,15 @@ class TestQuadrature:
         segment reads nan and the reconstruction refuses with a PathError."""
         from movingframes.herglotz import PathError, _OPEN_PER_SEGMENT, _line_integrals
         chart, metric = flat3
-        wild = [call("sin", mul(num(10 ** 4), sym("x"))), num(0), num(0)]
+        pts = sample_points(chart, "random", 4, seed=44)
+        wild = _with_k(analyze_flow(metric, [num(0), num(0), num(1)], pts),
+                       [call("sin", mul(num(10 ** 4), sym("x"))), num(0), num(0)])
         starts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         ends = np.array([[0.9, 0.0, 0.0], [0.0, 0.5, 0.0]])
-        ints = _line_integrals(wild, chart, starts, ends, 1e-10)
+        ints = _line_integrals(wild.adapted.u, wild.adapted.f, chart, starts, ends, 1e-10)
         assert np.isnan(ints[0]) and ints[1] == 0.0
-        pts = sample_points(chart, "random", 4, seed=44)
-        fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        fl.invariants.k = [call("sin", mul(num(10 ** 4), sym("x"))), num(0)]
         with pytest.raises(PathError, match=f"more than {_OPEN_PER_SEGMENT} open panels"):
-            reconstruct_lambda(fl, rows(pts)[0], 0.0)
+            reconstruct_lambda(wild, rows(pts)[0], 0.0)
 
 
 class TestKilling:
@@ -374,3 +385,42 @@ class TestRicciFlat:
         rep = ricci_flat_check(screw["constraints"], sphere2_frame["classification"])
         assert not rep.applicable
         assert "not Ricci flat" in rep.reason
+
+
+def test_k_from_f_matches_k_on_the_coframe(screw):
+    """K_mu = -u^nu F_nu mu, as the quadrature forms it from u and F, against
+    sum_i K_i theta^i_mu built on the symbolic reference frame (K_i from
+    d psi0 contracted on it), at the Gauss-Kronrod nodes of the segments from
+    the basepoint to each sample: the screw flow, the Hopf flow and a
+    conformal 4-D flow."""
+    from movingframes.herglotz import _GK_NODES, _k_values
+    eta = sym("eta")
+    hopf = Chart(["eta", "xi1", "xi2"],
+                 domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+    hopf_metric = Metric(hopf, [[num(1), num(0), num(0)],
+                                [num(0), call("cos", eta) ** 2, num(0)],
+                                [num(0), num(0), call("sin", eta) ** 2]])
+    conf = Chart(["x", "y", "z", "w"],
+                 domain={"x": (0.5, 1.5), "y": (-0.5, 0.5), "z": (-1.0, 1.0), "w": (-1.0, 1.0)})
+    x, y = sym("x"), sym("y")
+    factor = call("exp", mul(num(Fraction(1, 5)), x ** 2 + y ** 2))
+    conf_metric = Metric(conf, [[factor if i == j else num(0) for j in range(4)]
+                                for i in range(4)])
+    flows = [screw["flow_data"],
+             analyze_flow(hopf_metric, [call("sin", eta), num(1), call("cos", sym("xi1"))],
+                          sample_points(hopf, "random", 5, seed=46)),
+             analyze_flow(conf_metric, [-y, x, num(1), mul(num(Fraction(1, 2)), x)],
+                          sample_points(conf, "random", 5, seed=47))]
+    for fl in flows:
+        chart, theta = fl.chart, fl.adapted.coframe.theta
+        k_mu = [add(*[mul(k, t.coefficient((mu,))) for k, t in zip(fl.k, theta[1:])])
+                for mu in range(chart.n)]
+        ends = np.column_stack([fl.samples[c] for c in chart.coords])
+        base = ends[:1]
+        t = 0.5 + 0.5 * _GK_NODES
+        nodes = base[:, None, :] + t[None, :, None] * (ends - base)[:, None, :]
+        pts = dict(zip(chart.coords, nodes.reshape(-1, chart.n).T))
+        want = evaluate(k_mu, pts)
+        got = _k_values(fl.adapted.u, fl.adapted.f, pts)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))

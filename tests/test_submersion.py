@@ -320,7 +320,7 @@ class TestFlowJet:
                 assert np.max(np.abs(want["lie"][1:, 1:])) > 0.1
                 sizes.append({k: np.max(np.abs(v)) for k, v in want.items()})
             shuffled = dict(reversed(list(pts.items())))    # the chart fixes the derivative axis
-            again = flow_jet(fl.adapted, fl.invariants.m, fl.invariants.k, shuffled)
+            again = flow_jet(fl.adapted, shuffled)
             assert all(np.array_equal(again[k], v) for k, v in fl.jet.items())
             got["lie_at"] = lie_derivative_at(fl.adapted.metric, fl.adapted.u,
                                               fl.adapted.coframe.vectors, shuffled)
@@ -329,6 +329,52 @@ class TestFlowJet:
                 assert got[name].shape == w.shape, name
                 assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
         assert all(max(s[k] for s in sizes) > 0.1 for k in ("conn", "mc", "kc"))
+
+
+    def test_adapted_frame_and_invariants_match_the_symbolic_route(self, screw):
+        """The adapted frame e_a^mu and its jet d_nu e_a^mu (numeric
+        Gram-Schmidt of [u, d_0, ...] with tangents), M, K, M;g and K;g
+        against the symbolic route: the symbolic Gram-Schmidt vectors and
+        their diff, d psi0 contracted on them (flow_invariants) and
+        covariant_derivative.  The flow along x on the conformal 4-space
+        skips the coordinate seed d_x, and the diagonal flow in flat space
+        skips d_y: each projection is structurally zero in the symbolic
+        route and about 1e-32 in the numeric one, below the 1e-10 skip rule."""
+        eta = sym("eta")
+        hopf = Chart(["eta", "xi1", "xi2"],
+                     domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
+        hopf_metric = Metric(hopf, [[num(1), num(0), num(0)],
+                                    [num(0), call("cos", eta) ** 2, num(0)],
+                                    [num(0), num(0), call("sin", eta) ** 2]])
+        conf = Chart(["x", "y", "z", "w"])
+        x, y = sym("x"), sym("y")
+        factor = call("exp", mul(num(Fraction(3, 5)), x) + mul(num(Fraction(1, 5)), y ** 2))
+        conf_metric = Metric(conf, [[factor if i == j else num(0) for j in range(4)]
+                                    for i in range(4)])
+        flat = Chart(["x", "y", "z"])
+        cases = [(screw["flow_data"], (0, 1, 2)),
+                 (analyze_flow(hopf_metric, [call("sin", eta), num(1), call("cos", sym("xi1"))],
+                               sample_points(hopf, "random", 6, seed=43)), (0, 1, 2)),
+                 (analyze_flow(conf_metric, [num(1), num(0), num(0), num(0)],
+                               sample_points(conf, "random", 6, seed=44)), (0, 2, 3, 4)),
+                 (analyze_flow(_identity3(flat), [num(1), num(1), num(0)],
+                               sample_points(flat, "random", 6, seed=45)), (0, 1, 3))]
+        for fl, kept in cases:
+            n = fl.chart.n
+            seeds = [fl.adapted.u] + [tuple(num(1) if mu == k else num(0) for mu in range(n))
+                                      for k in range(n)]
+            assert fl.adapted.coframe.seeds == tuple(seeds[k] for k in kept)
+            vec, coords = fl.adapted.coframe.vectors, fl.chart.coords
+            want = evaluate({"e": vec, "de": [[[diff(c, x) for x in coords] for c in row]
+                                              for row in vec],
+                             "m": fl.m, "k": fl.k,
+                             "mc": covariant_derivative(fl.m, fl, rank=2),
+                             "kc": covariant_derivative(fl.k, fl, rank=1)}, fl.samples)
+            for name, w in want.items():
+                got = fl.jet[name]
+                assert got.shape == w.shape, name
+                assert np.all(np.abs(got - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), name
+        assert np.max(np.abs(cases[2][0].jet["kc"])) > 0.1
 
 
 class TestConstraintSystem:

@@ -112,12 +112,12 @@ def _fresh_process(configs: list) -> list:
     return [json.loads(line) for line in out.splitlines()]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="add and mul order terms by creation uid, so a report depends "
-                   "on what the process ran before (ROADMAP item 4)")
 def test_session_mix_reports_do_not_depend_on_process_history(workloads):
     """Each session-mix config of seeds 11 and 23 gives the same report bytes
-    after the configs before it in one process as alone in a fresh one."""
+    after the configs before it in one process as alone in a fresh one.
+    add and mul still order terms by creation uid (ROADMAP item 4), so this
+    holds only while no stage interns a node, first made by an earlier
+    config of these sessions, whose term order a later report shows."""
     moved = []
     for seed in (11, 23):
         (session,) = workloads.generate("session-mix", seed)
