@@ -10,7 +10,8 @@ errors (singular metric, vanishing flow, malformed JSON ...).
 
 Reports are deterministic: identical config (including the sampling seed)
 produces byte-identical JSON.  Floats are rounded to 12 significant digits
-before serialisation, random sampling uses numpy's seeded PCG64 generator,
+before serialisation, random sampling draws numpy's ``default_rng(seed).uniform``
+stream (PCG64), reproduced in-module without importing ``numpy.random``,
 and the report embeds the tool version plus the SHA-256 of the conventions
 document.
 """
@@ -18,6 +19,7 @@ document.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -236,6 +238,7 @@ def _round12(value):
     return value
 
 
+@functools.cache
 def conventions_sha256() -> str:
     from importlib import resources
     data = resources.files("movingframes").joinpath("CONVENTIONS.md").read_bytes()

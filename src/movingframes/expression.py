@@ -1276,13 +1276,89 @@ class Chart:
         return f"Chart({','.join(self.coords)}; {sig})"
 
 
+# numpy's default_rng(seed).uniform, reproduced bit for bit without importing
+# numpy.random (its lazy import was most of a cold run's sampling time).
+# SeedSequence (NEP 19) hashes the seed into PCG64's state s and increment c;
+# a draw steps the 128-bit LCG s -> a*s + c, folds s to 64 bits by XSL-RR
+# (O'Neill, HMC-CS-2014-0905) and returns low + (high - low)*(x >> 11)*2^-53.
+# A block's states come by jump-ahead, s_j = a^j*s + (1 + a + ... + a^(j-1))*c
+# mod 2^128, in one float64 matmul: _JUMPS holds a^j and the sum as 16-bit
+# limbs (grown on use), s*_SPREAD[0] + c*_SPREAD[1] the 32-bit words of
+# s*2^(16r) and c*2^(16r), r < 8, so every partial sum is below 2^52.
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LANES = 4096       # states per block: its arrays stay in cache
+_SPREAD = tuple(sum(1 << 16 * r + 256 * (8 * half + r) for r in range(8)) for half in (0, 1))
+_JUMPS = np.array([[v >> 16 * k & 0xFFFF] for v in (_PCG_MULT, 1) for k in range(8)], float)
+
+
+def _lcg_states(s: int, c: int, m: int) -> tuple:
+    """The (lo, hi) uint64 words of the states 1..m of the LCG from s with increment c."""
+    global _JUMPS
+    table = _JUMPS      # one table throughout, whatever another thread stores meanwhile
+    while table.shape[1] < m:       # column n + j is column j stepped from column n
+        n = table.shape[1]
+        p, g = (int.from_bytes(table[h:h + 8, -1].astype("<u2").tobytes(), "little")
+                for h in (0, 8))
+        more = np.stack([*_lcg_states(p, 0, n), *_lcg_states(g, 1, n)], 1)
+        table = _JUMPS = np.concatenate([table, more.astype("<u8", copy=False).view("<u2").T], 1)
+    seeds = np.frombuffer((s * _SPREAD[0] + c * _SPREAD[1]).to_bytes(512, "little"), "<u4")
+    q = seeds.reshape(16, 8)[:, :4].T @ table[:, :m]    # 32-bit columns, carries pending
+    q = (q + 2.0 ** 52).view(np.uint64) & 2**52 - 1     # below 2^52: the mantissa is q
+    t = (q[0] >> 32) + q[1]
+    return (q[0] & _M32) | (t << 32), (t >> 32) + q[2] + (q[3] << 32)
+
+
+class _PCG64:
+    """``numpy.random.default_rng(seed)``, as far as ``uniform`` draws it: an
+    array of ``size = (k, n)`` from ``low`` and ``high`` of length n."""
+
+    def __init__(self, seed: int):
+        """The state and increment PCG64 takes from SeedSequence(seed)."""
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+        # hashmix: x ^= h; h *= MULT; x *= h; x ^= x >> 16 (h runs on across calls)
+        h, pool = 0x43B0D7E5, []
+        for w in (words + [0, 0, 0])[:4]:
+            v = (w ^ h) * (h := h * 0x931E8875 & _M32) & _M32
+            pool.append(v ^ v >> 16)
+        # mix each pool word, then each later word, into the other pool words
+        for i, j in ((i, j) for i in range(max(4, len(words))) for j in range(4) if j != i):
+            v = ((pool[i] if i < 4 else words[i]) ^ h) * (h := h * 0x931E8875 & _M32) & _M32
+            v = (0xCA01F9DD * pool[j] - 0x4973F715 * (v ^ v >> 16)) & _M32
+            pool[j] = v ^ v >> 16
+        h, out = 0x8B51F9DD, 0      # generate_state: the same hash on the pool, cycled
+        for i in range(8):
+            v = (pool[i % 4] ^ h) * (h := h * 0x58F38DED & _M32) & _M32
+            out |= (v ^ v >> 16) << 32 * i
+        # pcg64_set_seed: s from words 0, 1 (high first), the stream from 2, 3; step, add s, step
+        s = (out & _M64) << 64 | out >> 64 & _M64
+        c = ((out >> 128 & _M64) << 65 | out >> 192 << 1 | 1) & _M128
+        self.state, self.inc = ((c + s) * _PCG_MULT + c) & _M128, c
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        u = np.empty(math.prod(size))
+        for start in range(0, len(u), _LANES):
+            lo, hi = _lcg_states(self.state, self.inc, min(_LANES, len(u) - start))
+            self.state = int(hi[-1]) << 64 | int(lo[-1])
+            x, r = hi ^ lo, hi >> 58
+            np.multiply(((x >> r | x << (64 - r)) >> 11).view(np.int64), 2.0 ** -53,
+                        out=u[start:start + len(x)])
+        cols = u.reshape(size).T.copy()     # long contiguous rows, not a broadcast over n
+        np.multiply((high - low)[:, None], cols, out=cols)
+        return np.add(low[:, None], cols, out=cols).T
+
+
 def sample_points(chart: Chart, mode: str = "random", count: int = 50,
                   seed: int | None = None) -> dict:
     """Deterministic sample points inside the chart box minus exclusions, as
     coordinate name -> float64 column, in chart order.
 
-    ``random`` draws uniformly with numpy's seeded PCG64 generator (the seed
-    is required); ``grid`` lays a regular lattice and filters it.  Batches of
+    ``random`` draws numpy's ``default_rng(seed).uniform`` stream (PCG64),
+    reproduced in-module without importing ``numpy.random`` (the seed is
+    required); ``grid`` lays a regular lattice and filters it.  Batches of
     the missing count give the points of one draw at a time.
     """
     los = np.array([chart.domain[c][0] for c in chart.coords])
@@ -1290,7 +1366,7 @@ def sample_points(chart: Chart, mode: str = "random", count: int = 50,
     if mode == "random":
         if seed is None:
             raise ExprError("random sampling requires a seed")
-        rng = np.random.default_rng(int(seed))
+        rng = _PCG64(int(seed))
         limit = 1000 * count
 
         def take(start, k):

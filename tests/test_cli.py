@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -431,6 +432,24 @@ class TestCommandLine:
         report = json.loads(out.read_text())
         assert report["tool"]["name"] == "movingframes"
         assert len(report["tool"]["conventions_sha256"]) == 64
+
+    def test_run_imports_no_numpy_random(self, tmp_path):
+        """Seeded sampling reproduces numpy's default_rng stream in-module: a
+        run of the README screw config in a new interpreter loads neither
+        numpy.random nor secrets, which numpy.random pulls in."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "cfg.json"
+        path.write_text(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        script = ("import sys\n"
+                  "from movingframes.cli import main\n"
+                  "code = main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                  "print(code, *sorted(m for m in sys.modules\n"
+                  "                    if m == 'secrets' or m.startswith('numpy.random')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(movingframes.__path__[0])] + sys.path))
+        out = subprocess.run([sys.executable, "-c", script, str(path), str(tmp_path / "r.json")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0"]
 
     def test_run_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "cfg.json", screw_config(tasks=["classify"]))

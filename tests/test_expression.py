@@ -1,6 +1,8 @@
 """Parser, differentiation, simplification and evaluation."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -754,3 +756,73 @@ class TestChart:
     def test_exclusion_requires_constant_bound(self):
         with pytest.raises(ValueError):
             parse_exclusion("x < y", CHART)
+
+
+class TestSeededStream:
+    """``random`` sampling's in-module generator is numpy's
+    ``default_rng(seed).uniform``, bit for bit; numpy.random is the oracle."""
+
+    LOS = np.array([0.4, -0.6, -1.0, 0.0, -3.0, 1e-3])
+    HIS = np.array([1.6, 0.6, 1.0, 1e-9, 250.0, 2e-3])
+
+    def _assert_batches_equal(self, seed, n, rows):
+        ours, oracle = expression._PCG64(seed), np.random.default_rng(seed)
+        for k in rows:
+            got = ours.uniform(self.LOS[:n], self.HIS[:n], size=(k, n))
+            want = oracle.uniform(self.LOS[:n], self.HIS[:n], size=(k, n))
+            assert np.array_equal(got, want), (seed, n, k)
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32,          # one word, two words of entropy
+        2**64 + 5, 2**200 + 3, 10**300])  # more than the pool's four words
+    def test_batches_equal_default_rng(self, seed):
+        """Consecutive batches on one generator, as the rejection loop draws
+        them, with sizes on both sides of the jump-ahead block."""
+        lanes = expression._LANES
+        for n in range(1, 7):
+            block = lanes // n
+            self._assert_batches_equal(seed, n, [1, block - 1, block, block + 1, 2, 3 * block + 7])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 6),
+           st.lists(st.integers(1, 3000), min_size=1, max_size=4))
+    def test_random_seeds_equal_default_rng(self, seed, n, rows):
+        self._assert_batches_equal(seed, n, rows)
+
+    def test_threads_growing_the_jump_table_draw_the_same_streams(self):
+        """The jump-ahead table is grown on use and shared by the process:
+        threads that grow it at once each draw numpy's stream, and the table
+        they leave holds the same columns as one grown by a single thread."""
+        cases = [(seed, 1 + 97 * seed ** 2, 1 + seed % 6) for seed in range(8)]
+        want = {seed: np.random.default_rng(seed).uniform(self.LOS[:n], self.HIS[:n], size=(k, n))
+                for seed, k, n in cases}
+        wrong, start = [], threading.Barrier(len(cases))
+
+        def draw(seed, k, n):
+            start.wait(timeout=60)
+            got = expression._PCG64(seed).uniform(self.LOS[:n], self.HIS[:n], size=(k, n))
+            if not np.array_equal(got, want[seed]):
+                wrong.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                expression._JUMPS = expression._JUMPS[:, :1].copy()
+                threads = [threading.Thread(target=draw, args=case) for case in cases]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                shared = expression._JUMPS
+                expression._JUMPS = shared[:, :1].copy()
+                expression._lcg_states(0, 0, shared.shape[1])
+                assert np.array_equal(shared, expression._JUMPS[:, :shared.shape[1]])
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_points(CHART, "random", 5, seed=-1)
