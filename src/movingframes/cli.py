@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -240,9 +241,8 @@ def _round12(value):
 
 @functools.cache
 def conventions_sha256() -> str:
-    from importlib import resources
-    data = resources.files("movingframes").joinpath("CONVENTIONS.md").read_bytes()
-    return hashlib.sha256(data).hexdigest()
+    path = os.path.join(os.path.dirname(__file__), "CONVENTIONS.md")
+    return hashlib.sha256(__spec__.loader.get_data(path)).hexdigest()
 
 
 def _config_digest(raw: dict) -> str:
@@ -280,16 +280,17 @@ def _curvature_section(fd: FrameData, points, vals, tol, checks: _Checks):
 
     n, eta = fd.n, fd.eta
     r = vals["riemann"]                 # axes: point, i, j, k, l
-    sym_res = max(max_abs(f(r)) for f in (    # one temporary at a time
-        lambda r: r + np.swapaxes(r, 1, 2), lambda r: r + np.swapaxes(r, 3, 4),
-        lambda r: r - np.transpose(r, (0, 3, 4, 1, 2)),
-        lambda r: r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
+    buf = np.empty_like(r)              # one buffer for the four residuals, in turn
+    sym_res = max(max_abs(np.add(r, np.swapaxes(r, 1, 2), out=buf)),
+                  max_abs(np.add(r, np.swapaxes(r, 3, 4), out=buf)),
+                  max_abs(np.subtract(r, np.transpose(r, (0, 3, 4, 1, 2)), out=buf)),
+                  max_abs(np.add(np.add(r, np.transpose(r, (0, 1, 3, 4, 2)), out=buf),
+                                 np.transpose(r, (0, 1, 4, 2, 3)), out=buf)))
     weyl_res = None
     if "weyl" in vals:
-        w, em = vals["weyl"], np.diag(eta).astype(float)
-        weyl_res = max(max_abs(t) for t in (np.einsum("ik,pijkl->pjl", em, w),
-                                            np.einsum("jl,pijkl->pik", em, w),
-                                            np.einsum("il,pijkl->pjk", em, w)))
+        w, eta_v = vals["weyl"], np.array(eta, dtype=float)
+        weyl_res = max(max_abs(np.einsum(s, eta_v, w))
+                       for s in ("i,pijil->pjl", "j,pijkj->pik", "i,pijki->pjk"))
     checks.record("curvature", "riemann_symmetries", sym_res, tol["curvature_symmetry"])
     if weyl_res is not None:
         checks.record("curvature", "weyl_trace_free", weyl_res, tol["curvature_symmetry"])

@@ -26,6 +26,8 @@ of g and d g there (:func:`gram_schmidt_jet`), in modified form with
 Each pivot p is checked at the points: below the tolerance somewhere, or of
 changing sign, is a :class:`SingularMetricError` naming the first such
 point; a sign against the chart's signature is a :class:`SignatureError`.
+The ambient frame's pivots are checked once, by the curvature walk
+(:meth:`FrameData.curvature_values`), not by :func:`build_coframe`.
 
 No connection is built symbolically either: the curvature and the frame
 connection are numpy over the 2-jet of g and the 1-jet of e_i
@@ -37,6 +39,9 @@ g^ms = sum_i eta_i e_i^m e_i^s (no matrix inverse):
 * R_ijkl = e_i^a e_j^b e_k^g e_l^d R_abgd,
 * Gamma^i_jk = alpha^i_j(e_k) = theta^i_m (e_k(e_j^m) + Gamma^m_nr e_k^n e_j^r),
   theta^i_m = eta_i g_mn e_i^n.
+
+Weyl is R with the four eta F terms applied in order on the diagonal slices
+of einsum views (eta_ik F_lj on i = k = a), with no dense eta contraction.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, EvalDomainError, Expr, add, diff, evaluate, evaluate_along,
-                         max_abs, mul, num, point_at, pow_, ZERO)
+                         max_abs, mul, num, point_at, pow_, ONE, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
@@ -118,7 +123,7 @@ class Coframe:
     eta: tuple
     metric: Metric
     seeds: tuple            # the kept candidates, rows of coordinate components (Expr)
-    samples: Mapping        # the points at which the pivots were checked
+    samples: Mapping        # the points at which the symbolic reference checks pivots
     pivot_tol: float
 
     @property
@@ -290,9 +295,9 @@ def gram_schmidt_jet(g: np.ndarray, seeds: np.ndarray, expected_eta: Sequence[in
 
 def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
                   order: Sequence[str] | None = None, pivot_tol: float = 1e-8) -> Coframe:
-    """Orthonormalise the coordinate frame in the given coordinate order,
-    checking each pivot at the samples (:func:`gram_schmidt_jet` over the
-    metric's values there)."""
+    """The coordinate frame to orthonormalise, in the given coordinate order,
+    with the chart's signature in that order.  Its pivots are checked at the
+    points of the curvature walk (:meth:`FrameData.curvature_values`)."""
     chart, n = metric.chart, metric.chart.n
     if order is None:
         perm = tuple(range(n))
@@ -301,17 +306,8 @@ def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
             raise ValueError(f"order must permute {chart.coords}")
         perm = tuple(chart.index(name) for name in order)
     seeds = tuple(tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in perm)
-    try:
-        v = evaluate({"g": metric.entries, "s": seeds}, samples)
-    except EvalDomainError:
-        # pivot k reads the leading (k + 1)-block in frame order: name the
-        # sample at which the first faulting pivot faults first
-        for k in range(1, n + 1):
-            evaluate([[metric.entries[a][b] for b in perm[:k]] for a in perm[:k]], samples)
-        raise
-    eta = gram_schmidt_jet(v["g"], v["s"], [chart.signature[k] for k in perm], samples,
-                           pivot_tol)[2]
-    return Coframe(chart, eta, metric, seeds, samples, pivot_tol)
+    return Coframe(chart, tuple(chart.signature[k] for k in perm), metric, seeds, samples,
+                   pivot_tol)
 
 
 def solve_connection(coframe: Coframe) -> MatrixForm:
@@ -408,8 +404,15 @@ class FrameData:
         ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m, "th": theta^i_m,
         "g": g_mn}, d_n e_j^m), which the structure checks read."""
         n, eta, cf = self.n, np.array(self.eta, dtype=float), self.coframe
-        v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric, "s": cf.seeds},
-                               self.chart.columns(points))
+        try:
+            v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric, "s": cf.seeds},
+                                   self.chart.columns(points))
+        except EvalDomainError:
+            # a fault in g first: pivot k reads the leading (k + 1)-block in frame order
+            g, perm = cf.metric.entries, [s.index(ONE) for s in cf.seeds]
+            for k in range(1, n + 1):
+                evaluate([[g[a][b] for b in perm[:k]] for a in perm[:k]], points)
+            raise
         e, de, _, _ = gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
                                        dg=v["dg"], dseeds=dv["s"])
         low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
@@ -426,8 +429,12 @@ class FrameData:
             em = np.diag(eta)
             scalar = np.einsum("j,pjj->p", eta, ricci)
             f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
-            out["weyl"] = (r - np.einsum("ik,plj->pijkl", em, f) + np.einsum("il,pkj->pijkl", em, f)
-                           + np.einsum("jk,pli->pijkl", em, f) - np.einsum("jl,pik->pijkl", em, f))
+            w, ef = r.copy(), eta[:, None, None] * np.swapaxes(f, 1, 2)[:, None]
+            np.einsum("paxay->paxy", w)[...] -= ef      # ef_pajl = eta_a F_lj: - eta_ik F_lj
+            np.einsum("paxya->paxy", w)[...] += ef      # + eta_il F_kj
+            np.einsum("pxaay->paxy", w)[...] += ef      # + eta_jk F_li
+            np.einsum("pxaya->payx", w)[...] -= ef      # - eta_jl F_ik
+            out["weyl"] = w
         return out
 
     def riemann_along(self, u: Mapping[str, Expr], points: Mapping[str, np.ndarray],
@@ -536,7 +543,9 @@ def classify_space(fd: FrameData, values: Mapping[str, np.ndarray],
     kappa_samples = np.stack([r[:, i, j, i, j] * eta[i] * eta[j]
                               for i in range(n) for j in range(i + 1, n)], axis=1)
     kappa = float(np.mean(kappa_samples.ravel()))
-    const_resid = max(max_abs(r[:, i] - kappa * unit[i]) for i in range(n))
+    resid, support = r.copy(order="K"), (slice(None), *np.nonzero(unit))
+    resid[support] -= kappa * unit[support[1:]]
+    const_resid = max(max_abs(resid[:, i]) for i in range(n))
 
     flat = max_riemann < tol
     constant = const_resid < tol

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -431,7 +432,8 @@ class TestCommandLine:
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["tool"]["name"] == "movingframes"
-        assert len(report["tool"]["conventions_sha256"]) == 64
+        conventions = Path(movingframes.__file__).with_name("CONVENTIONS.md").read_bytes()
+        assert report["tool"]["conventions_sha256"] == hashlib.sha256(conventions).hexdigest()
 
     def test_run_imports_no_numpy_random(self, tmp_path):
         """Seeded sampling reproduces numpy's default_rng stream in-module: a
@@ -589,6 +591,18 @@ class TestCommandLine:
         assert str(exc.value) == message
         assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_derivative_fault_comes_before_a_degenerate_pivot(self, tmp_path, capsys):
+        """The pivots are checked in the curvature walk, after its metric jet is
+        evaluated: the second derivative of x^(3/2) faults at the first grid
+        point before the pivot x^2 + y^2 is seen to vanish at (0, 0)."""
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": ["x", "y"], "domain": {"x": [0, 1], "y": [-1, 1]}},
+               "metric": [["x^2 + y^2", "0"], ["0", "1 + x^(3/2)"]],
+               "samples": {"mode": "grid", "count": 9}, "tasks": ["curvature", "classify"]}
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: division by zero at point {'x': 0.0, 'y': -1.0}\n")
 
     def test_frame_overflow_names_the_point(self, tmp_path, capsys):
         """The metric is finite, its second Gram-Schmidt pivot overflows: an

@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from movingframes.cli import DEFAULT_TOLERANCES
+from movingframes.cli import DEFAULT_TOLERANCES, _Checks, _curvature_section
 from movingframes.expression import (Chart, add, call, diff, eval_at, evaluate,
-                                     evaluate_along, mul, num, parse_expr, pow_, sample_points,
-                                     sym)
+                                     evaluate_along, max_abs, mul, num, parse_expr, pow_,
+                                     sample_points, sym)
 from movingframes.exterior import MatrixForm, pform_add, pform_scale
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  antisymmetry_residual, build_coframe, classify_space,
@@ -47,16 +47,18 @@ class TestBuildCoframe:
         chart = Chart(["x", "y"])
         g = Metric(chart, [[num(1), num(0)], [num(0), num(0)]])
         pts = sample_points(chart, "random", 5, seed=1)
+        fd = curvature_package(build_coframe(g, samples=pts))     # the pivots wait for the walk
         with pytest.raises(SingularMetricError) as err:
-            build_coframe(g, samples=pts)
+            fd.curvature_values(pts)
         assert err.value.point is not None
 
     def test_signature_mismatch_detected(self):
         chart = Chart(["t", "x"], signature=[1, 1])
         g = Metric(chart, [[num(-1), num(0)], [num(0), num(1)]])
         pts = sample_points(chart, "random", 5, seed=2)
+        fd = curvature_package(build_coframe(g, samples=pts))
         with pytest.raises(SignatureError):
-            build_coframe(g, samples=pts)
+            fd.curvature_values(pts)
 
     def test_lorentzian_accepted_structurally(self):
         chart = Chart(["t", "x"], signature=[-1, 1])
@@ -258,6 +260,39 @@ def test_trace_tensors_match_their_symbolic_construction(hyperbolic3):
             assert np.all(np.abs(got[name] - w) <= 1e-12 * np.maximum(1.0, np.abs(w))), name
         if n == 4:      # not conformally flat: the comparison sees a nonzero Weyl
             assert np.max(np.abs(got["weyl"])) > 0.01
+
+
+def test_curvature_stage_matches_its_dense_eta_formulas(hyperbolic3):
+    """The Weyl tensor from eta-weighted diagonal slices, the trace-free check
+    from eta-vector traces, the constant-curvature residual on the unit
+    tensor's support and the symmetry residuals in one buffer equal, bit for
+    bit, the dense np.diag(eta) formulas kept here as references."""
+    for metric in (_generic4(), _lorentz4(), hyperbolic3[1]):
+        pts = sample_points(metric.chart, "random", 40, seed=23)
+        fd = curvature_package(build_coframe(metric, pts))
+        n, em = fd.n, np.diag(fd.eta).astype(float)
+        vals = fd.curvature_values(pts)
+        r, ricci = vals["riemann"], vals["ricci"]
+        scalar = np.einsum("j,pjj->p", np.diag(em), ricci)
+        f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
+        weyl = (r - np.einsum("ik,plj->pijkl", em, f) + np.einsum("il,pkj->pijkl", em, f)
+                + np.einsum("jk,pli->pijkl", em, f) - np.einsum("jl,pik->pijkl", em, f))
+        assert np.array_equal(vals["weyl"], weyl)
+
+        section = _curvature_section(fd, pts, vals, DEFAULT_TOLERANCES, _Checks())
+        assert section["weyl_trace_residual"] == max(
+            max_abs(np.einsum(s, em, weyl))
+            for s in ("ik,pijkl->pjl", "jl,pijkl->pik", "il,pijkl->pjk"))
+        assert section["riemann_symmetry_residual"] == max(max_abs(t) for t in (
+            r + np.swapaxes(r, 1, 2), r + np.swapaxes(r, 3, 4),
+            r - np.transpose(r, (0, 3, 4, 1, 2)),
+            r + np.transpose(r, (0, 1, 3, 4, 2)) + np.transpose(r, (0, 1, 4, 2, 3))))
+
+        cls = classify_space(fd, vals)
+        unit = np.einsum("ik,jl->ijkl", em, em) - np.einsum("il,jk->ijkl", em, em)
+        assert cls.max_constant_residual == max(max_abs(r[:, i] - cls.kappa * unit[i])
+                                                for i in range(n))
+        assert cls.max_constant_residual > 0.01 or n == 3
 
 
 def test_frame_covariance_under_reordering(flat3_frame, sphere1_frame, sphere2_frame,
