@@ -108,6 +108,16 @@ def _intern(key, factory):
     return node
 
 
+def _exact(value):
+    """An exact constant as an int when integral, else a Fraction: the form of
+    every Num value and Pow exponent (an int hashes equal to that Fraction)."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class Expr:
     """Base node.  Immutable and interned; equality is identity."""
 
@@ -163,8 +173,7 @@ class Num(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
+        value = _exact(value)
 
         def build():
             self = object.__new__(cls)
@@ -202,7 +211,7 @@ class Call(Expr):
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
-    def __new__(cls, base: Expr, exponent: Fraction):
+    def __new__(cls, base: Expr, exponent):
         def build():
             self = object.__new__(cls)
             object.__setattr__(self, "base", base)
@@ -244,10 +253,8 @@ NEG_ONE = Num(-1)
 def _as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, float)):
         return Num(x)
-    if isinstance(x, float):
-        return Num(Fraction(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to Expr")
 
 
@@ -273,12 +280,12 @@ def _split_coefficient(t: Expr):
         rest = t.factors[1:]
         rem = rest[0] if len(rest) == 1 else Mul(rest)
         return t.factors[0].value, rem
-    return Fraction(1), t
+    return 1, t
 
 
 def add(*terms) -> Expr:
     """Sum with flattening, constant folding and like-term collection."""
-    const = Fraction(0)
+    const = 0
     groups: dict = {}
     stack = [_as_expr(t) for t in reversed(terms)]
     while stack:
@@ -311,7 +318,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Product with flattening, zero absorption and like-base power merging."""
-    const = Fraction(1)
+    const = 1
     groups: dict = {}
     stack = [_as_expr(f) for f in reversed(factors)]
     while stack:
@@ -324,7 +331,7 @@ def mul(*factors) -> Expr:
             if isinstance(f, Pow):
                 base, exp = f.base, f.exponent
             else:
-                base, exp = f, Fraction(1)
+                base, exp = f, 1
             got = groups.get(base)
             groups[base] = exp if got is None else got + exp
     if const == 0:
@@ -377,9 +384,9 @@ def _int_root(n: int, q: int):
 _FOLD_BITS = 4096
 
 
-def _fold_num_pow(base: Fraction, exp: Fraction):
+def _fold_num_pow(base, exp):
     """Exact value of base**exp, or None if it stays symbolic (also when the
-    value would pass ``_FOLD_BITS``)."""
+    value would pass ``_FOLD_BITS``); powers of a Fraction, as int ** -1 is a float."""
     bits = max(base.numerator.bit_length(), base.denominator.bit_length())
     if abs(exp) * (bits - 1) > _FOLD_BITS:
         return None
@@ -388,8 +395,8 @@ def _fold_num_pow(base: Fraction, exp: Fraction):
         if base == 0:
             if e < 0:
                 return None  # division by zero surfaces at evaluation
-            return Fraction(0) if e > 0 else Fraction(1)
-        return base ** e
+            return 0 if e > 0 else 1
+        return Fraction(base) ** e
     if base < 0 or (base == 0 and exp < 0):
         return None  # as above, the fault surfaces at evaluation
     p, q = exp.numerator, exp.denominator
@@ -408,8 +415,7 @@ def pow_(base, exponent) -> Expr:
         if not isinstance(exponent, Num):
             raise ExprError("power exponent must reduce to a rational constant")
         exponent = exponent.value
-    if not isinstance(exponent, Fraction):
-        exponent = Fraction(exponent)
+    exponent = _exact(exponent)
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -427,14 +433,14 @@ def pow_(base, exponent) -> Expr:
 
 
 _EXACT_CALLS = {
-    ("sin", Fraction(0)): ZERO,
-    ("tan", Fraction(0)): ZERO,
-    ("sinh", Fraction(0)): ZERO,
-    ("tanh", Fraction(0)): ZERO,
-    ("cos", Fraction(0)): ONE,
-    ("cosh", Fraction(0)): ONE,
-    ("exp", Fraction(0)): ONE,
-    ("log", Fraction(1)): ZERO,
+    ("sin", 0): ZERO,
+    ("tan", 0): ZERO,
+    ("sinh", 0): ZERO,
+    ("tanh", 0): ZERO,
+    ("cos", 0): ONE,
+    ("cosh", 0): ONE,
+    ("exp", 0): ONE,
+    ("log", 1): ZERO,
 }
 
 
@@ -612,8 +618,8 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
 
     try:
         return rec(e)
-    except OverflowError as exc:     # a constant or a power beyond float range
-        raise EvalDomainError(f"overflow: {exc}") from exc
+    except OverflowError as exc:     # a constant beyond float range, int or Fraction alike
+        raise EvalDomainError("overflow: integer division result too large for a float") from exc
 
 
 def _schedule(roots: Sequence[Expr]):

@@ -442,18 +442,21 @@ class FrameData:
         """(R_abcd, u(R_abcd)), point axis last, in an orthonormal frame of
         signature ``eta`` with values ``e`` and u-derivatives ``ue`` (axes a, m)
         at ``points``: one hyper-dual walk over g and d g with ``second=u``,
-        u(g^-1) = -g^-1 u(g) g^-1, and the product rule for the frame change."""
+        u(g^-1) = -g^-1 u(g) g^-1, and the product rule for the frame change,
+        whose slot terms are omega_a^f R_fbcd + ... with u(e_a) = omega_a^f e_f,
+        omega_a^f = eta_f theta^f_m u(e_a)^m and theta^f_m = g_mn e_f^n."""
         v, dv, du, duv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
                                         self.chart.columns(points), second=u)
         ginv = np.einsum("a,amp,anp->mnp", np.array(eta, dtype=float), e, e)
         low, up = christoffel(v["dg"], ginv)
         ulow, uup = christoffel(du["dg"], ginv)
         uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv), low)
-        r = coordinate_riemann(dv["dg"], (up, low))
+        r = frame_components([e] * 4, coordinate_riemann(dv["dg"], (up, low)))
         dr = frame_components([e] * 4, coordinate_riemann(duv["dg"], (uup, low), (up, ulow)))
-        for slot in range(4):
-            dr += frame_components([ue if s == slot else e for s in range(4)], r)
-        return frame_components([e] * 4, r), dr
+        omega = np.einsum("f,mnp,fnp,amp->afp", np.array(eta, dtype=float), v["g"], e, ue)
+        for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
+            dr += np.einsum(slots + "->abcdp", omega, r)
+        return r, dr
 
 
 def curvature_package(coframe: Coframe) -> FrameData:

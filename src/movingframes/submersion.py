@@ -15,10 +15,10 @@ flows) and K_i the psi0 coefficient of alpha^0_i.
 The only symbolic objects of the flow stage are u = V g(V, V)^(-1/2),
 psi0_mu = g_mu nu u^nu and F_mu nu = d_mu psi0_nu - d_nu psi0_mu (one pair of
 ``diff`` calls per mu < nu).  One forward-mode walk over g, u and F gives
-their values and coordinate derivatives at the points (``flow_jet``); the
-rest is numpy.  The frame e_a and its jet d_nu e_a come from the numeric
-Gram-Schmidt of [u, d_0, ..., d_{n-1}] (``frames.gram_schmidt_jet``; a
-coordinate vector whose projection vanishes at every sample is skipped),
+their values and coordinate derivatives at the samples; the rest is numpy.
+The frame e_a and its jet d_nu e_a come from one numeric Gram-Schmidt of
+[u, d_0, ..., d_{n-1}] on that walk (``adapted_coframe``, which ``flow_jet``
+reads; a coordinate vector projecting to zero at every sample is skipped),
 M and K from the formulas above, and their frame derivatives by the product
 rule, e_g(M_ij) = -(1/2) e_g^nu ((d_nu F)(e_i, e_j) + F(d_nu e_i, e_j)
 + F(e_i, d_nu e_j)), likewise for K.  The adapted connection, L_u g and the
@@ -51,9 +51,9 @@ and the tilde-bearing rows are solved for the quotient curvature:
 The signs are fixed so that the quotient of the screw flow in flat space has
 Gauss curvature +3 M_12^2, matching the transversal-metric oracle.  The
 ambient curvature R and its u-derivative are evaluated from the metric's
-coordinate 2-jet and read in the adapted frame by a numeric frame change
-(see ``constraint_rows``); neither a connection nor a curvature tensor is
-built symbolically.
+coordinate 2-jet and read in the adapted frame by a numeric frame change,
+u(e_a) through its frame components (see ``constraint_rows``); neither a
+connection nor a curvature tensor is built symbolically.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, Expr, add, diff, evaluate, evaluate_along, max_abs, mul,
-                         num, point_at, pow_, ZERO)
+from .expression import (Chart, EvalDomainError, Expr, add, diff, evaluate, evaluate_along,
+                         max_abs, mul, num, point_at, pow_, ZERO)
 from .exterior import FormArityError, PForm, contract, ext_d
 from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
                      solve_connection)
@@ -153,37 +153,54 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     The horizontal legs come from projecting the coordinate vectors, in
     chart order, onto the orthogonal complement of u; directions that project
     to zero are skipped, a projection degenerating at isolated sample points
-    is an error naming the point (:func:`gram_schmidt_jet` at the samples).
+    is an error naming the point.  One forward-mode walk over g, the n + 1
+    candidates [u, d_0, ..., d_{n-1}], F and g(V, V) at the samples gives the
+    flow norm check and one :func:`gram_schmidt_jet` with tangents, which
+    :func:`analyze_flow` hands to :func:`flow_jet`; a fault in the walk is
+    raised after the norm and pivot checks that g and V alone allow.
     Non-unit flows are normalized automatically (``norm2`` keeps the squared
     norm); the discarded magnitude is exactly the scale a Killing
     reconstruction recovers.  F has n(n-1)/2 independent components, one
     pair of :func:`diff` calls each.
     """
-    chart = metric.chart
-    n = chart.n
+    return _adapt(metric, flow, samples, flow_tol)[0]
+
+
+def _adapt(metric: Metric, flow: Sequence[Expr], samples: Mapping[str, np.ndarray],
+           flow_tol: float) -> tuple:
+    """:func:`adapted_coframe`, and its walk and frame for :func:`flow_jet`."""
+    chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
     norm2 = metric.inner(list(flow), list(flow))
-    v = evaluate({"norm2": [norm2], "g": metric.entries, "v": flow}, samples)
-    norms = v["norm2"][0]
-    low = np.flatnonzero(norms < flow_tol * flow_tol)
-    if low.size:
-        val = norms[low[0]]
-        raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
-                                 f"below {flow_tol:g}", point_at(samples, low[0]))
-    scale = pow_(norm2, Fraction(-1, 2))
-    u = tuple(mul(scale, c) for c in flow)
+    u = tuple(mul(pow_(norm2, Fraction(-1, 2)), c) for c in flow)
     seeds = [u] + [tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in range(n)]
-    values = np.concatenate([(v["v"] / np.sqrt(norms))[None],
-                             np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(norms)))])
-    eta, kept = gram_schmidt_jet(v["g"], values, [1] * n, samples, flow_tol, allow_skip=True)[2:]
     psi0 = metric.lower(list(u))
     f = [[ZERO] * n for _ in range(n)]
     for mu, nu in zip(*np.triu_indices(n, 1)):
         f[mu][nu] = add(diff(psi0[nu], chart.coords[mu]),
                         mul(num(-1), diff(psi0[mu], chart.coords[nu])))
         f[nu][mu] = mul(num(-1), f[mu][nu])
+    try:
+        v, dv = evaluate_along({"g": metric.entries, "s": seeds, "f": f, "norm2": [norm2]},
+                               chart.columns(samples))
+        fault = None
+    except EvalDomainError as exc:      # raised after the checks that g and V alone allow
+        fault, v = exc, evaluate({"norm2": [norm2], "g": metric.entries, "v": flow}, samples)
+    norms = v["norm2"][0]
+    low = np.flatnonzero(norms < flow_tol * flow_tol)
+    if low.size:
+        val = norms[low[0]]
+        raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
+                                 f"below {flow_tol:g}", point_at(samples, low[0]))
+    if fault is not None:
+        values = np.concatenate([(v["v"] / np.sqrt(norms))[None],
+                                 np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(norms)))])
+        gram_schmidt_jet(v["g"], values, [1] * n, samples, flow_tol, allow_skip=True)
+        raise fault
+    e, de, eta, kept = gram_schmidt_jet(v["g"], v["s"], [1] * n, samples, flow_tol,
+                                        allow_skip=True, dg=dv["g"], dseeds=dv["s"])
     coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
-    return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe)
+    return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe), (v, dv, e, de)
 
 
 @dataclass
@@ -204,14 +221,16 @@ def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
     return FlowInvariants(m, k)
 
 
-def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray]) -> dict:
+def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray],
+             walk: tuple | None = None) -> dict:
     """First-order data of the adapted frame at every point, point axis last.
 
     One vector forward-mode walk in the coordinate basis d_nu over g_mu nu,
     the Gram-Schmidt seeds (u first) and F gives their values and Jacobians;
     the frame e_a^mu and its jet d_nu e_a^mu are :func:`gram_schmidt_jet` of
-    those, theta^a_mu = g_mu nu e_a^nu, and the rest is numpy, with
-    F(a, b) = a^mu F_mu nu b^nu:
+    those (``walk``: the ones :func:`_adapt` made at ``points``, not kept
+    after this call), theta^a_mu = g_mu nu e_a^nu, and the rest is numpy,
+    with F(a, b) = a^mu F_mu nu b^nu:
 
     * ``m``, ``k``: M_ij = -(1/2) F(e_i, e_j) and K_i = -F(u, e_i), u = e_0;
     * ``dm``: e_g(M_ij) (axes i, j, g) = e_g^nu d_nu M_ij by the product rule,
@@ -226,10 +245,12 @@ def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray]) -> dict:
     * ``e``, ``de``: e_a^mu and d_nu e_a^mu (axes a, mu, nu).
     """
     cf = adapted.coframe
-    v, dv = evaluate_along({"g": adapted.metric.entries, "s": cf.seeds, "f": adapted.f},
-                           adapted.chart.columns(points))
-    e, de, _, _ = gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
-                                   dg=dv["g"], dseeds=dv["s"])
+    if walk is None:
+        v, dv = evaluate_along({"g": adapted.metric.entries, "s": cf.seeds, "f": adapted.f},
+                               adapted.chart.columns(points))
+        walk = v, dv, *gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
+                                        dg=dv["g"], dseeds=dv["s"])[:2]
+    v, dv, e, de = walk
     conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de, cf.eta)[1]
     ef = np.einsum("amp,mnp->anp", e, v["f"])                    # e_a^mu F_mu nu
     fab = np.einsum("anp,bnp->abp", ef, e)
@@ -303,8 +324,8 @@ class FlowData:
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  samples: Mapping[str, np.ndarray],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8) -> FlowData:
-    adapted = adapted_coframe(metric, flow, samples, flow_tol)
-    jet = flow_jet(adapted, samples)
+    adapted, walk = _adapt(metric, flow, samples, flow_tol)
+    jet = flow_jet(adapted, samples, walk)
     conn, m, k = jet["conn"], jet["m"], jet["k"]
     # two independent routes to M and K: F = d psi0 against the connection slots
     two_path = max(max_abs(k - conn[0, 1:, 0]), max_abs(m - conn[1:, 0, 1:]))

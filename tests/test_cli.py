@@ -246,6 +246,9 @@ class TestPipeline:
           symbolic Gram-Schmidt, ext_d, contract or flow_invariants (a flow
           run called the first twice, ext_d once and contract six times,
           for d psi0 and its contractions on the symbolic adapted frame);
+        * each numeric frame is one Gram-Schmidt on one walk: a screw run has
+          two (ambient and adapted) and three walks (curvature, adapted and
+          riemann_along's), the generic run one of each;
         * no stage calls simplify (the constructors already return its fixed
           point), and none builds a curvature 2-form, a connection 1-form, a
           wedge product or a symbolic covariant or directional derivative.
@@ -256,6 +259,8 @@ class TestPipeline:
                  "directional": movingframes.submersion, "flow_jet": movingframes.submersion,
                  "flow_invariants": movingframes.submersion,
                  "gram_schmidt_frame": movingframes.frames,
+                 "gram_schmidt_jet": movingframes.frames,
+                 "evaluate_along": movingframes.expression,
                  "simplify": movingframes.expression, "diff": movingframes.expression,
                  "wedge": movingframes.exterior, "pform_scale": movingframes.exterior,
                  "ext_d": movingframes.exterior, "contract": movingframes.exterior}
@@ -286,6 +291,7 @@ class TestPipeline:
         screw_cfg = load_config(screw_config())
         report, code = run_pipeline(screw_cfg)
         assert code == 0 and set(report["tasks"]) == set(TASKS)
+        assert (calls["gram_schmidt_jet"], calls["evaluate_along"]) == (2, 3)
         entries = {id(e) for row in screw_cfg.metric.entries for e in row}
         assert len(differentiated) == 3 * 3 * 4 // 2 + 3 * 2
         assert sum(id(e) in entries for e in differentiated) == 3 * 3 * 4 // 2
@@ -302,7 +308,8 @@ class TestPipeline:
                          "wedge": 0, "pform_scale": 0, "eta_antisymmetry_residual": 0,
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
                          "flow_invariants": 0, "gram_schmidt_frame": 0, "ext_d": 0,
-                         "contract": 0, "curvature_values": 2, "simplify": 0}
+                         "contract": 0, "curvature_values": 2, "simplify": 0,
+                         "gram_schmidt_jet": 3, "evaluate_along": 4}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     @staticmethod
@@ -591,6 +598,54 @@ class TestCommandLine:
         assert str(exc.value) == message
         assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("coords, domain, flow, error, message", [
+        # F faults at x = 0 (the first grid points), the flow vanishes at (1/2, 0)
+        (["x", "y"], {"x": [0, 1]}, ["y", "(2*x - 1)*(1 + sqrt(x))"], VanishingFlowError,
+         "flow norm 0.000e+00 below 1e-08 at point {'x': 0.5, 'y': 0.0}"),
+        (["x", "y"], {"x": [0, 1]}, ["y", "(2*x - 3)*(1 + sqrt(x))"], EvalDomainError,
+         "division by zero at point {'x': 0.0, 'y': -1.0}"),
+        # F faults at z = -1, the adapted d_x pivot degenerates at x = y = 0
+        (["x", "y", "z"], {}, ["1", "x", "y*(1 + sqrt(z + 1))"], SingularMetricError,
+         "degenerate pivot |0.000e+00| < 1e-08 at point {'x': 0.0, 'y': 0.0, 'z': -1.0}"),
+        (["x", "y", "z"], {}, ["1", "x + 2", "(y + 2)*(1 + sqrt(z + 1))"], EvalDomainError,
+         "division by zero at point {'x': -1.0, 'y': -1.0, 'z': -1.0}")])
+    def test_flow_checks_come_before_a_fault_of_f(self, tmp_path, capsys, coords, domain, flow,
+                                                  error, message):
+        """The adapted walk evaluates F with g and the flow; when it faults, the
+        flow norm and the adapted pivots are checked first from g and V
+        alone, so a flow that vanishes, or whose adapted pivot degenerates,
+        at a later sample is reported as such (each second case shows the
+        fault of F alone)."""
+        n = len(coords)
+        cfg = {"schema_version": "1", "chart": {"coordinates": coords, "domain": domain},
+               "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+               "flow": flow, "samples": {"mode": "grid", "count": 3 ** n}, "tasks": ["flow"]}
+        with pytest.raises(error) as exc:
+            run_pipeline(load_config(cfg))
+        assert str(exc.value) == message
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("entry, flow, point", [
+        ("1e300*1e300", None, "{'x': 0.023643249400513433, 'y': 0.9009273926518706, "
+                              "'z': -0.7116807745607325}"),
+        ("1", ["1e200*x", "1e200", "1"], "{'x': 0.023643249400513433, "
+                                         "'y': 0.9009273926518706, 'z': -0.7116807745607325}")])
+    def test_constant_beyond_float_range_exit_two(self, tmp_path, capsys, entry, flow, point):
+        """An integral constant beyond float range (10^600 in the metric,
+        10^400 in the flow's squared norm) is reported as a fractional one
+        is, although float() words the two overflows differently."""
+        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z"]},
+               "metric": [[entry, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "samples": {"mode": "random", "count": 3, "seed": 1},
+               "tasks": ["flow"] if flow else ["curvature"]}
+        if flow:
+            cfg["flow"] = flow
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: overflow: integer division result too large for a float "
+            f"at point {point}\n")
 
     def test_derivative_fault_comes_before_a_degenerate_pivot(self, tmp_path, capsys):
         """The pivots are checked in the curvature walk, after its metric jet is

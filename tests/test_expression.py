@@ -156,6 +156,18 @@ class TestSimplify:
         assert call("sqrt", num(4)) is num(2)
         assert isinstance(call("sqrt", num(2)), Pow)
 
+    def test_integral_constants_are_ints(self):
+        """Num values and Pow exponents are int when integral, else Fraction;
+        a negative power of an int folds exactly, not to a float."""
+        assert type(num(Fraction(4, 2)).value) is int
+        assert type(num(Fraction(1, 2)).value) is Fraction
+        assert num(Fraction(4, 2)) is num(2) and num(2.0) is num(2)
+        assert pow_(num(2), -1) is num(Fraction(1, 2))
+        assert pow_(num(4), Fraction(-3, 2)) is num(Fraction(1, 8))
+        assert pow_(X, Fraction(2, 2)) is X
+        assert type(pow_(X, Fraction(4, 2)).exponent) is int
+        assert type(diff(pow_(X, Fraction(3, 2)), "x").factors[0].value) is Fraction
+
     # the constructors reach their own fixed point: simplify, which rebuilds
     # through them, returns what they built unchanged
     def test_sum_collected_to_coefficient_one_is_flattened(self):
@@ -280,6 +292,21 @@ def test_simplify_preserves_value_and_is_idempotent(seed):
             continue
         vs = eval_at(s, p)
         assert abs(vs - ve) <= 1e-10 * max(1.0, abs(ve))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_interned_constants_are_ints_exactly_when_integral(seed):
+    """Every Num value and Pow exponent of a random expression and of its
+    derivatives (the nodes their construction interned or found) is an int
+    exactly when its denominator is 1."""
+    e = random_expr(np.random.default_rng(seed), CHART.coords, depth=4)
+    order, _ = expression._schedule([e] + [diff(e, c) for c in CHART.coords])
+    nodes = [x for x, _ in order]
+    exact = [x.value for x in nodes if isinstance(x, Num)]
+    exact += [x.exponent for x in nodes if isinstance(x, Pow)]
+    assert exact and all(type(c) in (int, Fraction) and (type(c) is int) == (c.denominator == 1)
+                         for c in exact)
 
 
 @settings(max_examples=60, deadline=None)

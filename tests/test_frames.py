@@ -12,8 +12,9 @@ from movingframes.expression import (Chart, add, call, diff, eval_at, evaluate,
                                      sample_points, sym)
 from movingframes.exterior import MatrixForm, pform_add, pform_scale
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
-                                 antisymmetry_residual, build_coframe, classify_space,
-                                 curvature_package, frame_connection,
+                                 antisymmetry_residual, build_coframe, christoffel,
+                                 classify_space, coordinate_riemann, curvature_package,
+                                 frame_components, frame_connection,
                                  reconstruction_residual, solve_connection)
 
 import oracle
@@ -365,6 +366,44 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
         for g, w in ((got, want), (dgot, dwant)):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords
+
+
+def _riemann_along_by_frame_changes(fd, u, pts, e, ue):
+    """u(R_abcd) as riemann_along formed it before it read the slot terms off
+    R_abcd: the coordinate u(R) and, for each of the four slots, R with that
+    slot contracted on u(e_a) and the others on e_a, five frame changes."""
+    v, dv, du, duv = evaluate_along({"g": fd.coframe.metric.entries, "dg": fd.dmetric},
+                                    fd.chart.columns(pts), second=u)
+    ginv = np.einsum("a,amp,anp->mnp", np.array(fd.eta, dtype=float), e, e)
+    low, up = christoffel(v["dg"], ginv)
+    ulow, uup = christoffel(du["dg"], ginv)
+    uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv), low)
+    r = coordinate_riemann(dv["dg"], (up, low))
+    dr = frame_components([e] * 4, coordinate_riemann(duv["dg"], (uup, low), (up, ulow)))
+    for slot in range(4):
+        dr += frame_components([ue if s == slot else e for s in range(4)], r)
+    return dr
+
+
+def test_riemann_along_reads_the_slot_terms_off_the_frame_tensor(conformal4):
+    """u(R_abcd) through the frame components of u(e_a) (omega_a^f R_fbcd and
+    three more) against the four frame changes of R that it replaced, on a
+    conformally flat, a generic and a Lorentzian 4-metric (eta_0 = -1, so a
+    sign slip in omega would show), to 1e-13 of the largest entry."""
+    for metric in (conformal4[1], _generic4(), _lorentz4()):
+        chart = metric.chart
+        pts = sample_points(chart, "random", 12, seed=33)
+        fd = curvature_package(build_coframe(metric, pts))
+        names = chart.coords
+        u = {c: add(num(1), mul(Fraction(1, 3), sym(names[(a + 1) % chart.n]),
+                                call("sin", sym(c)))) for a, c in enumerate(names)}
+        values = fd.curvature_values(pts)
+        e, de = values["jet"][0]["e"], values["jet"][1]
+        ue = np.einsum("np,amnp->amp", evaluate([u[c] for c in names], pts), de)
+        want = _riemann_along_by_frame_changes(fd, u, pts, e, ue)
+        got = fd.riemann_along(u, pts, e, ue, fd.eta)[1]
+        assert max_abs(want) > 0.1
+        assert max_abs(got - want) <= 1e-13 * max_abs(want), chart.coords
 
 
 def test_structure_equation_halves_match_the_symbolic_route(sphere2, polar3, hyperbolic3,

@@ -1,5 +1,7 @@
 """Adapted coframes, flow invariants, rigidity and the constraint system."""
 
+import gc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -71,6 +73,25 @@ class TestAdaptedCoframe:
             expected = np.array([-p["y"], p["x"], 1.0])
             expected /= np.linalg.norm(expected)
             assert np.allclose(psi, expected, atol=1e-12)
+
+    def test_adapted_flow_keeps_no_walk_arrays(self, screw):
+        """analyze_flow hands the adapted walk to flow_jet and keeps none of it
+        (at the sample cap dF alone is tens of MB): the only arrays reachable
+        from FlowData.adapted are the sample columns, at which its coframe
+        checks the symbolic reference's pivots."""
+        fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
+        seen, stack, arrays = set(), [fl.adapted], []
+        while stack:
+            x = stack.pop()
+            if id(x) in seen or isinstance(x, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(x))
+            if isinstance(x, np.ndarray):
+                arrays.append(x)
+            else:
+                stack.extend(gc.get_referents(x))
+        assert {id(fl.adapted.coframe), id(fl.adapted.u[0]), id(fl.adapted.f[0][1])} <= seen
+        assert arrays and all(any(a is c for c in fl.samples.values()) for a in arrays)
 
     def test_zero_flow_rejected(self, flat3):
         chart, metric = flat3
