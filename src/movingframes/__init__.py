@@ -22,8 +22,7 @@ from .frames import (Coframe, FrameData, Metric, SingularMetricError,
                      solve_connection, torsion_residual)
 from .herglotz import (ClosednessError, HerglotzReport, PathError,
                        check_hypotheses, reconstruct_lambda, ricci_flat_check,
-                       run_herglotz, scaled_flow_killing_residual,
-                       verify_killing)
+                       run_herglotz, scaled_flow_killing_residual)
 from .submersion import (FlowData, VanishingFlowError, adapted_coframe,
                          analyze_flow, constraint_residuals,
                          covariant_derivative, flow_invariants, rigidity_test)
@@ -40,7 +39,7 @@ __all__ = [
     "FlowData", "adapted_coframe", "flow_invariants", "rigidity_test",
     "covariant_derivative", "constraint_residuals", "analyze_flow",
     "HerglotzReport", "check_hypotheses", "reconstruct_lambda",
-    "verify_killing", "scaled_flow_killing_residual", "ricci_flat_check",
+    "scaled_flow_killing_residual", "ricci_flat_check",
     "run_herglotz",
     "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "ChartMismatchError", "FormArityError", "SingularMetricError",

@@ -47,7 +47,7 @@ __all__ = [
     "parse_expr", "diff", "simplify", "eval_at", "evaluate", "evaluate_along",
     "max_abs", "to_string",
     "Chart", "Exclusion", "parse_exclusion", "sample_points", "point_at",
-    "ExprError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
+    "ExprError", "PointError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
     "ZERO", "ONE",
 ]
@@ -71,15 +71,20 @@ class UndeclaredSymbolError(ParseError):
         self.name = name
 
 
-class EvalDomainError(ExprError):
-    """Evaluation hit a domain fault (log of non-positive, sqrt of negative,
-    division by zero, non-integer power of a negative base, overflow)."""
+class PointError(ValueError):
+    """An input error at a point: the message ends with the point, which
+    ``.point`` keeps (None when no point is given)."""
 
     def __init__(self, message: str, point: Mapping[str, float] | None = None):
         if point is not None:
             message += f" at point {dict(point)}"
         super().__init__(message)
         self.point = dict(point) if point is not None else None
+
+
+class EvalDomainError(PointError, ExprError):
+    """Evaluation hit a domain fault (log of non-positive, sqrt of negative,
+    division by zero, non-integer power of a negative base, overflow)."""
 
 
 class UnboundCoordinateError(ExprError):

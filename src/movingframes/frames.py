@@ -53,8 +53,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, EvalDomainError, Expr, add, diff, evaluate, evaluate_along,
-                         max_abs, mul, num, point_at, pow_, ONE, ZERO)
+from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
+                         evaluate_along, max_abs, mul, num, point_at, pow_, ONE, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
@@ -67,12 +67,8 @@ __all__ = [
 ]
 
 
-class SingularMetricError(ValueError):
-    def __init__(self, message: str, point: Mapping[str, float] | None = None):
-        if point is not None:
-            message += f" at point {dict(point)}"
-        super().__init__(message)
-        self.point = dict(point) if point is not None else None
+class SingularMetricError(PointError):
+    pass
 
 
 class SignatureError(ValueError):
@@ -223,17 +219,16 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     return [tuple(r) for r in frame], tuple(eta)
 
 
-def gram_schmidt_jet(g: np.ndarray, seeds: np.ndarray, expected_eta: Sequence[int],
-                     points: Mapping[str, np.ndarray], pivot_tol: float = 1e-8,
-                     allow_skip: bool = False, dg: np.ndarray | None = None,
-                     dseeds: np.ndarray | None = None) -> tuple:
+def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, seeds: np.ndarray, dseeds: np.ndarray,
+                     expected_eta: Sequence[int], points: Mapping[str, np.ndarray],
+                     pivot_tol: float = 1e-8, allow_skip: bool = False) -> tuple:
     """Metric Gram-Schmidt of candidate vectors at every point, with its
     forward-mode tangents.
 
-    ``g``: g_mn (axes m, n, point); ``seeds``: the candidates s^m (axes
-    candidate, m, point); with ``dg`` (d_r g_mn, axes m, n, r, point) and
-    ``dseeds`` (d_r s^m, axes candidate, m, r, point) the tangents too.  Each
-    candidate is projected off the vectors before it (modified Gram-Schmidt,
+    ``g``: g_mn (axes m, n, point) and ``dg``: d_r g_mn (axes m, n, r,
+    point); ``seeds``: the candidates s^m (axes candidate, m, point) and
+    ``dseeds``: d_r s^m (axes candidate, m, r, point).  Each candidate is
+    projected off the vectors before it (modified Gram-Schmidt,
     <a, b> = a^m g_mn b^n), v <- v - eta_j <v, e_j> e_j, has the pivot
     p = <v, v> and becomes e = v (eta p)^(-1/2).  The tangents follow by the
     product rule:
@@ -246,28 +241,26 @@ def gram_schmidt_jet(g: np.ndarray, seeds: np.ndarray, expected_eta: Sequence[in
     (Murray, "Differentiation of the Cholesky decomposition", 2016, for
     the same rule on the Cholesky factor).  Each pivot is checked at the
     points as :func:`gram_schmidt_frame` checks it (:func:`_check_pivot`;
-    zero at every point counts as vanishing identically); a value that
-    overflows is an :class:`EvalDomainError` at its point.
-    Returns (e, de, eta, kept): e_i^m (axes i, m, point), d_r e_i^m (axes
-    i, m, r, point; None without ``dg``), the signature and the indices of
-    the kept candidates.
+    zero at every point counts as vanishing identically) before its tangent
+    is formed, so the checks read no tangent; a value that overflows is an
+    :class:`EvalDomainError` at its point.  Returns (e, de, eta, kept):
+    e_i^m (axes i, m, point), d_r e_i^m (axes i, m, r, point), the
+    signature and the indices of the kept candidates.
     """
     want = list(expected_eta)
     frame, dframe, kept = [], [], []
-    jet = dg is not None
     with np.errstate(all="ignore"):
         for index, v in enumerate(seeds):
             if len(frame) == len(want):
                 break
-            dv = dseeds[index] if jet else None
+            dv = dseeds[index]
             for e, de, s in zip(frame, dframe, want):
                 ge = np.einsum("mnp,np->mp", g, e)
                 c = s * np.einsum("mp,mp->p", v, ge)
-                if jet:
-                    dc = s * (np.einsum("mrp,mp->rp", dv, ge)
-                              + np.einsum("mp,mnrp,np->rp", v, dg, e)
-                              + np.einsum("mp,mrp->rp", np.einsum("mnp,np->mp", g, v), de))
-                    dv = dv - e[:, None] * dc - c * de
+                dc = s * (np.einsum("mrp,mp->rp", dv, ge)
+                          + np.einsum("mp,mnrp,np->rp", v, dg, e)
+                          + np.einsum("mp,mrp->rp", np.einsum("mnp,np->mp", g, v), de))
+                dv = dv - e[:, None] * dc - c * de
                 v = v - c * e
             gv = np.einsum("mnp,np->mp", g, v)
             p = np.einsum("mp,mp->p", v, gv)
@@ -278,19 +271,16 @@ def gram_schmidt_jet(g: np.ndarray, seeds: np.ndarray, expected_eta: Sequence[in
             if not _check_pivot(p, points, pivot_tol, allow_skip, want[len(frame)], len(frame)):
                 continue
             scale = (want[len(frame)] * p) ** -0.5
-            if jet:
-                dp = 2.0 * np.einsum("mrp,mp->rp", dv, gv) + np.einsum("mp,mnrp,np->rp", v, dg, v)
-                de = (dv - v[:, None] * (0.5 * dp / p)) * scale
-                _finite(points, de)
-                dframe.append(de)
-            else:
-                dframe.append(None)
+            dp = 2.0 * np.einsum("mrp,mp->rp", dv, gv) + np.einsum("mp,mnrp,np->rp", v, dg, v)
+            de = (dv - v[:, None] * (0.5 * dp / p)) * scale
+            _finite(points, de)
             frame.append(v * scale)
+            dframe.append(de)
             kept.append(index)
     if len(frame) != len(want):
         raise SingularMetricError(
             f"Gram-Schmidt produced {len(frame)} of {len(want)} frame vectors")
-    return np.array(frame), np.array(dframe) if jet else None, tuple(want), kept
+    return np.array(frame), np.array(dframe), tuple(want), kept
 
 
 def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
@@ -413,8 +403,8 @@ class FrameData:
             for k in range(1, n + 1):
                 evaluate([[g[a][b] for b in perm[:k]] for a in perm[:k]], points)
             raise
-        e, de, _, _ = gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
-                                       dg=v["dg"], dseeds=dv["s"])
+        e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], v["s"], dv["s"], cf.eta, points,
+                                       cf.pivot_tol)
         low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
         r = coordinate_riemann(dv["dg"], (up, low))
         del dv                                      # freed before the Weyl temporaries

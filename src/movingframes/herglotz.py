@@ -28,13 +28,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import Chart, Expr, evaluate, max_abs
-from .frames import Metric, SpaceClassification
-from .submersion import ConstraintReport, FlowData, lie_derivative_at
+from .frames import SpaceClassification
+from .submersion import ConstraintReport, FlowData
 
 __all__ = [
     "ClosednessError", "PathError", "HypothesisReport", "LambdaReconstruction",
     "HerglotzReport", "RicciFlatReport",
-    "check_hypotheses", "reconstruct_lambda", "verify_killing",
+    "check_hypotheses", "reconstruct_lambda",
     "scaled_flow_killing_residual", "ricci_flat_check", "run_herglotz",
 ]
 
@@ -64,12 +64,6 @@ class HypothesisReport:
     ambient_admissible: bool
     ambient_reason: str
     tol: float
-
-    def satisfied(self) -> bool:
-        return (self.rigid and self.rotational and self.ambient_admissible
-                and self.closedness_residual < self.tol
-                and self.basic_m_residual < self.tol
-                and self.basic_k_residual < self.tol)
 
     def failure_reason(self) -> str | None:
         if not self.rigid:
@@ -149,6 +143,13 @@ _GK_NODES, _GK_K15, _GK_G7 = (np.concatenate([sign * np.array(half[:-1]), half[:
 # workloads converges at the first level); the cap bounds what an integrand
 # the rule cannot resolve costs before its segment is given up
 _OPEN_PER_SEGMENT = 256
+# the deepest refinement level: a panel 2^-24 of its segment long is accepted
+# as it stands, so the halving ends even where few panels stay open
+_MAX_LEVEL = 24
+# the finite-difference step of the log(lambda) gradient (CONVENTIONS.md): a
+# longer one raises the stencil's O(h^2) error (1e-8 at unit scale, against the
+# Killing tolerance 1e-7), a shorter one the weight 1/(2h) of its integrals' error
+_FD_STEP = 1e-4
 # points per evaluate call, of the quadrature and of the path checks: the walk
 # keeps many arrays of this length live, so one call per batch raises peak memory
 _POINTS_PER_EVALUATE = 2048
@@ -170,13 +171,12 @@ def _k_values(u: Sequence[Expr], f: Sequence[Sequence[Expr]],
 
 
 def _line_integrals(u: Sequence[Expr], f: Sequence[Sequence[Expr]], chart: Chart,
-                    starts: np.ndarray, ends: np.ndarray, tol: float,
-                    depth: int = 24) -> np.ndarray:
+                    starts: np.ndarray, ends: np.ndarray, tol: float) -> np.ndarray:
     """Integral of K_mu = -u^nu F_nu mu (u and F as expressions, K in numpy
     at the nodes) along each straight segment start -> end, by adaptive
     Gauss-Kronrod 7/15 in t in [0, 1]: a panel [a, b] is accepted with its
     15-point value when |K15 - G7| < tol (b - a), else halved (accepted as
-    it is at level ``depth``).  All open panels are refined together, level
+    it is at level ``_MAX_LEVEL``).  All open panels are refined together, level
     by level, one :func:`evaluate` call per ``_POINTS_PER_EVALUATE`` nodes;
     each integral adds its accepted panels level by level in t order.  A
     segment with more than ``_OPEN_PER_SEGMENT`` open panels is given up and
@@ -187,7 +187,7 @@ def _line_integrals(u: Sequence[Expr], f: Sequence[Sequence[Expr]], chart: Chart
     out = np.zeros(len(starts))
     seg = np.flatnonzero(deltas.any(axis=1))
     a, b = np.zeros(len(seg)), np.ones(len(seg))
-    for level in range(depth + 1):
+    for level in range(_MAX_LEVEL + 1):
         if not len(seg):
             break
         half = 0.5 * (b - a)
@@ -202,7 +202,7 @@ def _line_integrals(u: Sequence[Expr], f: Sequence[Sequence[Expr]], chart: Chart
                                    for mu in range(n))
         kronrod = half * (y * _GK_K15).sum(axis=1)
         err = np.abs(kronrod - half * (y * _GK_G7).sum(axis=1))
-        done = (err < tol * (b - a)) | (level == depth)
+        done = (err < tol * (b - a)) | (level == _MAX_LEVEL)
         out += np.bincount(seg[done], kronrod[done], len(out))
         seg, a, mid, b = np.repeat(seg[~done], 2), a[~done], mid[~done], b[~done]
         a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
@@ -277,8 +277,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
                        closedness_residual: float,
                        closedness_tol: float = 1e-8,
                        quadrature_tol: float = 1e-10,
-                       path_tol: float = 1e-6,
-                       fd_step: float = 1e-4) -> LambdaReconstruction:
+                       path_tol: float = 1e-6) -> LambdaReconstruction:
     """lambda(p) = exp(line integral of K) from the basepoint, at the flow's samples.
 
     Requires the closedness certificate; integrates along the straight
@@ -286,7 +285,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     sampling domain is assumed simply connected (declared, not inferred).
     One batch of integrals, after one admissibility pass, also gives the
     leaf estimate and the finite-difference gradient of log(lambda) (step
-    ``fd_step``) that :func:`scaled_flow_killing_residual` reads.
+    ``_FD_STEP``) that :func:`scaled_flow_killing_residual` reads.
     """
     if closedness_residual >= closedness_tol:
         raise ClosednessError(closedness_residual, closedness_tol)
@@ -313,7 +312,7 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     # d log(lambda) along each axis, row (point, axis): (w_A I_A - w_B I_B) / 2h
     # over the segments A and B of the first stencil that fits
     p = np.repeat(targets, n, axis=0)
-    e = np.tile(np.eye(n) * fd_step, (count, 1))
+    e = np.tile(np.eye(n) * _FD_STEP, (count, 1))
     stencils = [(p - e, p + e, p, p),                # central, w = (1, 0)
                 (p, p + e, p, p + 2 * e),            # forward, w = (4, 1)
                 (p - e, p, p - 2 * e, p)]            # backward, w = (4, 1)
@@ -352,19 +351,8 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     else:
         ia, ib = ints[main:main + count * n], ints[main + count * n:]
         wa, wb = np.where(choice == 0, 1.0, 4.0), np.where(choice == 0, 0.0, 1.0)
-        lam.log_gradient = ((wa * ia - wb * ib) / (2.0 * fd_step)).reshape(count, n)
+        lam.log_gradient = ((wa * ia - wb * ib) / (2.0 * _FD_STEP)).reshape(count, n)
     return lam
-
-
-def verify_killing(metric: Metric, vector: Sequence[Expr],
-                   points: Mapping[str, np.ndarray],
-                   frame_vectors: Sequence[Sequence[Expr]] | None = None) -> float:
-    """max frame component of L_V g over the samples (full tensor).
-
-    Components are taken in the supplied orthonormal frame, or in the
-    coordinate basis when no frame is given.
-    """
-    return max_abs(lie_derivative_at(metric, vector, frame_vectors, points))
 
 
 def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> float:
@@ -375,7 +363,7 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> f
     differences of log(lambda) are integrals of K along short stencil
     segments: the check sees the quadrature error of lambda(p) and of these
     short integrals (not of a difference of two long-path integrals) plus
-    the O(fd_step^2) stencil error.  A stencil fault is a :class:`PathError`.
+    the O(_FD_STEP^2) stencil error.  A stencil fault is a :class:`PathError`.
     """
     if lam.stencil_fault is not None:
         raise PathError(lam.stencil_fault)

@@ -17,8 +17,8 @@ psi0_mu = g_mu nu u^nu and F_mu nu = d_mu psi0_nu - d_nu psi0_mu (one pair of
 ``diff`` calls per mu < nu).  One forward-mode walk over g, u and F gives
 their values and coordinate derivatives at the samples; the rest is numpy.
 The frame e_a and its jet d_nu e_a come from one numeric Gram-Schmidt of
-[u, d_0, ..., d_{n-1}] on that walk (``adapted_coframe``, which ``flow_jet``
-reads; a coordinate vector projecting to zero at every sample is skipped),
+[u, d_0, ..., d_{n-1}] on that walk (``adapted_coframe``, with its walk for
+``flow_jet``; a coordinate vector projecting to zero at every sample is skipped),
 M and K from the formulas above, and their frame derivatives by the product
 rule, e_g(M_ij) = -(1/2) e_g^nu ((d_nu F)(e_i, e_j) + F(d_nu e_i, e_j)
 + F(e_i, d_nu e_j)), likewise for K.  The adapted connection, L_u g and the
@@ -29,8 +29,8 @@ derivatives of horizontal tensors is the absorbed block
 abar^i_j = alpha^i_j - M_ij psi0, whose leaf-direction slot realises
 basicness: a horizontal tensor is basic exactly when its ";0" derivative
 vanishes.  The symbolic frame, d psi0 contracted on it and the symbolic
-covariant derivative remain as the tests' reference (``flow_invariants``,
-``covariant_derivative``); no pipeline stage calls them.
+covariant derivative are the tests' reference (``flow_invariants``,
+``covariant_derivative``), which no stage calls and no flow type holds.
 
 The constraint system relating ambient curvature (adapted frame) to M, K and
 the quotient curvature is derived from the structure equations; for any unit
@@ -60,14 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import (Chart, EvalDomainError, Expr, add, diff, evaluate, evaluate_along,
-                         max_abs, mul, num, point_at, pow_, ZERO)
-from .exterior import FormArityError, PForm, contract, ext_d
+from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
+                         evaluate_along, max_abs, mul, num, point_at, pow_, ZERO)
+from .exterior import FormArityError, contract, ext_d
 from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
                      solve_connection)
 
@@ -80,12 +79,8 @@ __all__ = [
 ]
 
 
-class VanishingFlowError(ValueError):
-    def __init__(self, message: str, point: Mapping[str, float] | None = None):
-        if point is not None:
-            message += f" at point {dict(point)}"
-        super().__init__(message)
-        self.point = dict(point) if point is not None else None
+class VanishingFlowError(PointError):
+    pass
 
 
 def directional(e: Expr, vector: Sequence[Expr], chart: Chart) -> Expr:
@@ -136,39 +131,28 @@ class AdaptedFlow:
         return self.metric.chart
 
     @property
-    def psi0(self) -> PForm:
-        """psi0 as the symbolic reference coframe's first 1-form."""
-        return self.coframe.theta[0]
-
-    @property
     def horizontal(self) -> int:
         return self.chart.n - 1
 
 
 def adapted_coframe(metric: Metric, flow: Sequence[Expr],
-                    samples: Mapping[str, np.ndarray],
-                    flow_tol: float = 1e-8) -> AdaptedFlow:
-    """Unit flow field, its adapted Gram-Schmidt frame and F = d psi0.
+                    samples: Mapping[str, np.ndarray], flow_tol: float = 1e-8) -> tuple:
+    """Unit flow field, its adapted Gram-Schmidt frame and F = d psi0:
+    (AdaptedFlow, walk), the walk for :func:`flow_jet`.
 
     The horizontal legs come from projecting the coordinate vectors, in
     chart order, onto the orthogonal complement of u; directions that project
     to zero are skipped, a projection degenerating at isolated sample points
     is an error naming the point.  One forward-mode walk over g, the n + 1
     candidates [u, d_0, ..., d_{n-1}], F and g(V, V) at the samples gives the
-    flow norm check and one :func:`gram_schmidt_jet` with tangents, which
-    :func:`analyze_flow` hands to :func:`flow_jet`; a fault in the walk is
+    flow norm check and one :func:`gram_schmidt_jet`; the walk is its values
+    and Jacobians with the frame e and its jet.  A fault in the walk is
     raised after the norm and pivot checks that g and V alone allow.
     Non-unit flows are normalized automatically (``norm2`` keeps the squared
     norm); the discarded magnitude is exactly the scale a Killing
     reconstruction recovers.  F has n(n-1)/2 independent components, one
     pair of :func:`diff` calls each.
     """
-    return _adapt(metric, flow, samples, flow_tol)[0]
-
-
-def _adapt(metric: Metric, flow: Sequence[Expr], samples: Mapping[str, np.ndarray],
-           flow_tol: float) -> tuple:
-    """:func:`adapted_coframe`, and its walk and frame for :func:`flow_jet`."""
     chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
     norm2 = metric.inner(list(flow), list(flow))
@@ -193,12 +177,15 @@ def _adapt(metric: Metric, flow: Sequence[Expr], samples: Mapping[str, np.ndarra
         raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
     if fault is not None:
+        count = len(norms)
         values = np.concatenate([(v["v"] / np.sqrt(norms))[None],
-                                 np.broadcast_to(np.eye(n)[:, :, None], (n, n, len(norms)))])
-        gram_schmidt_jet(v["g"], values, [1] * n, samples, flow_tol, allow_skip=True)
+                                 np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))])
+        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, count)), values,
+                         np.broadcast_to(0.0, (n + 1, n, n, count)), [1] * n, samples,
+                         flow_tol, allow_skip=True)
         raise fault
-    e, de, eta, kept = gram_schmidt_jet(v["g"], v["s"], [1] * n, samples, flow_tol,
-                                        allow_skip=True, dg=dv["g"], dseeds=dv["s"])
+    e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], v["s"], dv["s"], [1] * n, samples,
+                                        flow_tol, allow_skip=True)
     coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
     return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe), (v, dv, e, de)
 
@@ -214,23 +201,21 @@ def flow_invariants(adapted: AdaptedFlow) -> FlowInvariants:
     reference that :func:`flow_jet` is tested against."""
     vec = adapted.coframe.vectors
     h = adapted.horizontal
-    dpsi0 = ext_d(adapted.psi0)
+    dpsi0 = ext_d(adapted.coframe.theta[0])
     m = [[mul(Fraction(-1, 2), contract(dpsi0, [vec[i + 1], vec[j + 1]])) for j in range(h)]
          for i in range(h)]
     k = [mul(num(-1), contract(dpsi0, [vec[0], vec[i + 1]])) for i in range(h)]
     return FlowInvariants(m, k)
 
 
-def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray],
-             walk: tuple | None = None) -> dict:
-    """First-order data of the adapted frame at every point, point axis last.
+def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
+    """First-order data of the adapted frame at the samples, point axis last.
 
-    One vector forward-mode walk in the coordinate basis d_nu over g_mu nu,
-    the Gram-Schmidt seeds (u first) and F gives their values and Jacobians;
-    the frame e_a^mu and its jet d_nu e_a^mu are :func:`gram_schmidt_jet` of
-    those (``walk``: the ones :func:`_adapt` made at ``points``, not kept
-    after this call), theta^a_mu = g_mu nu e_a^nu, and the rest is numpy,
-    with F(a, b) = a^mu F_mu nu b^nu:
+    ``walk`` is :func:`adapted_coframe`'s: the values and coordinate
+    Jacobians of g_mu nu, the Gram-Schmidt seeds (u first) and F, with the
+    frame e_a^mu and its jet d_nu e_a^mu from :func:`gram_schmidt_jet`.
+    theta^a_mu = g_mu nu e_a^nu, and the rest is numpy, with
+    F(a, b) = a^mu F_mu nu b^nu:
 
     * ``m``, ``k``: M_ij = -(1/2) F(e_i, e_j) and K_i = -F(u, e_i), u = e_0;
     * ``dm``: e_g(M_ij) (axes i, j, g) = e_g^nu d_nu M_ij by the product rule,
@@ -244,14 +229,9 @@ def flow_jet(adapted: AdaptedFlow, points: Mapping[str, np.ndarray],
       contractions;
     * ``e``, ``de``: e_a^mu and d_nu e_a^mu (axes a, mu, nu).
     """
-    cf = adapted.coframe
-    if walk is None:
-        v, dv = evaluate_along({"g": adapted.metric.entries, "s": cf.seeds, "f": adapted.f},
-                               adapted.chart.columns(points))
-        walk = v, dv, *gram_schmidt_jet(v["g"], v["s"], cf.eta, points, cf.pivot_tol,
-                                        dg=dv["g"], dseeds=dv["s"])[:2]
     v, dv, e, de = walk
-    conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de, cf.eta)[1]
+    conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de,
+                            adapted.coframe.eta)[1]
     ef = np.einsum("amp,mnp->anp", e, v["f"])                    # e_a^mu F_mu nu
     fab = np.einsum("anp,bnp->abp", ef, e)
     dfe = np.einsum("anp,bnrp->abrp", ef, de)                   # F(e_a, d_r e_b)
@@ -306,26 +286,12 @@ class FlowData:
     def horizontal(self) -> int:
         return self.adapted.horizontal
 
-    @cached_property
-    def invariants(self) -> FlowInvariants:
-        """The symbolic reference M and K (:func:`flow_invariants`), built on
-        first access; no pipeline stage reads them."""
-        return flow_invariants(self.adapted)
-
-    @property
-    def m(self) -> list:
-        return self.invariants.m
-
-    @property
-    def k(self) -> list:
-        return self.invariants.k
-
 
 def analyze_flow(metric: Metric, flow: Sequence[Expr],
                  samples: Mapping[str, np.ndarray],
                  rigidity_tol: float = 1e-9, flow_tol: float = 1e-8) -> FlowData:
-    adapted, walk = _adapt(metric, flow, samples, flow_tol)
-    jet = flow_jet(adapted, samples, walk)
+    adapted, walk = adapted_coframe(metric, flow, samples, flow_tol)
+    jet = flow_jet(adapted, walk)
     conn, m, k = jet["conn"], jet["m"], jet["k"]
     # two independent routes to M and K: F = d psi0 against the connection slots
     two_path = max(max_abs(k - conn[0, 1:, 0]), max_abs(m - conn[1:, 0, 1:]))
@@ -367,10 +333,11 @@ def covariant_derivative(components, flow: FlowData, rank: int | None = None):
 
     check_shape(components, rank)
     alpha = solve_connection(flow.adapted.coframe)
+    m = flow_invariants(flow.adapted).m
 
     def abar(l, i, g):
         base = contract(alpha[l + 1, i + 1], [vec[g]])
-        return add(base, mul(num(-1), flow.m[l][i])) if g == 0 else base
+        return add(base, mul(num(-1), m[l][i])) if g == 0 else base
 
     def entry(tensor, idx):
         for i in idx:

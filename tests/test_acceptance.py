@@ -18,7 +18,7 @@ from movingframes.frames import build_coframe, classify_space, curvature_package
 from movingframes.herglotz import (check_hypotheses, reconstruct_lambda,
                                    ricci_flat_check, run_herglotz,
                                    scaled_flow_killing_residual)
-from movingframes.submersion import analyze_flow, covariant_derivative
+from movingframes.submersion import analyze_flow, covariant_derivative, flow_invariants
 
 import oracle
 from helpers import (frame_fn, max_abs_coeff, metric_fn, random_point, random_pform, rows,
@@ -135,8 +135,9 @@ def test_criterion_5_screw_flow_invariants(screw):
     with criterion(5, "screw flow: |M_12|(1,0,0) = 0.5, radial K = 0.5, "
                       "two-path < 1e-9, rigidity < 1e-9"):
         fl = screw["flow_data"]
-        assert abs(eval_at(fl.m[0][1], BASE)) == pytest.approx(0.5, abs=1e-6)
-        assert eval_at(fl.k[0], BASE) == pytest.approx(0.5, abs=1e-6)
+        inv = flow_invariants(fl.adapted)
+        assert abs(eval_at(inv.m[0][1], BASE)) == pytest.approx(0.5, abs=1e-6)
+        assert eval_at(inv.k[0], BASE) == pytest.approx(0.5, abs=1e-6)
         assert fl.two_path < 1e-9
         assert fl.rigidity.residual < 1e-9
 

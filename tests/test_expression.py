@@ -23,7 +23,8 @@ from movingframes.expression import (ZERO, Add, Call, Chart, EvalDomainError, Ex
 from movingframes.exterior import matrix_curvature
 from movingframes.frames import build_coframe, classify_space, curvature_package, solve_connection
 from movingframes.herglotz import run_herglotz
-from movingframes.submersion import analyze_flow, constraint_residuals, directional
+from movingframes.submersion import (analyze_flow, constraint_residuals, directional,
+                                     flow_invariants)
 
 from helpers import columns, random_expr, random_point, rows, symbolic_riemann
 
@@ -212,7 +213,8 @@ class TestSimplify:
                 cls = classify_space(fd, fd.curvature_values(pts))
                 constraint_residuals(fl, fd)
                 run_herglotz(fl, cls, {c: float(v[0]) for c, v in pts.items()})
-                held += [fl.adapted.norm2, fl.adapted.u, fl.m, fl.k]
+                inv = flow_invariants(fl.adapted)
+                held += [fl.adapted.norm2, fl.adapted.u, inv.m, inv.k]
         order, _ = expression._schedule(list(_exprs(held)))
         nodes = {node for node, _ in order} | set(list(expression._TABLE.values())[start:])
         assert len(nodes) > 500

@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from movingframes.cli import _round12
-from movingframes.expression import (Chart, add, call, eval_at, evaluate, mul, num,
+from movingframes.expression import (Chart, add, call, eval_at, evaluate, max_abs, mul, num,
                                      sample_points, sym)
 from movingframes.frames import (Metric, build_coframe, classify_space,
                                  curvature_package)
 from movingframes.herglotz import (ClosednessError, check_hypotheses,
                                    reconstruct_lambda, ricci_flat_check,
-                                   run_herglotz, scaled_flow_killing_residual,
-                                   verify_killing)
-from movingframes.submersion import analyze_flow, constraint_residuals
+                                   run_herglotz, scaled_flow_killing_residual)
+from movingframes.submersion import (analyze_flow, constraint_residuals, flow_invariants,
+                                     lie_derivative_at)
 
 import oracle
 from helpers import columns, metric_fn, rows, vector_fn
@@ -44,7 +44,7 @@ class TestHypotheses:
         assert hyp.closedness_residual < 1e-8
         assert hyp.basic_m_residual < 1e-7
         assert hyp.basic_k_residual < 1e-7
-        assert hyp.satisfied()
+        assert hyp.failure_reason() is None
 
     def test_rotation_inapplicable(self, screw):
         chart = Chart(["x", "y", "z"],
@@ -193,14 +193,15 @@ class TestQuadrature:
 class TestKilling:
     def test_exact_killing_field(self, screw):
         """V = (-y, x, 1) is Killing for the flat metric."""
-        res = verify_killing(screw["metric"], screw["flow"], screw["points"],
-                             screw["flow_data"].adapted.coframe.vectors)
+        res = max_abs(lie_derivative_at(screw["metric"], screw["flow"],
+                                        screw["flow_data"].adapted.coframe.vectors,
+                                        screw["points"]))
         assert res < 1e-12
 
     def test_translation(self, flat3):
         chart, metric = flat3
         pts = sample_points(chart, "random", 6, seed=35)
-        assert verify_killing(metric, [num(0), num(0), num(1)], pts) == 0.0
+        assert max_abs(lie_derivative_at(metric, [num(0), num(0), num(1)], None, pts)) == 0.0
 
     def test_twist_residual_one(self):
         chart = Chart(["x", "y", "z"],
@@ -210,7 +211,7 @@ class TestKilling:
         pts = sample_points(chart, "random", 10, seed=36)
         V = [call("cos", sym("z")), call("sin", sym("z")), num(0)]
         fl = analyze_flow(metric, V, pts)
-        res = verify_killing(metric, V, pts, fl.adapted.coframe.vectors)
+        res = max_abs(lie_derivative_at(metric, V, fl.adapted.coframe.vectors, pts))
         assert res >= 1.0 - 1e-8
         assert res == pytest.approx(1.0, abs=1e-8)
 
@@ -287,7 +288,8 @@ class TestEndToEnd:
         fl = analyze_flow(metric, [-2 * y, 2 * x, num(1)], pts)
         assert fl.rigidity.rigid
         # |M_12| = w/(1 + w^2 r^2) with w = 2
-        assert abs(eval_at(fl.m[0][1], base)) == pytest.approx(2.0 / 5.0, rel=1e-9)
+        assert abs(eval_at(flow_invariants(fl.adapted).m[0][1], base)) == pytest.approx(
+            2.0 / 5.0, rel=1e-9)
         fd = curvature_package(build_coframe(metric, samples=pts))
         rep = run_herglotz(fl, classify_space(fd, fd.curvature_values(pts)), base)
         assert rep.verdict == "isometric-verified"
@@ -311,10 +313,11 @@ class TestEndToEnd:
         assert cls.constant_curvature and cls.kappa == pytest.approx(1.0, abs=1e-9)
         fl = analyze_flow(metric, [num(0), num(1), num(1)], pts)
         assert fl.rigidity.rigid and fl.rigidity.residual < 1e-9
+        inv = flow_invariants(fl.adapted)
         for p in rows(pts)[:6]:
-            assert abs(eval_at(fl.m[0][1], p)) == pytest.approx(1.0, rel=1e-9)
-            assert abs(eval_at(fl.k[0], p)) < 1e-12
-            assert abs(eval_at(fl.k[1], p)) < 1e-12
+            assert abs(eval_at(inv.m[0][1], p)) == pytest.approx(1.0, rel=1e-9)
+            assert abs(eval_at(inv.k[0], p)) < 1e-12
+            assert abs(eval_at(inv.k[1], p)) < 1e-12
         # constraint identities hold in the curved ambient too
         rep = constraint_residuals(fl, fd)
         assert rep.max_tilde_free() < 1e-9
@@ -413,7 +416,8 @@ def test_k_from_f_matches_k_on_the_coframe(screw):
                           sample_points(conf, "random", 5, seed=47))]
     for fl in flows:
         chart, theta = fl.chart, fl.adapted.coframe.theta
-        k_mu = [add(*[mul(k, t.coefficient((mu,))) for k, t in zip(fl.k, theta[1:])])
+        inv = flow_invariants(fl.adapted)
+        k_mu = [add(*[mul(k, t.coefficient((mu,))) for k, t in zip(inv.k, theta[1:])])
                 for mu in range(chart.n)]
         ends = np.column_stack([fl.samples[c] for c in chart.coords])
         base = ends[:1]

@@ -14,7 +14,7 @@ from movingframes.exterior import contract
 from movingframes.frames import Metric, build_coframe, curvature_package, solve_connection
 from movingframes.submersion import (VanishingFlowError, adapted_coframe,
                                      analyze_flow, constraint_residuals,
-                                     constraint_rows, covariant_derivative, flow_jet,
+                                     constraint_rows, covariant_derivative, flow_invariants,
                                      lie_derivative_at, rigidity_test)
 
 import oracle
@@ -57,17 +57,18 @@ class TestAdaptedCoframe:
     def test_vertical_translation(self, flat3):
         chart, metric = flat3
         pts = sample_points(chart, "random", 10, seed=23)
-        ad = adapted_coframe(metric, [num(0), num(0), num(1)], pts)
-        assert ad.psi0.coefficient((2,)) is num(1) and len(ad.psi0.coeffs) == 1
+        ad = adapted_coframe(metric, [num(0), num(0), num(1)], pts)[0]
+        psi0 = ad.coframe.theta[0]
+        assert psi0.coefficient((2,)) is num(1) and len(psi0.coeffs) == 1
         assert ad.coframe.theta[1].coefficient((0,)) is num(1)
         assert ad.coframe.theta[2].coefficient((1,)) is num(1)
 
     def test_screw_psi0_is_unit(self, screw):
-        ad = screw["flow_data"].adapted
+        psi0 = screw["flow_data"].adapted.coframe.theta[0]
         g = screw["metric"]
         for p in rows(screw["points"])[:10]:
             memo = {}
-            psi = [eval_at(ad.psi0.coefficient((mu,)), p, memo) for mu in range(3)]
+            psi = [eval_at(psi0.coefficient((mu,)), p, memo) for mu in range(3)]
             # flat metric: |psi0|^2 = sum of squares
             assert sum(v * v for v in psi) == pytest.approx(1.0, abs=1e-12)
             expected = np.array([-p["y"], p["x"], 1.0])
@@ -117,23 +118,23 @@ class TestFlowInvariants:
         pts = sample_points(chart, "random", 10, seed=25)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         assert not fl.jet["m"].any()
-        assert all(k.is_zero() for k in fl.k)
+        assert all(k.is_zero() for k in flow_invariants(fl.adapted).k)
 
     def test_screw_values_at_base(self, screw):
-        fl = screw["flow_data"]
-        m12 = eval_at(fl.m[0][1], BASE)
+        inv = flow_invariants(screw["flow_data"].adapted)
+        m12 = eval_at(inv.m[0][1], BASE)
         assert abs(m12) == pytest.approx(0.5, abs=1e-6)
         # the first horizontal leg at (1,0,0) is radial
-        assert eval_at(fl.k[0], BASE) == pytest.approx(0.5, abs=1e-6)
-        assert eval_at(fl.k[1], BASE) == pytest.approx(0.0, abs=1e-12)
+        assert eval_at(inv.k[0], BASE) == pytest.approx(0.5, abs=1e-6)
+        assert eval_at(inv.k[1], BASE) == pytest.approx(0.0, abs=1e-12)
 
     def test_screw_analytic_profiles(self, screw):
         """|M_12| = w/(1 + w^2 r^2) and K = d log sqrt(1 + r^2) for w = 1."""
-        fl = screw["flow_data"]
+        inv = flow_invariants(screw["flow_data"].adapted)
         for p in rows(screw["points"])[:10]:
             r2 = p["x"] ** 2 + p["y"] ** 2
-            assert abs(eval_at(fl.m[0][1], p)) == pytest.approx(1.0 / (1.0 + r2), rel=1e-9)
-            kmag = np.hypot(eval_at(fl.k[0], p), eval_at(fl.k[1], p))
+            assert abs(eval_at(inv.m[0][1], p)) == pytest.approx(1.0 / (1.0 + r2), rel=1e-9)
+            kmag = np.hypot(eval_at(inv.k[0], p), eval_at(inv.k[1], p))
             # |d log lambda| = r/(1+r^2)
             assert kmag == pytest.approx(np.sqrt(r2) / (1.0 + r2), rel=1e-9)
 
@@ -141,7 +142,8 @@ class TestFlowInvariants:
         fl = screw["flow_data"]
         chart = screw["chart"]
         cf = fl.adapted.coframe
-        psi0 = fl.adapted.psi0
+        inv = flow_invariants(fl.adapted)
+        psi0 = cf.theta[0]
         psi_fn = vector_fn([psi0.coefficient((mu,)) for mu in range(3)], chart)
         for p in rows(screw["points"])[:6]:
             arr = np.array([p[c] for c in chart.coords])
@@ -150,10 +152,10 @@ class TestFlowInvariants:
             evec = np.array([[eval_at(c, p, memo) for c in row] for row in cf.vectors])
             for i in range(2):
                 kd = -(evec[0] @ dps @ evec[i + 1])
-                assert kd == pytest.approx(eval_at(fl.k[i], p, memo), abs=1e-6)
+                assert kd == pytest.approx(eval_at(inv.k[i], p, memo), abs=1e-6)
                 for j in range(2):
                     md = -0.5 * (evec[i + 1] @ dps @ evec[j + 1])
-                    assert md == pytest.approx(eval_at(fl.m[i][j], p, memo), abs=1e-6)
+                    assert md == pytest.approx(eval_at(inv.m[i][j], p, memo), abs=1e-6)
 
     def test_two_path_and_skewness(self, screw):
         fl = screw["flow_data"]
@@ -164,10 +166,10 @@ class TestFlowInvariants:
         fl = rotation["flow_data"]
         assert np.max(np.abs(fl.jet["m"])) < 1e-9
         # radial K leg = 1/r; at (1,0,0) this is 1
-        assert eval_at(fl.k[0], BASE) == pytest.approx(1.0, abs=1e-6)
+        assert eval_at(flow_invariants(fl.adapted).k[0], BASE) == pytest.approx(1.0, abs=1e-6)
         # d psi0 = (1/r) theta_r ^ psi0: FD cross-check of the extraction
         chart = rotation["chart"]
-        psi0 = fl.adapted.psi0
+        psi0 = fl.adapted.coframe.theta[0]
         psi_fn = vector_fn([psi0.coefficient((mu,)) for mu in range(3)], chart)
         arr = np.array([BASE[c] for c in chart.coords])
         dps = oracle.d_of_one_form(psi_fn, arr)
@@ -233,7 +235,7 @@ class TestCovariantDerivative:
 
     def test_screw_k_closed(self, screw):
         fl = screw["flow_data"]
-        kc = covariant_derivative(fl.k, fl, rank=1)
+        kc = covariant_derivative(flow_invariants(fl.adapted).k, fl, rank=1)
         worst = 0.0
         for p in rows(screw["points"])[:10]:
             memo = {}
@@ -247,8 +249,9 @@ class TestCovariantDerivative:
         """Frame finite differences reproduce K_i;j off-diagonal symmetry."""
         fl = screw["flow_data"]
         chart = screw["chart"]
-        kc = covariant_derivative(fl.k, fl, rank=1)
-        k_fns = [vector_fn([fl.k[i]], chart) for i in range(2)]
+        inv = flow_invariants(fl.adapted)
+        kc = covariant_derivative(inv.k, fl, rank=1)
+        k_fns = [vector_fn([inv.k[i]], chart) for i in range(2)]
         q = 2
         p = rows(screw["points"])[q]
         arr = np.array([p[c] for c in chart.coords])
@@ -265,8 +268,9 @@ class TestCovariantDerivative:
 
     def test_screw_m_and_k_basic(self, screw):
         fl = screw["flow_data"]
-        mc = covariant_derivative(fl.m, fl, rank=2)
-        kc = covariant_derivative(fl.k, fl, rank=1)
+        inv = flow_invariants(fl.adapted)
+        mc = covariant_derivative(inv.m, fl, rank=2)
+        kc = covariant_derivative(inv.k, fl, rank=1)
         for p in rows(screw["points"])[:10]:
             memo = {}
             for i in range(2):
@@ -303,9 +307,10 @@ class TestFlowJet:
         lie_frame = [[add(*[mul(vec[a][m], vec[b][q], lie[m][q])
                             for m in range(n) for q in range(n)])
                       for b in range(n)] for a in range(n)]
+        inv = flow_invariants(fl.adapted)
         return evaluate({"conn": conn, "lie": lie_frame,
-                         "mc": covariant_derivative(fl.m, fl, rank=2),
-                         "kc": covariant_derivative(fl.k, fl, rank=1)}, pts)
+                         "mc": covariant_derivative(inv.m, fl, rank=2),
+                         "kc": covariant_derivative(inv.k, fl, rank=1)}, pts)
 
     def test_matches_symbolic_route(self, screw, twist):
         """The forward-mode jet against the symbolic route, component by
@@ -341,7 +346,7 @@ class TestFlowJet:
                 assert np.max(np.abs(want["lie"][1:, 1:])) > 0.1
                 sizes.append({k: np.max(np.abs(v)) for k, v in want.items()})
             shuffled = dict(reversed(list(pts.items())))    # the chart fixes the derivative axis
-            again = flow_jet(fl.adapted, shuffled)
+            again = analyze_flow(fl.adapted.metric, fl.adapted.flow, shuffled).jet
             assert all(np.array_equal(again[k], v) for k, v in fl.jet.items())
             got["lie_at"] = lie_derivative_at(fl.adapted.metric, fl.adapted.u,
                                               fl.adapted.coframe.vectors, shuffled)
@@ -386,11 +391,12 @@ class TestFlowJet:
                                       for k in range(n)]
             assert fl.adapted.coframe.seeds == tuple(seeds[k] for k in kept)
             vec, coords = fl.adapted.coframe.vectors, fl.chart.coords
+            inv = flow_invariants(fl.adapted)
             want = evaluate({"e": vec, "de": [[[diff(c, x) for x in coords] for c in row]
                                               for row in vec],
-                             "m": fl.m, "k": fl.k,
-                             "mc": covariant_derivative(fl.m, fl, rank=2),
-                             "kc": covariant_derivative(fl.k, fl, rank=1)}, fl.samples)
+                             "m": inv.m, "k": inv.k,
+                             "mc": covariant_derivative(inv.m, fl, rank=2),
+                             "kc": covariant_derivative(inv.k, fl, rank=1)}, fl.samples)
             for name, w in want.items():
                 got = fl.jet[name]
                 assert got.shape == w.shape, name
@@ -419,7 +425,7 @@ class TestConstraintSystem:
         fl = screw["flow_data"]
         assert rows(screw["points"])[0] == BASE
         val = rep.quotient_riemann[0, 1, 0, 1, 0]
-        m12 = eval_at(fl.m[0][1], BASE)
+        m12 = eval_at(flow_invariants(fl.adapted).m[0][1], BASE)
         assert val == pytest.approx(0.75, abs=1e-5)
         assert val == pytest.approx(3.0 * m12 * m12, abs=1e-9)
 
@@ -466,7 +472,8 @@ class TestConstraintSystem:
         from it, slot 0 of the rank-4 covariant derivative of Rq, and the
         five tilde-free rows."""
         h = fl.horizontal
-        m, k = fl.m, fl.k
+        inv = flow_invariants(fl.adapted)
+        m, k = inv.m, inv.k
         R = symbolic_riemann(fl.adapted.coframe)
         eta = fl.adapted.coframe.eta
         ricci = [[add(*[mul(num(e), R[i][j][i][l]) for i, e in enumerate(eta)])

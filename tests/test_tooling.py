@@ -1,8 +1,14 @@
-"""The repository's pytest configuration."""
+"""The repository's tooling: its pytest configuration, its exports and the
+report-digest tool."""
 
+import importlib
+import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import movingframes
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -32,3 +38,41 @@ def test_a_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     out = run.stdout + run.stderr
     assert "INTERNALERROR" not in out
     assert "1 failed, 1 passed" in out
+
+
+def test_every_export_resolves():
+    """Every name in the package's ``__all__`` and in each of its modules'
+    resolves to an attribute, so a deleted member cannot stay exported."""
+    modules = [movingframes] + [importlib.import_module(f"movingframes.{info.name}")
+                                for info in pkgutil.iter_modules(movingframes.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+def test_report_digests_run_and_compare(tmp_path):
+    """tools/report_digests.py digests every cold and warm run of a
+    workload's sessions, and its compare mode names a session that differs."""
+    tool = PYPROJECT.parent / "tools" / "report_digests.py"
+    out = tmp_path / "digests.json"
+    run = subprocess.run([sys.executable, str(tool), "run", "--seeds", "1",
+                          "--workloads", "screw-eval", "--size", "tiny", "--out", str(out)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    sessions = json.loads(out.read_text())["sessions"]
+    assert sorted(sessions) == ["screw-eval:1:0", "screw-eval:1:1", "screw-eval:1:2"]
+    for rows in sessions.values():
+        # one config per session: its cold and its warm run, both exit 0 with one report
+        assert [row[:3] for row in rows] == [[0, 0, 0], [1, 0, 0]]
+        assert rows[0][3] == rows[1][3] and len(rows[0][3]) == 64
+    same = subprocess.run([sys.executable, str(tool), "compare", str(out), str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert same.returncode == 0 and "0 of 3 sessions differ" in same.stdout
+    changed = json.loads(out.read_text())
+    changed["sessions"]["screw-eval:1:1"][1][3] = "0" * 64
+    other = tmp_path / "changed.json"
+    other.write_text(json.dumps(changed))
+    diff = subprocess.run([sys.executable, str(tool), "compare", str(out), str(other)],
+                          capture_output=True, text=True, timeout=60)
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == ["differs: screw-eval:1:1", "1 of 3 sessions differ"]
