@@ -36,6 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -628,28 +630,30 @@ def eval_at(e: Expr, point: Mapping[str, float], memo: dict | None = None) -> fl
 
 
 def _schedule(roots: Sequence[Expr]):
-    """Post-order (node, children) of the union DAG of ``roots``, and the
-    position of each node's last consumer."""
+    """Post-order (node, children) of the union DAG of ``roots``, and each
+    node's position in it."""
     order: list = []
-    seen: set = set()
+    index: dict = {}                 # node -> position; None while its children run
     for root in roots:
+        if root in index:
+            continue
         stack = [(root, None)]
+        push = stack.append
         while stack:
             x, kids = stack.pop()
             if kids is not None:
+                index[x] = len(order)
                 order.append((x, kids))
-            elif x not in seen:
-                seen.add(x)
-                kids = (x.terms if isinstance(x, Add) else x.factors if isinstance(x, Mul)
-                        else (x.base,) if isinstance(x, Pow)
-                        else (x.arg,) if isinstance(x, Call) else ())
-                stack.append((x, kids))
-                stack.extend((c, None) for c in kids if c not in seen)
-    last: dict = {}
-    for i, (_, kids) in enumerate(order):
-        for c in kids:
-            last[c] = i
-    return order, last
+            elif x not in index:
+                index[x] = None
+                t = type(x)
+                kids = (x.factors if t is Mul else x.terms if t is Add else (x.base,) if t is Pow
+                        else (x.arg,) if t is Call else ())
+                push((x, kids))
+                for c in kids:
+                    if c not in index:
+                        push((c, None))
+    return order, index
 
 
 _TANGENT = {                 # d fn(a)/da from the argument a and the value v
@@ -705,25 +709,6 @@ def _product_rule(values: list, tangents: list):
     return _sum(terms)
 
 
-def _tangent(x: Expr, kids: tuple, v, vals: dict, tans: dict, seeds: Mapping):
-    """Directional derivative of node ``x`` from its children's values and
-    tangents; None when it is structurally zero, so the derivative terms that
-    :func:`diff` skips are skipped here too."""
-    if isinstance(x, Sym):
-        return seeds.get(x.name)
-    if isinstance(x, Add):
-        return _sum([tans[c] for c in kids if c in tans])
-    if isinstance(x, Mul):
-        return _product_rule([vals[c] for c in kids], [tans.get(c) for c in kids])
-    t = tans.get(kids[0]) if kids else None
-    if t is None:
-        return None
-    a = vals[kids[0]]
-    if isinstance(x, Pow):          # e a^(e-1) a', as diff writes it
-        return float(x.exponent) * a ** float(x.exponent - 1) * t
-    return _TANGENT[x.fn](a, v) * t
-
-
 def _times(a, b):
     """a * b, None when either is structurally zero."""
     return None if a is None or b is None else a * b
@@ -734,39 +719,58 @@ def _live_sum(*terms):
     return _sum([t for t in terms if t is not None])
 
 
-def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: dict):
-    """u(X f) of node ``x`` (hyper-dual numbers: value, X-tangent, u-tangent and
-    mixed part) from its children's four channels; None when structurally zero,
-    as for every leaf, since the X-tangents of the symbols are constant."""
-    if isinstance(x, Add):
-        return _sum([mixed[c] for c in kids if c in mixed])
-    if isinstance(x, Mul):          # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
-        p, t, s, w = vals[kids[0]], tans.get(kids[0]), utans.get(kids[0]), mixed.get(kids[0])
-        for c in kids[1:]:
-            f, tf, sf, wf = vals[c], tans.get(c), utans.get(c), mixed.get(c)
-            w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
-            t, s = _live_sum(_times(t, f), _times(p, tf)), _live_sum(_times(s, f), _times(p, sf))
-            p = p * f
-        return w
-    t = tans.get(kids[0]) if kids else None
-    if t is None:
-        return None
-    s, w = utans.get(kids[0]), mixed.get(kids[0])
-    a = vals[kids[0]]
-    if isinstance(x, Pow):
-        e = x.exponent
-        d1 = float(e) * a ** float(e - 1)
-        d2 = None if s is None else float(e * (e - 1)) * a ** float(e - 2)
-    else:
-        d1 = _TANGENT[x.fn](a, v)
-        d2 = None if s is None else _SECOND[x.fn](a, v, d1)
-    return _live_sum(_times(d2, _times(s, t)), _times(d1, w))
+_CALLS = {fn: (getattr(np, fn), _TANGENT.get(fn), _SECOND.get(fn)) for fn in FUNCTIONS}
+_POWERS: dict = {}          # each exponent e compiled -> floats of e, e - 1, e (e - 1), e - 2
+_PROGRAM_CAP = 256
+# tuple of roots -> program, oldest first: at most _PROGRAM_CAP programs of
+# one six-field tuple per DAG node (about 210 bytes a node) and no arrays
+_PROGRAMS: OrderedDict = OrderedDict()
+_EVICTING = threading.Lock()
+
+
+def _compile(roots: tuple) -> tuple:
+    """Per node of :func:`_schedule`'s post-order, whose position is its
+    register: (node type, children's registers, argument, root rows written,
+    registers freed after it, whether it has a consumer).  The argument is
+    the np.float64 constant, the coordinate name, the exponent floats or
+    (ufunc, derivative, second derivative)."""
+    order, index = _schedule(roots)
+    rows: dict = {}
+    for r, x in enumerate(roots):
+        rows.setdefault(index[x], []).append(r)
+    used = bytearray(len(order))
+    position, marked = index.__getitem__, used.__getitem__
+    prog = [None] * len(order)
+    for i in range(len(order) - 1, -1, -1):      # backwards: a child is freed at its last use
+        x, kids = order[i]
+        op = type(x)
+        if op is Num:
+            arg = np.float64(float(x.value))
+        elif op is Sym:
+            arg = x.name
+        elif op is Pow:
+            e = x.exponent               # a Fraction hashes slowly: key by its two ints
+            key = e if type(e) is int else (e.numerator, e.denominator)
+            arg = _POWERS.get(key) or _POWERS.setdefault(
+                key, (float(e), float(e - 1), float(e * (e - 1)), float(e - 2)))
+        else:
+            arg = _CALLS[x.fn] if op is Call else None
+        regs = tuple(map(position, kids))
+        frees = tuple(itertools.filterfalse(marked, regs))
+        for r in frees:
+            used[r] = 1
+        row = rows.get(i)                        # an int, or a list to index with
+        prog[i] = (op, regs, arg, row and (row[0] if len(row) == 1 else row), frees,
+                   used[i])
+    return tuple(prog)
 
 
 def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: int = 1,
                  useeds: Mapping | None = None):
-    """Each DAG node as one numpy operation over all points, in post-order;
-    an intermediate is dropped after its last consumer.
+    """Run the compiled program of ``roots``: each DAG node as one numpy
+    operation over all points, in post-order; an intermediate is dropped
+    after its last consumer.  Programs are compiled once per tuple of roots
+    and kept in ``_PROGRAMS``, oldest evicted first beyond ``_PROGRAM_CAP``.
 
     With ``seeds`` (coordinate name -> constant (d, N) tangent basis, absent
     where zero) every node also carries its d directional derivatives X f
@@ -775,69 +779,98 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
     name -> (N,) components of a field u), every node also carries u f and
     the mixed derivatives u(X f) (hyper-dual numbers), and the result is
     (values, derivatives, u-derivatives, mixed), the last shaped (roots, N)
-    and (roots, d, N).
+    and (roots, d, N).  A tangent is None where it is structurally zero, so
+    the derivative terms that :func:`diff` skips are skipped here too.
     """
-    order, last = _schedule(roots)
-    rows: dict = {}
-    for r, x in enumerate(roots):
-        rows.setdefault(x, []).append(r)
+    key = tuple(roots)
+    prog = _PROGRAMS.get(key)
+    if prog is None:
+        prog = _PROGRAMS.setdefault(key, _compile(key))     # as _intern: one program wins
+        with _EVICTING:
+            while len(_PROGRAMS) > _PROGRAM_CAP:
+                _PROGRAMS.popitem(last=False)
     out = np.empty((len(roots), n))
+    vals, tans, utans, mixed = ([None] * len(prog) for _ in range(4))
+    chans: tuple = ()                # (registers, seeds, result) per tangent channel
     if seeds is not None:
         dout = np.zeros((len(roots), d, n))
+        chans = ((tans, seeds, dout),)
     if useeds is not None:
         uout, mout = np.zeros((len(roots), n)), np.zeros((len(roots), d, n))
-    vals: dict = {}
-    tans: dict = {}
-    utans: dict = {}
-    mixed: dict = {}
-    for i, (x, kids) in enumerate(order):
-        if isinstance(x, Num):
-            v = np.float64(float(x.value))
-        elif isinstance(x, Sym):
+        chans = ((utans, useeds, uout),) + chans
+    for i, (op, kids, arg, rows, frees, keep) in enumerate(prog):
+        if op is Mul:
+            v = vals[kids[0]] * vals[kids[1]]
+            for c in kids[2:]:
+                v *= vals[c]
+        elif op is Add:
+            v = vals[kids[0]] + vals[kids[1]]
+            for c in kids[2:]:
+                v += vals[c]
+        elif op is Pow:
+            v = vals[kids[0]] ** arg[0]
+        elif op is Call:
+            v = arg[0](vals[kids[0]])
+        elif op is Sym:
             try:
-                v = np.asarray(points[x.name], dtype=float)
+                v = np.asarray(points[arg], dtype=float)
             except KeyError:
-                raise UnboundCoordinateError(x.name) from None
+                raise UnboundCoordinateError(arg) from None
             if not np.isfinite(v).all():
                 raise FloatingPointError("non-finite coordinate")
-        elif isinstance(x, Add):
-            v = vals[kids[0]] + vals[kids[1]]
-            for t in kids[2:]:
-                v += vals[t]
-        elif isinstance(x, Mul):
-            v = vals[kids[0]] * vals[kids[1]]
-            for f in kids[2:]:
-                v *= vals[f]
-        elif isinstance(x, Pow):
-            v = vals[kids[0]] ** float(x.exponent)
         else:
-            v = getattr(np, x.fn)(vals[kids[0]])       # numpy names every FUNCTIONS entry
-        if useeds is not None:
-            for channel, result, t in ((utans, uout, _tangent(x, kids, v, vals, utans, useeds)),
-                                       (mixed, mout, _mixed(x, kids, v, vals, tans, utans, mixed))):
-                if t is not None:
-                    if x in rows:
-                        result[rows[x]] = t
-                    if x in last:
-                        channel[x] = t
-        if seeds is not None:
-            t = _tangent(x, kids, v, vals, tans, seeds)
+            v = arg
+        for chan, seedmap, result in chans:
+            if op is Mul:
+                t = _product_rule([vals[c] for c in kids], [chan[c] for c in kids])
+            elif op is Add:
+                t = _sum([chan[c] for c in kids if chan[c] is not None])
+            elif op is Sym:
+                t = seedmap.get(arg)
+            else:
+                t = chan[kids[0]] if kids else None
+                if t is not None:           # e a^(e-1) a', as diff writes it
+                    a = vals[kids[0]]
+                    t = arg[0] * a ** arg[1] * t if op is Pow else arg[1](a, v) * t
             if t is not None:
-                if x in rows:
-                    dout[rows[x]] = t
-                if x in last:
-                    tans[x] = t
-        if x in rows:
-            out[rows[x]] = v
-        if x in last:
-            vals[x] = v
-        for c in kids:
-            if last[c] == i:
-                vals.pop(c, None)
-                tans.pop(c, None)
-                if useeds is not None:
-                    utans.pop(c, None)
-                    mixed.pop(c, None)
+                if rows is not None:
+                    result[rows] = t
+                if keep:
+                    chan[i] = t
+        if useeds is not None and kids:     # u(X f); leaves have none
+            if op is Add:
+                w = _sum([mixed[c] for c in kids if mixed[c] is not None])
+            elif op is Mul:                # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
+                c = kids[0]
+                p, t, s, w = vals[c], tans[c], utans[c], mixed[c]
+                for c in kids[1:]:
+                    f, tf, sf, wf = vals[c], tans[c], utans[c], mixed[c]
+                    w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
+                    t, s = (_live_sum(_times(t, f), _times(p, tf)),
+                            _live_sum(_times(s, f), _times(p, sf)))
+                    p = p * f
+            elif tans[kids[0]] is None:
+                w = None
+            else:
+                a, t, s, w = vals[kids[0]], tans[kids[0]], utans[kids[0]], mixed[kids[0]]
+                if op is Pow:
+                    d1 = arg[0] * a ** arg[1]
+                    d2 = None if s is None else arg[2] * a ** arg[3]
+                else:
+                    d1 = arg[1](a, v)
+                    d2 = None if s is None else arg[2](a, v, d1)
+                w = _live_sum(_times(d2, _times(s, t)), _times(d1, w))
+            if w is not None:
+                if rows is not None:
+                    mout[rows] = w
+                if keep:
+                    mixed[i] = w
+        if rows is not None:
+            out[rows] = v
+        if keep:
+            vals[i] = v
+        for c in frees:
+            vals[c] = tans[c] = utans[c] = mixed[c] = None
     if seeds is None:
         return out
     return (out, dout) if useeds is None else (out, dout, uout, mout)
@@ -855,13 +888,16 @@ def _flatten(exprs):
 
 def _unflatten(exprs, grids: dict, flat: np.ndarray):
     """Split ``flat`` (one leading row per expression) back into the groups."""
-    parts = np.split(flat, np.cumsum([g.size for g in grids.values()])[:-1])
-    out = {k: v.reshape(g.shape + flat.shape[1:]) for (k, g), v in zip(grids.items(), parts)}
+    out, start = {}, 0
+    for k, g in grids.items():
+        out[k] = flat[start:start + g.size].reshape(g.shape + flat.shape[1:])
+        start += g.size
     return out if isinstance(exprs, Mapping) else out[None]
 
 
 def evaluate(exprs, points):
-    """Values of expressions at every sample point, as one numpy program.
+    """Values of expressions at every sample point, as one numpy program,
+    compiled once per tuple of roots (:func:`_run_program`).
 
     ``exprs``: a rectangular nested sequence of shape S (result: S + (N,)),
     or a mapping of names to such sequences (result: a dict of arrays from
@@ -890,9 +926,9 @@ def evaluate_along(exprs, points, second: Mapping | None = None):
 
     The derivatives d_c e are taken along every coordinate c of ``points``,
     in key order (chart order for sample columns), all d = len(points) at
-    once by vector forward mode through the walk of :func:`evaluate` (each
-    node carries a (d, N) tangent; sums in the same order), so no derivative
-    expression is built.  Returns (values, derivatives): values shaped as
+    once by vector forward mode through the compiled program of
+    :func:`evaluate` (each node carries a (d, N) tangent; sums in the same
+    order), so no derivative expression is built.  Returns (values, derivatives): values shaped as
     :func:`evaluate` shapes them, derivatives S + (d, N).  With ``second``, a
     vector field u (coordinate name -> component expression), the same walk
     also carries u(e) and the mixed second derivatives u(d_c e) of every node

@@ -143,10 +143,11 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     The horizontal legs come from projecting the coordinate vectors, in
     chart order, onto the orthogonal complement of u; directions that project
     to zero are skipped, a projection degenerating at isolated sample points
-    is an error naming the point.  One forward-mode walk over g, the n + 1
-    candidates [u, d_0, ..., d_{n-1}], F and g(V, V) at the samples gives the
-    flow norm check and one :func:`gram_schmidt_jet`; the walk is its values
-    and Jacobians with the frame e and its jet.  A fault in the walk is
+    is an error naming the point.  One forward-mode walk over g, u, F and
+    g(V, V) at the samples gives the flow norm check and one
+    :func:`gram_schmidt_jet` of the candidates [u, d_0, ..., d_{n-1}], the
+    d_k as constant views with zero tangents; the walk is its values and
+    Jacobians with the frame e and its jet.  A fault in the walk is
     raised after the norm and pivot checks that g and V alone allow.
     Non-unit flows are normalized automatically (``norm2`` keeps the squared
     norm); the discarded magnitude is exactly the scale a Killing
@@ -165,7 +166,7 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                         mul(num(-1), diff(psi0[mu], chart.coords[nu])))
         f[nu][mu] = mul(num(-1), f[mu][nu])
     try:
-        v, dv = evaluate_along({"g": metric.entries, "s": seeds, "f": f, "norm2": [norm2]},
+        v, dv = evaluate_along({"g": metric.entries, "u": u, "f": f, "norm2": [norm2]},
                                chart.columns(samples))
         fault = None
     except EvalDomainError as exc:      # raised after the checks that g and V alone allow
@@ -176,16 +177,17 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
         val = norms[low[0]]
         raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
+    count = len(norms)
+    coords = list(np.broadcast_to(np.eye(n)[:, :, None], (n, n, count)))
+    zero = np.broadcast_to(0.0, (n, n, count))
     if fault is not None:
-        count = len(norms)
-        values = np.concatenate([(v["v"] / np.sqrt(norms))[None],
-                                 np.broadcast_to(np.eye(n)[:, :, None], (n, n, count))])
-        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, count)), values,
-                         np.broadcast_to(0.0, (n + 1, n, n, count)), [1] * n, samples,
-                         flow_tol, allow_skip=True)
+        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, count)),
+                         [v["v"] / np.sqrt(norms)] + coords, [zero] * (n + 1), [1] * n,
+                         samples, flow_tol, allow_skip=True)
         raise fault
-    e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], v["s"], dv["s"], [1] * n, samples,
-                                        flow_tol, allow_skip=True)
+    e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], [v["u"]] + coords,
+                                        [dv["u"]] + [zero] * n, [1] * n, samples, flow_tol,
+                                        allow_skip=True)
     coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
     return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe), (v, dv, e, de)
 
@@ -212,7 +214,7 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     """First-order data of the adapted frame at the samples, point axis last.
 
     ``walk`` is :func:`adapted_coframe`'s: the values and coordinate
-    Jacobians of g_mu nu, the Gram-Schmidt seeds (u first) and F, with the
+    Jacobians of g_mu nu, the unit flow u and F, with the
     frame e_a^mu and its jet d_nu e_a^mu from :func:`gram_schmidt_jet`.
     theta^a_mu = g_mu nu e_a^nu, and the rest is numpy, with
     F(a, b) = a^mu F_mu nu b^nu:
@@ -245,7 +247,7 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     return {
         "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
         "lie": np.einsum("amp,bnp,mnp->abp", e, e,
-                         _lie(v["g"], dv["g"], v["s"][0], dv["s"][0])),
+                         _lie(v["g"], dv["g"], v["u"], dv["u"])),
         "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
         "kc": dk - np.einsum("ligp,lp->igp", abar, k),
     }

@@ -1,0 +1,158 @@
+"""Test-side references for the package's fast paths.
+
+``run_program`` is the node-by-node interpreter that the compiled programs
+of ``expression._run_program`` replaced.  On every call it schedules the
+roots (``schedule``), dispatches on each node's type and keeps the values
+and tangents in dicts keyed by node.  It performs the same numpy operations
+as the compiled runner, in the same order, so the two agree bit for bit.
+"""
+
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from movingframes.expression import (_SECOND, _TANGENT, Add, Call, Expr, Mul, Num, Pow, Sym,
+                                     UnboundCoordinateError, _live_sum, _product_rule, _sum,
+                                     _times)
+
+
+def schedule(roots: Sequence[Expr]):
+    """Post-order (node, children) of the union DAG of ``roots``, and the
+    position of each node's last consumer."""
+    order: list = []
+    seen: set = set()
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            x, kids = stack.pop()
+            if kids is not None:
+                order.append((x, kids))
+            elif x not in seen:
+                seen.add(x)
+                kids = (x.terms if isinstance(x, Add) else x.factors if isinstance(x, Mul)
+                        else (x.base,) if isinstance(x, Pow)
+                        else (x.arg,) if isinstance(x, Call) else ())
+                stack.append((x, kids))
+                stack.extend((c, None) for c in kids if c not in seen)
+    last: dict = {}
+    for i, (_, kids) in enumerate(order):
+        for c in kids:
+            last[c] = i
+    return order, last
+
+
+def _tangent(x: Expr, kids: tuple, v, vals: dict, tans: dict, seeds: Mapping):
+    """Directional derivative of node ``x`` from its children's values and
+    tangents; None when it is structurally zero."""
+    if isinstance(x, Sym):
+        return seeds.get(x.name)
+    if isinstance(x, Add):
+        return _sum([tans[c] for c in kids if c in tans])
+    if isinstance(x, Mul):
+        return _product_rule([vals[c] for c in kids], [tans.get(c) for c in kids])
+    t = tans.get(kids[0]) if kids else None
+    if t is None:
+        return None
+    a = vals[kids[0]]
+    if isinstance(x, Pow):          # e a^(e-1) a', as diff writes it
+        return float(x.exponent) * a ** float(x.exponent - 1) * t
+    return _TANGENT[x.fn](a, v) * t
+
+
+def _mixed(x: Expr, kids: tuple, v, vals: dict, tans: dict, utans: dict, mixed: dict):
+    """u(X f) of node ``x`` from its children's four channels; None when
+    structurally zero, as for every leaf."""
+    if isinstance(x, Add):
+        return _sum([mixed[c] for c in kids if c in mixed])
+    if isinstance(x, Mul):          # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
+        p, t, s, w = vals[kids[0]], tans.get(kids[0]), utans.get(kids[0]), mixed.get(kids[0])
+        for c in kids[1:]:
+            f, tf, sf, wf = vals[c], tans.get(c), utans.get(c), mixed.get(c)
+            w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
+            t, s = _live_sum(_times(t, f), _times(p, tf)), _live_sum(_times(s, f), _times(p, sf))
+            p = p * f
+        return w
+    t = tans.get(kids[0]) if kids else None
+    if t is None:
+        return None
+    s, w = utans.get(kids[0]), mixed.get(kids[0])
+    a = vals[kids[0]]
+    if isinstance(x, Pow):
+        e = x.exponent
+        d1 = float(e) * a ** float(e - 1)
+        d2 = None if s is None else float(e * (e - 1)) * a ** float(e - 2)
+    else:
+        d1 = _TANGENT[x.fn](a, v)
+        d2 = None if s is None else _SECOND[x.fn](a, v, d1)
+    return _live_sum(_times(d2, _times(s, t)), _times(d1, w))
+
+
+def run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: int = 1,
+                useeds: Mapping | None = None):
+    """``expression._run_program``'s arguments and results: values, and with
+    ``seeds`` the (d, N) tangents, and with ``useeds`` as well the u-tangents
+    and the mixed derivatives of every root."""
+    order, last = schedule(roots)
+    rows: dict = {}
+    for r, x in enumerate(roots):
+        rows.setdefault(x, []).append(r)
+    out = np.empty((len(roots), n))
+    if seeds is not None:
+        dout = np.zeros((len(roots), d, n))
+    if useeds is not None:
+        uout, mout = np.zeros((len(roots), n)), np.zeros((len(roots), d, n))
+    vals: dict = {}
+    tans: dict = {}
+    utans: dict = {}
+    mixed: dict = {}
+    for i, (x, kids) in enumerate(order):
+        if isinstance(x, Num):
+            v = np.float64(float(x.value))
+        elif isinstance(x, Sym):
+            try:
+                v = np.asarray(points[x.name], dtype=float)
+            except KeyError:
+                raise UnboundCoordinateError(x.name) from None
+            if not np.isfinite(v).all():
+                raise FloatingPointError("non-finite coordinate")
+        elif isinstance(x, Add):
+            v = vals[kids[0]] + vals[kids[1]]
+            for t in kids[2:]:
+                v += vals[t]
+        elif isinstance(x, Mul):
+            v = vals[kids[0]] * vals[kids[1]]
+            for f in kids[2:]:
+                v *= vals[f]
+        elif isinstance(x, Pow):
+            v = vals[kids[0]] ** float(x.exponent)
+        else:
+            v = getattr(np, x.fn)(vals[kids[0]])
+        if useeds is not None:
+            for channel, result, t in ((utans, uout, _tangent(x, kids, v, vals, utans, useeds)),
+                                       (mixed, mout, _mixed(x, kids, v, vals, tans, utans, mixed))):
+                if t is not None:
+                    if x in rows:
+                        result[rows[x]] = t
+                    if x in last:
+                        channel[x] = t
+        if seeds is not None:
+            t = _tangent(x, kids, v, vals, tans, seeds)
+            if t is not None:
+                if x in rows:
+                    dout[rows[x]] = t
+                if x in last:
+                    tans[x] = t
+        if x in rows:
+            out[rows[x]] = v
+        if x in last:
+            vals[x] = v
+        for c in kids:
+            if last[c] == i:
+                vals.pop(c, None)
+                tans.pop(c, None)
+                if useeds is not None:
+                    utans.pop(c, None)
+                    mixed.pop(c, None)
+    if seeds is None:
+        return out
+    return (out, dout) if useeds is None else (out, dout, uout, mout)

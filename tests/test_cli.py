@@ -1,5 +1,6 @@
 """Config validation, pipeline exit codes, report determinism."""
 
+import collections
 import contextlib
 import copy
 import hashlib
@@ -311,6 +312,27 @@ class TestPipeline:
                          "contract": 0, "curvature_values": 2, "simplify": 0,
                          "gram_schmidt_jet": 3, "evaluate_along": 4}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
+
+    def test_each_root_set_compiles_once(self, monkeypatch):
+        """A screw run with an exclusion, as the benchmark's, walks 14 root
+        sets (one when the config loads, 13 in the pipeline) and compiles at
+        most 6 programs: a walk that repeats a root set, as the stages of the
+        lambda quadrature do, reuses its program.  Loading and running the
+        config again compiles none."""
+        monkeypatch.setattr(movingframes.expression, "_PROGRAMS", collections.OrderedDict())
+        counts = {"_run_program": 0, "_compile": 0}
+        for name in counts:
+            def counting(*args, name=name, real=getattr(movingframes.expression, name)):
+                counts[name] += 1
+                return real(*args)
+            monkeypatch.setattr(movingframes.expression, name, counting)
+        cfg = screw_config()
+        cfg["chart"] = dict(cfg["chart"], exclusions=["x^2 + y^2 < 0.04"])
+        assert run_pipeline(load_config(cfg))[1] == 0
+        assert counts["_run_program"] == 14 and counts["_compile"] <= 6
+        compiled = counts["_compile"]
+        assert run_pipeline(load_config(cfg))[1] == 0
+        assert counts == {"_run_program": 28, "_compile": compiled}
 
     @staticmethod
     def _interned(cfg) -> tuple:

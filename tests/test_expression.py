@@ -1,5 +1,6 @@
 """Parser, differentiation, simplification and evaluation."""
 
+import collections
 import math
 import sys
 import threading
@@ -26,6 +27,7 @@ from movingframes.herglotz import run_herglotz
 from movingframes.submersion import (analyze_flow, constraint_residuals, directional,
                                      flow_invariants)
 
+import reference
 from helpers import columns, random_expr, random_point, rows, symbolic_riemann
 
 CHART = Chart(["x", "y", "z"])
@@ -298,12 +300,15 @@ def test_simplify_preserves_value_and_is_idempotent(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
+@example(18532)                 # x*z*(x + y): no Num or Pow in it or its derivatives
 def test_interned_constants_are_ints_exactly_when_integral(seed):
-    """Every Num value and Pow exponent of a random expression and of its
-    derivatives (the nodes their construction interned or found) is an int
-    exactly when its denominator is 1."""
+    """Every Num value and Pow exponent of a random expression e, of (3/2) e
+    and e^(-1/2), and of their derivatives (the nodes their construction
+    interned or found) is an int exactly when its denominator is 1.  The
+    scaled and the powered e bring a Num or a Pow into every draw."""
     e = random_expr(np.random.default_rng(seed), CHART.coords, depth=4)
-    order, _ = expression._schedule([e] + [diff(e, c) for c in CHART.coords])
+    exprs = [e, mul(num(Fraction(3, 2)), e), pow_(e, Fraction(-1, 2))]
+    order, _ = expression._schedule(exprs + [diff(x, c) for x in exprs for c in CHART.coords])
     nodes = [x for x, _ in order]
     exact = [x.value for x in nodes if isinstance(x, Num)]
     exact += [x.exponent for x in nodes if isinstance(x, Pow)]
@@ -688,6 +693,100 @@ def test_differential_against_sympy(seed, coords):
             want = complex(ref.evalf(30, subs=at))
             assert want.imag == 0.0
             assert abs(g[k] - want.real) <= 1e-10 * max(1.0, abs(want.real))
+
+
+# -- compiled programs ----------------------------------------------------------
+
+def _rows(channel: dict, width: int) -> np.ndarray:
+    """A dict of grouped results back in the flat order of the roots."""
+    return np.concatenate([a.reshape((-1,) + a.shape[a.ndim - width:])
+                           for a in channel.values()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_compiled_programs_match_the_interpreter(seed):
+    """evaluate and evaluate_along give the values, jet, u and mixed channels
+    of the node-by-node interpreter that the compiled programs replaced
+    (tests/reference.py) bit for bit, on a first run and again from the
+    cache, with roots repeated within a group and shared between groups."""
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_expr(rng, CHART.coords, depth=4) for _ in range(3))
+    groups = {"p": [a, b, a, ZERO], "q": [[b, c], [a, num(1)]]}
+    roots = [a, b, a, ZERO, b, c, a, num(1)]
+    u = {"x": c, "y": ZERO, "z": random_expr(rng, CHART.coords, depth=2)}
+    points = sample_points(CHART, "random", 4, seed=seed)
+    basis = dict(zip(CHART.coords, np.repeat(np.eye(3)[:, :, None], 4, axis=2)))
+    assert expression._schedule(roots)[0] == reference.schedule(roots)[0]
+    with np.errstate(**expression._FAULTS):
+        try:
+            useeds = dict(zip(["x", "z"], reference.run_program([u["x"], u["z"]], points, 4)))
+            want = reference.run_program(roots, points, 4, basis, 3, useeds)
+        except FloatingPointError:
+            with pytest.raises(FloatingPointError):
+                useeds = dict(zip(["x", "z"],
+                                  expression._run_program([u["x"], u["z"]], points, 4)))
+                expression._run_program(roots, points, 4, basis, 3, useeds)
+            return
+    for _ in range(2):
+        got = evaluate_along(groups, points, second=u)
+        for g, w, width in zip(got, want, (1, 2, 1, 2)):
+            assert np.array_equal(_rows(g, width), w)
+        assert np.array_equal(_rows(evaluate_along(groups, points)[1], 2), want[1])
+        assert np.array_equal(_rows(evaluate(groups, points), 1), want[0])
+
+
+def test_program_cache_is_bounded(monkeypatch):
+    """More distinct root sets than the program cache holds leave it at its
+    cap, the oldest evicted first, and an evicted root set is compiled and
+    evaluated again."""
+    monkeypatch.setattr(expression, "_PROGRAMS", collections.OrderedDict())
+    points = {"x": np.array([0.5, 2.0]), "y": np.array([1.0, -3.0])}
+    first = add(num(Fraction(1, 7919)), X)
+    assert np.array_equal(evaluate([first], points), [points["x"] + 1 / 7919])
+    for k in range(expression._PROGRAM_CAP + 1):
+        got = evaluate([mul(num(k + 2), X), Y], points)
+        assert np.array_equal(got, [(k + 2) * points["x"], points["y"]])
+    assert len(expression._PROGRAMS) == expression._PROGRAM_CAP
+    assert (first,) not in expression._PROGRAMS
+    assert np.array_equal(evaluate([first], points), [points["x"] + 1 / 7919])
+    assert (first,) in expression._PROGRAMS
+    assert len(expression._PROGRAMS) <= expression._PROGRAM_CAP
+
+
+def test_program_cache_under_threads(monkeypatch):
+    """Threads that compile, share and evict programs of overlapping root sets
+    through a small cache all get the single-threaded results, and the cache
+    ends within its cap."""
+    monkeypatch.setattr(expression, "_PROGRAMS", collections.OrderedDict())
+    monkeypatch.setattr(expression, "_PROGRAM_CAP", 3)
+    points = sample_points(CHART, "random", 5, seed=3)
+    rng = np.random.default_rng(17)
+    sets = [[random_expr(rng, CHART.coords, depth=3) for _ in range(3)] for _ in range(8)]
+    want = [evaluate_along(roots, points) for roots in sets]
+    wrong, start = [], threading.Barrier(6)
+
+    def work(k):
+        start.wait(timeout=60)
+        for j in range(40):
+            i = (k * 5 + j) % len(sets)
+            got = evaluate_along(sets[i], points)
+            if not all(np.array_equal(g, w) for g, w in zip(got, want[i])):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(expression._PROGRAMS) <= 3
 
 
 # -- charts, sampling, exclusions ---------------------------------------------

@@ -76,3 +76,19 @@ def test_report_digests_run_and_compare(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == ["differs: screw-eval:1:1", "1 of 3 sessions differ"]
+
+
+def test_inprocess_ab_runs_two_checkouts_in_one_interpreter():
+    """tools/inprocess_ab.py loads a checkout's package twice under distinct
+    names, interleaves warm passes of a workload's configs and prints the
+    median ratio and the rounds the second side was faster."""
+    tool = PYPROJECT.parent / "tools" / "inprocess_ab.py"
+    src = str(PYPROJECT.parent / "src")
+    run = subprocess.run([sys.executable, str(tool), src, src, "--workload", "screw-eval",
+                          "--rounds", "3", "--size", "tiny"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "screw-eval seed 41 (tiny, 3 configs), 3 rounds"
+    assert lines[1].startswith("A median ") and " ms  B median " in lines[1]
+    assert lines[2].startswith("median B/A ") and lines[2].endswith(" of 3")
