@@ -33,6 +33,7 @@ syntax error.  Function names: sin cos tan sinh cosh tanh exp log sqrt.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -47,7 +48,7 @@ __all__ = [
     "Expr", "Num", "Sym", "Add", "Mul", "Pow", "Call",
     "num", "sym", "add", "mul", "pow_", "call",
     "parse_expr", "diff", "simplify", "eval_at", "evaluate", "evaluate_along",
-    "max_abs", "to_string",
+    "max_abs", "triu_indices", "to_string",
     "Chart", "Exclusion", "parse_exclusion", "sample_points", "point_at",
     "ExprError", "PointError", "ParseError", "UndeclaredSymbolError", "EvalDomainError",
     "UnboundCoordinateError",
@@ -728,6 +729,15 @@ _PROGRAMS: OrderedDict = OrderedDict()
 _EVICTING = threading.Lock()
 
 
+def _checked_power(p: tuple) -> tuple:
+    """Exponent floats ``p`` as a Call runs them, the power faulting on a negative base."""
+    def power(a):
+        if (a < 0).any():
+            raise FloatingPointError("non-integer power of a negative base")
+        return a ** p[0]
+    return power, lambda a, v: p[0] * a ** p[1], lambda a, v, t: p[2] * a ** p[3]
+
+
 def _compile(roots: tuple) -> tuple:
     """Per node of :func:`_schedule`'s post-order, whose position is its
     register: (node type, children's registers, argument, root rows written,
@@ -753,6 +763,8 @@ def _compile(roots: tuple) -> tuple:
             key = e if type(e) is int else (e.numerator, e.denominator)
             arg = _POWERS.get(key) or _POWERS.setdefault(
                 key, (float(e), float(e - 1), float(e * (e - 1)), float(e - 2)))
+            if type(e) is not int and arg[0].is_integer():  # |e| >= 2^53: numpy takes
+                op, arg = Call, _checked_power(arg)         # a negative base to it unfaulted
         else:
             arg = _CALLS[x.fn] if op is Call else None
         regs = tuple(map(position, kids))
@@ -983,6 +995,14 @@ def max_abs(a: np.ndarray) -> float:
     size; abs makes a zero result +0.0, as np.abs would."""
     a = np.asarray(a)
     return float(abs(max(a.max(initial=0.0), -a.min(initial=0.0))))
+
+
+@functools.cache
+def triu_indices(n: int, k: int = 0) -> tuple:
+    """``np.triu_indices(n, k)``, built once per (n, k); its arrays are read-only."""
+    rows, cols = np.triu_indices(n, k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
-                         evaluate_along, max_abs, mul, num, point_at, pow_, ONE, ZERO)
+                         evaluate_along, max_abs, mul, num, point_at, pow_, triu_indices, ONE, ZERO)
 from .exterior import MatrixForm, PForm, contract, ext_d, pform_add, pform_scale, zero_form
 
 __all__ = [
@@ -76,9 +76,10 @@ class SignatureError(ValueError):
 
 
 class Metric:
-    """Symmetric matrix of coefficient expressions over a chart."""
+    """Symmetric matrix of coefficient expressions over a chart, with a store
+    of what is derived from it, kept while it lives (:meth:`derived`)."""
 
-    __slots__ = ("chart", "entries")
+    __slots__ = ("chart", "entries", "_derived")
 
     def __init__(self, chart: Chart, entries: Sequence[Sequence[Expr]]):
         n = chart.n
@@ -90,6 +91,12 @@ class Metric:
                     raise ValueError(f"metric entries ({i},{j}) and ({j},{i}) differ structurally")
         self.chart = chart
         self.entries = tuple(tuple(r) for r in entries)
+        self._derived: dict = {}
+
+    def derived(self, key, build):
+        """The value under ``key``, ``build()`` on first use (setdefault: one wins)."""
+        value = self._derived.get(key)
+        return self._derived.setdefault(key, build()) if value is None else value
 
     def inner(self, v: Sequence[Expr], w: Sequence[Expr]) -> Expr:
         terms = []
@@ -283,6 +290,12 @@ def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, seeds: np.ndarray, dseeds: n
     return np.array(frame), np.array(dframe), tuple(want), kept
 
 
+def _coordinate_candidates(perm: Sequence[int], n: int, count: int) -> tuple:
+    """d_k, k in ``perm``, as :func:`gram_schmidt_jet` candidates: constant, zero tangents."""
+    return ([np.broadcast_to(np.eye(n)[k][:, None], (n, count)) for k in perm],
+            [np.broadcast_to(0.0, (n, n, count))] * len(perm))
+
+
 def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
                   order: Sequence[str] | None = None, pivot_tol: float = 1e-8) -> Coframe:
     """The coordinate frame to orthonormalise, in the given coordinate order,
@@ -366,7 +379,7 @@ class FrameData:
     jet the curvature and the frame connection are numpy (:meth:`curvature_values`)."""
 
     coframe: Coframe
-    dmetric: list                   # d_n g_sr as nested lists, axes s, r, n
+    dmetric: tuple                  # d_n g_sr as nested tuples, axes s, r, n
 
     @property
     def chart(self) -> Chart:
@@ -394,17 +407,18 @@ class FrameData:
         ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m, "th": theta^i_m,
         "g": g_mn}, d_n e_j^m), which the structure checks read."""
         n, eta, cf = self.n, np.array(self.eta, dtype=float), self.coframe
+        perm = [s.index(ONE) for s in cf.seeds]
         try:
-            v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric, "s": cf.seeds},
+            v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric},
                                    self.chart.columns(points))
         except EvalDomainError:
             # a fault in g first: pivot k reads the leading (k + 1)-block in frame order
-            g, perm = cf.metric.entries, [s.index(ONE) for s in cf.seeds]
+            g = cf.metric.entries
             for k in range(1, n + 1):
                 evaluate([[g[a][b] for b in perm[:k]] for a in perm[:k]], points)
             raise
-        e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], v["s"], dv["s"], cf.eta, points,
-                                       cf.pivot_tol)
+        e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], *_coordinate_candidates(
+            perm, n, v["g"].shape[-1]), cf.eta, points, cf.pivot_tol)
         low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
         r = coordinate_riemann(dv["dg"], (up, low))
         del dv                                      # freed before the Weyl temporaries
@@ -451,11 +465,15 @@ class FrameData:
 
 def curvature_package(coframe: Coframe) -> FrameData:
     """The coframe with the first derivatives of its metric, one :func:`diff`
-    per symmetric pair and coordinate: the input of the curvature walk."""
+    per symmetric pair and coordinate, built once per metric
+    (:meth:`Metric.derived`): the input of the curvature walk."""
     g, n = coframe.metric.entries, coframe.n
-    d = {(s, r): [diff(g[s][r], c) for c in coframe.chart.coords]
-         for s in range(n) for r in range(s, n)}
-    return FrameData(coframe, [[d[min(s, r), max(s, r)] for r in range(n)] for s in range(n)])
+
+    def derivatives():
+        d = {(s, r): tuple(diff(g[s][r], c) for c in coframe.chart.coords)
+             for s in range(n) for r in range(s, n)}
+        return tuple(tuple(d[min(s, r), max(s, r)] for r in range(n)) for s in range(n))
+    return FrameData(coframe, coframe.metric.derived("dg", derivatives))
 
 
 def torsion_residual(fd: FrameData, values: Mapping) -> float:
@@ -467,7 +485,7 @@ def torsion_residual(fd: FrameData, values: Mapping) -> float:
     v, de = values["jet"]
     g, th = v["gamma"], v["th"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
-    mu, nu = np.triu_indices(fd.n, 1)
+    mu, nu = triu_indices(fd.n, 1)
     return max_abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])
 
 

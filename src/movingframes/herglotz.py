@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, evaluate, max_abs
+from .expression import Chart, Expr, evaluate, max_abs, triu_indices
 from .frames import SpaceClassification
 from .submersion import ConstraintReport, FlowData
 
@@ -373,7 +373,7 @@ def scaled_flow_killing_residual(flow: FlowData, lam: LambdaReconstruction) -> f
     val = lval * flow.jet["lie"]
     val[0, 0] += dlam_frame[0]
     val[0, :] += dlam_frame
-    return max_abs(val[np.triu_indices(flow.chart.n)])
+    return max_abs(val[triu_indices(flow.chart.n)])
 
 
 @dataclass

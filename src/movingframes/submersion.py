@@ -65,10 +65,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
-                         evaluate_along, max_abs, mul, num, point_at, pow_, ZERO)
+                         evaluate_along, max_abs, mul, num, point_at, pow_, triu_indices, ZERO)
 from .exterior import FormArityError, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
-                     solve_connection)
+from .frames import (Coframe, FrameData, Metric, _coordinate_candidates, frame_connection,
+                     gram_schmidt_jet, solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -151,20 +151,24 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     raised after the norm and pivot checks that g and V alone allow.
     Non-unit flows are normalized automatically (``norm2`` keeps the squared
     norm); the discarded magnitude is exactly the scale a Killing
-    reconstruction recovers.  F has n(n-1)/2 independent components, one
-    pair of :func:`diff` calls each.
+    reconstruction recovers.  g(V, V), u, the candidates and F (one pair of
+    :func:`diff` calls per F_mu nu) are built once per metric and flow.
     """
     chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
-    norm2 = metric.inner(list(flow), list(flow))
-    u = tuple(mul(pow_(norm2, Fraction(-1, 2)), c) for c in flow)
-    seeds = [u] + [tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in range(n)]
-    psi0 = metric.lower(list(u))
-    f = [[ZERO] * n for _ in range(n)]
-    for mu, nu in zip(*np.triu_indices(n, 1)):
-        f[mu][nu] = add(diff(psi0[nu], chart.coords[mu]),
-                        mul(num(-1), diff(psi0[mu], chart.coords[nu])))
-        f[nu][mu] = mul(num(-1), f[mu][nu])
+
+    def symbols():
+        norm2 = metric.inner(list(flow), list(flow))
+        u = tuple(mul(pow_(norm2, Fraction(-1, 2)), c) for c in flow)
+        seeds = [u] + [tuple(num(1) if mu == k else num(0) for mu in range(n)) for k in range(n)]
+        psi0 = metric.lower(list(u))
+        f = [[ZERO] * n for _ in range(n)]
+        for mu, nu in zip(*triu_indices(n, 1)):
+            f[mu][nu] = add(diff(psi0[nu], chart.coords[mu]),
+                            mul(num(-1), diff(psi0[mu], chart.coords[nu])))
+            f[nu][mu] = mul(num(-1), f[mu][nu])
+        return norm2, u, tuple(seeds), tuple(map(tuple, f))
+    norm2, u, seeds, f = metric.derived(flow, symbols)
     try:
         v, dv = evaluate_along({"g": metric.entries, "u": u, "f": f, "norm2": [norm2]},
                                chart.columns(samples))
@@ -177,19 +181,17 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
         val = norms[low[0]]
         raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
-    count = len(norms)
-    coords = list(np.broadcast_to(np.eye(n)[:, :, None], (n, n, count)))
-    zero = np.broadcast_to(0.0, (n, n, count))
+    coords, zeros = _coordinate_candidates(range(n), n, len(norms))
     if fault is not None:
-        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, count)),
-                         [v["v"] / np.sqrt(norms)] + coords, [zero] * (n + 1), [1] * n,
+        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, len(norms))),
+                         [v["v"] / np.sqrt(norms)] + coords, zeros[:1] + zeros, [1] * n,
                          samples, flow_tol, allow_skip=True)
         raise fault
     e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], [v["u"]] + coords,
-                                        [dv["u"]] + [zero] * n, [1] * n, samples, flow_tol,
+                                        [dv["u"]] + zeros, [1] * n, samples, flow_tol,
                                         allow_skip=True)
     coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
-    return AdaptedFlow(metric, flow, norm2, u, tuple(map(tuple, f)), coframe), (v, dv, e, de)
+    return AdaptedFlow(metric, flow, norm2, u, f, coframe), (v, dv, e, de)
 
 
 @dataclass
@@ -264,7 +266,7 @@ def rigidity_test(lie: np.ndarray, tol: float) -> RigidityResult:
     """Horizontal sup-norm of L_u g from its adapted-frame components ``lie``
     (point axis last); rigid iff below tol."""
     h = lie.shape[0] - 1
-    worst = max_abs(lie[1:, 1:][np.triu_indices(h)])
+    worst = max_abs(lie[1:, 1:][triu_indices(h)])
     return RigidityResult(worst < tol, worst, tol)
 
 

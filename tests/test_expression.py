@@ -418,6 +418,41 @@ class TestEvaluate:
             evaluate([X, e], columns([fine, point, dict(point, z=1.0)]))
         assert err.value.point == (fine if text == "10^400*x" else point)
 
+    def test_negative_base_to_a_non_integer_power_with_an_integral_float(self):
+        """float(10^20/3) is an integer, so numpy takes -0.25 to it without a
+        fault; the walk checks the base of such a power and, as eval_at,
+        refuses a negative one at its point.  Positive bases keep the values
+        of the interpreter the compiled programs replaced (tests/reference.py)."""
+        e = parse_expr("x^(10^20/3)", CHART)
+        assert isinstance(e, Pow) and float(e.exponent).is_integer()
+        good, bad = {"x": 0.5, "y": 0.0, "z": 0.0}, {"x": -0.25, "y": 0.0, "z": 0.0}
+        with pytest.raises(EvalDomainError) as want:
+            eval_at(e, bad)
+        for walk in (evaluate, evaluate_along):
+            with pytest.raises(EvalDomainError) as err:
+                walk([e], columns([good, bad, dict(bad, z=1.0)]))
+            assert (str(err.value), err.value.point) == (f"{want.value} at point {bad}", bad)
+        points = columns([good, {"x": 1.0, "y": 0.0, "z": 0.0}])
+        basis = dict(zip(CHART.coords, np.repeat(np.eye(3)[:, :, None], 2, axis=2)))
+        with np.errstate(**expression._FAULTS):
+            ref = reference.run_program([e], points, 2, basis, 3, {"x": np.ones(2)})
+        assert evaluate([e], points).tolist() == ref[0].tolist() == [[0.0, 1.0]]
+        got = evaluate_along([e], points, second={"x": num(1)})
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+
+def test_index_tables_are_built_once_and_read_only():
+    """The stages' index pairs come from one cached, read-only table per
+    (n, k): a write to a shared table would corrupt every later run."""
+    for n, k in ((4, 1), (3, 0), (2, 0)):
+        table = expression.triu_indices(n, k)
+        assert expression.triu_indices(n, k) is table
+        assert [a.tolist() for a in table] == [a.tolist() for a in np.triu_indices(n, k)]
+        for a in table:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
 
 _COORD = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e120, 1e120))
 

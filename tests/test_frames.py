@@ -498,3 +498,31 @@ def test_numeric_frame_and_its_jet_match_the_symbolic_gram_schmidt(flat3, polar3
         assert _close(v["e"], want["e"]) and _close(de, want["de"]), (chart, order)
         if metric is skew3:
             assert np.max(np.abs(want["de"])) > 0.1
+
+
+def test_curvature_walk_reads_only_g_and_its_derivatives(monkeypatch, hyperbolic3, sphere2):
+    """The ambient walk evaluates g and d g alone: the coordinate candidates
+    of the Gram-Schmidt are constant rows with zero tangents, not walked, and
+    e and its jet equal those of a walk that also carried the candidates."""
+    import movingframes.frames as frames
+    groups = []
+
+    def recording(exprs, *args, **kwargs):
+        groups.append(list(exprs))
+        return evaluate_along(exprs, *args, **kwargs)
+
+    monkeypatch.setattr(frames, "evaluate_along", recording)
+    for metric in (_generic4(), _lorentz4(), hyperbolic3[1], sphere2[1]):
+        chart = metric.chart
+        pts = sample_points(chart, "random", 12, seed=19)
+        for order in (None, list(reversed(chart.coords))):
+            cf = build_coframe(metric, pts, order)
+            fd = curvature_package(cf)
+            del groups[:]
+            jet, de = fd.curvature_values(pts)["jet"]
+            assert groups == [["g", "dg"]]
+            v, dv = evaluate_along({"g": metric.entries, "dg": fd.dmetric, "s": cf.seeds},
+                                   chart.columns(pts))
+            e, de_old, _, _ = frames.gram_schmidt_jet(v["g"], v["dg"], v["s"], dv["s"],
+                                                      cf.eta, pts, cf.pivot_tol)
+            assert np.array_equal(jet["e"], e) and np.array_equal(de, de_old)

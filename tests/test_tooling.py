@@ -4,6 +4,7 @@ report-digest tool."""
 import importlib
 import json
 import pkgutil
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,28 @@ def test_report_digests_run_and_compare(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == ["differs: screw-eval:1:1", "1 of 3 sessions differ"]
+
+
+def test_report_digests_check_runs_two_sources_and_compares(tmp_path):
+    """tools/report_digests.py check runs both sources' sessions and exits as
+    compare does: 0 for the same source twice, 1 when one source's
+    serialize_report appends a byte."""
+    tool = PYPROJECT.parent / "tools" / "report_digests.py"
+    src = PYPROJECT.parent / "src"
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "movingframes" / "cli.py"
+    text = cli.read_text()
+    line = '    return json.dumps(report, indent=2, sort_keys=True) + "\\n"\n'
+    assert text.count(line) == 1
+    cli.write_text(text.replace(line, line.replace('"\\n"', '"\\n "')))
+    args = ["--seeds", "1", "--workloads", "screw-eval", "--size", "tiny"]
+    for other, code, last in ((src, 0, "0 of 3 sessions differ"),
+                              (changed, 1, "3 of 3 sessions differ")):
+        run = subprocess.run([sys.executable, str(tool), "check", str(src), str(other), *args],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == code, run.stderr
+        assert run.stdout.splitlines()[-1] == last
 
 
 def test_inprocess_ab_runs_two_checkouts_in_one_interpreter():

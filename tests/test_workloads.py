@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,98 @@ def test_session_mix_reports_do_not_depend_on_process_history(workloads):
             if _fresh_process([case.config]) != [report]:
                 moved.append((seed, case.label))
     assert not moved
+
+
+_BUILDERS = ("diff", "mul", "add", "pow_")
+
+
+def _count_builders(monkeypatch) -> dict:
+    """Calls of the node builders and of the program compiler, counted in
+    every package module that holds them."""
+    calls = dict.fromkeys(_BUILDERS + ("_compile",), 0)
+    for name in calls:
+        real = getattr(movingframes.expression, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("movingframes")
+                    and getattr(module, name, None) is real):
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["screw-eval", "conformal4-build", "curvature-generic",
+                                  "session-mix"])
+def test_a_warm_pass_builds_nothing(workloads, monkeypatch, name):
+    """A second pass over a workload's loaded configs, as the benchmark's
+    warm pass, makes no diff, mul, add, pow_ or _compile call and interns no
+    node: each metric keeps what was derived from it, and each root set its
+    program.  Its reports equal the first pass's byte for byte."""
+    configs = [load_config(case.config) for session in workloads.generate(name, 41, "tiny")
+               for case in session]
+    cold = [serialize_report(run_pipeline(config)[0]) for config in configs]
+    calls, table = _count_builders(monkeypatch), len(movingframes.expression._TABLE)
+    assert [serialize_report(run_pipeline(config)[0]) for config in configs] == cold
+    assert calls == dict.fromkeys(_BUILDERS + ("_compile",), 0)
+    assert len(movingframes.expression._TABLE) == table
+
+
+def test_a_fresh_load_derives_the_same_nodes(workloads):
+    """Loading a config's JSON again gives a new metric whose first run
+    derives the very nodes of the first one: the derivatives of g and, keyed
+    by the flow, g(V, V), u, the candidates and F."""
+    for name in ("screw-eval", "session-mix"):
+        for case in workloads.generate(name, 41, "tiny")[0]:
+            first, again = load_config(case.config), load_config(case.config)
+            assert first.metric is not again.metric
+            run_pipeline(first)
+            run_pipeline(again)
+            assert again.metric._derived.keys() == first.metric._derived.keys()
+            assert again.metric._derived == first.metric._derived   # Expr == is identity
+            assert len(first.metric._derived) == (1 if first.flow is None else 2)
+
+
+def test_threads_sharing_a_config_share_its_derivations(workloads, monkeypatch):
+    """Four threads run one fresh config at once with a 1 us switch
+    interval: every report has the same bytes as a run alone, and every
+    thread's stages read the one value stored per key."""
+    from movingframes import cli
+    case = workloads.generate("conformal4-build", 41, "tiny")[0][0]
+    alone = serialize_report(run_pipeline(load_config(case.config))[0])
+    config, seen = load_config(case.config), []
+
+    def recording(real, pick):
+        def wrapper(*args):
+            out = real(*args)
+            seen.append(pick(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cli, "curvature_package",
+                        recording(cli.curvature_package, lambda fd: fd.dmetric))
+    monkeypatch.setattr(cli, "analyze_flow",
+                        recording(cli.analyze_flow, lambda fl: fl.adapted.f))
+    barrier, reports = threading.Barrier(4), [None] * 4
+
+    def run(k):
+        barrier.wait(timeout=60)
+        reports[k] = serialize_report(run_pipeline(config)[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reports == [alone] * 4
+    store = config.metric._derived
+    assert len(store) == 2 and len(seen) == 8
+    assert all(s is store["dg"] or s is store[tuple(config.flow)][3] for s in seen)
+    assert sum(s is store["dg"] for s in seen) == 4

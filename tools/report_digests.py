@@ -4,14 +4,17 @@ every report byte-identical.
     python3 tools/report_digests.py run --seeds 1-30 --out DIGESTS.json
                                     [--src SRC] [--workloads W,...] [--size full|tiny]
     python3 tools/report_digests.py compare BEFORE.json AFTER.json
+    python3 tools/report_digests.py check A_SRC B_SRC [--seeds 1-30]
+                                    [--workloads W,...] [--size full|tiny]
 
 ``run`` draws the sessions of every seed of every workload from
 ``perfbench/workloads.generate`` (default: all four workloads) and runs each
 session in a fresh interpreter with ``PYTHONHASHSEED=0``, one BLAS thread and
 the package imported from SRC (default: ``src/`` of this checkout).  As the
 benchmark's child process does, the interpreter loads every config of the
-session and runs them all twice through ``cli.run_pipeline``: a cold pass,
-then a warm pass that reuses the symbolic caches.  For each run it records
+session once and runs them all twice through ``cli.run_pipeline``: a cold
+pass, then a warm pass over the same loaded configs, which reuses the
+symbolic caches and what each metric stored.  For each run it records
 the exit code and the sha256 of ``cli.serialize_report``; a run that raises
 records exit code 2, as ``workbench run`` gives, and the sha256 of the
 exception's class name and message, so a changed first error shows too.
@@ -19,8 +22,10 @@ The output maps ``workload:seed:session`` to the runs' ``[pass, config,
 code, sha256]`` in order.
 
 ``compare`` prints every session whose runs differ between two such files,
-or that only one of them has, and exits 1 if there is any, else 0.  To check
-a change, run both checkouts' ``src`` with the same seeds and compare.
+or that only one of them has, and exits 1 if there is any, else 0.
+``check`` does both steps for a change: it runs the sessions of A_SRC and of
+B_SRC with the same seeds, workloads and size, then compares them as
+``compare`` does, with the same output and exit code.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ import workloads  # noqa: E402
 _SESSION = """
 import hashlib, json, sys
 from movingframes import cli
-raw = json.load(sys.stdin)
+configs = [cli.load_config(data) for data in json.load(sys.stdin)]
 rows = []
 for k in range(2):
-    for i, data in enumerate(raw):
+    for i, config in enumerate(configs):
         try:
-            report, code = cli.run_pipeline(cli.load_config(data))
+            report, code = cli.run_pipeline(config)
             text = cli.serialize_report(report)
         except Exception as exc:
             code, text = 2, f"{type(exc).__name__}: {exc}"
@@ -93,27 +98,41 @@ def compare(before: dict, after: dict) -> list:
     return sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
 
 
+def _sessions(parser: argparse.ArgumentParser):
+    parser.add_argument("--seeds", default="1-30", help="e.g. 1-30 or 1,4,9")
+    parser.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
+    parser.add_argument("--size", choices=tuple(workloads.SIZES), default="full")
+
+
+def _run_args(src: Path, args) -> dict:
+    return run(src.resolve(), args.workloads.split(","), _seeds(args.seeds), args.size)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="digest every run of the given seeds' sessions")
-    run_p.add_argument("--seeds", required=True, help="e.g. 1-30 or 1,4,9")
+    _sessions(run_p)
     run_p.add_argument("--out", required=True)
     run_p.add_argument("--src", type=Path, default=ROOT / "src")
-    run_p.add_argument("--workloads", default=",".join(workloads.WORKLOADS))
-    run_p.add_argument("--size", choices=tuple(workloads.SIZES), default="full")
     cmp_p = sub.add_parser("compare", help="name every session that differs")
     cmp_p.add_argument("before")
     cmp_p.add_argument("after")
+    chk_p = sub.add_parser("check", help="run two sources' sessions and compare them")
+    chk_p.add_argument("a_src", type=Path)
+    chk_p.add_argument("b_src", type=Path)
+    _sessions(chk_p)
     args = parser.parse_args(argv)
     if args.command == "run":
-        result = run(args.src.resolve(), args.workloads.split(","), _seeds(args.seeds),
-                     args.size)
+        result = _run_args(args.src, args)
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
         print(f"{len(result['sessions'])} sessions, "
               f"{sum(map(len, result['sessions'].values()))} runs -> {args.out}")
         return 0
-    sides = [json.loads(Path(p).read_text()) for p in (args.before, args.after)]
+    if args.command == "check":
+        sides = [_run_args(src, args) for src in (args.a_src, args.b_src)]
+    else:
+        sides = [json.loads(Path(p).read_text()) for p in (args.before, args.after)]
     differ = compare(*sides)
     for key in differ:
         print(f"differs: {key}")
