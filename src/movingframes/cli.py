@@ -24,7 +24,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,7 +80,7 @@ class Config:
     tasks: list
     basepoint: dict | None
     coframe_order: list | None
-    raw: dict = field(repr=False, default_factory=dict)
+    digest: str                 # sha256 of the config JSON, as the report gives it
 
 
 def _require(condition: bool, message: str):
@@ -207,7 +208,7 @@ def load_config(data: Mapping) -> Config:
                  "'coframe_order' must permute the chart coordinates")
 
     return Config(chart, metric, flow, mode, count, seed, tolerances, tasks,
-                  basepoint, order, raw=dict(data))
+                  basepoint, order, _config_digest(data))
 
 
 def load_config_file(path: str) -> Config:
@@ -228,14 +229,15 @@ def load_config_file(path: str) -> Config:
 # --------------------------------------------------------------------------
 
 def _round12(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
+    if type(value) is float:            # the report's exact types first
         return float(f"{value:.12g}")
-    if isinstance(value, dict):
+    if type(value) is dict:
         return {k: _round12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if type(value) is list:
         return [_round12(v) for v in value]
+    if isinstance(value, (float, dict, list, tuple)):     # a subclass, or a tuple
+        return _round12(float.__float__(value) if isinstance(value, float)
+                        else dict(value) if isinstance(value, dict) else list(value))
     return value
 
 
@@ -474,7 +476,7 @@ def run_pipeline(config: Config):
             "version": __version__,
             "conventions_sha256": conventions_sha256(),
         },
-        "config_digest": _config_digest(config.raw),
+        "config_digest": config.digest,
         "chart": {
             "coordinates": list(chart.coords),
             "signature": list(chart.signature),
@@ -512,7 +514,42 @@ def render_text(report: dict) -> str:
 
 
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Exactly ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``; keys must be str."""
+    chunks: list = []
+    _emit(report, "\n", chunks.append)
+    return "".join(chunks) + "\n"
+
+
+def _emit(value, newline: str, put):        # exact types first, then json's fallbacks
+    t = type(value)
+    if t is float:
+        put(float.__repr__(value) if value - value == 0 else
+            "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif t is str:
+        put(encode_basestring_ascii(value))
+    elif t is dict:
+        inner, sep = newline + "  ", "{"
+        for key in sorted(value):
+            put(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _emit(value[key], inner, put)
+            sep = ","
+        put(newline + "}" if value else "{}")
+    elif t is list:
+        inner, sep = newline + "  ", "["
+        for item in value:
+            put(sep + inner)
+            _emit(item, inner, put)
+            sep = ","
+        put(newline + "]" if value else "[]")
+    elif t is bool or value is None:
+        put("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, str)):         # an int, or an int or str subclass
+        put(int.__repr__(value) if isinstance(value, int) else encode_basestring_ascii(value))
+    elif isinstance(value, (float, dict, list, tuple)):     # np.float64, a tuple ...
+        _emit(float.__float__(value) if isinstance(value, float)
+              else dict(value) if isinstance(value, dict) else list(value), newline, put)
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -537,11 +574,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     try:
         report, code = run_pipeline(config)
+        text = serialize_report(report) if args.format == "json" else render_text(report)
     except (SingularMetricError, VanishingFlowError, SignatureError,
             EvalDomainError, FormArityError, ExprError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    text = serialize_report(report) if args.format == "json" else render_text(report)
+    except MemoryError as exc:                  # numpy's _ArrayMemoryError is one
+        print(f"input error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -5,6 +5,9 @@ of ``expression._run_program`` replaced.  On every call it schedules the
 roots (``schedule``), dispatches on each node's type and keeps the values
 and tangents in dicts keyed by node.  It performs the same numpy operations
 as the compiled runner, in the same order, so the two agree bit for bit.
+
+``round12`` is the isinstance chain that ``cli._round12`` replaced with
+exact-type tests.
 """
 
 from typing import Mapping, Sequence
@@ -156,3 +159,17 @@ def run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: in
     if seeds is None:
         return out
     return (out, dout) if useeds is None else (out, dout, uout, mout)
+
+
+def round12(value):
+    """Every float of ``value`` rounded to 12 significant digits; tuples
+    become lists."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: round12(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round12(v) for v in value]
+    return value

@@ -12,16 +12,24 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:                     # numpy 1.x
+    from numpy.core._exceptions import _ArrayMemoryError
 
 import movingframes
-from movingframes.cli import (TASKS, ConfigError, load_config, load_config_file,
+from movingframes.cli import (TASKS, ConfigError, _round12, load_config, load_config_file,
                               main, run_pipeline, serialize_report)
 from movingframes.expression import EvalDomainError
 from movingframes.exterior import MatrixForm
 from movingframes.frames import FrameData, SignatureError, SingularMetricError
 from movingframes.submersion import VanishingFlowError
+
+import reference
 
 
 def screw_config(**overrides):
@@ -384,6 +392,21 @@ class TestPipeline:
         text = serialize_report(report)
         assert json.loads(text) == json.loads(serialize_report(json.loads(text)))
 
+    def test_a_loaded_config_carries_its_digest(self, monkeypatch):
+        """load_config digests the config once, as compact sorted-key JSON;
+        the runs of the loaded config, cold and warm, only read the digest."""
+        cfg = screw_config(tasks=["curvature"])
+        config = load_config(cfg)
+        blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+        assert config.digest == hashlib.sha256(blob).hexdigest()
+
+        def digest_again(raw):
+            raise AssertionError("a run digests its config again")
+
+        monkeypatch.setattr("movingframes.cli._config_digest", digest_again)
+        for _ in range(2):
+            assert run_pipeline(config)[0]["config_digest"] == config.digest
+
     def test_determinism(self):
         r1, _ = run_pipeline(load_config(screw_config()))
         r2, _ = run_pipeline(load_config(screw_config()))
@@ -557,6 +580,27 @@ class TestCommandLine:
         assert main(["run", "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cannot write report: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, error", [
+        ("run_pipeline", MemoryError()),
+        ("run_pipeline", _ArrayMemoryError((576, 8, 100_000), np.dtype(float))),
+        ("serialize_report", MemoryError()),
+    ])
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch, stage, error):
+        """A config that validates can still exhaust memory (curvature at
+        n = 8 and N = 100000 needs several GiB): that is an input error with
+        exit 2 and a message, not a traceback.  The stage is replaced by one
+        that raises, so nothing large is allocated."""
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr(f"movingframes.cli.{stage}", exhausted)
+        path = write(tmp_path, "cfg.json", screw_config(tasks=["curvature"]))
+        assert main(["run", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("input error: out of memory: ") and err.count("\n") == 1
+        assert str(error) in err
 
     @pytest.mark.parametrize("entry, domain", [
         ("x + y", [1.4e308, 1.6e308]),      # the sum overflows
@@ -851,3 +895,54 @@ def test_main_exit_code_contract_fuzz(data):
             code = main(["run", "--config", path, "--out", os.path.join(tmp, "report.json")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# report-shaped values: str keys; str, bool, None, int and float leaves.  The
+# floats add the non-finite ones, -0.0, subnormals, the extremes and numpy's
+# float64; the strings add non-ASCII, control characters, quotes, backslashes.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t/\u00e9\u20ac\u2028\U0001f600'),
+                          st.characters()), max_size=6)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.5e-310, 1e308, -1e308]))
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT, _FLOATS,
+                    _FLOATS.map(np.float64))
+
+
+def _report_values(depth: int):
+    """A leaf, or lists, tuples and str-keyed dicts nested at most ``depth`` deep."""
+    if depth == 0:
+        return _LEAVES
+    kids = _report_values(depth - 1)
+    return st.one_of(_LEAVES, st.lists(kids, max_size=3), st.lists(kids, max_size=3).map(tuple),
+                     st.dictionaries(_TEXT, kids, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values(6))
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example({"\u00e9\n": [np.float64(x) for x in ("nan", "inf", "-inf")] + [{}, [], ()]})
+def test_report_text_is_json_dumps_text(value):
+    """serialize_report writes the bytes of json.dumps(indent=2,
+    sort_keys=True) and a newline, for every report-shaped value."""
+    assert serialize_report(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1, 2}, b"x", object()])
+def test_report_text_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps({"k": [value]}, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        serialize_report({"k": [value]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values(6))
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+def test_round12_equals_its_isinstance_chain(value):
+    """_round12 tests exact types first; it returns what the isinstance
+    chain kept in tests/reference.py returns, types included."""
+    assert repr(_round12(value)) == repr(reference.round12(value))

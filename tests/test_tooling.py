@@ -89,7 +89,7 @@ def test_report_digests_check_runs_two_sources_and_compares(tmp_path):
     shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
     cli = changed / "movingframes" / "cli.py"
     text = cli.read_text()
-    line = '    return json.dumps(report, indent=2, sort_keys=True) + "\\n"\n'
+    line = '    return "".join(chunks) + "\\n"\n'
     assert text.count(line) == 1
     cli.write_text(text.replace(line, line.replace('"\\n"', '"\\n "')))
     args = ["--seeds", "1", "--workloads", "screw-eval", "--size", "tiny"]

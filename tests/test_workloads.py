@@ -165,6 +165,20 @@ def test_a_warm_pass_builds_nothing(workloads, monkeypatch, name):
     assert len(movingframes.expression._TABLE) == table
 
 
+@pytest.mark.parametrize("name", ["screw-eval", "conformal4-build", "curvature-generic",
+                                  "session-mix"])
+def test_workload_reports_are_json_dumps_text(workloads, name):
+    """Every cold and warm report of a workload's configs is written as
+    json.dumps(indent=2, sort_keys=True) writes it, and a newline."""
+    configs = [load_config(case.config) for session in workloads.generate(name, 41, "tiny")
+               for case in session]
+    for _ in range(2):
+        for config in configs:
+            report = run_pipeline(config)[0]
+            assert serialize_report(report) == json.dumps(report, indent=2,
+                                                          sort_keys=True) + "\n"
+
+
 def test_a_fresh_load_derives_the_same_nodes(workloads):
     """Loading a config's JSON again gives a new metric whose first run
     derives the very nodes of the first one: the derivatives of g and, keyed

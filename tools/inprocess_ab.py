@@ -7,10 +7,11 @@ A_SRC and B_SRC are ``src`` directories.  Each package is loaded under its
 own module name (``movingframes_a``, ``movingframes_b``; the package imports
 itself relatively), so both live in this process at once.  The configs are
 every session of ``perfbench/workloads.generate(W, S, size)``; each side
-loads them with its own ``cli.load_config`` and runs them once through
-``cli.run_pipeline`` to fill its caches.  Then each round times one warm
-pass of every config on both sides, in an order that alternates by round,
-and takes the ratio B/A.  The output is each side's median pass time, the
+loads them with its own ``cli.load_config`` and runs them once to fill its
+caches.  A run is ``cli.serialize_report(cli.run_pipeline(config)[0])``, the
+work the benchmark's child times.  Then each round times one warm pass of
+every config on both sides, in an order that alternates by round, and takes
+the ratio B/A.  The output is each side's median pass time, the
 median ratio and the number of rounds in which B was faster.
 
 Both sides share the interpreter, the allocator and the machine's drift
@@ -47,10 +48,10 @@ def load(src: str, name: str):
 
 
 def warm_pass(cli, configs) -> float:
-    """Seconds to run every config once."""
+    """Seconds to run every config once and serialize its report."""
     start = time.perf_counter()
     for config in configs:
-        cli.run_pipeline(config)
+        cli.serialize_report(cli.run_pipeline(config)[0])
     return time.perf_counter() - start
 
 
