@@ -38,7 +38,8 @@ from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
                      antisymmetry_residual, build_coframe, classify_space,
                      curvature_package, reconstruction_residual, torsion_residual)
 from .herglotz import ricci_flat_check, run_herglotz
-from .submersion import VanishingFlowError, analyze_flow, constraint_residuals
+from .submersion import (VanishingFlowError, analyze_flow, constraint_residuals,
+                         flow_symbols)
 
 SCHEMA_VERSION = "1"
 TASKS = ("curvature", "classify", "flow", "herglotz", "ricci-flat")
@@ -444,7 +445,11 @@ def run_pipeline(config: Config):
 
     coframe = build_coframe(config.metric, points, config.coframe_order, tol["pivot"])
     frame_data = curvature_package(coframe)
-    curvature = frame_data.curvature_values(points)
+    needs_flow = any(t in config.tasks for t in ("flow", "herglotz", "ricci-flat"))
+    # the flow's symbols after the metric's: nodes intern in the order of a run without them
+    along = (dict(zip(chart.coords, flow_symbols(config.metric, config.flow)[1]))
+             if needs_flow else None)
+    curvature = frame_data.curvature_values(points, along)
     classification = classify_space(frame_data, curvature, tol["classification"])
     if "curvature" in config.tasks:
         tasks_out["curvature"] = _curvature_section(frame_data, points, curvature, tol, checks)
@@ -452,11 +457,10 @@ def run_pipeline(config: Config):
         tasks_out["classify"] = _classify_section(classification)
 
     flow_data = constraints = None
-    needs_flow = any(t in config.tasks for t in ("flow", "herglotz", "ricci-flat"))
     if needs_flow:
         flow_data = analyze_flow(config.metric, config.flow, points,
                                  tol["rigidity"], tol["flow_norm"])
-        constraints = constraint_residuals(flow_data, frame_data)
+        constraints = constraint_residuals(flow_data, frame_data, curvature.get("ambient"))
     if "flow" in config.tasks:
         tasks_out["flow"] = _flow_section(flow_data, constraints, tol, checks)
     if "herglotz" in config.tasks:

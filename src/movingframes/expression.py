@@ -792,7 +792,10 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
     the mixed derivatives u(X f) (hyper-dual numbers), and the result is
     (values, derivatives, u-derivatives, mixed), the last shaped (roots, N)
     and (roots, d, N).  A tangent is None where it is structurally zero, so
-    the derivative terms that :func:`diff` skips are skipped here too.
+    the derivative terms that :func:`diff` skips are skipped here too.  A
+    node's value and derivatives are formed before its u-channels, so a
+    fault in a u-channel alone, which the walk without ``useeds`` would
+    pass, is raised as a :class:`_SecondFault`.
     """
     key = tuple(roots)
     prog = _PROGRAMS.get(key)
@@ -809,7 +812,7 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
         chans = ((tans, seeds, dout),)
     if useeds is not None:
         uout, mout = np.zeros((len(roots), n)), np.zeros((len(roots), d, n))
-        chans = ((utans, useeds, uout),) + chans
+        chans += ((utans, useeds, uout),)
     for i, (op, kids, arg, rows, frees, keep) in enumerate(prog):
         if op is Mul:
             v = vals[kids[0]] * vals[kids[1]]
@@ -832,51 +835,56 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
                 raise FloatingPointError("non-finite coordinate")
         else:
             v = arg
-        for chan, seedmap, result in chans:
-            if op is Mul:
-                t = _product_rule([vals[c] for c in kids], [chan[c] for c in kids])
-            elif op is Add:
-                t = _sum([chan[c] for c in kids if chan[c] is not None])
-            elif op is Sym:
-                t = seedmap.get(arg)
-            else:
-                t = chan[kids[0]] if kids else None
-                if t is not None:           # e a^(e-1) a', as diff writes it
-                    a = vals[kids[0]]
-                    t = arg[0] * a ** arg[1] * t if op is Pow else arg[1](a, v) * t
-            if t is not None:
-                if rows is not None:
-                    result[rows] = t
-                if keep:
-                    chan[i] = t
-        if useeds is not None and kids:     # u(X f); leaves have none
-            if op is Add:
-                w = _sum([mixed[c] for c in kids if mixed[c] is not None])
-            elif op is Mul:                # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
-                c = kids[0]
-                p, t, s, w = vals[c], tans[c], utans[c], mixed[c]
-                for c in kids[1:]:
-                    f, tf, sf, wf = vals[c], tans[c], utans[c], mixed[c]
-                    w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
-                    t, s = (_live_sum(_times(t, f), _times(p, tf)),
-                            _live_sum(_times(s, f), _times(p, sf)))
-                    p = p * f
-            elif tans[kids[0]] is None:
-                w = None
-            else:
-                a, t, s, w = vals[kids[0]], tans[kids[0]], utans[kids[0]], mixed[kids[0]]
-                if op is Pow:
-                    d1 = arg[0] * a ** arg[1]
-                    d2 = None if s is None else arg[2] * a ** arg[3]
+        try:
+            for chan, seedmap, result in chans:
+                if op is Mul:
+                    t = _product_rule([vals[c] for c in kids], [chan[c] for c in kids])
+                elif op is Add:
+                    t = _sum([chan[c] for c in kids if chan[c] is not None])
+                elif op is Sym:
+                    t = seedmap.get(arg)
                 else:
-                    d1 = arg[1](a, v)
-                    d2 = None if s is None else arg[2](a, v, d1)
-                w = _live_sum(_times(d2, _times(s, t)), _times(d1, w))
-            if w is not None:
-                if rows is not None:
-                    mout[rows] = w
-                if keep:
-                    mixed[i] = w
+                    t = chan[kids[0]] if kids else None
+                    if t is not None:           # e a^(e-1) a', as diff writes it
+                        a = vals[kids[0]]
+                        t = arg[0] * a ** arg[1] * t if op is Pow else arg[1](a, v) * t
+                if t is not None:
+                    if rows is not None:
+                        result[rows] = t
+                    if keep:
+                        chan[i] = t
+            if useeds is not None and kids:     # u(X f); leaves have none
+                if op is Add:
+                    w = _sum([mixed[c] for c in kids if mixed[c] is not None])
+                elif op is Mul:    # left fold of (ab)'' = a'' b + a' b_u + a_u b' + a b''
+                    c = kids[0]
+                    p, t, s, w = vals[c], tans[c], utans[c], mixed[c]
+                    for c in kids[1:]:
+                        f, tf, sf, wf = vals[c], tans[c], utans[c], mixed[c]
+                        w = _live_sum(_times(w, f), _times(t, sf), _times(s, tf), _times(p, wf))
+                        t, s = (_live_sum(_times(t, f), _times(p, tf)),
+                                _live_sum(_times(s, f), _times(p, sf)))
+                        p = p * f
+                elif tans[kids[0]] is None:
+                    w = None
+                else:
+                    a, t, s, w = vals[kids[0]], tans[kids[0]], utans[kids[0]], mixed[kids[0]]
+                    if op is Pow:
+                        d1 = arg[0] * a ** arg[1]
+                        d2 = None if s is None else arg[2] * a ** arg[3]
+                    else:
+                        d1 = arg[1](a, v)
+                        d2 = None if s is None else arg[2](a, v, d1)
+                    w = _live_sum(_times(d2, _times(s, t)), _times(d1, w))
+                if w is not None:
+                    if rows is not None:
+                        mout[rows] = w
+                    if keep:
+                        mixed[i] = w
+        except (FloatingPointError, OverflowError) as exc:
+            if chan is utans:               # u f or u(X f): the walk without u goes on
+                raise _SecondFault(str(exc)) from exc
+            raise
         if rows is not None:
             out[rows] = v
         if keep:
@@ -889,6 +897,10 @@ def _run_program(roots: list, points, n: int, seeds: Mapping | None = None, d: i
 
 
 _FAULTS = dict(divide="raise", over="raise", invalid="raise", under="ignore")
+
+
+class _SecondFault(FloatingPointError):
+    """A floating-point fault of a hyper-dual walk that only its u-channels meet."""
 
 
 def _flatten(exprs):
@@ -933,7 +945,8 @@ def _along(e: Expr, field: Mapping) -> Expr:
     return add(*[mul(v, diff(e, c)) for c, v in field.items() if not v.is_zero()])
 
 
-def evaluate_along(exprs, points, second: Mapping | None = None):
+def evaluate_along(exprs, points, second: Mapping | None = None,
+                   second_optional: bool = False):
     """Values of expressions and their coordinate derivatives.
 
     The derivatives d_c e are taken along every coordinate c of ``points``,
@@ -949,19 +962,32 @@ def evaluate_along(exprs, points, second: Mapping | None = None):
     values and mixed as derivatives.  After a floating-point fault the roots
     and their symbolic derivatives go through the scalar reference, so the
     fault names the first bad point as ``evaluate`` of all of them would.
+
+    With ``second_optional``, a fault that the call without ``second`` would
+    meet as well (in a value or a coordinate derivative) is taken as that
+    call takes it, whose error or (values, derivatives) it gives, and a
+    fault of u or of the u-channels alone gives None, for a caller that then
+    walks without u.
     """
-    grids, roots = _flatten(exprs)
     coords = list(points)
     d, n = len(coords), len(next(iter(points.values()), ()))
+    roots = None
     try:
         with np.errstate(**_FAULTS):
             useeds = None
             if second is not None:
                 ulive = [c for c, e in second.items() if not e.is_zero()]
                 useeds = dict(zip(ulive, _run_program([second[c] for c in ulive], points, n)))
+            grids, roots = _flatten(exprs)
             basis = np.repeat(np.eye(d)[:, :, None], n, axis=2)
             channels = _run_program(roots, points, n, dict(zip(coords, basis)), d, useeds)
-    except (FloatingPointError, OverflowError):
+    except (FloatingPointError, OverflowError) as exc:
+        if second_optional:
+            if roots is None or isinstance(exc, _SecondFault):
+                return None
+            second = None
+        if roots is None:
+            grids, roots = _flatten(exprs)
         derivs = [diff(e, c) for e in roots for c in coords]
         if second is not None:
             derivs += [_along(e, second) for e in roots + derivs]

@@ -15,18 +15,24 @@ With these choices the round sphere of radius a has R_{1212} = +1/a^2.
 No frame is built symbolically.  The frame vectors e_i and their coordinate
 derivatives at the points come from one numeric Gram-Schmidt over the values
 of g and d g there (:func:`gram_schmidt_jet`), in modified form with
-<a, b> = a^m g_mn b^n and the product rule carried as forward-mode tangents:
+<a, b> = a^m g_mn b^n and the product rule carried as forward-mode tangents.
+The candidates s are an optional leading field and the coordinate vectors
+in a given order, constant with zero tangents:
 
 * v = s - sum_{j<i} eta_j <v, e_j> e_j (each projection off the updated v),
   p = <v, v>, e_i = v (eta_i p)^(-1/2),
 * dv = ds - sum_{j<i} eta_j (d<v, e_j> e_j + <v, e_j> de_j),
-  d<a, b> = <da, b> + a^m dg_mn b^n + <a, db>,
+  d<v, e_j> = <dv, e_j> + v^m h_jm with h_j = dg e_j + g de_j, and g e_j,
+  kept once per frame vector,
 * dp = 2 <dv, v> + v^m dg_mn v^n, de_i = (dv - v dp / (2 p)) (eta_i p)^(-1/2).
 
-Each pivot p is checked at the points: below the tolerance somewhere, or of
-changing sign, is a :class:`SingularMetricError` naming the first such
-point; a sign against the chart's signature is a :class:`SignatureError`.
-The ambient frame's pivots are checked once, by the curvature walk
+Each pivot p is tested by one reduction as it is formed, and the pivots,
+e and de of a frame by one finiteness test: below the tolerance somewhere,
+or of changing sign, is a :class:`SingularMetricError` naming the first
+such point; a sign against the chart's signature is a
+:class:`SignatureError`.  Only a frame that fails a test replays the checks
+pivot by pivot, in order, to name its first error.  The ambient frame's
+pivots are checked by the curvature walk
 (:meth:`FrameData.curvature_values`), not by :func:`build_coframe`.
 
 No connection is built symbolically either: the curvature and the frame
@@ -42,6 +48,12 @@ g^ms = sum_i eta_i e_i^m e_i^s (no matrix inverse):
 
 Weyl is R with the four eta F terms applied in order on the diagonal slices
 of einsum views (eta_ik F_lj on i = k = a), with no dense eta contraction.
+
+A run with a flow walks g and d g once: the curvature walk carries the unit
+flow u as a hyper-dual channel and keeps the coordinate Riemann tensor and
+its u-derivative (u(g^-1) = -g^-1 u(g) g^-1 in the Christoffels), whose
+frame changes :meth:`FrameData.riemann_along` takes for R and u(R) in the
+adapted frame.
 """
 
 from __future__ import annotations
@@ -226,74 +238,99 @@ def gram_schmidt_frame(metric: Metric, seeds: Sequence[Sequence[Expr]],
     return [tuple(r) for r in frame], tuple(eta)
 
 
-def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, seeds: np.ndarray, dseeds: np.ndarray,
+def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, perm: Sequence[int],
                      expected_eta: Sequence[int], points: Mapping[str, np.ndarray],
-                     pivot_tol: float = 1e-8, allow_skip: bool = False) -> tuple:
+                     pivot_tol: float = 1e-8, allow_skip: bool = False, lead=None) -> tuple:
     """Metric Gram-Schmidt of candidate vectors at every point, with its
     forward-mode tangents.
 
     ``g``: g_mn (axes m, n, point) and ``dg``: d_r g_mn (axes m, n, r,
-    point); ``seeds``: the candidates s^m (axes candidate, m, point) and
-    ``dseeds``: d_r s^m (axes candidate, m, r, point).  Each candidate is
-    projected off the vectors before it (modified Gram-Schmidt,
+    point).  The candidates are the optional leading field ``lead`` = (s^m,
+    d_r s^m) (axes m, point and m, r, point), then the coordinate vectors
+    d_k for k in ``perm``, constant and with zero tangents.  Each candidate
+    is projected off the vectors before it (modified Gram-Schmidt,
     <a, b> = a^m g_mn b^n), v <- v - eta_j <v, e_j> e_j, has the pivot
     p = <v, v> and becomes e = v (eta p)^(-1/2).  The tangents follow by the
-    product rule:
+    product rule, with g e_j and h_j = dg e_j + g de_j kept per frame vector:
 
-        d<a, b> = <da, b> + a^m dg_mn b^n + <a, db>,
+        d<v, e_j> = <dv, e_j> + v^m h_jm,
         dv <- dv - eta_j (d<v, e_j> e_j + <v, e_j> de_j),
         dp = 2 <dv, v> + v^m dg_mn v^n,
         de = (dv - v dp / (2 p)) (eta p)^(-1/2)
 
     (Murray, "Differentiation of the Cholesky decomposition", 2016, for
-    the same rule on the Cholesky factor).  Each pivot is checked at the
-    points as :func:`gram_schmidt_frame` checks it (:func:`_check_pivot`;
-    zero at every point counts as vanishing identically) before its tangent
-    is formed, so the checks read no tangent; a value that overflows is an
-    :class:`EvalDomainError` at its point.  Returns (e, de, eta, kept):
-    e_i^m (axes i, m, point), d_r e_i^m (axes i, m, r, point), the
-    signature and the indices of the kept candidates.
+    the same rule on the Cholesky factor).  With ``allow_skip`` a candidate
+    whose pivot is below 1e-10 at every point is skipped.  Each pivot is
+    tested against the tolerance and its expected sign by one reduction as
+    it is formed, a failing one ending the loop, and the pivots, e and de
+    are tested for finiteness at once; only if a test fails are the checks
+    of :func:`gram_schmidt_frame` replayed, candidate by candidate in order: a
+    non-finite v or pivot is an :class:`EvalDomainError` at its point, a
+    pivot zero at every point counts as vanishing identically, then
+    :func:`_check_pivot`, then a non-finite tangent.  Returns (e, de, eta,
+    kept): e_i^m (axes i, m, point), d_r e_i^m (axes i, m, r, point), the
+    signature and the indices of the kept candidates, the lead first.
     """
-    want = list(expected_eta)
-    frame, dframe, kept = [], [], []
+    want, eye = list(expected_eta), np.eye(g.shape[0])
+    frame, dframe, kept, tried = [], [], [], []
+    ges, hs = [], []                    # g e_j and dg e_j + g de_j of each frame vector
     with np.errstate(all="ignore"):
-        for index, v in enumerate(seeds):
-            if len(frame) == len(want):
+        for index, k in enumerate(list(perm) if lead is None else [None, *perm]):
+            slot = len(frame)
+            if slot == len(want):
                 break
-            dv = dseeds[index]
-            for e, de, s in zip(frame, dframe, want):
-                ge = np.einsum("mnp,np->mp", g, e)
-                c = s * np.einsum("mp,mp->p", v, ge)
-                dc = s * (np.einsum("mrp,mp->rp", dv, ge)
-                          + np.einsum("mp,mnrp,np->rp", v, dg, e)
-                          + np.einsum("mp,mrp->rp", np.einsum("mnp,np->mp", g, v), de))
-                dv = dv - e[:, None] * dc - c * de
+            v, dv = lead if k is None else (eye[k][:, None], None)
+            for e, de, s, ge, h in zip(frame, dframe, want, ges, hs):
+                if dv is None:          # v = d_k: <v, e_j> and its tangent are rows k
+                    c, dc = s * ge[k], s * h[k]
+                    dv = -(e[:, None] * dc) - c * de
+                else:
+                    c = s * np.einsum("mp,mp->p", v, ge)
+                    dc = s * (np.einsum("mrp,mp->rp", dv, ge) + np.einsum("mp,mrp->rp", v, h))
+                    dv = dv - e[:, None] * dc
+                    dv -= c * de
                 v = v - c * e
-            gv = np.einsum("mnp,np->mp", g, v)
-            p = np.einsum("mp,mp->p", v, gv)
-            _finite(points, v, p)
-            if not (allow_skip or p.any()):     # as a structurally zero symbolic pivot
-                raise SingularMetricError("metric pivot vanishes identically",
-                                          point_at(points, 0))
-            if not _check_pivot(p, points, pivot_tol, allow_skip, want[len(frame)], len(frame)):
+            if dv is None:              # d_k itself: p = g_kk
+                p, dgv = g[k, k], dg[:, k]
+            else:
+                gv = np.einsum("mnp,np->mp", g, v)
+                p = np.einsum("mp,mp->p", v, gv)
+            if allow_skip and np.abs(p).max() < 1e-10:
                 continue
-            scale = (want[len(frame)] * p) ** -0.5
-            dp = 2.0 * np.einsum("mrp,mp->rp", dv, gv) + np.einsum("mp,mnrp,np->rp", v, dg, v)
-            de = (dv - v[:, None] * (0.5 * dp / p)) * scale
-            _finite(points, de)
-            frame.append(v * scale)
+            tried.append((v, p))
+            low = p.min() if want[slot] > 0 else -p.max()
+            if not (low >= pivot_tol and low > 0):      # or NaN: the replay names the error
+                break
+            if dv is None:
+                de = -(v[:, None] * (0.5 * dgv[k] / p))
+            else:
+                dgv = np.einsum("mnrp,np->mrp", dg, v)
+                dp = np.einsum("mp,mrp->rp", v, dgv) + 2.0 * np.einsum("mrp,mp->rp", dv, gv)
+                de = dv - v[:, None] * (0.5 * dp / p)
+            scale = (want[slot] * p) ** -0.5
+            de *= scale
+            e = v * scale
+            if slot + 1 < len(want):
+                ges.append(np.einsum("mnp,np->mp", g, e))
+                hs.append(dgv * scale + np.einsum("mnp,nrp->mrp", g, de))
+            frame.append(e)
             dframe.append(de)
             kept.append(index)
+        e, de = np.array(frame), np.array(dframe)
+        pivots = np.array([p for _, p in tried])
+        if len(tried) > len(frame) or not np.isfinite(pivots.sum() + e.sum() + de.sum()):
+            for slot, (v, p) in enumerate(tried):
+                _finite(points, p, v)
+                if not (allow_skip or p.any()):     # as a structurally zero symbolic pivot
+                    raise SingularMetricError("metric pivot vanishes identically",
+                                              point_at(points, 0))
+                _check_pivot(p, points, pivot_tol, allow_skip, want[slot], slot)
+                if slot < len(dframe):
+                    _finite(points, dframe[slot])
     if len(frame) != len(want):
         raise SingularMetricError(
             f"Gram-Schmidt produced {len(frame)} of {len(want)} frame vectors")
-    return np.array(frame), np.array(dframe), tuple(want), kept
-
-
-def _coordinate_candidates(perm: Sequence[int], n: int, count: int) -> tuple:
-    """d_k, k in ``perm``, as :func:`gram_schmidt_jet` candidates: constant, zero tangents."""
-    return ([np.broadcast_to(np.eye(n)[k][:, None], (n, count)) for k in perm],
-            [np.broadcast_to(0.0, (n, n, count))] * len(perm))
+    return e, de, tuple(want), kept
 
 
 def build_coframe(metric: Metric, samples: Mapping[str, np.ndarray],
@@ -400,32 +437,44 @@ class FrameData:
         weyl = self.curvature_values({c: [v] for c, v in point.items()}).get("weyl")
         return None if weyl is None else weyl[0]
 
-    def curvature_values(self, points: Mapping[str, np.ndarray]) -> dict:
+    def curvature_values(self, points: Mapping[str, np.ndarray],
+                         along: Mapping[str, Expr] | None = None) -> dict:
         """Riemann, Ricci and (n >= 3) Weyl arrays with the point axis first,
         by the module docstring's formulas from one forward-mode walk over g
         and d g, with e and its coordinate jet from :func:`gram_schmidt_jet`;
         ``"jet"`` holds ({"gamma": Gamma^i_jk, "e": e_j^m, "th": theta^i_m,
-        "g": g_mn}, d_n e_j^m), which the structure checks read."""
+        "g": g_mn}, d_n e_j^m), which the structure checks read.
+
+        With a field ``along`` (a run's unit flow u) the walk is hyper-dual,
+        as :meth:`riemann_along`'s, and ``"ambient"`` keeps the jet that
+        method reads instead of walking again (:func:`_ambient_jet`).  A
+        fault of the value or the derivatives is found and named as without
+        ``along``; after a fault of u or of its channels alone the walk runs
+        without u and no ``"ambient"`` is kept."""
         n, eta, cf = self.n, np.array(self.eta, dtype=float), self.coframe
         perm = [s.index(ONE) for s in cf.seeds]
+        exprs, columns = {"g": cf.metric.entries, "dg": self.dmetric}, self.chart.columns(points)
         try:
-            v, dv = evaluate_along({"g": cf.metric.entries, "dg": self.dmetric},
-                                   self.chart.columns(points))
+            walk = None if along is None else evaluate_along(exprs, columns, along,
+                                                             second_optional=True)
+            if walk is None:
+                walk = evaluate_along(exprs, columns)
         except EvalDomainError:
             # a fault in g first: pivot k reads the leading (k + 1)-block in frame order
             g = cf.metric.entries
             for k in range(1, n + 1):
                 evaluate([[g[a][b] for b in perm[:k]] for a in perm[:k]], points)
             raise
-        e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], *_coordinate_candidates(
-            perm, n, v["g"].shape[-1]), cf.eta, points, cf.pivot_tol)
-        low, up = christoffel(v["dg"], np.einsum("i,imp,inp->mnp", eta, e, e))
-        r = coordinate_riemann(dv["dg"], (up, low))
-        del dv                                      # freed before the Weyl temporaries
-        r = np.moveaxis(frame_components([e] * 4, r), -1, 0)
+        v = walk[0]
+        e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], perm, cf.eta, points, cf.pivot_tol)
+        jet = _ambient_jet(walk, np.einsum("i,imp,inp->mnp", eta, e, e))
+        del walk                                    # d d g freed before the Weyl temporaries
+        r = np.moveaxis(frame_components([e] * 4, jet["q"]), -1, 0)
         th = eta[:, None, None] * np.einsum("mnp,inp->imp", v["g"], e)
         gamma = np.einsum("imp,jkmp->ijkp", th, np.einsum("knp,jmnp->jkmp", e, de)
-                          + np.einsum("mnrp,knp,jrp->jkmp", up, e, e))
+                          + np.einsum("mnrp,knp,jrp->jkmp", jet.pop("up"), e, e))
+        ambient = jet if "uq" in jet else None      # q is kept only in a run with a flow
+        del jet
         ricci = np.einsum("i,pijil->pjl", eta, r)
         out = {"riemann": r, "ricci": ricci,
                "jet": ({"gamma": gamma, "e": e, "th": th, "g": v["g"]}, de)}
@@ -439,28 +488,51 @@ class FrameData:
             np.einsum("pxaay->paxy", w)[...] += ef      # + eta_jk F_li
             np.einsum("pxaya->payx", w)[...] -= ef      # - eta_jl F_ik
             out["weyl"] = w
+        if ambient is not None:
+            out["ambient"] = ambient
         return out
 
     def riemann_along(self, u: Mapping[str, Expr], points: Mapping[str, np.ndarray],
-                      e: np.ndarray, ue: np.ndarray, eta: Sequence[int]) -> tuple:
+                      e: np.ndarray, ue: np.ndarray, eta: Sequence[int],
+                      ambient_jet: Mapping | None) -> tuple:
         """(R_abcd, u(R_abcd)), point axis last, in an orthonormal frame of
         signature ``eta`` with values ``e`` and u-derivatives ``ue`` (axes a, m)
-        at ``points``: one hyper-dual walk over g and d g with ``second=u``,
-        u(g^-1) = -g^-1 u(g) g^-1, and the product rule for the frame change,
-        whose slot terms are omega_a^f R_fbcd + ... with u(e_a) = omega_a^f e_f,
-        omega_a^f = eta_f theta^f_m u(e_a)^m and theta^f_m = g_mn e_f^n."""
-        v, dv, du, duv = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
-                                        self.chart.columns(points), second=u)
-        ginv = np.einsum("a,amp,anp->mnp", np.array(eta, dtype=float), e, e)
-        low, up = christoffel(v["dg"], ginv)
-        ulow, uup = christoffel(du["dg"], ginv)
-        uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv), low)
-        r = frame_components([e] * 4, coordinate_riemann(dv["dg"], (up, low)))
-        dr = frame_components([e] * 4, coordinate_riemann(duv["dg"], (uup, low), (up, ulow)))
-        omega = np.einsum("f,mnp,fnp,amp->afp", np.array(eta, dtype=float), v["g"], e, ue)
+        at ``points``: the frame change of q and u(q) from ``ambient_jet``,
+        the ``"ambient"`` entry of :meth:`curvature_values` along u at
+        ``points``, or, when that is None, from one hyper-dual walk over g and
+        d g with ``second=u`` (:func:`_ambient_jet`), and the product rule for
+        the frame change, whose slot terms are omega_a^f R_fbcd + ... with
+        u(e_a) = omega_a^f e_f, omega_a^f = eta_f theta^f_m u(e_a)^m and
+        theta^f_m = g_mn e_f^n."""
+        eta = np.array(eta, dtype=float)
+        if ambient_jet is None:
+            walk = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
+                                  self.chart.columns(points), second=u)
+            ambient_jet = _ambient_jet(walk, np.einsum("a,amp,anp->mnp", eta, e, e))
+            del walk
+        r = frame_components([e] * 4, ambient_jet["q"])
+        dr = frame_components([e] * 4, ambient_jet["uq"])
+        omega = np.einsum("f,mnp,fnp,amp->afp", eta, ambient_jet["g"], e, ue)
         for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
             dr += np.einsum(slots + "->abcdp", omega, r)
         return r, dr
+
+
+def _ambient_jet(walk: tuple, ginv: np.ndarray) -> dict:
+    """From a walk over g and d g (values, derivatives and, if it was
+    hyper-dual along u, the u- and mixed channels) and g^-1: g, Gamma^m_nr
+    (``up``), the coordinate Riemann tensor q and, along u, u(q) by
+    u(g^-1) = -g^-1 u(g) g^-1 (``uq``)."""
+    v, dv, *second = walk
+    low, up = christoffel(v["dg"], ginv)
+    jet = {"g": v["g"], "up": up, "q": coordinate_riemann(dv["dg"], (up, low))}
+    if second:
+        du, duv = second
+        ulow, uup = christoffel(du["dg"], ginv)
+        uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv),
+                         low)
+        jet["uq"] = coordinate_riemann(duv["dg"], (uup, low), (up, ulow))
+    return jet
 
 
 def curvature_package(coframe: Coframe) -> FrameData:

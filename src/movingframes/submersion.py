@@ -67,13 +67,13 @@ import numpy as np
 from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
                          evaluate_along, max_abs, mul, num, point_at, pow_, triu_indices, ZERO)
 from .exterior import FormArityError, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, _coordinate_candidates, frame_connection,
-                     gram_schmidt_jet, solve_connection)
+from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
+                     solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
     "ConstraintReport", "FlowData",
-    "adapted_coframe", "flow_invariants", "rigidity_test", "flow_jet",
+    "flow_symbols", "adapted_coframe", "flow_invariants", "rigidity_test", "flow_jet",
     "covariant_derivative", "constraint_rows", "constraint_residuals", "analyze_flow",
     "lie_derivative_at", "directional",
 ]
@@ -135,25 +135,12 @@ class AdaptedFlow:
         return self.chart.n - 1
 
 
-def adapted_coframe(metric: Metric, flow: Sequence[Expr],
-                    samples: Mapping[str, np.ndarray], flow_tol: float = 1e-8) -> tuple:
-    """Unit flow field, its adapted Gram-Schmidt frame and F = d psi0:
-    (AdaptedFlow, walk), the walk for :func:`flow_jet`.
-
-    The horizontal legs come from projecting the coordinate vectors, in
-    chart order, onto the orthogonal complement of u; directions that project
-    to zero are skipped, a projection degenerating at isolated sample points
-    is an error naming the point.  One forward-mode walk over g, u, F and
-    g(V, V) at the samples gives the flow norm check and one
-    :func:`gram_schmidt_jet` of the candidates [u, d_0, ..., d_{n-1}], the
-    d_k as constant views with zero tangents; the walk is its values and
-    Jacobians with the frame e and its jet.  A fault in the walk is
-    raised after the norm and pivot checks that g and V alone allow.
-    Non-unit flows are normalized automatically (``norm2`` keeps the squared
-    norm); the discarded magnitude is exactly the scale a Killing
-    reconstruction recovers.  g(V, V), u, the candidates and F (one pair of
-    :func:`diff` calls per F_mu nu) are built once per metric and flow.
-    """
+def flow_symbols(metric: Metric, flow: Sequence[Expr]) -> tuple:
+    """(g(V, V), u, the candidates [u, d_0, ..., d_{n-1}], F) of a flow V,
+    built on the metric's first run with that flow and then read from its
+    store (:meth:`Metric.derived`): u = V g(V, V)^(-1/2) and
+    F_mu nu = d_mu psi0_nu - d_nu psi0_mu, psi0_mu = g_mu nu u^nu, one pair
+    of :func:`diff` calls per mu < nu."""
     chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
 
@@ -168,7 +155,30 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
                             mul(num(-1), diff(psi0[mu], chart.coords[nu])))
             f[nu][mu] = mul(num(-1), f[mu][nu])
         return norm2, u, tuple(seeds), tuple(map(tuple, f))
-    norm2, u, seeds, f = metric.derived(flow, symbols)
+    return metric.derived(flow, symbols)
+
+
+def adapted_coframe(metric: Metric, flow: Sequence[Expr],
+                    samples: Mapping[str, np.ndarray], flow_tol: float = 1e-8) -> tuple:
+    """Unit flow field, its adapted Gram-Schmidt frame and F = d psi0:
+    (AdaptedFlow, walk), the walk for :func:`flow_jet`.
+
+    The horizontal legs come from projecting the coordinate vectors, in
+    chart order, onto the orthogonal complement of u; directions that project
+    to zero are skipped, a projection degenerating at isolated sample points
+    is an error naming the point.  One forward-mode walk over g, u, F and
+    g(V, V) at the samples gives the flow norm check and one
+    :func:`gram_schmidt_jet` with u as its leading field and the coordinate
+    vectors d_0, ..., d_{n-1} after it; the walk is its values and
+    Jacobians with the frame e and its jet.  A fault in the walk is
+    raised after the norm and pivot checks that g and V alone allow.
+    Non-unit flows are normalized automatically (``norm2`` keeps the squared
+    norm); the discarded magnitude is exactly the scale a Killing
+    reconstruction recovers.  The symbols are :func:`flow_symbols`.
+    """
+    chart, n = metric.chart, metric.chart.n
+    flow = tuple(flow)
+    norm2, u, seeds, f = flow_symbols(metric, flow)
     try:
         v, dv = evaluate_along({"g": metric.entries, "u": u, "f": f, "norm2": [norm2]},
                                chart.columns(samples))
@@ -181,15 +191,13 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
         val = norms[low[0]]
         raise VanishingFlowError(f"flow norm {val ** 0.5 if val > 0 else 0.0:.3e} "
                                  f"below {flow_tol:g}", point_at(samples, low[0]))
-    coords, zeros = _coordinate_candidates(range(n), n, len(norms))
     if fault is not None:
-        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, len(norms))),
-                         [v["v"] / np.sqrt(norms)] + coords, zeros[:1] + zeros, [1] * n,
-                         samples, flow_tol, allow_skip=True)
+        gram_schmidt_jet(v["g"], np.broadcast_to(0.0, (n, n, n, len(norms))), range(n), [1] * n,
+                         samples, flow_tol, allow_skip=True,
+                         lead=(v["v"] / np.sqrt(norms), np.broadcast_to(0.0, (n, n, len(norms)))))
         raise fault
-    e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], [v["u"]] + coords,
-                                        [dv["u"]] + zeros, [1] * n, samples, flow_tol,
-                                        allow_skip=True)
+    e, de, eta, kept = gram_schmidt_jet(v["g"], dv["g"], range(n), [1] * n, samples, flow_tol,
+                                        allow_skip=True, lead=(v["u"], dv["u"]))
     coframe = Coframe(chart, eta, metric, tuple(seeds[k] for k in kept), samples, flow_tol)
     return AdaptedFlow(metric, flow, norm2, u, f, coframe), (v, dv, e, de)
 
@@ -389,12 +397,14 @@ def _quadratic_m(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
             + 2.0 * np.einsum("ijp,klp->ijklp", m1, m2))
 
 
-def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
+def constraint_rows(flow: FlowData, ambient: FrameData, ambient_jet: Mapping | None) -> dict:
     """Every row of the constraint system at the flow's samples, point axis last.
 
     The ambient R_abcd and u(R_abcd) in the adapted frame come from the
-    metric's 2-jet (:meth:`FrameData.riemann_along`, one hyper-dual walk over
-    g and the first derivatives held by ``ambient``), with the adapted frame
+    metric's 2-jet (:meth:`FrameData.riemann_along`: ``ambient_jet``, the
+    ``"ambient"`` entry of :meth:`FrameData.curvature_values` of ``ambient``
+    along the flow's u, or when it is None one hyper-dual walk over g and
+    the first derivatives held by ``ambient``), with the adapted frame
     e_a^mu and u(e_a^mu) = u^nu d_nu e_a^mu from :func:`flow_jet`, which also gives
     M_ij;g, K_i;g, u(M_ij) and abar.  Keys:
     ``R`` (R_abcd), the five tilde-free rows by name (``R_0i0j`` ...
@@ -405,7 +415,7 @@ def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     jet, e = flow.jet, flow.jet["e"]
     r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, flow.adapted.u)), flow.samples, e,
                                   np.einsum("np,amnp->amp", e[0], jet["de"]),
-                                  flow.adapted.coframe.eta)
+                                  flow.adapted.coframe.eta, ambient_jet)
     m, dm, k, a = jet["m"], jet["dm"][:, :, 0], jet["k"], jet["abar"][:, :, 0]
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
@@ -436,14 +446,16 @@ def constraint_rows(flow: FlowData, ambient: FrameData) -> dict:
     }
 
 
-def constraint_residuals(flow: FlowData, ambient: FrameData) -> ConstraintReport:
+def constraint_residuals(flow: FlowData, ambient: FrameData,
+                         ambient_jet: Mapping | None) -> ConstraintReport:
     """Sup-norms of the constraint rows, and the quotient curvature, at the flow's samples.
 
     ``ambient`` is the curvature package of an orthonormal coframe of the
-    flow's metric.  Results carry an advisory flag when the flow failed the
-    rigidity test (the identities assume a rigid flow).
+    flow's metric and ``ambient_jet`` its jet along the flow, or None, as
+    :func:`constraint_rows` reads them.  Results carry an advisory flag when
+    the flow failed the rigidity test (the identities assume a rigid flow).
     """
-    v = constraint_rows(flow, ambient)
+    v = constraint_rows(flow, ambient, ambient_jet)
     return ConstraintReport(
         tilde_free={name: max_abs(v[name])
                     for name in ("R_0i0j", "R_0ijk", "R_ij0k", "R_00", "R_0i")},

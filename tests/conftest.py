@@ -126,6 +126,6 @@ def screw():
         "chart": chart, "metric": metric, "points": points,
         "basepoint": base, "far": far, "flow": flow,
         "flow_data": flow_data, "frame": fd,
-        "constraints": constraint_residuals(flow_data, fd),
+        "constraints": constraint_residuals(flow_data, fd, None),
         "classification": classify_space(fd, fd.curvature_values(points)),
     }

@@ -8,6 +8,12 @@ as the compiled runner, in the same order, so the two agree bit for bit.
 
 ``round12`` is the isinstance chain that ``cli._round12`` replaced with
 exact-type tests.
+
+``gram_schmidt_jet`` is the numeric Gram-Schmidt that ``frames.gram_schmidt_jet``
+replaced: it takes every candidate as arrays of values and tangents
+(``candidates`` forms them from the new kernel's arguments), forms each
+projection's tangent from g, d g and the candidate afresh, and checks each
+pivot as soon as it is formed.
 """
 
 from typing import Mapping, Sequence
@@ -16,7 +22,8 @@ import numpy as np
 
 from movingframes.expression import (_SECOND, _TANGENT, Add, Call, Expr, Mul, Num, Pow, Sym,
                                      UnboundCoordinateError, _live_sum, _product_rule, _sum,
-                                     _times)
+                                     _times, point_at)
+from movingframes.frames import SingularMetricError, _check_pivot, _finite
 
 
 def schedule(roots: Sequence[Expr]):
@@ -173,3 +180,57 @@ def round12(value):
     if isinstance(value, (list, tuple)):
         return [round12(v) for v in value]
     return value
+
+
+def candidates(perm: Sequence[int], n: int, count: int, lead=None) -> tuple:
+    """The candidates of ``frames.gram_schmidt_jet(..., perm, ..., lead=lead)``
+    as this module's kernel takes them: (values, tangents), the lead first,
+    then d_k for k in ``perm`` as constant rows with zero tangents."""
+    seeds = [np.broadcast_to(np.eye(n)[k][:, None], (n, count)) for k in perm]
+    dseeds = [np.broadcast_to(0.0, (n, n, count))] * len(perm)
+    if lead is not None:
+        seeds, dseeds = [lead[0]] + seeds, [lead[1]] + dseeds
+    return seeds, dseeds
+
+
+def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, seeds, dseeds,
+                     expected_eta: Sequence[int], points: Mapping[str, np.ndarray],
+                     pivot_tol: float = 1e-8, allow_skip: bool = False) -> tuple:
+    """Metric Gram-Schmidt of the candidates ``seeds`` (axes candidate, m,
+    point) with tangents ``dseeds`` (axes candidate, m, r, point), in
+    modified form, each pivot checked before its tangent is formed; returns
+    (e, de, eta, kept) as ``frames.gram_schmidt_jet`` does."""
+    want = list(expected_eta)
+    frame, dframe, kept = [], [], []
+    with np.errstate(all="ignore"):
+        for index, v in enumerate(seeds):
+            if len(frame) == len(want):
+                break
+            dv = dseeds[index]
+            for e, de, s in zip(frame, dframe, want):
+                ge = np.einsum("mnp,np->mp", g, e)
+                c = s * np.einsum("mp,mp->p", v, ge)
+                dc = s * (np.einsum("mrp,mp->rp", dv, ge)
+                          + np.einsum("mp,mnrp,np->rp", v, dg, e)
+                          + np.einsum("mp,mrp->rp", np.einsum("mnp,np->mp", g, v), de))
+                dv = dv - e[:, None] * dc - c * de
+                v = v - c * e
+            gv = np.einsum("mnp,np->mp", g, v)
+            p = np.einsum("mp,mp->p", v, gv)
+            _finite(points, v, p)
+            if not (allow_skip or p.any()):     # as a structurally zero symbolic pivot
+                raise SingularMetricError("metric pivot vanishes identically",
+                                          point_at(points, 0))
+            if not _check_pivot(p, points, pivot_tol, allow_skip, want[len(frame)], len(frame)):
+                continue
+            scale = (want[len(frame)] * p) ** -0.5
+            dp = 2.0 * np.einsum("mrp,mp->rp", dv, gv) + np.einsum("mp,mnrp,np->rp", v, dg, v)
+            de = (dv - v[:, None] * (0.5 * dp / p)) * scale
+            _finite(points, de)
+            frame.append(v * scale)
+            dframe.append(de)
+            kept.append(index)
+    if len(frame) != len(want):
+        raise SingularMetricError(
+            f"Gram-Schmidt produced {len(frame)} of {len(want)} frame vectors")
+    return np.array(frame), np.array(dframe), tuple(want), kept

@@ -256,8 +256,11 @@ class TestPipeline:
           run called the first twice, ext_d once and contract six times,
           for d psi0 and its contractions on the symbolic adapted frame);
         * each numeric frame is one Gram-Schmidt on one walk: a screw run has
-          two (ambient and adapted) and three walks (curvature, adapted and
-          riemann_along's), the generic run one of each;
+          two (ambient and adapted) and two walks, the generic run one of
+          each; a run walks {g, d g} once, so riemann_along reads the
+          jet that the curvature walk along u kept;
+        * christoffel and coordinate_riemann run once per channel, both in
+          the curvature stage: for R and, in a flow run, for u(R);
         * no stage calls simplify (the constructors already return its fixed
           point), and none builds a curvature 2-form, a connection 1-form, a
           wedge product or a symbolic covariant or directional derivative.
@@ -269,19 +272,23 @@ class TestPipeline:
                  "flow_invariants": movingframes.submersion,
                  "gram_schmidt_frame": movingframes.frames,
                  "gram_schmidt_jet": movingframes.frames,
+                 "christoffel": movingframes.frames,
+                 "coordinate_riemann": movingframes.frames,
                  "evaluate_along": movingframes.expression,
                  "simplify": movingframes.expression, "diff": movingframes.expression,
                  "wedge": movingframes.exterior, "pform_scale": movingframes.exterior,
                  "ext_d": movingframes.exterior, "contract": movingframes.exterior}
         calls = dict.fromkeys(homes, 0)
         calls["curvature_values"] = calls["eta_antisymmetry_residual"] = 0
-        differentiated = []
+        differentiated, walked = [], []
 
         def count(name, real):
             def counting(*args, **kwargs):
                 calls[name] += 1
                 if name == "diff":
                     differentiated.append(args[0])
+                if name == "evaluate_along":
+                    walked.append(sorted(args[0]))
                 return real(*args, **kwargs)
             return counting
 
@@ -300,7 +307,10 @@ class TestPipeline:
         screw_cfg = load_config(screw_config())
         report, code = run_pipeline(screw_cfg)
         assert code == 0 and set(report["tasks"]) == set(TASKS)
-        assert (calls["gram_schmidt_jet"], calls["evaluate_along"]) == (2, 3)
+        assert (calls["gram_schmidt_jet"], calls["evaluate_along"]) == (2, 2)
+        assert walked == [["dg", "g"], ["f", "g", "norm2", "u"]]
+        assert (calls["christoffel"], calls["coordinate_riemann"]) == (2, 2)
+        del walked[:]
         entries = {id(e) for row in screw_cfg.metric.entries for e in row}
         assert len(differentiated) == 3 * 3 * 4 // 2 + 3 * 2
         assert sum(id(e) in entries for e in differentiated) == 3 * 3 * 4 // 2
@@ -309,6 +319,7 @@ class TestPipeline:
         generic, code = run_pipeline(generic_cfg)
         assert code == 0 and not generic["tasks"]["classify"]["flat"]
         assert [c["status"] for c in generic["checks"]] == ["pass"] * len(generic["checks"])
+        assert walked == [["dg", "g"]]
         entries = {id(e) for row in generic_cfg.metric.entries for e in row}
         assert len(differentiated) == 4 * 4 * 5 // 2
         assert all(id(e) in entries for e in differentiated)
@@ -318,12 +329,13 @@ class TestPipeline:
                          "covariant_derivative": 0, "directional": 0, "flow_jet": 1,
                          "flow_invariants": 0, "gram_schmidt_frame": 0, "ext_d": 0,
                          "contract": 0, "curvature_values": 2, "simplify": 0,
-                         "gram_schmidt_jet": 3, "evaluate_along": 4}
+                         "gram_schmidt_jet": 3, "evaluate_along": 3, "christoffel": 3,
+                         "coordinate_riemann": 3}
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     def test_each_root_set_compiles_once(self, monkeypatch):
-        """A screw run with an exclusion, as the benchmark's, walks 14 root
-        sets (one when the config loads, 13 in the pipeline) and compiles at
+        """A screw run with an exclusion, as the benchmark's, walks 13 root
+        sets (one when the config loads, 12 in the pipeline) and compiles at
         most 6 programs: a walk that repeats a root set, as the stages of the
         lambda quadrature do, reuses its program.  Loading and running the
         config again compiles none."""
@@ -337,10 +349,10 @@ class TestPipeline:
         cfg = screw_config()
         cfg["chart"] = dict(cfg["chart"], exclusions=["x^2 + y^2 < 0.04"])
         assert run_pipeline(load_config(cfg))[1] == 0
-        assert counts["_run_program"] == 14 and counts["_compile"] <= 6
+        assert counts["_run_program"] == 13 and counts["_compile"] <= 6
         compiled = counts["_compile"]
         assert run_pipeline(load_config(cfg))[1] == 0
-        assert counts == {"_run_program": 28, "_compile": compiled}
+        assert counts == {"_run_program": 26, "_compile": compiled}
 
     @staticmethod
     def _interned(cfg) -> tuple:
@@ -692,6 +704,70 @@ class TestCommandLine:
         assert str(exc.value) == message
         assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("g00, g22, flow, domain, message", [
+        # the flow faults and g does not: found by the adapted walk, after the curvature stage
+        ("1", "1", ["1", "log(y)", "0"], {"y": [-1, 1]},
+         "log of non-positive value -1.0 at point {'x': -1.0, 'y': -1.0, 'z': -1.0}"),
+        # both fault: the metric's fault comes first, from the curvature stage
+        ("1 + x^(3/2)", "1", ["1", "log(y)", "0"], {"x": [-1, 1], "y": [-1, 1]},
+         "non-integer power 3/2 of negative base -1.0 at point {'x': -1.0, 'y': -1.0, 'z': -1.0}"),
+        # V = (x, 1 - y^2, z) vanishes at grid samples, where u = V/|V| faults too; g_00
+        # varies, so a curvature walk that located its own fault would name u's
+        ("1 + y^2/4", "1", ["x", "1 - y^2", "z"], {},
+         "flow norm 0.000e+00 below 1e-08 at point {'x': 0.0, 'y': -1.0, 'z': 0.0}"),
+        # g_22 faults and u = d_x does not: located in the walk along u itself
+        ("1", "1 + x^(3/2)", ["1", "0", "0"], {"x": [-1, 1]},
+         "non-integer power 3/2 of negative base -1.0 at point {'x': -1.0, 'y': -1.0, 'z': -1.0}"),
+        # u(d_x g_22) faults at x = 0 before d_x d_x g_22 does: the walk runs again without u
+        ("1", "1 + x^(3/2)", ["1", "0", "0"], {"x": [0, 1]},
+         "division by zero at point {'x': 0.0, 'y': -1.0, 'z': -1.0}")])
+    def test_a_fault_of_the_shared_walk_keeps_the_first_error(self, tmp_path, capsys, g00, g22,
+                                                              flow, domain, message):
+        """The curvature walk of a flow run carries u (hyper-dual); when it
+        faults, the run walks as a run without that sharing does, so the
+        first error keeps its stage, message and point: a fault of the flow
+        alone, of the metric and the flow, of the metric alone in a value or
+        first met in a u-channel, and a flow that vanishes at a sample (the
+        exit codes and messages of runs whose walks are not shared)."""
+        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z"], "domain": domain},
+               "metric": [[g00, "0", "0"], ["0", "1", "0"], ["0", "0", g22]],
+               "flow": flow,
+               "samples": {"mode": "grid", "count": 27}, "tasks": list(TASKS),
+               "basepoint": [0.5, 0.5, 0.5]}
+        assert main(["run", "--config", write(tmp_path, "cfg.json", cfg)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_a_fault_of_the_hyper_dual_channel_alone_walks_again(self, monkeypatch):
+        """Along V = (x, 1, 0) the hyper-dual channel of d d g_00, with
+        g_00 = 1 + x^(5/2)/10, forms x * x^(-1/2) at x = 0 and faults where
+        the symbolic u(d_x d_x g_00) is finite: the curvature stage walks to
+        first order, as without a flow, and the constraint stage walks along
+        u itself, whose scalar reference gives the values.  The report is
+        that of a run whose curvature stage is not given u."""
+        walked = []
+        real = movingframes.expression.evaluate_along
+
+        def recording(exprs, *args, **kwargs):
+            walked.append((sorted(exprs), "second" in kwargs or len(args) > 1))
+            return real(exprs, *args, **kwargs)
+
+        for module in (movingframes.frames, movingframes.submersion):
+            monkeypatch.setattr(module, "evaluate_along", recording)
+        cfg = {"schema_version": "1", "chart": {"coordinates": ["x", "y", "z"],
+                                                "domain": {"x": [0, 1]}},
+               "metric": [["1 + x^(5/2)/10", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "flow": ["x", "1", "0"], "samples": {"mode": "grid", "count": 27},
+               "tasks": list(TASKS), "basepoint": [0.5, 0.5, 0.5]}
+        report, code = run_pipeline(load_config(cfg))
+        assert code == 1
+        assert walked == [(["dg", "g"], True), (["dg", "g"], False),
+                          (["f", "g", "norm2", "u"], False), (["dg", "g"], True)]
+        curvature_values = FrameData.curvature_values
+        monkeypatch.setattr(FrameData, "curvature_values",
+                            lambda fd, points, along=None: curvature_values(fd, points))
+        unshared, code = run_pipeline(load_config(cfg))
+        assert code == 1 and serialize_report(unshared) == serialize_report(report)
 
     @pytest.mark.parametrize("entry, flow, point", [
         ("1e300*1e300", None, "{'x': 0.023643249400513433, 'y': 0.9009273926518706, "

@@ -5,19 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movingframes.cli import DEFAULT_TOLERANCES, _Checks, _curvature_section
-from movingframes.expression import (Chart, add, call, diff, eval_at, evaluate,
+from movingframes.expression import (Chart, PointError, add, call, diff, eval_at, evaluate,
                                      evaluate_along, max_abs, mul, num, parse_expr, pow_,
                                      sample_points, sym)
 from movingframes.exterior import MatrixForm, pform_add, pform_scale
 from movingframes.frames import (Metric, SignatureError, SingularMetricError,
                                  antisymmetry_residual, build_coframe, christoffel,
                                  classify_space, coordinate_riemann, curvature_package,
-                                 frame_components, frame_connection,
+                                 frame_components, frame_connection, gram_schmidt_jet,
                                  reconstruction_residual, solve_connection)
 
 import oracle
+import reference
 from helpers import (frame_fn, max_abs_coeff, metric_fn, rows, structure_checks,
                      symbolic_riemann, symbolic_torsion)
 
@@ -357,12 +359,12 @@ def test_riemann_and_its_derivative_match_the_symbolic_route(sphere2, hyperbolic
         values = fd.curvature_values(pts)
         e, de = values["jet"][0]["e"], values["jet"][1]
         ue = np.einsum("np,amnp->amp", evaluate([u[c] for c in names], pts), de)
-        got, dgot = fd.riemann_along(u, pts, e, ue, fd.eta)
+        got, dgot = fd.riemann_along(u, pts, e, ue, fd.eta, None)
         assert bool(np.max(np.abs(dwant)) > 1e-3) == varies
         assert np.array_equal(np.moveaxis(got, -1, 0), values["riemann"])
         shuffled = dict(reversed(list(pts.items())))        # the chart fixes the derivative axis
         assert np.array_equal(fd.curvature_values(shuffled)["riemann"], values["riemann"])
-        assert np.array_equal(fd.riemann_along(u, shuffled, e, ue, fd.eta)[1], dgot)
+        assert np.array_equal(fd.riemann_along(u, shuffled, e, ue, fd.eta, None)[1], dgot)
         for g, w in ((got, want), (dgot, dwant)):
             assert g.shape == w.shape
             assert np.all(np.abs(g - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), chart.coords
@@ -401,7 +403,7 @@ def test_riemann_along_reads_the_slot_terms_off_the_frame_tensor(conformal4):
         e, de = values["jet"][0]["e"], values["jet"][1]
         ue = np.einsum("np,amnp->amp", evaluate([u[c] for c in names], pts), de)
         want = _riemann_along_by_frame_changes(fd, u, pts, e, ue)
-        got = fd.riemann_along(u, pts, e, ue, fd.eta)[1]
+        got = fd.riemann_along(u, pts, e, ue, fd.eta, None)[1]
         assert max_abs(want) > 0.1
         assert max_abs(got - want) <= 1e-13 * max_abs(want), chart.coords
 
@@ -503,7 +505,8 @@ def test_numeric_frame_and_its_jet_match_the_symbolic_gram_schmidt(flat3, polar3
 def test_curvature_walk_reads_only_g_and_its_derivatives(monkeypatch, hyperbolic3, sphere2):
     """The ambient walk evaluates g and d g alone: the coordinate candidates
     of the Gram-Schmidt are constant rows with zero tangents, not walked, and
-    e and its jet equal those of a walk that also carried the candidates."""
+    e and its jet agree to 1e-12 with the reference kernel run on a walk that
+    also carried the candidates."""
     import movingframes.frames as frames
     groups = []
 
@@ -523,6 +526,95 @@ def test_curvature_walk_reads_only_g_and_its_derivatives(monkeypatch, hyperbolic
             assert groups == [["g", "dg"]]
             v, dv = evaluate_along({"g": metric.entries, "dg": fd.dmetric, "s": cf.seeds},
                                    chart.columns(pts))
-            e, de_old, _, _ = frames.gram_schmidt_jet(v["g"], v["dg"], v["s"], dv["s"],
-                                                      cf.eta, pts, cf.pivot_tol)
-            assert np.array_equal(jet["e"], e) and np.array_equal(de, de_old)
+            e, de_old, _, _ = reference.gram_schmidt_jet(v["g"], v["dg"], v["s"], dv["s"],
+                                                         cf.eta, pts, cf.pivot_tol)
+            assert _close(jet["e"], e) and _close(de, de_old)
+
+
+_FAULTS = (None, "non-finite", "degenerate", "small", "sign flip", "signature clash")
+
+
+def _gram_schmidt_case(n, count, seed, lorentz, lead, fault):
+    """Arguments of frames.gram_schmidt_jet at ``count`` points: g = A^T S A
+    with A = 1 + 0.3 (random) and S the signature, a random symmetric d g, a
+    random coordinate order and expected signature in that order, and with
+    ``lead`` a leading field, random ("field") or along the first coordinate
+    candidate ("skip"), which the Gram-Schmidt then skips.  ``fault`` spoils
+    one point."""
+    rng = np.random.default_rng(seed)
+    sig = np.array([-1.0 if lorentz and k == 0 else 1.0 for k in range(n)])
+    a = np.eye(n)[:, :, None] + 0.3 * rng.uniform(-1, 1, (n, n, count))
+    g = np.einsum("kmp,k,knp->mnp", a, sig, a)
+    dg = rng.uniform(-1, 1, (n, n, n, count))
+    dg = dg + np.swapaxes(dg, 0, 1)
+    perm = [int(k) for k in rng.permutation(n)]
+    want = [int(sig[k]) for k in perm]
+    field = None
+    if lead == "field":         # u = A^-1 w: <u, u> = w S w, timelike in a Lorentzian chart
+        w = np.where(np.arange(n) == 0, 2.0 if lorentz else 1.0, 0.5 if lorentz else 1.0)
+        w = w[:, None] + 0.2 * rng.uniform(-1, 1, (n, count))
+        u = np.linalg.solve(np.moveaxis(a, -1, 0), w.T[:, :, None])[:, :, 0].T
+        perm = sorted(perm, key=lambda k: lorentz and k == 0)     # d_0 last, left unread
+    elif lead == "skip":        # along the first candidate d_k, which it makes skipped
+        u = np.eye(n)[perm[0]][:, None] * rng.uniform(1.0, 2.0, count)
+    if lead is not None:
+        field = (u, rng.uniform(-1, 1, (n, n, count)))
+        want = [int(np.sign(np.einsum("mp,mnp,np->p", u, g, u)[0]))] + [1] * (n - 1)
+    q, k = int(rng.integers(count)), perm[int(rng.integers(n))]
+    if fault == "non-finite":
+        (g if rng.random() < 0.5 else dg)[k, perm[0], ..., q] = np.inf if rng.random() < 0.5 \
+            else np.nan
+    elif fault == "degenerate":
+        g[k, :, q] = g[:, k, q] = 0.0
+    elif fault == "small":      # g_kk 1e-10 times smaller: a pivot below 1e-8, finite, of its sign
+        g[k, :, q] *= 1e-5
+        g[:, k, q] *= 1e-5
+    elif fault == "sign flip":
+        g[:, :, q] *= -1.0
+    elif fault == "signature clash":
+        want[int(rng.integers(n))] *= -1
+    points = {f"x{i}": np.linspace(0.0, 1.0, count) + i for i in range(n)}
+    return g, dg, perm, want, points, field
+
+
+def _outcome(run):
+    try:
+        return run()
+    except (PointError, SignatureError) as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from((None, "field", "skip")), st.sampled_from(_FAULTS))
+@example(3, 4, 1, False, "skip", None)
+@example(4, 5, 2, True, None, None)
+@example(3, 4, 3, False, None, "non-finite")
+@example(3, 4, 4, False, "field", "degenerate")
+@example(3, 4, 7, False, None, "small")
+@example(4, 3, 5, True, None, "sign flip")
+@example(4, 3, 6, True, None, "signature clash")
+def test_gram_schmidt_jet_matches_the_reference_kernel(n, count, seed, lorentz, lead, fault):
+    """frames.gram_schmidt_jet against the kernel it replaced
+    (reference.gram_schmidt_jet, every candidate walked as arrays, each
+    pivot checked as it is formed): Riemannian and Lorentzian metrics with
+    random jets in a random coordinate order, with and without a leading
+    field (one along a coordinate vector makes that candidate skipped), and
+    with a non-finite entry, a zero pivot, a pivot finite but below the
+    tolerance, a sign flip or a signature clash at one point.  e and de agree to 1e-12 relative with the same kept
+    candidates, or both raise the same class with the same message and
+    point."""
+    g, dg, perm, want, points, field = _gram_schmidt_case(n, count, seed, lorentz, lead, fault)
+    skip = field is not None
+    got = _outcome(lambda: gram_schmidt_jet(g, dg, perm, want, points, 1e-8, skip, field))
+    ref = _outcome(lambda: reference.gram_schmidt_jet(
+        g, dg, *reference.candidates(perm, n, count, field), want, points, 1e-8, skip))
+    if isinstance(ref, Exception):
+        assert (type(got), str(got), getattr(got, "point", None)) == \
+            (type(ref), str(ref), getattr(ref, "point", None))
+        return
+    assert not isinstance(got, Exception), got
+    assert got[2:] == ref[2:]
+    if lead == "skip":
+        assert got[3] == [0] + list(range(2, n + 1))
+    assert _close(got[0], ref[0]) and _close(got[1], ref[1])

@@ -319,7 +319,7 @@ class TestEndToEnd:
             assert abs(eval_at(inv.k[0], p)) < 1e-12
             assert abs(eval_at(inv.k[1], p)) < 1e-12
         # constraint identities hold in the curved ambient too
-        rep = constraint_residuals(fl, fd)
+        rep = constraint_residuals(fl, fd, None)
         assert rep.max_tilde_free() < 1e-9
         for q in range(rep.quotient_riemann.shape[-1]):
             assert rep.quotient_riemann[0, 1, 0, 1, q] == pytest.approx(4.0, rel=1e-9)
@@ -380,7 +380,7 @@ class TestRicciFlat:
         pts = sample_points(chart, "random", 6, seed=39)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
         fd = curvature_package(build_coframe(metric, samples=pts))
-        rep = ricci_flat_check(constraint_residuals(fl, fd),
+        rep = ricci_flat_check(constraint_residuals(fl, fd, None),
                                classify_space(fd, fd.curvature_values(pts)))
         assert rep.applicable and rep.max_residual() == 0.0
 

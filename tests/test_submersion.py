@@ -414,7 +414,7 @@ class TestConstraintSystem:
         chart, metric = flat3
         pts = sample_points(chart, "random", 8, seed=28)
         fl = analyze_flow(metric, [num(0), num(0), num(1)], pts)
-        rep = constraint_residuals(fl, curvature_package(build_coframe(metric, samples=pts)))
+        rep = constraint_residuals(fl, curvature_package(build_coframe(metric, samples=pts)), None)
         assert rep.max_tilde_free() == 0.0
         assert np.all(rep.quotient_scalar == 0.0)
 
@@ -462,7 +462,7 @@ class TestConstraintSystem:
         assert rep.m2_leaf_residual < 1e-7
 
     def test_advisory_for_non_rigid(self, twist):
-        rep = constraint_residuals(twist["flow_data"], twist["frame"])
+        rep = constraint_residuals(twist["flow_data"], twist["frame"], None)
         assert rep.advisory
 
     @staticmethod
@@ -512,7 +512,8 @@ class TestConstraintSystem:
         coordinates, on a conformally flat 4-space, and on flat 4-space with
         an M whose u-derivative is not proportional to M (the other two have
         one independent M_ij, so they cannot tell the product rule's two M
-        terms apart)."""
+        terms apart).  The rows are formed twice: from a walk of their own,
+        and from the ambient jet that the curvature walk along u kept."""
         eta = sym("eta")
         hopf = Chart(["eta", "xi1", "xi2"],
                      domain={"eta": (0.3, 1.2), "xi1": (0.1, 5.9), "xi2": (0.1, 5.9)})
@@ -533,15 +534,19 @@ class TestConstraintSystem:
             pts = sample_points(metric.chart, "random", 6, seed=seed)
             fl = analyze_flow(metric, flow, pts)
             assert not fl.rigidity.rigid
-            got = constraint_rows(fl, curvature_package(build_coframe(metric, samples=pts)))
+            fd = curvature_package(build_coframe(metric, samples=pts))
+            values = fd.curvature_values(pts, dict(zip(metric.chart.coords, fl.adapted.u)))
+            assert "ambient" in values
             want = self._symbolic_route(fl, pts)
             assert np.max(np.abs(want["leaf"])) > leaf_size
-            for name, w in want.items():
-                assert got[name].shape == w.shape, name
-                # u(Rq) sums many cancelling terms: against a 60-digit
-                # complex-step derivative both readings of it err by up to
-                # 2e-11 on the sphere; a wrong sign moves components by O(1)
-                assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), name
+            for got in (constraint_rows(fl, fd, None), constraint_rows(fl, fd, values["ambient"])):
+                for name, w in want.items():
+                    assert got[name].shape == w.shape, name
+                    # u(Rq) sums many cancelling terms: against a 60-digit
+                    # complex-step derivative both readings of it err by up to
+                    # 2e-11 on the sphere; a wrong sign moves components by O(1)
+                    assert np.all(np.abs(got[name] - w) <= 1e-10 * np.maximum(1.0, np.abs(w))), \
+                        name
 
     def test_no_symbolic_leaf_derivative_is_built(self, screw):
         """The flow stage differentiates symbolically only to get d psi0: the
@@ -558,7 +563,7 @@ class TestConstraintSystem:
         try:
             fl = analyze_flow(screw["metric"], screw["flow"], screw["points"])
             before = len(expression._DIFF_CACHE)
-            constraint_residuals(fl, fd)
+            constraint_residuals(fl, fd, None)
             added = len(expression._DIFF_CACHE) - before
             total = len(expression._DIFF_CACHE)
         finally:

@@ -2,6 +2,7 @@
 report-digest tool."""
 
 import importlib
+import importlib.util
 import json
 import pkgutil
 import shutil
@@ -115,3 +116,62 @@ def test_inprocess_ab_runs_two_checkouts_in_one_interpreter():
     assert lines[0] == "screw-eval seed 41 (tiny, 3 configs), 3 rounds"
     assert lines[1].startswith("A median ") and " ms  B median " in lines[1]
     assert lines[2].startswith("median B/A ") and lines[2].endswith(" of 3")
+
+
+def test_report_digests_fields_names_each_moved_field(tmp_path):
+    """tools/report_digests.py fields prints, per session that differs, each
+    report field that moved with its largest |difference| and the number of
+    runs, then whether anything non-numeric moved; with the same source twice
+    it prints no session and exits 0."""
+    tool = PYPROJECT.parent / "tools" / "report_digests.py"
+    src = PYPROJECT.parent / "src"
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "movingframes" / "cli.py"
+    text = cli.read_text()
+    for old, new in (('"two_path_residual": flow_data.two_path,',
+                      '"two_path_residual": flow_data.two_path + 0.5,'),
+                     ('"frame": "coordinate Gram-Schmidt",', '"frame": "another frame",')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cli.write_text(text)
+    args = ["--seeds", "1", "--workloads", "screw-eval", "--size", "tiny"]
+    same = subprocess.run([sys.executable, str(tool), "fields", str(src), str(src), *args],
+                          capture_output=True, text=True, timeout=300)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == [
+        "all sessions:",
+        "0 of 3 sessions differ; exit codes, verdicts, flags and strings unchanged"]
+    run = subprocess.run([sys.executable, str(tool), "fields", str(src), str(changed), *args],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[:4] == ["differs: screw-eval:1:0",
+                         "  tasks.flow.two_path_residual  max |d| 0.5  runs 2",
+                         "  non-numeric moved: tasks.curvature.frame  runs 2",
+                         "differs: screw-eval:1:1"]
+    assert lines[-3:] == ["all sessions:", "  tasks.flow.two_path_residual  max |d| 0.5  runs 6",
+                          "3 of 3 sessions differ; exit codes, verdicts, flags and strings moved"]
+
+
+def test_report_digests_field_moves_reads_codes_checks_and_errors():
+    """field_moves keys a check by its task and name, takes the largest
+    |difference| of a number over the runs, and counts a changed exit code,
+    flag or error message as non-numeric."""
+    spec = importlib.util.spec_from_file_location(
+        "report_digests", PYPROJECT.parent / "tools" / "report_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def report(value, flag):
+        return json.dumps({"checks": [{"task": "flow", "name": "rigidity", "value": value}],
+                           "all_passed": flag, "kappa": 1})
+
+    a = [[0, 0, 0, report(1e-16, True)], [1, 0, 0, report(1e-16, True)],
+         [0, 1, 2, "EvalDomainError: division by zero"]]
+    b = [[0, 0, 0, report(3e-16, True)], [1, 0, 1, report(2e-16, False)],
+         [0, 1, 2, "EvalDomainError: log of non-positive value"]]
+    numbers, other = tool.field_moves(a, b)
+    assert numbers == {"checks[flow:rigidity].value": (2e-16, 2)}
+    assert other == {"exit code": 1, "all_passed": 1, "error message": 1}
+    assert tool.field_moves(a, a) == ({}, {})
