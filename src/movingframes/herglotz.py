@@ -17,6 +17,11 @@ direction u is proportional to a Killing field lambda*u.  The pipeline:
    L_u g frame components of the flow's jet and a finite-difference gradient
    of the reconstructed lambda so that the quadrature participates in the
    check.
+
+Before any integral, one pass checks that the paths, the leaf steps and the
+central finite-difference stencils stay in the domain box and out of every
+exclusion; a second pass tests the one-sided stencils, only for the samples
+whose central stencil leaves the domain.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expression import Chart, Expr, evaluate, max_abs, triu_indices
+from .expression import Chart, EvalDomainError, Expr, evaluate, max_abs, triu_indices
 from .frames import SpaceClassification
 from .submersion import ConstraintReport, FlowData
 
@@ -232,6 +237,8 @@ def _path_faults(chart: Chart, pts: np.ndarray) -> np.ndarray:
     """Per row: -1 admissible, 0 outside the padded box, 1 + e inside
     exclusion e, the first that holds there (:meth:`Chart.excluded_by`),
     ``_POINTS_PER_EVALUATE`` rows at a time."""
+    if not chart.exclusions:
+        return np.where(_in_box(chart, pts), -1, 0)
     faults = np.zeros(len(pts), dtype=int)
     for lo in range(0, len(pts), _POINTS_PER_EVALUATE):
         rows = pts[lo:lo + _POINTS_PER_EVALUATE]
@@ -241,22 +248,46 @@ def _path_faults(chart: Chart, pts: np.ndarray) -> np.ndarray:
     return faults
 
 
+def _stencil_line(p: np.ndarray, e: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The points p + offset e of each row of p, for each offset, as rows."""
+    return (p[:, None, :] + offsets[:, None] * e[:, None, :]).reshape(-1, p.shape[1])
+
+
 def _admissible(chart: Chart, paths: np.ndarray, leaf_from: np.ndarray, leaf_to: np.ndarray,
                 p: np.ndarray, e: np.ndarray):
-    """One :func:`_path_faults` pass: a :class:`PathError` at the first bad
-    row of ``paths``, else whether each leaf step fits (at 17 points) and,
-    per stencil, whether it fits at each row of p with steps e."""
+    """A :class:`PathError` at the first bad row of ``paths``, else whether
+    each leaf step fits (at 17 points) and, per row of p with step e, the
+    first stencil that fits (0 central, 1 forward, 2 backward) or -1.
+
+    One :func:`_path_faults` pass tests the paths, the leaf steps and the 17
+    central-stencil points of each row; only the rows whose central stencil
+    does not fit have their 49-offset line tested, in a second pass.  So an
+    exclusion is not evaluated at the one-sided points of a row whose central
+    stencil fits.  An :class:`EvalDomainError` of either pass replays the
+    single pass over every stencil point, whose first error is raised.
+    """
     leaf = _along(leaf_from, leaf_to, 17)
-    line = p[:, None, :] + _STENCIL_OFFSETS[:, None] * e[:, None, :]
-    faults = _path_faults(chart, np.concatenate([paths, leaf, line.reshape(-1, chart.n)]))
+    try:
+        faults = _path_faults(chart, np.concatenate(
+            [paths, leaf, _stencil_line(p, e, _STENCIL_OFFSETS[_STENCIL_SPANS[0]])]))
+        choice = np.where(np.all(faults[len(paths) + len(leaf):].reshape(len(p), -1) < 0,
+                                 axis=1), 0, -1)
+        off = np.flatnonzero(choice < 0)
+        if len(off):
+            ok = _path_faults(chart, _stencil_line(p[off], e[off], _STENCIL_OFFSETS)
+                              ).reshape(len(off), -1) < 0
+            fits = np.array([np.all(ok[:, span], axis=1) for span in _STENCIL_SPANS])
+            choice[off] = np.where(fits.any(axis=0), fits.argmax(axis=0), -1)
+    except EvalDomainError:
+        _path_faults(chart, np.concatenate([paths, leaf, _stencil_line(p, e, _STENCIL_OFFSETS)]))
+        raise
     if np.any(faults[:len(paths)] >= 0):
         k = int(np.argmax(faults >= 0))
         where = ("leaves the domain box" if faults[k] == 0 else "crosses excluded region "
                  f"({chart.exclusions[faults[k] - 1].text})")
         raise PathError(f"integration path {where} at {chart.point(paths[k])}")
     leaf_fit = np.all(faults[len(paths):len(paths) + len(leaf)].reshape(-1, 17) < 0, axis=1)
-    ok = faults[len(paths) + len(leaf):].reshape(len(p), -1) < 0
-    return leaf_fit, np.array([np.all(ok[:, span], axis=1) for span in _STENCIL_SPANS])
+    return leaf_fit, choice
 
 
 def _rk4_step(chart: Chart, u: Sequence[Expr], x: np.ndarray, ux: np.ndarray, h: float):
@@ -267,7 +298,8 @@ def _rk4_step(chart: Chart, u: Sequence[Expr], x: np.ndarray, ux: np.ndarray, h:
     for c in (0.5, 0.5, 1.0):
         stage = x + c * h * ks[-1]
         keep = _in_box(chart, stage)
-        rows, x, stage, ks = rows[keep], x[keep], stage[keep], [k[keep] for k in ks]
+        if not keep.all():
+            rows, x, stage, ks = rows[keep], x[keep], stage[keep], [k[keep] for k in ks]
         ks.append(evaluate(u, dict(zip(chart.coords, stage.T))).T)
     k1, k2, k3, k4 = ks
     return rows, x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -283,9 +315,12 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     Requires the closedness certificate; integrates along the straight
     segment and along an axis-ordered polyline, comparing the two.  The
     sampling domain is assumed simply connected (declared, not inferred).
-    One batch of integrals, after one admissibility pass, also gives the
-    leaf estimate and the finite-difference gradient of log(lambda) (step
-    ``_FD_STEP``) that :func:`scaled_flow_killing_residual` reads.
+    One batch of integrals, after the admissibility check of
+    :func:`_admissible`, also gives the leaf estimate and the
+    finite-difference gradient of log(lambda) (step ``_FD_STEP``) that
+    :func:`scaled_flow_killing_residual` reads: one segment per (sample,
+    axis) row for a central stencil, and a second one only for the rows
+    whose stencil is one-sided.
     """
     if closedness_residual >= closedness_tol:
         raise ClosednessError(closedness_residual, closedness_tol)
@@ -310,25 +345,27 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     step = 0.01
     stepped, moved = _rk4_step(chart, flow.adapted.u, targets, flow.jet["e"][0].T, step)
     # d log(lambda) along each axis, row (point, axis): (w_A I_A - w_B I_B) / 2h
-    # over the segments A and B of the first stencil that fits
+    # over the segments A and B of the first stencil that fits: central
+    # A = [p - e, p + e] with w = (1, 0), so no B; forward A = [p, p + e],
+    # B = [p, p + 2e] and backward A = [p - e, p], B = [p - 2e, p] with w = (4, 1)
     p = np.repeat(targets, n, axis=0)
     e = np.tile(np.eye(n) * _FD_STEP, (count, 1))
-    stencils = [(p - e, p + e, p, p),                # central, w = (1, 0)
-                (p, p + e, p, p + 2 * e),            # forward, w = (4, 1)
-                (p - e, p, p - 2 * e, p)]            # backward, w = (4, 1)
     # per target, its straight path and then its staircase
     paths = np.concatenate([_along(bases, targets, 17).reshape(count, -1, n),
                             _along(stair_starts, stair_ends, 9).reshape(count, -1, n)], axis=1)
-    leaf_fit, fits = _admissible(chart, paths.reshape(-1, n), targets[stepped], moved, p, e)
-    choice = fits.argmax(axis=0)                     # the first stencil that fits
-    unfit = np.flatnonzero(~fits.any(axis=0))        # if any, no stencil is integrated
-    parts = [np.choose(choice[:, None], [st[k] for st in stencils])[:0 if len(unfit) else None]
-             for k in range(4)]
+    leaf_fit, choice = _admissible(chart, paths.reshape(-1, n), targets[stepped], moved, p, e)
+    unfit = np.flatnonzero(choice < 0)               # if any, no stencil is integrated
+    fd = slice(0 if len(unfit) else None)
+    c, q, d = choice[fd, None], p[fd], e[fd]
+    side = c[:, 0] > 0                               # the rows of a one-sided stencil
+    cs, qs, ds = c[side], q[side], d[side]
 
     ints = _line_integrals(
         flow.adapted.u, flow.adapted.f, chart,
-        np.concatenate([bases, stair_starts, targets[stepped[leaf_fit]], parts[0], parts[2]]),
-        np.concatenate([targets, stair_ends, moved[leaf_fit], parts[1], parts[3]]),
+        np.concatenate([bases, stair_starts, targets[stepped[leaf_fit]],
+                        np.where(c == 1, q, q - d), np.where(cs == 1, qs, qs - 2 * ds)]),
+        np.concatenate([targets, stair_ends, moved[leaf_fit],
+                        np.where(c == 2, q, q + d), np.where(cs == 1, qs + 2 * ds, qs)]),
         quadrature_tol)
     unresolved = f"quadrature of K did not converge: more than {_OPEN_PER_SEGMENT} open panels"
     main = count * (n + 1) + np.count_nonzero(leaf_fit)
@@ -349,9 +386,9 @@ def reconstruct_lambda(flow: FlowData, basepoint: Mapping[str, float],
     elif np.isnan(ints[main:]).any():
         lam.stencil_fault = unresolved
     else:
-        ia, ib = ints[main:main + count * n], ints[main + count * n:]
-        wa, wb = np.where(choice == 0, 1.0, 4.0), np.where(choice == 0, 0.0, 1.0)
-        lam.log_gradient = ((wa * ia - wb * ib) / (2.0 * _FD_STEP)).reshape(count, n)
+        grad = ints[main:main + count * n]           # I_A, and 4 I_A - I_B where one-sided
+        grad[side] = 4.0 * grad[side] - ints[main + count * n:]
+        lam.log_gradient = (grad / (2.0 * _FD_STEP)).reshape(count, n)
     return lam
 
 

@@ -14,6 +14,11 @@ replaced: it takes every candidate as arrays of values and tangents
 (``candidates`` forms them from the new kernel's arguments), forms each
 projection's tangent from g, d g and the candidate afresh, and checks each
 pivot as soon as it is formed.
+
+``admissible`` is the path check that ``herglotz._admissible`` replaced: one
+pass of ``path_faults`` (which walks every chunk through ``excluded_by``, with
+or without exclusions) over the paths, the leaf steps and all 49 stencil
+offsets of every (sample, axis) row, then every stencil's fit per row.
 """
 
 from typing import Mapping, Sequence
@@ -24,6 +29,8 @@ from movingframes.expression import (_SECOND, _TANGENT, Add, Call, Expr, Mul, Nu
                                      UnboundCoordinateError, _live_sum, _product_rule, _sum,
                                      _times, point_at)
 from movingframes.frames import SingularMetricError, _check_pivot, _finite
+from movingframes.herglotz import (_POINTS_PER_EVALUATE, _STENCIL_OFFSETS, _STENCIL_SPANS,
+                                   PathError, _along, _in_box)
 
 
 def schedule(roots: Sequence[Expr]):
@@ -234,3 +241,33 @@ def gram_schmidt_jet(g: np.ndarray, dg: np.ndarray, seeds, dseeds,
         raise SingularMetricError(
             f"Gram-Schmidt produced {len(frame)} of {len(want)} frame vectors")
     return np.array(frame), np.array(dframe), tuple(want), kept
+
+
+def path_faults(chart, pts: np.ndarray) -> np.ndarray:
+    """Per row: -1 admissible, 0 outside the padded box, 1 + e inside
+    exclusion e, ``_POINTS_PER_EVALUATE`` rows at a time."""
+    faults = np.zeros(len(pts), dtype=int)
+    for lo in range(0, len(pts), _POINTS_PER_EVALUATE):
+        rows = pts[lo:lo + _POINTS_PER_EVALUATE]
+        inside = _in_box(chart, rows)
+        first = chart.excluded_by(dict(zip(chart.coords, rows[inside].T)))
+        faults[lo:lo + len(rows)][inside] = np.where(first < 0, -1, first + 1)
+    return faults
+
+
+def admissible(chart, paths: np.ndarray, leaf_from: np.ndarray, leaf_to: np.ndarray,
+               p: np.ndarray, e: np.ndarray):
+    """One pass: a :class:`PathError` at the first bad row of ``paths``, else
+    whether each leaf step fits (at 17 points) and, per stencil (central,
+    forward, backward), whether it fits at each row of p with steps e."""
+    leaf = _along(leaf_from, leaf_to, 17)
+    line = p[:, None, :] + _STENCIL_OFFSETS[:, None] * e[:, None, :]
+    faults = path_faults(chart, np.concatenate([paths, leaf, line.reshape(-1, chart.n)]))
+    if np.any(faults[:len(paths)] >= 0):
+        k = int(np.argmax(faults >= 0))
+        where = ("leaves the domain box" if faults[k] == 0 else "crosses excluded region "
+                 f"({chart.exclusions[faults[k] - 1].text})")
+        raise PathError(f"integration path {where} at {chart.point(paths[k])}")
+    leaf_fit = np.all(faults[len(paths):len(paths) + len(leaf)].reshape(-1, 17) < 0, axis=1)
+    ok = faults[len(paths) + len(leaf):].reshape(len(p), -1) < 0
+    return leaf_fit, np.array([np.all(ok[:, span], axis=1) for span in _STENCIL_SPANS])

@@ -334,11 +334,13 @@ class TestPipeline:
         assert movingframes.expression._SIMPLIFY_CACHE == cache
 
     def test_each_root_set_compiles_once(self, monkeypatch):
-        """A screw run with an exclusion, as the benchmark's, walks 13 root
-        sets (one when the config loads, 12 in the pipeline) and compiles at
+        """A screw run with an exclusion, as the benchmark's, walks 12 root
+        sets (one when the config loads, 11 in the pipeline) and compiles at
         most 6 programs: a walk that repeats a root set, as the stages of the
-        lambda quadrature do, reuses its program.  Loading and running the
-        config again compiles none."""
+        lambda quadrature do, reuses its program.  Every central stencil fits,
+        so the one path-check pass tests 2240 rows, 112 per sample, and walks
+        the exclusion in two chunks of ``herglotz._POINTS_PER_EVALUATE``.
+        Loading and running the config again compiles none."""
         monkeypatch.setattr(movingframes.expression, "_PROGRAMS", collections.OrderedDict())
         counts = {"_run_program": 0, "_compile": 0}
         for name in counts:
@@ -349,10 +351,10 @@ class TestPipeline:
         cfg = screw_config()
         cfg["chart"] = dict(cfg["chart"], exclusions=["x^2 + y^2 < 0.04"])
         assert run_pipeline(load_config(cfg))[1] == 0
-        assert counts["_run_program"] == 13 and counts["_compile"] <= 6
+        assert counts["_run_program"] == 12 and counts["_compile"] <= 6
         compiled = counts["_compile"]
         assert run_pipeline(load_config(cfg))[1] == 0
-        assert counts == {"_run_program": 26, "_compile": compiled}
+        assert counts == {"_run_program": 24, "_compile": compiled}
 
     @staticmethod
     def _interned(cfg) -> tuple:

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from movingframes.cli import _round12
-from movingframes.expression import (Chart, add, call, eval_at, evaluate, max_abs, mul, num,
-                                     sample_points, sym)
+from movingframes import herglotz
+from movingframes.cli import _round12, load_config, run_pipeline
+from movingframes.expression import (Chart, EvalDomainError, add, call, eval_at, evaluate,
+                                     max_abs, mul, num, parse_exclusion, sample_points, sym)
 from movingframes.frames import (Metric, build_coframe, classify_space,
                                  curvature_package)
 from movingframes.herglotz import (ClosednessError, check_hypotheses,
@@ -20,6 +22,7 @@ from movingframes.submersion import (analyze_flow, constraint_residuals, flow_in
                                      lie_derivative_at)
 
 import oracle
+import reference
 from helpers import columns, metric_fn, rows, vector_fn
 
 BASE = {"x": 1.0, "y": 0.0, "z": 0.0}
@@ -188,6 +191,113 @@ class TestQuadrature:
         assert np.isnan(ints[0]) and ints[1] == 0.0
         with pytest.raises(PathError, match=f"more than {_OPEN_PER_SEGMENT} open panels"):
             reconstruct_lambda(wild, rows(pts)[0], 0.0)
+
+
+_H = herglotz._FD_STEP
+_BOX = {"x": (0.4, 1.6), "y": (-0.6, 0.6), "z": (-1.0, 1.0)}
+# a disk, a slab of width 1.2e-4 right of x = 0.9 behind a guard, a notch
+# 2e-5 wide that leaves no stencil room between it and the face x = 1.6, and
+# an exclusion that cannot be evaluated left of x = 0.9; the x of each edge
+_EXCLUSIONS = {"none": [], "disk": ["x^2 + y^2 < 0.25"],
+               "slab": ["x < 0.9", "log(x - 0.9) < -9"], "notch": ["(x - 1.5998)^2 < 1e-10"],
+               "undefined": ["log(x - 0.9) < -30"]}
+_EDGES = {"slab": 0.9, "notch": 1.59981, "undefined": 0.9}
+
+
+def _chart(texts) -> Chart:
+    chart = Chart(list(_BOX), domain=_BOX)
+    return Chart(chart.coords, domain=_BOX,
+                 exclusions=tuple(parse_exclusion(t, chart) for t in texts))
+
+
+@st.composite
+def _target(draw, kind):
+    """A point with each coordinate inside the box or within 2.5 steps of a
+    face, and often x within 2.5 steps of the exclusion's edge.  Where the
+    exclusion cannot be evaluated, x stays right of 0.9 away from the edge."""
+    pt = []
+    for c, (lo, hi) in _BOX.items():
+        lo = 0.9 if kind == "undefined" and c == "x" else lo
+        k = draw(st.floats(0.0, 2.5)) * _H
+        pt.append(draw(st.sampled_from([draw(st.floats(lo, hi)), lo + k, hi - k])))
+    if kind != "none" and draw(st.booleans()):
+        if kind == "disk":
+            pt[1] = draw(st.floats(-0.29, 0.29))
+        edge = math.sqrt(0.25 - pt[1] ** 2) if kind == "disk" else _EDGES[kind]
+        pt[0] = edge + draw(st.floats(-2.5, 2.5)) * _H
+    return pt
+
+
+@st.composite
+def _admissibility_case(draw):
+    kind = draw(st.sampled_from(sorted(_EXCLUSIONS)))
+    targets = np.array(draw(st.lists(_target(kind), min_size=1, max_size=4)))
+    base = np.array([draw(st.floats(1.0, 1.6)), draw(st.floats(-0.6, 0.6)),
+                     draw(st.floats(-1.0, 1.0))])
+    step = np.array(draw(st.lists(st.floats(-0.01, 0.01), min_size=3, max_size=3)))
+    paths = herglotz._along(np.broadcast_to(base, targets.shape), targets, 17)
+    p = np.repeat(targets, 3, axis=0)
+    e = np.tile(np.eye(3) * _H, (len(targets), 1))
+    return _chart(_EXCLUSIONS[kind]), paths, targets, targets + step, p, e
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (herglotz.PathError, EvalDomainError) as exc:
+        return exc
+
+
+class TestAdmissible:
+    @settings(max_examples=300, deadline=None)
+    @given(_admissibility_case())
+    def test_central_first_matches_the_single_pass(self, case):
+        """The central-first check agrees with the single pass over every
+        stencil point on leaf_fit, the stencil chosen, the rows no stencil
+        fits and any error (class, message and point), except where that
+        pass faults only at a one-sided point of a row whose central stencil
+        fits: such a point is no longer evaluated."""
+        chart, paths, leaf_from, leaf_to, p, e = case
+        want = _outcome(reference.admissible, chart, paths, leaf_from, leaf_to, p, e)
+        got = _outcome(herglotz._admissible, chart, paths, leaf_from, leaf_to, p, e)
+        if isinstance(want, EvalDomainError) and not isinstance(got, EvalDomainError):
+            central = herglotz._STENCIL_OFFSETS[herglotz._STENCIL_SPANS[0]]
+            at = np.array([want.point[c] for c in chart.coords])
+            lines = p[:, None, :] + herglotz._STENCIL_OFFSETS[:, None] * e[:, None, :]
+            row, k = np.argwhere(np.all(lines == at, axis=2))[0]
+            assert herglotz._STENCIL_OFFSETS[k] not in central
+            fits = herglotz._path_faults(chart, p[row] + central[:, None] * e[row]) < 0
+            assert fits.all()
+            assert isinstance(got, herglotz.PathError) or got[1][row] == 0
+        elif isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+            assert getattr(got, "point", None) == getattr(want, "point", None)
+        else:
+            leaf_fit, fits = want
+            assert np.array_equal(got[0], leaf_fit)
+            assert np.array_equal(got[1], np.where(fits.any(axis=0), fits.argmax(axis=0), -1))
+
+    def test_undefined_exclusion_at_a_one_sided_point_is_not_evaluated(self):
+        """An exclusion that cannot be evaluated only at the backward points
+        of a sample whose central stencil fits: the single pass over every
+        stencil point faulted there (exit 2); now the run verifies."""
+        cfg = {"schema_version": "1",
+               "chart": {"coordinates": list(_BOX), "domain": {c: list(b) for c, b in _BOX.items()}},
+               "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+               "flow": ["-y", "x", "1"],
+               "samples": {"mode": "random", "count": 20, "seed": 42},
+               "tasks": ["curvature", "classify", "flow", "herglotz"],
+               "basepoint": [1.0, 0.0, 0.0]}
+        sample = np.array([col[0] for col in sample_points(_chart([]), "random", 20, 42).values()])
+        pole = float(sample[0] + herglotz._STENCIL_OFFSETS[0] * _H)   # two steps back along x
+        cfg["chart"]["exclusions"] = [f"1/(x - {pole!r}) > 1e300"]
+        chart = _chart(cfg["chart"]["exclusions"])
+        p, e, none = np.repeat(sample[None], 3, axis=0), np.eye(3) * _H, np.empty((0, 3))
+        with pytest.raises(EvalDomainError, match="division by zero") as old:
+            reference.admissible(chart, none, none, none, p, e)
+        assert old.value.point == chart.point([pole, *sample[1:]])
+        report, code = run_pipeline(load_config(cfg))
+        assert code == 0 and report["tasks"]["herglotz"]["verdict"] == "isometric-verified"
 
 
 class TestKilling:

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -105,7 +106,8 @@ def test_report_digests_check_runs_two_sources_and_compares(tmp_path):
 def test_inprocess_ab_runs_two_checkouts_in_one_interpreter():
     """tools/inprocess_ab.py loads a checkout's package twice under distinct
     names, interleaves warm passes of a workload's configs and prints the
-    median ratio and the rounds the second side was faster."""
+    median ratio between its quartiles and the rounds the second side was
+    faster."""
     tool = PYPROJECT.parent / "tools" / "inprocess_ab.py"
     src = str(PYPROJECT.parent / "src")
     run = subprocess.run([sys.executable, str(tool), src, src, "--workload", "screw-eval",
@@ -115,7 +117,11 @@ def test_inprocess_ab_runs_two_checkouts_in_one_interpreter():
     lines = run.stdout.splitlines()
     assert lines[0] == "screw-eval seed 41 (tiny, 3 configs), 3 rounds"
     assert lines[1].startswith("A median ") and " ms  B median " in lines[1]
-    assert lines[2].startswith("median B/A ") and lines[2].endswith(" of 3")
+    ratio = re.fullmatch(r"median B/A (\d+\.\d{4}) \(quartiles (\d+\.\d{4}), "
+                         r"(\d+\.\d{4})\), B lower in [0-3] of 3", lines[2])
+    assert ratio, lines[2]
+    median, low, high = (float(v) for v in ratio.groups())
+    assert low <= median <= high
 
 
 def test_report_digests_fields_names_each_moved_field(tmp_path):

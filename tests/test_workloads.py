@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -78,23 +79,60 @@ def test_lambda_matches_the_flow_norm(workloads, runs, seed):
     assert checked >= 10
 
 
+def _herglotz_calls(monkeypatch) -> dict:
+    """Counts of the Herglotz stage's evaluate calls, the rows of each
+    _path_faults pass and the leaf steps taken, as a run makes them."""
+    calls = {"evaluate": 0, "_path_faults": [], "leaf_steps": []}
+    real_evaluate, real_faults, real_step = (herglotz.evaluate, herglotz._path_faults,
+                                             herglotz._rk4_step)
+
+    def evaluate(*args):
+        calls["evaluate"] += 1
+        return real_evaluate(*args)
+
+    def path_faults(chart, pts):
+        calls["_path_faults"].append(len(pts))
+        return real_faults(chart, pts)
+
+    def rk4_step(*args):
+        rows, moved = real_step(*args)
+        calls["leaf_steps"].append(len(rows))
+        return rows, moved
+
+    monkeypatch.setattr(herglotz, "evaluate", evaluate)
+    monkeypatch.setattr(herglotz, "_path_faults", path_faults)
+    monkeypatch.setattr(herglotz, "_rk4_step", rk4_step)
+    return calls
+
+
 def test_screw_herglotz_call_budget(workloads, monkeypatch):
     """One screw run: three RK4 stages and at most two quadrature chunks
-    evaluate, and every path check is one pass."""
-    calls = {"evaluate": 0, "_path_faults": 0}
-    for name in calls:
-        original = getattr(herglotz, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(herglotz, name, counted)
+    evaluate, and every path check is one pass, over the 17 + 9n rows of
+    each sample's two paths, 17 per leaf step and the 17 central-stencil
+    rows of each sample and axis."""
+    calls = _herglotz_calls(monkeypatch)
     case = workloads.generate("screw-eval", 11)[0][0]
     report, code = run_pipeline(load_config(case.config))
     assert code == 0 and report["tasks"]["herglotz"]["verdict"] == "isometric-verified"
     assert calls["evaluate"] <= 5
-    assert calls["_path_faults"] == 1
+    count, n = case.config["samples"]["count"], 3
+    (steps,) = calls["leaf_steps"]
+    assert calls["_path_faults"] == [(17 + 9 * n) * count + 17 * steps + 17 * n * count]
+
+
+def test_stencil_off_the_box_face_takes_a_second_pass(workloads, monkeypatch):
+    """The conformal-4D sample of seed 843326373 at w = 0.999914 has no room
+    for a central stencil along w: a second _path_faults pass tests its
+    49-offset line alone, and the backward stencil still verifies the
+    isometry."""
+    calls = _herglotz_calls(monkeypatch)
+    case = workloads.conformal4(Fraction(4), 8, 843326373)
+    report, code = run_pipeline(load_config(case.config))
+    assert code == 0 and report["tasks"]["herglotz"]["verdict"] == "isometric-verified"
+    assert any(abs(p[3] - 0.999914) < 5e-7 for p in workloads.sample_points(case.config, []))
+    count, n = 8, 4
+    (steps,) = calls["leaf_steps"]
+    assert calls["_path_faults"] == [(17 + 9 * n) * count + 17 * steps + 17 * n * count, 49]
 
 
 # runs the configs given as one JSON list in order, one report per line

@@ -12,7 +12,8 @@ caches.  A run is ``cli.serialize_report(cli.run_pipeline(config)[0])``, the
 work the benchmark's child times.  Then each round times one warm pass of
 every config on both sides, in an order that alternates by round, and takes
 the ratio B/A.  The output is each side's median pass time, the
-median ratio and the number of rounds in which B was faster.
+median ratio with its lower and upper quartiles (inclusive method) and
+the number of rounds in which B was faster.
 
 Both sides share the interpreter, the allocator and the machine's drift
 within a round, so the ratio shows what the code costs, apart from the
@@ -64,6 +65,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=41)
     parser.add_argument("--size", default="full", choices=sorted(workloads.SIZES))
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
     cases = [case for session in workloads.generate(args.workload, args.seed, args.size)
              for case in session]
     sides = []
@@ -81,7 +84,8 @@ def main(argv=None) -> int:
           f"{args.rounds} rounds")
     print(f"A median {statistics.median(times[0]) * 1e3:.3f} ms  "
           f"B median {statistics.median(times[1]) * 1e3:.3f} ms")
-    print(f"median B/A {statistics.median(ratios):.4f}, "
+    low, median, high = statistics.quantiles(ratios, n=4, method="inclusive")
+    print(f"median B/A {median:.4f} (quartiles {low:.4f}, {high:.4f}), "
           f"B lower in {sum(r < 1 for r in ratios)} of {args.rounds}")
     return 0
 
