@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .expression import (Chart, EvalDomainError, ExprError, max_abs, parse_exclusion,
-                         parse_expr, sample_points, to_string, ONE)
+                         parse_expr, sample_points, ONE)
 from .exterior import FormArityError
 from .frames import (FrameData, Metric, SignatureError, SingularMetricError,
                      antisymmetry_residual, build_coframe, classify_space,
@@ -368,11 +368,11 @@ def _flow_section(flow_data, constraints, tol, checks: _Checks):
                 for k in range(h) for l in range(k + 1, h) if (i, j) <= (k, l)},
             "quotient_scalar": float(rq_scalar[q]),
         })
-    norm2 = flow_data.adapted.norm2
+    adapted = flow_data.adapted
     section = {
         "rigid": rigid,
-        "flow_normalized": norm2 is not ONE,
-        "flow_norm_squared": None if norm2 is ONE else to_string(norm2),
+        "flow_normalized": adapted.norm2 is not ONE,
+        "flow_norm_squared": flow_symbols(adapted.metric, adapted.flow)[4],
         "rigidity_residual": flow_data.rigidity.residual,
         "two_path_residual": flow_data.two_path,
         "skewness_residual": flow_data.skewness,

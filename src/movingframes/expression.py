@@ -1382,6 +1382,7 @@ class Chart:
 _M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LANES = 4096       # states per block: its arrays stay in cache
+_STEPPED = 256      # table columns grown one integer step at a time; wider ones double
 _SPREAD = tuple(sum(1 << 16 * r + 256 * (8 * half + r) for r in range(8)) for half in (0, 1))
 _JUMPS = np.array([[v >> 16 * k & 0xFFFF] for v in (_PCG_MULT, 1) for k in range(8)], float)
 
@@ -1390,12 +1391,20 @@ def _lcg_states(s: int, c: int, m: int) -> tuple:
     """The (lo, hi) uint64 words of the states 1..m of the LCG from s with increment c."""
     global _JUMPS
     table = _JUMPS      # one table throughout, whatever another thread stores meanwhile
-    while table.shape[1] < m:       # column n + j is column j stepped from column n
+    while table.shape[1] < m:
         n = table.shape[1]
         p, g = (int.from_bytes(table[h:h + 8, -1].astype("<u2").tobytes(), "little")
                 for h in (0, 8))
-        more = np.stack([*_lcg_states(p, 0, n), *_lcg_states(g, 1, n)], 1)
-        table = _JUMPS = np.concatenate([table, more.astype("<u8", copy=False).view("<u2").T], 1)
+        if n < _STEPPED:            # a^(j+1) = a*a^j and its sum S_(j+1) = S_j + a^j
+            words = []
+            for _ in range(min(m, _STEPPED) - n):
+                p, g = p * _PCG_MULT & _M128, g + p & _M128
+                words += (p.to_bytes(16, "little"), g.to_bytes(16, "little"))
+            more = np.frombuffer(b"".join(words), "<u2").reshape(-1, 16).T
+        else:                       # column n + j is column j stepped from column n
+            more = np.stack([*_lcg_states(p, 0, n), *_lcg_states(g, 1, n)], 1)
+            more = more.astype("<u8", copy=False).view("<u2").T
+        table = _JUMPS = np.concatenate([table, more], 1)
     seeds = np.frombuffer((s * _SPREAD[0] + c * _SPREAD[1]).to_bytes(512, "little"), "<u4")
     q = seeds.reshape(16, 8)[:, :4].T @ table[:, :m]    # 32-bit columns, carries pending
     q = (q + 2.0 ** 52).view(np.uint64) & 2**52 - 1     # below 2^52: the mantissa is q

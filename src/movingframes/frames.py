@@ -58,6 +58,7 @@ adapted frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -394,20 +395,59 @@ def coordinate_riemann(ddg: np.ndarray, *products) -> np.ndarray:
     """q_abgd - q_abdg, q_abgd = (g_ad,bg + g_bg,ad)/2 + sum of up^s_bg low_sad
     over the (up, low) ``products``, from ddg[s, r, n, t] = d_t d_n g_sr, point
     axis last: R with (Gamma^., Gamma_.), and u(R) with u(ddg),
-    (u(Gamma^.), Gamma_.) and (Gamma^., u(Gamma_.))."""
+    (u(Gamma^.), Gamma_.) and (Gamma^., u(Gamma_.)).  The products are one
+    batched matmul over the points, their s axes stacked: (bg, s) (s, ad)."""
+    n, p = ddg.shape[0], ddg.shape[-1]
     q = np.einsum("adbgp->abgdp", ddg) + np.einsum("bgadp->abgdp", ddg)
     q *= 0.5
-    for up, low in products:
-        q += np.einsum("sbgp,sadp->abgdp", up, low)
+    up = np.concatenate([u for u, _ in products]).reshape(-1, n * n, p)
+    low = np.concatenate([w for _, w in products]).reshape(-1, n * n, p)
+    q += (up.transpose(2, 1, 0) @ low.transpose(2, 0, 1)).reshape(    # axes (point, bg, ad)
+        p, n, n, n, n).transpose(3, 1, 2, 4, 0)
     return q - np.swapaxes(q, 2, 3)
 
 
-def frame_components(vectors: Sequence[np.ndarray], t: np.ndarray) -> np.ndarray:
-    """t_ijkl = a_i^m b_j^n c_k^r d_l^s t_mnrs for ``vectors`` (a, b, c, d), point
-    axis last: each step contracts the first slot and appends its frame index."""
-    for v in vectors:
-        t = np.einsum("imp,m...p->...ip", v, t)
-    return t
+_POINT_BLOCK = 1024      # points per block of the batched matmuls: their copies stay in cache
+_SLOT_NAMES = "abcdefghijklmnoqrstuvwxy"     # einsum letters of t's slots (not p or z)
+
+
+def frame_components(vectors: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
+    """t_ijkl = a_i^m b_j^n c_k^r d_l^s t_mnrs for ``vectors`` (a, b, c, d), one
+    per slot of t, point axis last, as a new C-contiguous array; a None entry
+    leaves its slot as it is.
+
+    With at least three vectors the contractions are batched matmuls over a
+    point-first copy of t with the contracted slots first, block by block of
+    points: each takes the leading slot, (rest, m) (m, i) at every point, and
+    appends its frame index, and one copy puts the slots back in order with
+    the point axis last.  One or two vectors are one einsum pass each over t,
+    which is cheaper than the two transposing copies."""
+    slots = [k for k, v in enumerate(vectors) if v is not None]
+    if len(slots) < 3:
+        names = _SLOT_NAMES[:len(vectors)]
+        for k in slots:
+            t = np.einsum(f"z{names[k]}p,{names}p->{names[:k]}z{names[k + 1:]}p", vectors[k], t)
+        return np.ascontiguousarray(t) if slots else t.copy(order="C")
+    sizes, p = t.shape[:-1], t.shape[-1]
+    order = slots + [k for k, v in enumerate(vectors) if v is None]
+    after = order[len(slots):] + slots          # the slot order once each has had its turn
+    back = [1 + after.index(k) for k in range(len(sizes))] + [0]
+
+    def product(points: slice) -> np.ndarray:
+        """The contraction at ``points``, point-first, seen point-last in slot order."""
+        x = np.ascontiguousarray(t[..., points].transpose(len(sizes), *order))
+        dims = [sizes[k] for k in order]
+        for k in slots:
+            x = (x.reshape(len(x), dims[0], math.prod(dims[1:])).transpose(0, 2, 1)
+                 @ vectors[k][..., points].transpose(2, 1, 0))
+            dims = dims[1:] + [len(vectors[k])]
+        return x.reshape(len(x), *dims).transpose(back)
+    if p <= _POINT_BLOCK:
+        return np.ascontiguousarray(product(slice(None)))
+    out = np.empty([sizes[k] if v is None else len(v) for k, v in enumerate(vectors)] + [p])
+    for start in range(0, p, _POINT_BLOCK):
+        out[..., start:start + _POINT_BLOCK] = product(slice(start, start + _POINT_BLOCK))
+    return out
 
 
 @dataclass
@@ -467,12 +507,13 @@ class FrameData:
             raise
         v = walk[0]
         e, de, _, _ = gram_schmidt_jet(v["g"], v["dg"], perm, cf.eta, points, cf.pivot_tol)
-        jet = _ambient_jet(walk, np.einsum("i,imp,inp->mnp", eta, e, e))
+        jet = _ambient_jet(walk, np.einsum("imp,inp->mnp", eta[:, None, None] * e, e))
         del walk                                    # d d g freed before the Weyl temporaries
         r = np.moveaxis(frame_components([e] * 4, jet["q"]), -1, 0)
         th = eta[:, None, None] * np.einsum("mnp,inp->imp", v["g"], e)
-        gamma = np.einsum("imp,jkmp->ijkp", th, np.einsum("knp,jmnp->jkmp", e, de)
-                          + np.einsum("mnrp,knp,jrp->jkmp", jet.pop("up"), e, e))
+        # Gamma^i_jk = theta^i_m e_k^n (d_n e_j^m + Gamma^m_nr e_j^r)
+        gamma = np.einsum("imp,jkmp->ijkp", th, np.einsum(
+            "knp,jmnp->jkmp", e, de + np.einsum("mnrp,jrp->jmnp", jet.pop("up"), e)))
         ambient = jet if "uq" in jet else None      # q is kept only in a run with a flow
         del jet
         ricci = np.einsum("i,pijil->pjl", eta, r)
@@ -481,8 +522,10 @@ class FrameData:
         if n >= 3:     # Schouten-type F and Weyl, as the module docstring writes them
             em = np.diag(eta)
             scalar = np.einsum("j,pjj->p", eta, ricci)
-            f = ricci / (n - 2) - scalar[:, None, None] * em / (2 * (n - 1) * (n - 2))
-            w, ef = r.copy(), eta[:, None, None] * np.swapaxes(f, 1, 2)[:, None]
+            # F and the copy of R in R's point-last memory: the updates run along the points
+            f = np.moveaxis(np.moveaxis(ricci, 0, -1) / (n - 2)
+                            - em[:, :, None] * scalar / (2 * (n - 1) * (n - 2)), -1, 0)
+            w, ef = r.copy(order="K"), eta[:, None, None] * np.swapaxes(f, 1, 2)[:, None]
             np.einsum("paxay->paxy", w)[...] -= ef      # ef_pajl = eta_a F_lj: - eta_ik F_lj
             np.einsum("paxya->paxy", w)[...] += ef      # + eta_il F_kj
             np.einsum("pxaay->paxy", w)[...] += ef      # + eta_jk F_li
@@ -504,17 +547,18 @@ class FrameData:
         the frame change, whose slot terms are omega_a^f R_fbcd + ... with
         u(e_a) = omega_a^f e_f, omega_a^f = eta_f theta^f_m u(e_a)^m and
         theta^f_m = g_mn e_f^n."""
-        eta = np.array(eta, dtype=float)
+        eta = np.array(eta, dtype=float)[:, None, None]
         if ambient_jet is None:
             walk = evaluate_along({"g": self.coframe.metric.entries, "dg": self.dmetric},
                                   self.chart.columns(points), second=u)
-            ambient_jet = _ambient_jet(walk, np.einsum("a,amp,anp->mnp", eta, e, e))
+            ambient_jet = _ambient_jet(walk, np.einsum("amp,anp->mnp", eta * e, e))
             del walk
         r = frame_components([e] * 4, ambient_jet["q"])
         dr = frame_components([e] * 4, ambient_jet["uq"])
-        omega = np.einsum("f,mnp,fnp,amp->afp", eta, ambient_jet["g"], e, ue)
-        for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
-            dr += np.einsum(slots + "->abcdp", omega, r)
+        theta = eta * np.einsum("mnp,fnp->fmp", ambient_jet["g"], e)     # eta_f theta^f_m
+        omega = np.einsum("fmp,amp->afp", theta, ue)
+        for slot in range(4):
+            dr += frame_components([omega if k == slot else None for k in range(4)], r)
         return r, dr
 
 
@@ -529,8 +573,8 @@ def _ambient_jet(walk: tuple, ginv: np.ndarray) -> dict:
     if second:
         du, duv = second
         ulow, uup = christoffel(du["dg"], ginv)
-        uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv),
-                         low)
+        uginv = np.einsum("mtp,tsp->msp", np.einsum("mrp,rtp->mtp", ginv, du["g"]), ginv)
+        uup -= np.einsum("msp,snrp->mnrp", uginv, low)
         jet["uq"] = coordinate_riemann(duv["dg"], (uup, low), (up, ulow))
     return jet
 
@@ -558,7 +602,8 @@ def torsion_residual(fd: FrameData, values: Mapping) -> float:
     g, th = v["gamma"], v["th"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
     mu, nu = triu_indices(fd.n, 1)
-    return max_abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])
+    cov = th.transpose(1, 0, 2)                 # theta^j_m as the vectors of slots j and k
+    return max_abs(frame_components([None, cov, cov], t)[:, mu, nu])
 
 
 def antisymmetry_residual(fd: FrameData, values: Mapping) -> float:

@@ -65,10 +65,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, evaluate,
-                         evaluate_along, max_abs, mul, num, point_at, pow_, triu_indices, ZERO)
+                         evaluate_along, max_abs, mul, num, point_at, pow_, to_string,
+                         triu_indices, ONE, ZERO)
 from .exterior import FormArityError, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
-                     solve_connection)
+from .frames import (Coframe, FrameData, Metric, frame_components, frame_connection,
+                     gram_schmidt_jet, solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -136,11 +137,11 @@ class AdaptedFlow:
 
 
 def flow_symbols(metric: Metric, flow: Sequence[Expr]) -> tuple:
-    """(g(V, V), u, the candidates [u, d_0, ..., d_{n-1}], F) of a flow V,
-    built on the metric's first run with that flow and then read from its
-    store (:meth:`Metric.derived`): u = V g(V, V)^(-1/2) and
-    F_mu nu = d_mu psi0_nu - d_nu psi0_mu, psi0_mu = g_mu nu u^nu, one pair
-    of :func:`diff` calls per mu < nu."""
+    """(g(V, V), u, the candidates [u, d_0, ..., d_{n-1}], F, the text of
+    g(V, V) or None when it is 1) of a flow V, built on the metric's first
+    run with that flow and then read from its store (:meth:`Metric.derived`):
+    u = V g(V, V)^(-1/2) and F_mu nu = d_mu psi0_nu - d_nu psi0_mu,
+    psi0_mu = g_mu nu u^nu, one pair of :func:`diff` calls per mu < nu."""
     chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
 
@@ -154,7 +155,8 @@ def flow_symbols(metric: Metric, flow: Sequence[Expr]) -> tuple:
             f[mu][nu] = add(diff(psi0[nu], chart.coords[mu]),
                             mul(num(-1), diff(psi0[mu], chart.coords[nu])))
             f[nu][mu] = mul(num(-1), f[mu][nu])
-        return norm2, u, tuple(seeds), tuple(map(tuple, f))
+        return (norm2, u, tuple(seeds), tuple(map(tuple, f)),
+                None if norm2 is ONE else to_string(norm2))
     return metric.derived(flow, symbols)
 
 
@@ -178,7 +180,7 @@ def adapted_coframe(metric: Metric, flow: Sequence[Expr],
     """
     chart, n = metric.chart, metric.chart.n
     flow = tuple(flow)
-    norm2, u, seeds, f = flow_symbols(metric, flow)
+    norm2, u, seeds, f, _ = flow_symbols(metric, flow)
     try:
         v, dv = evaluate_along({"g": metric.entries, "u": u, "f": f, "norm2": [norm2]},
                                chart.columns(samples))
@@ -247,7 +249,7 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     ef = np.einsum("amp,mnp->anp", e, v["f"])                    # e_a^mu F_mu nu
     fab = np.einsum("anp,bnp->abp", ef, e)
     dfe = np.einsum("anp,bnrp->abrp", ef, de)                   # F(e_a, d_r e_b)
-    dfab = (np.einsum("amp,mnrp,bnp->abrp", e, dv["f"], e) + dfe
+    dfab = (frame_components([e, e, None], dv["f"]) + dfe
             - np.swapaxes(dfe, 0, 1))                           # d_r F(e_a, e_b)
     m, k = -0.5 * fab[1:, 1:], -fab[0, 1:]
     dm = -0.5 * np.einsum("gnp,ijnp->ijgp", e, dfab[1:, 1:])
@@ -256,8 +258,7 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     abar[:, :, 0] -= m
     return {
         "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
-        "lie": np.einsum("amp,bnp,mnp->abp", e, e,
-                         _lie(v["g"], dv["g"], v["u"], dv["u"])),
+        "lie": frame_components([e, e], _lie(v["g"], dv["g"], v["u"], dv["u"])),
         "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
         "kc": dk - np.einsum("ligp,lp->igp", abar, k),
     }
@@ -416,13 +417,17 @@ def constraint_rows(flow: FlowData, ambient: FrameData, ambient_jet: Mapping | N
     r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, flow.adapted.u)), flow.samples, e,
                                   np.einsum("np,amnp->amp", e[0], jet["de"]),
                                   flow.adapted.coframe.eta, ambient_jet)
-    m, dm, k, a = jet["m"], jet["dm"][:, :, 0], jet["k"], jet["abar"][:, :, 0]
+    m, dm, k = jet["m"], jet["dm"][:, :, 0], jet["k"]
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
     mm = np.einsum("ilp,ljp->ijp", m, m)
     m_sq, k_sq, div_k = np.sum(m * m, axis=(0, 1)), np.sum(k * k, axis=0), np.trace(kch)
     rq = r[1:, 1:, 1:, 1:] + _quadratic_m(m, m)
-    drq = dr[1:, 1:, 1:, 1:] + _quadratic_m(dm, m) + _quadratic_m(m, dm)
+    # Rq_ijkl;0 = u(Rq_ijkl) - sum_m abar^m_i(u) Rq_mjkl - ... (all four slots)
+    leaf = dr[1:, 1:, 1:, 1:] + _quadratic_m(dm, m) + _quadratic_m(m, dm)
+    a = jet["abar"][:, :, 0].transpose(1, 0, 2)             # abar^m_i(u) as a_i^m
+    for slot in range(4):
+        leaf -= frame_components([a if s == slot else None for s in range(4)], rq)
     rq_ricci = np.einsum("ijilp->jlp", rq)
     rq_scalar = np.trace(rq_ricci)
     return {
@@ -439,9 +444,7 @@ def constraint_rows(flow: FlowData, ambient: FrameData, ambient_jet: Mapping | N
         "ricci_cross": rq_ricci - (ricci[1:, 1:] - 2.0 * mm + k[:, None] * k[None]
                                    + 0.5 * (kch + np.swapaxes(kch, 0, 1))),
         "scalar_cross": rq_scalar - (np.trace(ricci) + m_sq + 2.0 * k_sq + 2.0 * div_k),
-        # Rq_ijkl;0 = u(Rq_ijkl) - sum_m abar^m_i(u) Rq_mjkl - ... (all four slots)
-        "leaf": (drq - np.einsum("mip,mjklp->ijklp", a, rq) - np.einsum("mjp,imklp->ijklp", a, rq)
-                 - np.einsum("mkp,ijmlp->ijklp", a, rq) - np.einsum("mlp,ijkmp->ijklp", a, rq)),
+        "leaf": leaf,
         "m2_leaf": 2.0 * np.sum(m * dm, axis=(0, 1)),
     }
 

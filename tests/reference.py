@@ -19,16 +19,28 @@ pivot as soon as it is formed.
 pass of ``path_faults`` (which walks every chunk through ``excluded_by``, with
 or without exclusions) over the paths, the leaf steps and all 49 stencil
 offsets of every (sample, axis) row, then every stencil's fit per row.
+
+``frame_components`` and ``coordinate_riemann`` are the einsum forms of the
+contraction kernel and of the coordinate Riemann tensor in ``frames``, and
+``frame_gamma``, ``inverse_metric``, ``torsion_residual``, ``ambient_jet``,
+``riemann_along``, ``flow_jet`` and ``leaf`` the einsums over five or six
+joint indices that the curvature and constraint stages split into pairwise
+contractions or batched matmuls.
+
+``jump_table`` grows the PCG64 jump-ahead table of ``expression._lcg_states``
+by doubling alone, as it did before its first columns came by integer steps.
 """
 
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from movingframes.expression import (_SECOND, _TANGENT, Add, Call, Expr, Mul, Num, Pow, Sym,
-                                     UnboundCoordinateError, _live_sum, _product_rule, _sum,
-                                     _times, point_at)
-from movingframes.frames import SingularMetricError, _check_pivot, _finite
+from movingframes.expression import (_M32, _PCG_MULT, _SECOND, _SPREAD, _TANGENT, Add, Call,
+                                     Expr, Mul, Num, Pow, Sym, UnboundCoordinateError,
+                                     _live_sum, _product_rule, _sum, _times, point_at)
+from movingframes.frames import (SingularMetricError, _check_pivot, _finite, christoffel,
+                                 frame_connection)
+from movingframes.submersion import _lie
 from movingframes.herglotz import (_POINTS_PER_EVALUATE, _STENCIL_OFFSETS, _STENCIL_SPANS,
                                    PathError, _along, _in_box)
 
@@ -271,3 +283,119 @@ def admissible(chart, paths: np.ndarray, leaf_from: np.ndarray, leaf_to: np.ndar
     leaf_fit = np.all(faults[len(paths):len(paths) + len(leaf)].reshape(-1, 17) < 0, axis=1)
     ok = faults[len(paths) + len(leaf):].reshape(len(p), -1) < 0
     return leaf_fit, np.array([np.all(ok[:, span], axis=1) for span in _STENCIL_SPANS])
+
+
+def frame_components(vectors, t: np.ndarray) -> np.ndarray:
+    """Slot k of t (point axis last) contracted with ``vectors[k]`` (axes i, m,
+    point), a None entry keeping its slot: one einsum over every slot."""
+    slots, frame = "abcdefgh"[:t.ndim - 1], "ABCDEFGH"
+    operands = [(f"{frame[k]}{slots[k]}p", v) for k, v in enumerate(vectors) if v is not None]
+    result = "".join(slots[k] if v is None else frame[k] for k, v in enumerate(vectors))
+    return np.einsum(",".join([o for o, _ in operands] + [slots + "p"]) + f"->{result}p",
+                     *[v for _, v in operands], t)
+
+
+def coordinate_riemann(ddg: np.ndarray, *products) -> np.ndarray:
+    """q_abgd - q_abdg with each product's sum over s as its own einsum."""
+    q = np.einsum("adbgp->abgdp", ddg) + np.einsum("bgadp->abgdp", ddg)
+    q *= 0.5
+    for up, low in products:
+        q += np.einsum("sbgp,sadp->abgdp", up, low)
+    return q - np.swapaxes(q, 2, 3)
+
+
+def inverse_metric(eta, e: np.ndarray) -> np.ndarray:
+    """g^mn = sum_i eta_i e_i^m e_i^n."""
+    return np.einsum("i,imp,inp->mnp", np.array(eta, dtype=float), e, e)
+
+
+def frame_gamma(th: np.ndarray, e: np.ndarray, de: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Gamma^i_jk = theta^i_m (e_k(e_j^m) + Gamma^m_nr e_k^n e_j^r)."""
+    return np.einsum("imp,jkmp->ijkp", th, np.einsum("knp,jmnp->jkmp", e, de)
+                     + np.einsum("mnrp,knp,jrp->jkmp", up, e, e))
+
+
+def torsion_residual(eta, values) -> float:
+    """``frames.torsion_residual`` with theta on both 2-form slots in one einsum."""
+    v, de = values["jet"]
+    g, th = v["gamma"], v["th"]
+    t = frame_connection(th, v["e"], de, eta)[0] - g + np.swapaxes(g, 1, 2)
+    mu, nu = np.triu_indices(len(eta), 1)
+    return float(np.max(np.abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])))
+
+
+def ambient_jet(walk: tuple, ginv: np.ndarray) -> dict:
+    """``frames._ambient_jet`` with u(g^-1) in one einsum and these forms."""
+    v, dv, *second = walk
+    low, up = christoffel(v["dg"], ginv)
+    jet = {"g": v["g"], "up": up, "q": coordinate_riemann(dv["dg"], (up, low))}
+    if second:
+        du, duv = second
+        ulow, uup = christoffel(du["dg"], ginv)
+        uup -= np.einsum("msp,snrp->mnrp", np.einsum("mrp,rtp,tsp->msp", ginv, du["g"], ginv),
+                         low)
+        jet["uq"] = coordinate_riemann(duv["dg"], (uup, low), (up, ulow))
+    return jet
+
+
+def riemann_along(ambient_jet: dict, e: np.ndarray, ue: np.ndarray, eta) -> tuple:
+    """(R, u(R)) of ``FrameData.riemann_along`` from a kept ambient jet, with
+    omega in one einsum and each slot term its own einsum."""
+    eta = np.array(eta, dtype=float)
+    r = frame_components([e] * 4, ambient_jet["q"])
+    dr = frame_components([e] * 4, ambient_jet["uq"])
+    omega = np.einsum("f,mnp,fnp,amp->afp", eta, ambient_jet["g"], e, ue)
+    for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
+        dr += np.einsum(slots + "->abcdp", omega, r)
+    return r, dr
+
+
+def flow_jet(eta, walk: tuple) -> dict:
+    """``submersion.flow_jet`` with F(e_a, e_b) and L_u g in the frame as
+    three-operand einsums."""
+    v, dv, e, de = walk
+    conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de, eta)[1]
+    ef = np.einsum("amp,mnp->anp", e, v["f"])
+    fab = np.einsum("anp,bnp->abp", ef, e)
+    dfe = np.einsum("anp,bnrp->abrp", ef, de)
+    dfab = (np.einsum("amp,mnrp,bnp->abrp", e, dv["f"], e) + dfe - np.swapaxes(dfe, 0, 1))
+    m, k = -0.5 * fab[1:, 1:], -fab[0, 1:]
+    dm = -0.5 * np.einsum("gnp,ijnp->ijgp", e, dfab[1:, 1:])
+    dk = -np.einsum("gnp,inp->igp", e, dfab[0, 1:])
+    abar = conn[1:, 1:].copy()
+    abar[:, :, 0] -= m
+    return {
+        "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
+        "lie": np.einsum("amp,bnp,mnp->abp", e, e, _lie(v["g"], dv["g"], v["u"], dv["u"])),
+        "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
+        "kc": dk - np.einsum("ligp,lp->igp", abar, k),
+    }
+
+
+def leaf(drq: np.ndarray, a: np.ndarray, rq: np.ndarray) -> np.ndarray:
+    """Rq_ijkl;0 = u(Rq_ijkl) - abar^m_i(u) Rq_mjkl - ..., a slot term per einsum."""
+    return (drq - np.einsum("mip,mjklp->ijklp", a, rq) - np.einsum("mjp,imklp->ijklp", a, rq)
+            - np.einsum("mkp,ijmlp->ijklp", a, rq) - np.einsum("mlp,ijkmp->ijklp", a, rq))
+
+
+def jump_table(m: int) -> np.ndarray:
+    """The jump table of ``expression._lcg_states`` (a^j and its sum
+    1 + a + ... + a^(j-1) as 16-bit limbs, j = 1, 2, ...) with at least m
+    columns, grown from its first by doubling: column n + j is column j
+    stepped from column n by a matmul of the table's first n columns."""
+    table = np.array([[v >> 16 * k & 0xFFFF] for v in (_PCG_MULT, 1) for k in range(8)], float)
+    while table.shape[1] < m:
+        n = table.shape[1]
+        p, g = (int.from_bytes(table[h:h + 8, -1].astype("<u2").tobytes(), "little")
+                for h in (0, 8))
+        halves = []
+        for s, c in ((p, 0), (g, 1)):
+            seeds = np.frombuffer((s * _SPREAD[0] + c * _SPREAD[1]).to_bytes(512, "little"),
+                                  "<u4")
+            q = seeds.reshape(16, 8)[:, :4].T @ table
+            q = (q + 2.0 ** 52).view(np.uint64) & 2**52 - 1
+            t = (q[0] >> 32) + q[1]
+            halves += [(q[0] & _M32) | (t << 32), (t >> 32) + q[2] + (q[3] << 32)]
+        more = np.stack(halves, 1).astype("<u8", copy=False).view("<u2").T
+        table = np.concatenate([table, more], 1)
+    return table

@@ -1053,6 +1053,22 @@ class TestSeededStream:
             sys.setswitchinterval(interval)
         assert wrong == []
 
+    def test_jump_table_steps_match_the_doubling(self, monkeypatch):
+        """The jump-ahead table, grown by integer steps up to
+        ``expression._STEPPED`` columns and by doubling beyond, equals the one
+        grown by doubling alone (reference.jump_table) at every width up to
+        300 and at 4096: grown from one column at once, or one width after
+        another."""
+        first, want = expression._JUMPS[:, :1].copy(), reference.jump_table(4096)
+        for m in [*range(1, 301), 4096]:
+            monkeypatch.setattr(expression, "_JUMPS", first)
+            expression._lcg_states(0, 0, m)
+            assert np.array_equal(expression._JUMPS[:, :m], want[:, :m]), m
+        monkeypatch.setattr(expression, "_JUMPS", first)
+        for m in [*range(1, 301), 4096]:
+            expression._lcg_states(0, 0, m)
+            assert np.array_equal(expression._JUMPS[:, :m], want[:, :m]), m
+
     def test_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             sample_points(CHART, "random", 5, seed=-1)

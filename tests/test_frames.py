@@ -12,11 +12,11 @@ from movingframes.expression import (Chart, PointError, add, call, diff, eval_at
                                      evaluate_along, max_abs, mul, num, parse_expr, pow_,
                                      sample_points, sym)
 from movingframes.exterior import MatrixForm, pform_add, pform_scale
-from movingframes.frames import (Metric, SignatureError, SingularMetricError,
+from movingframes.frames import (_POINT_BLOCK, Metric, SignatureError, SingularMetricError,
                                  antisymmetry_residual, build_coframe, christoffel,
                                  classify_space, coordinate_riemann, curvature_package,
                                  frame_components, frame_connection, gram_schmidt_jet,
-                                 reconstruction_residual, solve_connection)
+                                 reconstruction_residual, solve_connection, torsion_residual)
 
 import oracle
 import reference
@@ -618,3 +618,102 @@ def test_gram_schmidt_jet_matches_the_reference_kernel(n, count, seed, lorentz, 
     if lead == "skip":
         assert got[3] == [0] + list(range(2, n + 1))
     assert _close(got[0], ref[0]) and _close(got[1], ref[1])
+
+
+def _laid_out(a: np.ndarray, kind: int) -> np.ndarray:
+    """``a`` as a contiguous array (0), as every other point of an array of
+    twice the points (1), point-first memory seen point-last (2), or slot
+    axes stored in reverse order (3): equal values, different strides."""
+    if kind == 1:
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    if kind == 2:
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1)
+    if kind == 3:
+        order = tuple(range(a.ndim - 2, -1, -1)) + (a.ndim - 1,)
+        return np.ascontiguousarray(a.transpose(order)).transpose(order)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.sampled_from((1, 2, 3, 8, 33, 160)), st.integers(1, 4),
+       st.lists(st.sampled_from((None, -1, 0, 1)), min_size=4, max_size=4), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+@example(4, _POINT_BLOCK + 44, 4, [0, 0, 0, 0], 0, 0, 1)          # two blocks of points
+@example(3, 2 * _POINT_BLOCK + 1, 3, [1, None, -1, 0], 2, 1, 2)   # three, a slot kept
+@example(5, _POINT_BLOCK + 1, 4, [None, 0, None, None], 3, 3, 3)
+def test_frame_components_matches_its_einsum_form(n, count, rank, sizes, t_kind, v_kind, seed):
+    """frames.frame_components against one einsum over every slot
+    (reference.frame_components): t of rank 1 to 4 over n = 2..5 and 1 to 160
+    points (and, in the examples, more than one block of points), a vector
+    with n - 1, n or n + 1 frame indices or None per slot, t and the vectors
+    contiguous or as strided views.  The result agrees to 1e-13 of its
+    largest |entry|, is a new array and is point-last and C-contiguous."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-1, 1, (n,) * rank + (count,))
+    vectors = [None if d is None else _laid_out(rng.uniform(-1, 1, (n + d, n, count)), v_kind)
+               for d in sizes[:rank]]
+    want = reference.frame_components(vectors, t)
+    got = frame_components(vectors, _laid_out(t, t_kind))
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert not np.shares_memory(got, t)
+    assert max_abs(got - want) <= 1e-13 * max(max_abs(want), 1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.sampled_from((1, 2, 3, 8, 33, 160)), st.integers(1, 3),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_coordinate_riemann_matches_its_einsum_form(n, count, products, kind, seed):
+    """frames.coordinate_riemann, its Gamma Gamma products one batched matmul,
+    against an einsum per product (reference.coordinate_riemann), with one to
+    three products over contiguous or strided inputs, to 1e-13 of the
+    largest |entry|; the result is point-last, and C-contiguous from
+    contiguous inputs, as the walk gives them."""
+    rng = np.random.default_rng(seed)
+    ddg = rng.uniform(-1, 1, (n,) * 4 + (count,))
+    pairs = [tuple(rng.uniform(-1, 1, (n,) * 3 + (count,)) for _ in range(2))
+             for _ in range(products)]
+    want = reference.coordinate_riemann(ddg, *pairs)
+    got = coordinate_riemann(_laid_out(ddg, kind),
+                             *[tuple(_laid_out(a, kind) for a in pair) for pair in pairs])
+    assert got.shape == want.shape and (kind or got.flags.c_contiguous)
+    assert max_abs(got - want) <= 1e-13 * max_abs(want)
+
+
+def test_curvature_stage_contractions_match_their_einsum_forms(conformal4):
+    """The contractions of the curvature stage that were einsums over five or
+    six joint indices against those einsums (tests/reference.py), on a
+    conformally flat, a generic and a Lorentzian 4-metric along a field u:
+    g^-1, Gamma^i_jk, the ambient q and u(q), R and u(R) in the frame, and
+    the torsion residual of a connection perturbed so that it is O(1), each
+    to 1e-13 of its largest |entry|."""
+    rng = np.random.default_rng(7)
+    for metric in (conformal4[1], _generic4(), _lorentz4()):
+        chart, names = metric.chart, metric.chart.coords
+        pts = sample_points(chart, "random", 12, seed=33)
+        fd = curvature_package(build_coframe(metric, pts))
+        u = {c: add(num(1), mul(Fraction(1, 3), sym(names[(a + 1) % chart.n]),
+                                call("sin", sym(c)))) for a, c in enumerate(names)}
+        values = fd.curvature_values(pts, along=u)
+        v, de = values["jet"]
+        e, th = v["e"], v["th"]
+        walk = evaluate_along({"g": metric.entries, "dg": fd.dmetric}, chart.columns(pts),
+                              second=u)
+        ginv = reference.inverse_metric(fd.eta, e)
+        eta = np.array(fd.eta, dtype=float)[:, None, None]
+        up = christoffel(walk[0]["dg"], ginv)[1]
+        pairs = [(np.einsum("imp,inp->mnp", eta * e, e), ginv),
+                 (v["gamma"], reference.frame_gamma(th, e, de, up))]
+        want_jet = reference.ambient_jet(walk, ginv)
+        pairs += [(values["ambient"][key], want_jet[key]) for key in ("q", "uq")]
+        ue = np.einsum("np,amnp->amp", evaluate([u[c] for c in names], pts), de)
+        got = fd.riemann_along(u, pts, e, ue, fd.eta, values["ambient"])
+        pairs += zip(got, reference.riemann_along(want_jet, e, ue, fd.eta))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert max_abs(got - want) <= 1e-13 * max_abs(want), chart.coords
+        bent = dict(v, gamma=v["gamma"] + rng.uniform(-1, 1, v["gamma"].shape))
+        bent = dict(values, jet=(bent, de))
+        want = reference.torsion_residual(fd.eta, bent)
+        assert want > 0.1 and abs(torsion_residual(fd, bent) - want) <= 1e-13 * want

@@ -167,7 +167,7 @@ def test_session_mix_reports_do_not_depend_on_process_history(workloads):
     assert not moved
 
 
-_BUILDERS = ("diff", "mul", "add", "pow_")
+_BUILDERS = ("diff", "mul", "add", "pow_", "to_string")
 
 
 def _count_builders(monkeypatch) -> dict:
@@ -191,9 +191,10 @@ def _count_builders(monkeypatch) -> dict:
                                   "session-mix"])
 def test_a_warm_pass_builds_nothing(workloads, monkeypatch, name):
     """A second pass over a workload's loaded configs, as the benchmark's
-    warm pass, makes no diff, mul, add, pow_ or _compile call and interns no
-    node: each metric keeps what was derived from it, and each root set its
-    program.  Its reports equal the first pass's byte for byte."""
+    warm pass, makes no diff, mul, add, pow_, to_string or _compile call and
+    interns no node: each metric keeps what was derived from it (the text of
+    g(V, V) too), and each root set its program.  Its reports equal the first
+    pass's byte for byte."""
     configs = [load_config(case.config) for session in workloads.generate(name, 41, "tiny")
                for case in session]
     cold = [serialize_report(run_pipeline(config)[0]) for config in configs]

@@ -35,8 +35,9 @@ that moved (a path such as ``tasks.flow.two_path_residual`` or
 ``checks[flow:rigidity].value``) with its largest |difference| and the
 number of runs it moved in, then whether any exit code, verdict, flag or
 string moved (a non-numeric field, a missing one, or a changed error
-message).  The last lines sum every moved number over all sessions; the
-exit code is that of ``check``.
+message).  The last lines sum every moved number over all sessions.  It
+exits 0 when no session differs, 1 when only numbers moved (a roundoff-only
+change) and 2 when an exit code, verdict, flag or string moved.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def field_moves(a_rows: list, b_rows: list) -> tuple:
 
 
 def fields(a_src: Path, b_src: Path, names: list, seeds: list, size: str) -> int:
-    """Print the moved fields of every session that differs; 1 if any does."""
+    """Print the moved fields of every session that differs; 2 if anything
+    non-numeric moved, else 1 if any session differs, else 0."""
     total, differ, sessions, moved_other = {}, 0, 0, False
     for name in names:
         for seed in seeds:
@@ -178,7 +180,7 @@ def fields(a_src: Path, b_src: Path, names: list, seeds: list, size: str) -> int
         print(f"  {path}  max |d| {largest:.3g}  runs {runs}")
     print(f"{differ} of {sessions} sessions differ; exit codes, verdicts, flags and strings "
           f"{'moved' if moved_other else 'unchanged'}")
-    return 1 if differ else 0
+    return 2 if moved_other else 1 if differ else 0
 
 
 def compare(before: dict, after: dict) -> list:
