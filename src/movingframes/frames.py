@@ -408,7 +408,6 @@ def coordinate_riemann(ddg: np.ndarray, *products) -> np.ndarray:
 
 
 _POINT_BLOCK = 1024      # points per block of the batched matmuls: their copies stay in cache
-_SLOT_NAMES = "abcdefghijklmnoqrstuvwxy"     # einsum letters of t's slots (not p or z)
 
 
 def frame_components(vectors: Sequence[np.ndarray | None], t: np.ndarray) -> np.ndarray:
@@ -416,37 +415,32 @@ def frame_components(vectors: Sequence[np.ndarray | None], t: np.ndarray) -> np.
     per slot of t, point axis last, as a new C-contiguous array; a None entry
     leaves its slot as it is.
 
-    With at least three vectors the contractions are batched matmuls over a
-    point-first copy of t with the contracted slots first, block by block of
-    points: each takes the leading slot, (rest, m) (m, i) at every point, and
-    appends its frame index, and one copy puts the slots back in order with
-    the point axis last.  One or two vectors are one einsum pass each over t,
-    which is cheaper than the two transposing copies."""
+    The contractions are batched matmuls over a point-first copy of t with
+    the contracted slots first, block by block of points: each takes the
+    leading slot, (rest, m) (m, i) at every point, and appends its frame
+    index, and one copy puts the slots back in order with the point axis
+    last.  That pays for itself from three vectors on; the one- and
+    two-slot contractions of the stages stay einsums, which need neither
+    transposing copy.  The result is allocated after the first block's
+    matmuls: allocated before them, beside their temporaries, it made a
+    warm ``curvature-generic`` pass 12 % slower in one interpreter."""
     slots = [k for k, v in enumerate(vectors) if v is not None]
-    if len(slots) < 3:
-        names = _SLOT_NAMES[:len(vectors)]
-        for k in slots:
-            t = np.einsum(f"z{names[k]}p,{names}p->{names[:k]}z{names[k + 1:]}p", vectors[k], t)
-        return np.ascontiguousarray(t) if slots else t.copy(order="C")
     sizes, p = t.shape[:-1], t.shape[-1]
     order = slots + [k for k, v in enumerate(vectors) if v is None]
     after = order[len(slots):] + slots          # the slot order once each has had its turn
     back = [1 + after.index(k) for k in range(len(sizes))] + [0]
-
-    def product(points: slice) -> np.ndarray:
-        """The contraction at ``points``, point-first, seen point-last in slot order."""
+    for start in range(0, max(p, 1), _POINT_BLOCK):    # one block also for no points
+        points = slice(start, start + _POINT_BLOCK)
         x = np.ascontiguousarray(t[..., points].transpose(len(sizes), *order))
         dims = [sizes[k] for k in order]
         for k in slots:
             x = (x.reshape(len(x), dims[0], math.prod(dims[1:])).transpose(0, 2, 1)
                  @ vectors[k][..., points].transpose(2, 1, 0))
             dims = dims[1:] + [len(vectors[k])]
-        return x.reshape(len(x), *dims).transpose(back)
-    if p <= _POINT_BLOCK:
-        return np.ascontiguousarray(product(slice(None)))
-    out = np.empty([sizes[k] if v is None else len(v) for k, v in enumerate(vectors)] + [p])
-    for start in range(0, p, _POINT_BLOCK):
-        out[..., start:start + _POINT_BLOCK] = product(slice(start, start + _POINT_BLOCK))
+        if start == 0:      # once the matmul temporaries are freed (docstring)
+            out = np.empty([sizes[k] if v is None else len(v) for k, v in enumerate(vectors)]
+                           + [p])
+        out[..., points] = x.reshape(len(x), *dims).transpose(back)
     return out
 
 
@@ -557,8 +551,8 @@ class FrameData:
         dr = frame_components([e] * 4, ambient_jet["uq"])
         theta = eta * np.einsum("mnp,fnp->fmp", ambient_jet["g"], e)     # eta_f theta^f_m
         omega = np.einsum("fmp,amp->afp", theta, ue)
-        for slot in range(4):
-            dr += frame_components([omega if k == slot else None for k in range(4)], r)
+        for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
+            dr += np.einsum(slots + "->abcdp", omega, r)
         return r, dr
 
 
@@ -602,8 +596,7 @@ def torsion_residual(fd: FrameData, values: Mapping) -> float:
     g, th = v["gamma"], v["th"]
     t = frame_connection(th, v["e"], de, fd.eta)[0] - g + np.swapaxes(g, 1, 2)
     mu, nu = triu_indices(fd.n, 1)
-    cov = th.transpose(1, 0, 2)                 # theta^j_m as the vectors of slots j and k
-    return max_abs(frame_components([None, cov, cov], t)[:, mu, nu])
+    return max_abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])
 
 
 def antisymmetry_residual(fd: FrameData, values: Mapping) -> float:

@@ -68,8 +68,8 @@ from .expression import (Chart, EvalDomainError, Expr, PointError, add, diff, ev
                          evaluate_along, max_abs, mul, num, point_at, pow_, to_string,
                          triu_indices, ONE, ZERO)
 from .exterior import FormArityError, contract, ext_d
-from .frames import (Coframe, FrameData, Metric, frame_components, frame_connection,
-                     gram_schmidt_jet, solve_connection)
+from .frames import (Coframe, FrameData, Metric, frame_connection, gram_schmidt_jet,
+                     solve_connection)
 
 __all__ = [
     "VanishingFlowError", "AdaptedFlow", "FlowInvariants", "RigidityResult",
@@ -249,7 +249,7 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     ef = np.einsum("amp,mnp->anp", e, v["f"])                    # e_a^mu F_mu nu
     fab = np.einsum("anp,bnp->abp", ef, e)
     dfe = np.einsum("anp,bnrp->abrp", ef, de)                   # F(e_a, d_r e_b)
-    dfab = (frame_components([e, e, None], dv["f"]) + dfe
+    dfab = (np.einsum("amp,mnrp,bnp->abrp", e, dv["f"], e) + dfe
             - np.swapaxes(dfe, 0, 1))                           # d_r F(e_a, e_b)
     m, k = -0.5 * fab[1:, 1:], -fab[0, 1:]
     dm = -0.5 * np.einsum("gnp,ijnp->ijgp", e, dfab[1:, 1:])
@@ -258,7 +258,8 @@ def flow_jet(adapted: AdaptedFlow, walk: tuple) -> dict:
     abar[:, :, 0] -= m
     return {
         "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
-        "lie": frame_components([e, e], _lie(v["g"], dv["g"], v["u"], dv["u"])),
+        "lie": np.einsum("amp,bnp,mnp->abp", e, e,
+                         _lie(v["g"], dv["g"], v["u"], dv["u"])),
         "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
         "kc": dk - np.einsum("ligp,lp->igp", abar, k),
     }
@@ -417,17 +418,13 @@ def constraint_rows(flow: FlowData, ambient: FrameData, ambient_jet: Mapping | N
     r, dr = ambient.riemann_along(dict(zip(flow.chart.coords, flow.adapted.u)), flow.samples, e,
                                   np.einsum("np,amnp->amp", e[0], jet["de"]),
                                   flow.adapted.coframe.eta, ambient_jet)
-    m, dm, k = jet["m"], jet["dm"][:, :, 0], jet["k"]
+    m, dm, k, a = jet["m"], jet["dm"][:, :, 0], jet["k"], jet["abar"][:, :, 0]
     mch, kch = jet["mc"][:, :, 1:], jet["kc"][:, 1:]
     ricci = np.einsum("cacbp->abp", r)
     mm = np.einsum("ilp,ljp->ijp", m, m)
     m_sq, k_sq, div_k = np.sum(m * m, axis=(0, 1)), np.sum(k * k, axis=0), np.trace(kch)
     rq = r[1:, 1:, 1:, 1:] + _quadratic_m(m, m)
-    # Rq_ijkl;0 = u(Rq_ijkl) - sum_m abar^m_i(u) Rq_mjkl - ... (all four slots)
-    leaf = dr[1:, 1:, 1:, 1:] + _quadratic_m(dm, m) + _quadratic_m(m, dm)
-    a = jet["abar"][:, :, 0].transpose(1, 0, 2)             # abar^m_i(u) as a_i^m
-    for slot in range(4):
-        leaf -= frame_components([a if s == slot else None for s in range(4)], rq)
+    drq = dr[1:, 1:, 1:, 1:] + _quadratic_m(dm, m) + _quadratic_m(m, dm)
     rq_ricci = np.einsum("ijilp->jlp", rq)
     rq_scalar = np.trace(rq_ricci)
     return {
@@ -444,7 +441,9 @@ def constraint_rows(flow: FlowData, ambient: FrameData, ambient_jet: Mapping | N
         "ricci_cross": rq_ricci - (ricci[1:, 1:] - 2.0 * mm + k[:, None] * k[None]
                                    + 0.5 * (kch + np.swapaxes(kch, 0, 1))),
         "scalar_cross": rq_scalar - (np.trace(ricci) + m_sq + 2.0 * k_sq + 2.0 * div_k),
-        "leaf": leaf,
+        # Rq_ijkl;0 = u(Rq_ijkl) - sum_m abar^m_i(u) Rq_mjkl - ... (all four slots)
+        "leaf": (drq - np.einsum("mip,mjklp->ijklp", a, rq) - np.einsum("mjp,imklp->ijklp", a, rq)
+                 - np.einsum("mkp,ijmlp->ijklp", a, rq) - np.einsum("mlp,ijkmp->ijklp", a, rq)),
         "m2_leaf": 2.0 * np.sum(m * dm, axis=(0, 1)),
     }
 

@@ -22,10 +22,9 @@ offsets of every (sample, axis) row, then every stencil's fit per row.
 
 ``frame_components`` and ``coordinate_riemann`` are the einsum forms of the
 contraction kernel and of the coordinate Riemann tensor in ``frames``, and
-``frame_gamma``, ``inverse_metric``, ``torsion_residual``, ``ambient_jet``,
-``riemann_along``, ``flow_jet`` and ``leaf`` the einsums over five or six
-joint indices that the curvature and constraint stages split into pairwise
-contractions or batched matmuls.
+``frame_gamma``, ``inverse_metric``, ``ambient_jet`` and ``riemann_along``
+the einsums over five or six joint indices that the curvature stage splits
+into pairwise contractions.
 
 ``jump_table`` grows the PCG64 jump-ahead table of ``expression._lcg_states``
 by doubling alone, as it did before its first columns came by integer steps.
@@ -38,9 +37,7 @@ import numpy as np
 from movingframes.expression import (_M32, _PCG_MULT, _SECOND, _SPREAD, _TANGENT, Add, Call,
                                      Expr, Mul, Num, Pow, Sym, UnboundCoordinateError,
                                      _live_sum, _product_rule, _sum, _times, point_at)
-from movingframes.frames import (SingularMetricError, _check_pivot, _finite, christoffel,
-                                 frame_connection)
-from movingframes.submersion import _lie
+from movingframes.frames import SingularMetricError, _check_pivot, _finite, christoffel
 from movingframes.herglotz import (_POINTS_PER_EVALUATE, _STENCIL_OFFSETS, _STENCIL_SPANS,
                                    PathError, _along, _in_box)
 
@@ -315,15 +312,6 @@ def frame_gamma(th: np.ndarray, e: np.ndarray, de: np.ndarray, up: np.ndarray) -
                      + np.einsum("mnrp,knp,jrp->jkmp", up, e, e))
 
 
-def torsion_residual(eta, values) -> float:
-    """``frames.torsion_residual`` with theta on both 2-form slots in one einsum."""
-    v, de = values["jet"]
-    g, th = v["gamma"], v["th"]
-    t = frame_connection(th, v["e"], de, eta)[0] - g + np.swapaxes(g, 1, 2)
-    mu, nu = np.triu_indices(len(eta), 1)
-    return float(np.max(np.abs(np.einsum("ijkp,jmp,knp->imnp", t, th, th)[:, mu, nu])))
-
-
 def ambient_jet(walk: tuple, ginv: np.ndarray) -> dict:
     """``frames._ambient_jet`` with u(g^-1) in one einsum and these forms."""
     v, dv, *second = walk
@@ -348,34 +336,6 @@ def riemann_along(ambient_jet: dict, e: np.ndarray, ue: np.ndarray, eta) -> tupl
     for slots in ("afp,fbcdp", "bfp,afcdp", "cfp,abfdp", "dfp,abcfp"):
         dr += np.einsum(slots + "->abcdp", omega, r)
     return r, dr
-
-
-def flow_jet(eta, walk: tuple) -> dict:
-    """``submersion.flow_jet`` with F(e_a, e_b) and L_u g in the frame as
-    three-operand einsums."""
-    v, dv, e, de = walk
-    conn = frame_connection(np.einsum("mnp,anp->amp", v["g"], e), e, de, eta)[1]
-    ef = np.einsum("amp,mnp->anp", e, v["f"])
-    fab = np.einsum("anp,bnp->abp", ef, e)
-    dfe = np.einsum("anp,bnrp->abrp", ef, de)
-    dfab = (np.einsum("amp,mnrp,bnp->abrp", e, dv["f"], e) + dfe - np.swapaxes(dfe, 0, 1))
-    m, k = -0.5 * fab[1:, 1:], -fab[0, 1:]
-    dm = -0.5 * np.einsum("gnp,ijnp->ijgp", e, dfab[1:, 1:])
-    dk = -np.einsum("gnp,inp->igp", e, dfab[0, 1:])
-    abar = conn[1:, 1:].copy()
-    abar[:, :, 0] -= m
-    return {
-        "e": e, "m": m, "k": k, "conn": conn, "abar": abar, "de": de, "dm": dm,
-        "lie": np.einsum("amp,bnp,mnp->abp", e, e, _lie(v["g"], dv["g"], v["u"], dv["u"])),
-        "mc": (dm - np.einsum("ligp,ljp->ijgp", abar, m) - np.einsum("ljgp,ilp->ijgp", abar, m)),
-        "kc": dk - np.einsum("ligp,lp->igp", abar, k),
-    }
-
-
-def leaf(drq: np.ndarray, a: np.ndarray, rq: np.ndarray) -> np.ndarray:
-    """Rq_ijkl;0 = u(Rq_ijkl) - abar^m_i(u) Rq_mjkl - ..., a slot term per einsum."""
-    return (drq - np.einsum("mip,mjklp->ijklp", a, rq) - np.einsum("mjp,imklp->ijklp", a, rq)
-            - np.einsum("mkp,ijmlp->ijklp", a, rq) - np.einsum("mlp,ijkmp->ijklp", a, rq))
 
 
 def jump_table(m: int) -> np.ndarray:

@@ -167,6 +167,21 @@ def test_report_digests_fields_names_each_moved_field(tmp_path):
                           "3 of 3 sessions differ; exit codes, verdicts, flags and strings moved"]
 
 
+
+def test_report_digests_fields_exits_3_when_a_session_fails(tmp_path):
+    """tools/report_digests.py fields exits 3, not the 1 of a roundoff-only
+    change, when a session interpreter fails: here one source's package
+    raises on import."""
+    tool = PYPROJECT.parent / "tools" / "report_digests.py"
+    broken = tmp_path / "src" / "movingframes"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text("raise ImportError('broken package')\n")
+    run = subprocess.run([sys.executable, str(tool), "fields", str(PYPROJECT.parent / "src"),
+                          str(tmp_path / "src"), "--seeds", "1", "--workloads", "screw-eval",
+                          "--size", "tiny"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3, run.stderr
+    assert "session interpreter exited 1" in run.stderr and "broken package" in run.stderr
+
 def test_report_digests_field_moves_reads_codes_checks_and_errors():
     """field_moves keys a check by its task and name, takes the largest
     |difference| of a number over the runs, and counts a changed exit code,

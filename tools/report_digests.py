@@ -37,7 +37,11 @@ number of runs it moved in, then whether any exit code, verdict, flag or
 string moved (a non-numeric field, a missing one, or a changed error
 message).  The last lines sum every moved number over all sessions.  It
 exits 0 when no session differs, 1 when only numbers moved (a roundoff-only
-change) and 2 when an exit code, verdict, flag or string moved.
+change) and 2 when an exit code, verdict, flag or string moved.  When the
+comparison itself fails (a session interpreter that exits non-zero, a
+source that cannot be read) it prints the error and exits 3, so that a
+crash cannot read as the roundoff-only 1 that Python gives an uncaught
+exception.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import json
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -219,8 +224,12 @@ def main(argv=None) -> int:
     _sessions(fld_p)
     args = parser.parse_args(argv)
     if args.command == "fields":
-        return fields(args.a_src.resolve(), args.b_src.resolve(), args.workloads.split(","),
-                      _seeds(args.seeds), args.size)
+        try:
+            return fields(args.a_src.resolve(), args.b_src.resolve(), args.workloads.split(","),
+                          _seeds(args.seeds), args.size)
+        except Exception:
+            traceback.print_exc()
+            return 3
     if args.command == "run":
         result = _run_args(args.src, args)
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
